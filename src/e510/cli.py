@@ -36,6 +36,16 @@ class RunConfig:
     extra: dict = field(default_factory=dict)
 
 
+# lowest accepted value of each integer option, per command
+_MINIMA = {
+    "dim-u": {"degree": 0},
+    "singular": {"degree": 1},
+    "classify": {"degree": 1, "max_entry": 0, "threads": 1},
+    "compose": {"m": 0, "n": 0},
+    "dual": {"m": 0, "n": 0},
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -355,6 +365,12 @@ def cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for dest, low in _MINIMA.get(args.command, {}).items():
+        if getattr(args, dest) < low:
+            opt = "--" + dest.replace("_", "-")
+            print(f"error: {opt} must be >= {low}, got {getattr(args, dest)}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     handler = {
         "omega": cmd_omega,
         "dim-u": cmd_dim_u,

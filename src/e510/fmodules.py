@@ -65,15 +65,24 @@ def glact_monomial(r: int, s: int, m: tuple) -> dict:
     """Derivation action of x_r d/dx_s on a tensor monomial (r = s allowed).
 
     Rules: x_r ds . x_t = delta_ts x_r and x_r ds . x*_t = -delta_rt x*_s,
-    extended as derivations to the wedge generators.
+    extended as derivations to the wedge generators.  Coefficients are plain
+    ints (exponents times signs); terms may cancel only when r = s.
     """
     out: dict = {}
+
+    def put(key, c):
+        c += out.get(key, 0)
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+
     e = m[_V0 + s - 1]
     if e:
-        add_into(out, {_bump(m, _V0 + s - 1, -1, _V0 + r - 1, +1): Q(e)})
+        put(_bump(m, _V0 + s - 1, -1, _V0 + r - 1, +1), e)
     ed = m[_VD0 + r - 1]
     if ed:
-        add_into(out, {_bump(m, _VD0 + r - 1, -1, _VD0 + s - 1, +1): Q(-ed)})
+        put(_bump(m, _VD0 + r - 1, -1, _VD0 + s - 1, +1), -ed)
     for k, (i, j) in enumerate(PAIRS):
         ew = m[_W0 + k]
         if ew:
@@ -83,8 +92,7 @@ def glact_monomial(r: int, s: int, m: tuple) -> dict:
                 if a == b:
                     continue
                 sign, np = (1, (a, b)) if a < b else (-1, (b, a))
-                add_into(out, {_bump(m, _W0 + k, -1, _W0 + _PAIR_POS[np], +1):
-                               Q(sign * ew)})
+                put(_bump(m, _W0 + k, -1, _W0 + _PAIR_POS[np], +1), sign * ew)
         ewd = m[_WD0 + k]
         if ewd:
             # x_r ds . x*_ij = -(delta_ri x*_sj + delta_rj x*_is)
@@ -93,12 +101,13 @@ def glact_monomial(r: int, s: int, m: tuple) -> dict:
                 if a == b:
                     continue
                 sign, np = (1, (a, b)) if a < b else (-1, (b, a))
-                add_into(out, {_bump(m, _WD0 + k, -1, _WD0 + _PAIR_POS[np], +1):
-                               Q(-sign * ewd)})
+                put(_bump(m, _WD0 + k, -1, _WD0 + _PAIR_POS[np], +1), -sign * ewd)
     return out
 
 
 def glact_vector(r: int, s: int, vec: dict) -> dict:
+    """x_r d/dx_s on a sparse ambient vector; each term is coefficient times
+    an int, so Fraction coefficients in give Fraction coefficients out."""
     out: dict = {}
     for m, c in vec.items():
         add_into(out, glact_monomial(r, s, m), c)
@@ -139,6 +148,8 @@ class TensorModule:
         self.pivots: dict[tuple, dict] = {}
         self._full = False
         self._act_cache: dict = {}
+        # (x_5 d_t op, index) -> ambient image, filled by the singular search
+        self._zterm_cache: dict = {}
 
     # -- construction -----------------------------------------------------
 

@@ -39,12 +39,15 @@ def format_scalar(x: Q) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_ZERO = Q(0)
+
+
 def add_into(acc: dict, other: dict, scale: Q = Q(1)) -> None:
     """acc += scale * other for sparse dicts, dropping zeros."""
     if not scale:
         return
     for k, v in other.items():
-        s = acc.get(k, Q(0)) + scale * v
+        s = acc.get(k, _ZERO) + scale * v
         if s:
             acc[k] = s
         else:

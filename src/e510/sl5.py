@@ -3,12 +3,13 @@
 Weights are 4-tuples of integers: coordinates with respect to the fundamental
 weights attached to the consecutive pairs (1,2), (2,3), (3,4), (4,5).  Derived
 pair values lam_{ij} are always recomputed from the coordinates, never stored.
+All arithmetic here is on plain integers: root coordinates come from the
+integer matrix 5 C^{-1} followed by an exact division by 5.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction as Q
 
 Weight = tuple  # 4 integers in fundamental-weight coordinates
 
@@ -22,12 +23,12 @@ SIMPLE_ROOTS: tuple[Weight, ...] = (
 
 RHO: Weight = (1, 1, 1, 1)  # half-sum of positive roots
 
-# inverse Cartan matrix of A4, times 1/5
-_CARTAN_INV = (
-    (Q(4, 5), Q(3, 5), Q(2, 5), Q(1, 5)),
-    (Q(3, 5), Q(6, 5), Q(4, 5), Q(2, 5)),
-    (Q(2, 5), Q(4, 5), Q(6, 5), Q(3, 5)),
-    (Q(1, 5), Q(2, 5), Q(3, 5), Q(4, 5)),
+# 5 times the inverse Cartan matrix of A4 (det C = 5, so this is integral)
+_CARTAN_INV5 = (
+    (4, 3, 2, 1),
+    (3, 6, 4, 2),
+    (2, 4, 6, 3),
+    (1, 2, 3, 4),
 )
 
 
@@ -56,15 +57,17 @@ def is_dominant(lam: Weight) -> bool:
 def root_coefficients(delta: Weight):
     """Coefficients of delta on the simple roots, or None if not integral.
 
-    delta = sum_i k_i alpha_i with k = C^{-1} delta; returns the 4-tuple of
-    integers when all coefficients are integral, else None.
+    delta = sum_i k_i alpha_i with k = C^{-1} delta = (5 C^{-1} delta) / 5,
+    computed in integers; returns the 4-tuple of integers when every entry of
+    5 C^{-1} delta is divisible by 5, else None.
     """
+    a, b, c, d = delta
     ks = []
-    for row in _CARTAN_INV:
-        k = sum(c * d for c, d in zip(row, delta))
-        if k.denominator != 1:
+    for r0, r1, r2, r3 in _CARTAN_INV5:
+        k, rem = divmod(r0 * a + r1 * b + r2 * c + r3 * d, 5)
+        if rem:
             return None
-        ks.append(int(k))
+        ks.append(k)
     return tuple(ks)
 
 
@@ -89,7 +92,7 @@ def dominance_compare(lam: Weight, mu: Weight) -> str:
 def dominated_depth(lam: Weight, mu: Weight):
     """Root-coefficient vector of mu - lam when lam <= mu, else None."""
     ks = root_coefficients(wsub(mu, lam))
-    if ks is None or any(k < 0 for k in ks):
+    if ks is None or min(ks) < 0:
         return None
     return ks
 
@@ -140,7 +143,7 @@ def tensor_multiplicity(mu: Weight, weights, lam: Weight) -> int:
     mult = 0
     base = gl_lift(wadd(mu, RHO))
     for eta in weights:
-        c = tuple(b + e for b, e in zip(base, gl_lift_any(eta)))
+        c = tuple(b + e for b, e in zip(base, gl_lift(eta)))
         if len(set(c)) < 5:
             continue
         order = sorted(range(5), key=lambda i: -c[i])
@@ -150,10 +153,6 @@ def tensor_multiplicity(mu: Weight, weights, lam: Weight) -> int:
         if sc == target:
             mult += sign
     return mult
-
-
-def gl_lift_any(lam: Weight) -> tuple:
-    return gl_lift(lam)
 
 
 def perm_sign(perm) -> int:

@@ -176,6 +176,16 @@ def l1_basis() -> list[dict]:
     return basis
 
 
+_l1_cache: list | None = None
+
+
+def _l1_basis_cached():
+    global _l1_cache
+    if _l1_cache is None:
+        _l1_cache = l1_basis()
+    return _l1_cache
+
+
 def leading_term(w: VermaElement) -> VermaElement:
     """Projection onto U_- (x) F(mu)_mu: the terms whose F part lies on the
     top weight line."""
@@ -192,7 +202,7 @@ def is_singular(w: VermaElement, full_l1: bool = True) -> bool:
     if not act_x5d45(w).is_zero():
         return False
     if full_l1:
-        for elem in l1_basis():
+        for elem in _l1_basis_cached():
             if not act_l1_combination(elem, w).is_zero():
                 return False
     return True
@@ -200,10 +210,6 @@ def is_singular(w: VermaElement, full_l1: bool = True) -> bool:
 
 # ---------------------------------------------------------------------------
 # Singular vector search by leading-term lifting
-
-def _forms_add(acc: dict, form: dict, scale: Q) -> None:
-    add_into(acc, form, scale)
-
 
 def _stacked_solver(mod: TensorModule, nu):
     """Factor the stacked raising maps out of the weight space nu.
@@ -302,12 +308,14 @@ def _lift_singular(mod, d, lam, mons, monw, impose_l1=True, verify=True):
     mu = mod.highest_weight
     levels: dict[int, list] = {}
     nu_of: dict = {}
+    depth_of: dict = {}
     for m in mons:
         nu = sl5.wsub(lam, monw[m])
         ks = sl5.dominated_depth(nu, mu)
         if ks is None:
             continue
-        levels.setdefault(sum(ks), []).append(m)
+        depth = depth_of[m] = sum(ks)
+        levels.setdefault(depth, []).append(m)
         nu_of[m] = nu
     if 0 not in levels:
         return []
@@ -325,26 +333,34 @@ def _lift_singular(mod, d, lam, mons, monw, impose_l1=True, verify=True):
     V: dict = {}           # monomial -> {fidx -> {ci -> Q}}
     zacc: dict = {}        # depth -> {(monomial, ambient mono) -> {ci -> Q}}
 
+    # ambient images x_5 d_t . v_fidx, shared by every candidate lam
+    zimages = mod._zterm_cache
+
+    def zimage(op, fidx):
+        key = (op, fidx)
+        img = zimages.get(key)
+        if img is None:
+            img = zimages[key] = glact_vector(op[0], op[1], mod.vectors[fidx])
+        return img
+
     def add_z_terms(m, nu, comps):
-        depth_nu = sum(sl5.dominated_depth(nu, mu))
         for m2, c2, op in _odd_action(5, (4, 5), m):
             if op is None:
-                tau_depth = depth_nu
-                vecs = {fidx: (mod.vectors[fidx], c2) for fidx in comps}
+                tau_depth = depth_of[m]
+                vecs = {fidx: mod.vectors[fidx] for fidx in comps}
             else:
                 tau = sl5.wadd(nu, gen_shift(op[0], op[1]))
                 ks = sl5.dominated_depth(tau, mu)
                 if ks is None:
                     continue
                 tau_depth = sum(ks)
-                vecs = {fidx: (glact_vector(op[0], op[1], mod.vectors[fidx]), c2)
-                        for fidx in comps}
+                vecs = {fidx: zimage(op, fidx) for fidx in comps}
             level = zacc.setdefault(tau_depth, {})
-            for fidx, (vec, c2v) in vecs.items():
+            for fidx, vec in vecs.items():
                 form = comps[fidx]
                 for amb, ac in vec.items():
                     acc = level.setdefault((m2, amb), {})
-                    _forms_add(acc, form, c2v * ac)
+                    add_into(acc, form, c2 * ac)
 
     def flush_z(depth) -> bool:
         level = zacc.pop(depth, None)
@@ -378,14 +394,14 @@ def _lift_singular(mod, d, lam, mons, monw, impose_l1=True, verify=True):
                         for u, tcoef in trans[i].get(m, {}).items():
                             for fidx, form in V.get(u, {}).items():
                                 acc = b.setdefault((i, fidx), {})
-                                _forms_add(acc, form, -tcoef)
+                                add_into(acc, form, -tcoef)
                     comps: dict = {}
                     for col, comb in solve_combs.items():
                         form: dict = {}
                         for rk, cf in comb.items():
                             bf = b.get(rk)
                             if bf:
-                                _forms_add(form, bf, cf)
+                                add_into(form, bf, cf)
                         if form:
                             comps[col] = form
                     for comb in zero_combs:
@@ -393,7 +409,7 @@ def _lift_singular(mod, d, lam, mons, monw, impose_l1=True, verify=True):
                         for rk, cf in comb.items():
                             bf = b.get(rk)
                             if bf:
-                                _forms_add(form, bf, cf)
+                                add_into(form, bf, cf)
                         if form:
                             constraints.insert(form)
                     if comps:
@@ -428,8 +444,9 @@ def _lift_singular(mod, d, lam, mons, monw, impose_l1=True, verify=True):
                     terms[(m, fidx)] = val
         w = VermaElement(mod, d, terms)
         w = _normalize_singular(w)
-        if verify:
-            assert is_singular(w, full_l1=impose_l1), (mu, lam)
+        if verify and not is_singular(w, full_l1=impose_l1):
+            raise ArithmeticError(
+                f"lifted vector fails the singular check: mu={mu}, lam={lam}, d={d}")
         vecs.append(w)
     return vecs
 
@@ -1006,16 +1023,6 @@ def verify_certificate(cert: dict) -> tuple[bool, str]:
             return False, f"family label mismatch: {fam} != {cert.get('family')}"
         return True, "ok"
     return False, f"no singular vectors of weight {lam} found in M({mu}) at degree {d}"
-
-
-_l1_cache: list | None = None
-
-
-def _l1_basis_cached():
-    global _l1_cache
-    if _l1_cache is None:
-        _l1_cache = l1_basis()
-    return _l1_cache
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from e510 import cli
 
 
@@ -145,3 +147,16 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "d12"
+
+
+@pytest.mark.parametrize("argv", [
+    ["singular", "--mu", "0,0,0,0", "--degree", "0"],
+    ["dim-u", "--degree", "-1"],
+    ["classify", "--degree", "1", "--max-entry", "-1"],
+    ["classify", "--degree", "1", "--max-entry", "0", "--threads", "0"],
+    ["compose", "--chain", "C", "--m", "-1"],
+])
+def test_out_of_range_integer_option(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1

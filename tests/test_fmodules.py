@@ -2,6 +2,9 @@ import itertools
 import random
 from fractions import Fraction as Q
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from e510 import fmodules as fm
 from e510 import sl5
 
@@ -217,3 +220,65 @@ def test_pluecker_contractions_annihilate():
                             continue
                         acc[m2] = acc.get(m2, Q(0)) + co * s1 * s2
                 assert not {k: v for k, v in acc.items() if v}
+
+
+def _generator_image(r, s, slot):
+    """x_r d/dx_s on one generator of the ambient algebra, as {slot: Q}."""
+    if slot < 5:  # x_t
+        return {r - 1: Q(1)} if slot == s - 1 else {}
+    if slot >= 25:  # x*_t
+        return {25 + s - 1: Q(-1)} if slot - 25 == r - 1 else {}
+    dual = slot >= 15
+    i, j = fm.PAIRS[slot - (15 if dual else 5)]
+    if dual:  # x*_ij -> -(delta_ri x*_sj + delta_rj x*_is)
+        raw = ([((s, j), Q(-1))] if i == r else []) + ([((i, s), Q(-1))] if j == r else [])
+    else:  # x_ij -> delta_is x_rj + delta_js x_ir
+        raw = ([((r, j), Q(1))] if i == s else []) + ([((i, r), Q(1))] if j == s else [])
+    out = {}
+    for (a, b), c in raw:
+        if a == b:
+            continue
+        if a > b:
+            a, b, c = b, a, -c
+        k = (15 if dual else 5) + fm.PAIRS.index((a, b))
+        out[k] = out.get(k, Q(0)) + c
+    return out
+
+
+def _glact_reference(r, s, vec):
+    """Derivation rule over Q: sum over generators of exponent * image."""
+    out = {}
+    for m, c in vec.items():
+        for slot, e in enumerate(m):
+            if not e:
+                continue
+            for slot2, c2 in _generator_image(r, s, slot).items():
+                m2 = list(m)
+                m2[slot] -= 1
+                m2[slot2] += 1
+                key = tuple(m2)
+                out[key] = out.get(key, Q(0)) + c * Q(e) * c2
+    return {k: v for k, v in out.items() if v}
+
+
+_monomials = st.lists(st.tuples(st.integers(0, 29), st.integers(1, 2)),
+                      min_size=1, max_size=4).map(
+    lambda parts: tuple(sum(e for slot, e in parts if slot == k) for k in range(30)))
+_vectors = st.dictionaries(
+    _monomials, st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+    max_size=5)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), _vectors)
+def test_glact_vector_matches_fraction_reference(r, s, vec):
+    got = fm.glact_vector(r, s, vec)
+    assert got == _glact_reference(r, s, vec)
+    assert all(type(c) is Q for c in got.values())
+
+
+def test_built_vectors_have_fraction_coefficients():
+    for lam in [(1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 0, 0), (2, 0, 0, 1)]:
+        m = fm.build_irreducible(lam)
+        for vec in m.vectors:
+            assert all(type(c) is Q for c in vec.values()), lam

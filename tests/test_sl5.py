@@ -1,4 +1,8 @@
 import random
+from fractions import Fraction as Q
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from e510 import sl5
 from oracles import hook_content_dimension, partition_of_weight
@@ -101,3 +105,24 @@ def test_weight_json_round_trip():
     lam = (1, 0, 2, 3)
     assert sl5.weight_from_json(sl5.weight_to_json(lam)) == lam
     assert sl5.weight_to_json(lam) == "[1, 0, 2, 3]"
+
+
+# (C^{-1})_{ij} = min(i, j) (5 - max(i, j)) / 5 for the A4 Cartan matrix
+_CARTAN_INV_REF = [[Q(min(i, j) * (5 - max(i, j)), 5) for j in range(1, 5)]
+                   for i in range(1, 5)]
+
+
+@settings(deadline=None)
+@given(st.tuples(*[st.integers(-8, 8)] * 4))
+@example((1, 0, 0, 0))  # a fundamental weight: not in the root lattice
+@example((2, -1, 0, 0))
+def test_root_coefficients_match_fraction_reference(delta):
+    ref = [sum(c * d for c, d in zip(row, delta)) for row in _CARTAN_INV_REF]
+    got = sl5.root_coefficients(delta)
+    if any(k.denominator != 1 for k in ref):
+        assert got is None
+        return
+    assert got == tuple(int(k) for k in ref)
+    assert all(type(k) is int for k in got)
+    back = [sum(k * alpha[t] for k, alpha in zip(got, sl5.SIMPLE_ROOTS)) for t in range(4)]
+    assert tuple(back) == delta

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 from e510 import fmodules as fm
@@ -450,3 +453,40 @@ def test_grading_act_l0_preserves_degree():
     out = V.act_l0(2, 1, w)
     for (m, _i) in out.terms:
         assert um.degree(m) == 2
+
+
+def test_is_singular_builds_l1_basis_once(monkeypatch):
+    calls = []
+    real = V.l1_basis
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(V, "l1_basis", counting)
+    monkeypatch.setattr(V, "_l1_cache", None)
+    (_lam, vecs), = V.singular_vectors((0, 0, 0, 1), 1)
+    for _ in range(3):
+        assert V.is_singular(vecs[0], full_l1=True)
+    assert len(calls) == 1
+
+
+def test_search_reverification_runs_under_optimize():
+    # with asserts stripped (-O) a failed re-verification must still raise
+    code = (
+        "import sys\n"
+        "from e510 import verma\n"
+        "assert sys.flags.optimize\n"  # stripped: must not stop the check below
+        "verma.is_singular = lambda w, full_l1=True: False\n"
+        "try:\n"
+        "    verma.singular_vectors((0, 1, 0, 0), 1)\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised:', exc)\n"
+        "else:\n"
+        "    sys.exit('no error raised')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(V.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: lifted vector fails the singular check")
