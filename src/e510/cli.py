@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import sl5, uminus, verma
 
@@ -19,21 +18,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ANOMALY = 2
 EXIT_VERIFY = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    mu: tuple | None = None
-    lam: tuple | None = None
-    degree: int = 1
-    max_entry: int = 1
-    out: str | None = None
-    threads: int = 1
-    json_out: bool = False
-    latex: bool = False
-    verify: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 # lowest accepted value of each integer option, per command
@@ -207,6 +191,25 @@ def _write_certs(rows, out_dir, d):
     return paths
 
 
+def _emit_certs(rows, args, d, report: bool) -> bool:
+    """Write the certificates of rows under --out and, with --verify, re-read
+    and re-verify each; False on the first verification failure."""
+    paths = _write_certs(rows, args.out, d) if args.out else []
+    for path in paths:
+        print(f"wrote {path}")
+    if not args.verify:
+        return True
+    for path in paths:
+        with open(path) as fh:
+            ok, diag = verma.verify_certificate(json.load(fh))
+        if not ok:
+            print(f"VERIFY FAIL {path}: {diag}", file=sys.stderr)
+            return False
+    if report and paths:
+        print(f"verified {len(paths)} certificate(s)")
+    return True
+
+
 def cmd_singular(args) -> int:
     try:
         mu = parse_weight(args.mu)
@@ -217,11 +220,7 @@ def cmd_singular(args) -> int:
         print(f"error: not dominant: {mu}", file=sys.stderr)
         return EXIT_USAGE
     d = args.degree
-    res = verma.singular_vectors(mu, d)
-    rows = []
-    for lam, vecs in res:
-        fam = verma.label_family(mu, lam, d, vecs) if d <= 3 else "exploratory"
-        rows.append(verma.ClassifyRow(mu, lam, len(vecs), fam, vecs))
+    rows = verma.classify_mu(mu, d)
     hits = sum(r.dimension for r in rows)
     if args.json:
         print(json.dumps({"mu": list(mu), "degree": d, "hits": hits,
@@ -231,18 +230,8 @@ def cmd_singular(args) -> int:
         print(f"M{mu} degree {d}: {hits} singular line(s)")
         for r in rows:
             print(f"  lambda={r.lam} dim={r.dimension} family={r.family}")
-    paths = _write_certs(rows, args.out, d) if args.out else []
-    for path in paths:
-        print(f"wrote {path}")
-    if args.verify:
-        for path in paths:
-            with open(path) as fh:
-                ok, diag = verma.verify_certificate(json.load(fh))
-            if not ok:
-                print(f"VERIFY FAIL {path}: {diag}", file=sys.stderr)
-                return EXIT_VERIFY
-        if paths:
-            print(f"verified {len(paths)} certificate(s)")
+    if not _emit_certs(rows, args, d, report=True):
+        return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -253,29 +242,16 @@ def _classify_table(rows):
     return "\n".join(lines)
 
 
-def _classify_mu(job):
-    mu, d = job
-    res = verma.singular_vectors(mu, d)
-    out = []
-    for lam, vecs in res:
-        fam = verma.label_family(mu, lam, d, vecs) if d <= 3 else "exploratory"
-        out.append((mu, lam, fam, vecs))
-    return out
-
-
 def cmd_classify(args) -> int:
     d, box = args.degree, args.max_entry
     mus = sl5.dominant_weights_in_box(box)
     if args.threads > 1:
         import multiprocessing
         with multiprocessing.Pool(args.threads) as pool:
-            chunks = pool.map(_classify_mu, [(mu, d) for mu in mus])
+            chunks = pool.starmap(verma.classify_mu, [(mu, d) for mu in mus])
     else:
-        chunks = [_classify_mu((mu, d)) for mu in mus]
-    rows = []
-    for chunk in sorted(chunks, key=lambda ch: ch[0][0] if ch else ()):
-        for mu, lam, fam, vecs in chunk:
-            rows.append(verma.ClassifyRow(mu, lam, len(vecs), fam, vecs))
+        chunks = [verma.classify_mu(mu, d) for mu in mus]
+    rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r.mu, r.lam))
     anomalies = [r for r in rows if r.family == "ANOMALY"]
     if args.json:
@@ -288,16 +264,8 @@ def cmd_classify(args) -> int:
     else:
         print(_classify_table(rows))
         print(f"{len(rows)} hit(s), {len(anomalies)} anomaly(ies)")
-    paths = _write_certs(rows, args.out, d) if args.out else []
-    for path in paths:
-        print(f"wrote {path}")
-    if args.verify:
-        for path in paths:
-            with open(path) as fh:
-                ok, diag = verma.verify_certificate(json.load(fh))
-            if not ok:
-                print(f"VERIFY FAIL {path}: {diag}", file=sys.stderr)
-                return EXIT_VERIFY
+    if not _emit_certs(rows, args, d, report=False):
+        return EXIT_VERIFY
     return EXIT_ANOMALY if anomalies else EXIT_OK
 
 

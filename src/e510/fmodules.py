@@ -148,8 +148,10 @@ class TensorModule:
         self.pivots: dict[tuple, dict] = {}
         self._full = False
         self._act_cache: dict = {}
-        # (x_5 d_t op, index) -> ambient image, filled by the singular search
+        # filled by the singular search: (x_5 d_t op, index) -> ambient image,
+        # and weight -> factored stacked raising maps
         self._zterm_cache: dict = {}
+        self._stack_cache: dict = {}
 
     # -- construction -----------------------------------------------------
 
@@ -179,44 +181,44 @@ class TensorModule:
                 self._insert(nu, img, (i, idx))
         return self.spaces[nu]
 
-    def _insert(self, nu, vec, origin):
+    def _reduce(self, nu, vec):
+        """Reduce an ambient vector by the basis of the weight space nu, least
+        monomial first, until the least monomial is no basis vector's pivot.
+        Returns (residual, trail), trail being the [(index, coefficient)]
+        subtracted; the residual is empty when vec lies in the space."""
         residual = dict(vec)
         trail = []
-        piv = self.pivots[nu]
+        piv = self.pivots.get(nu, {})
         while residual:
             mkey = min(residual)
             hit = piv.get(mkey)
             if hit is None:
-                pc = residual[mkey]
-                n = len(self.vectors)
-                self.vectors.append({k: v / pc for k, v in residual.items()})
-                self.weights.append(nu)
-                self.spaces[nu].append(n)
-                piv[mkey] = n
-                self.prov.append((origin, trail, pc))
-                return n
+                break
             c = residual[mkey]
             trail.append((hit, c))
             add_into(residual, self.vectors[hit], -c)
-        return None
+        return residual, trail
+
+    def _insert(self, nu, vec, origin):
+        residual, trail = self._reduce(nu, vec)
+        if not residual:
+            return None
+        mkey = min(residual)
+        pc = residual[mkey]
+        n = len(self.vectors)
+        self.vectors.append({k: v / pc for k, v in residual.items()})
+        self.weights.append(nu)
+        self.spaces[nu].append(n)
+        self.pivots[nu][mkey] = n
+        self.prov.append((origin, trail, pc))
+        return n
 
     def coords(self, nu, vec) -> dict:
         """Coordinates of an ambient vector lying in the weight space nu."""
-        residual = dict(vec)
-        out: dict = {}
-        piv = self.pivots.get(tuple(nu), {})
-        while residual:
-            mkey = min(residual)
-            hit = piv.get(mkey)
-            if hit is None:
-                raise ArithmeticError(f"vector not inside weight space {nu}")
-            c = residual[mkey]
-            out[hit] = c
-            add_into(residual, self.vectors[hit], -c)
-        return out
-
-    def mult(self, nu) -> int:
-        return len(self.ensure_weight(nu))
+        residual, trail = self._reduce(tuple(nu), vec)
+        if residual:
+            raise ArithmeticError(f"vector not inside weight space {nu}")
+        return dict(trail)
 
     def build_full(self):
         if self._full:
@@ -293,7 +295,9 @@ class DualModule:
         self.weight = sl5.dual_weight(base.highest_weight)
         low = sl5.lowest_weight(base.highest_weight)
         hw = [i for i in range(base_dim) if base.weight_of(i) == low]
-        assert len(hw) == 1
+        if len(hw) != 1:
+            raise ArithmeticError(
+                f"F{base.highest_weight} has {len(hw)} lowest weight vectors, not 1")
         self.hw_index = hw[0]
         self._act_cache: dict = {}
 

@@ -117,45 +117,16 @@ class SparseMatrix:
         return out
 
 
-def _eliminate(rows: list[dict[int, Q]]) -> list[tuple[int, dict[int, Q]]]:
-    """Exact Gaussian elimination to reduced echelon form.
-
-    Pivot choice: lowest-index nonzero column first, then the structurally
-    sparsest row among those hitting that column (ties by lowest row index).
-    Returns a list of (pivot column, row) with unit pivots, sorted by column;
-    each pivot column occurs in its own row only.
-    """
-    work = [(i, dict(r)) for i, r in enumerate(rows) if r]
-    pivots: list[tuple[int, dict[int, Q]]] = []
-    while work:
-        col = min(min(r) for _, r in work)
-        best = min((k for k, (_, r) in enumerate(work) if col in r),
-                   key=lambda k: (len(work[k][1]), work[k][0]))
-        _, piv = work.pop(best)
-        pv = piv[col]
-        piv = {j: v / pv for j, v in piv.items()}
-        nxt = []
-        for idx, r in work:
-            c = r.get(col)
-            if c:
-                add_into(r, piv, -c)
-            if r:
-                nxt.append((idx, r))
-        work = nxt
-        pivots.append((col, piv))
-    pivots.sort(key=lambda t: t[0])
-    for k in range(len(pivots) - 1, 0, -1):
-        col, prow = pivots[k]
-        for k2 in range(k):
-            c = pivots[k2][1].get(col)
-            if c:
-                add_into(pivots[k2][1], prow, -c)
-    return pivots
+def _reduced(rows) -> RowReducer:
+    red = RowReducer()
+    for row in rows:
+        red.insert(row)
+    return red
 
 
 def rank(m: SparseMatrix) -> int:
     """Rank over Q by exact elimination."""
-    return len(_eliminate(m.rows()))
+    return _reduced(m.rows()).rank
 
 
 def null_space(m: SparseMatrix) -> list[dict[int, Q]]:
@@ -165,19 +136,7 @@ def null_space(m: SparseMatrix) -> list[dict[int, Q]]:
     not appear in the other basis vectors; the basis has m.ncols - rank(m)
     elements and is deterministic.
     """
-    pivots = _eliminate(m.rows())
-    pivot_set = {c for c, _ in pivots}
-    basis = []
-    for f in range(m.ncols):
-        if f in pivot_set:
-            continue
-        v = {f: Q(1)}
-        for c, row in pivots:
-            coeff = row.get(f)
-            if coeff:
-                v[c] = -coeff
-        basis.append(v)
-    return basis
+    return _reduced(m.rows()).kernel(range(m.ncols))
 
 
 def solve(m: SparseMatrix, b) -> dict[int, Q] | None:
@@ -189,62 +148,87 @@ def solve(m: SparseMatrix, b) -> dict[int, Q] | None:
     for i, v in b.items():
         if v:
             rows[i][aug] = Q(v)
-    pivots = _eliminate(rows)
-    x: dict[int, Q] = {}
-    for c, row in pivots:
-        if c == aug:
-            return None  # a row reduced to 0 = 1: inconsistent
-        v = row.get(aug)
-        if v:
-            x[c] = v
-    return x
+    red = _reduced(rows)
+    if aug in red.pivots:
+        return None  # a row reduced to 0 = 1: inconsistent
+    return {c: row[aug] for c, row in red.pivots.items() if aug in row}
 
 
 class RowReducer:
-    """Incremental reduced echelon form over arbitrary hashable column keys.
+    """Incremental reduced row echelon form over ordered hashable column keys.
 
     Rows are sparse dicts key -> Q.  insert() reduces a new row against the
-    basis, absorbs the remainder as a new unit-pivot row, and back-eliminates
-    the new pivot from the older rows, so no pivot key ever appears in another
-    row.  Used for rank tracking and kernel extraction in the search engines.
+    basis, absorbs the remainder as a new row with a unit pivot on its least
+    key, and back-eliminates that key from the older rows, so no pivot key
+    ever appears in another row and each row's pivot is its least key.  The
+    result is the reduced echelon form of the rows inserted so far, unique for
+    the natural order of the keys.
+
+    A row may carry a combination dict (over labels of the inserted rows) that
+    is reduced alongside it: combs[k] then expresses pivot row k, and each
+    entry of relations a row that reduced to zero, as a combination of the
+    inserted rows.  Either every insert carries a combination or none does.
     """
 
     def __init__(self):
         self.pivots: dict[object, dict] = {}
+        self.combs: dict[object, dict] = {}
+        self.relations: list[dict] = []
 
-    def reduce(self, row: dict) -> dict:
+    def reduce(self, row: dict, comb: dict | None = None) -> dict:
+        """The remainder of row against the basis; comb, when given, is
+        reduced alongside in place.  One pass suffices, because subtracting a
+        pivot row changes no other pivot key's coefficient."""
         row = {k: v for k, v in row.items() if v}
-        hits = [k for k in row if k in self.pivots]
-        while hits:
-            for k in hits:
-                c = row.get(k)
-                if c:
-                    add_into(row, self.pivots[k], -c)
-            hits = [k for k in row if k in self.pivots]
+        for k in [k for k in row if k in self.pivots]:
+            c = row[k]
+            add_into(row, self.pivots[k], -c)
+            if comb is not None:
+                add_into(comb, self.combs[k], -c)
         return row
 
-    def insert(self, row: dict) -> bool:
-        row = self.reduce(row)
+    def insert(self, row: dict, comb: dict | None = None) -> bool:
+        """Add a row; True when it raised the rank."""
+        if comb is not None:
+            comb = dict(comb)
+        row = self.reduce(row, comb)
         if not row:
+            if comb is not None:
+                self.relations.append(comb)
             return False
-        k = min(row, key=repr)
+        k = min(row)
         pv = row[k]
         unit = {j: v / pv for j, v in row.items()}
-        for other in self.pivots.values():
+        if comb is not None:
+            comb = {j: v / pv for j, v in comb.items()}
+        for key, other in self.pivots.items():
             c = other.get(k)
             if c:
                 add_into(other, unit, -c)
+                if comb is not None:
+                    add_into(self.combs[key], comb, -c)
         self.pivots[k] = unit
+        if comb is not None:
+            self.combs[k] = comb
         return True
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def kernel(self, keys: list) -> list[dict[int, Q]]:
-        """Kernel basis of the accumulated rows seen as linear forms on `keys`."""
-        index = {k: i for i, k in enumerate(keys)}
-        mat = SparseMatrix.from_rows(
-            [{index[k]: v for k, v in row.items()} for row in self.pivots.values()],
-            ncols=len(keys))
-        return null_space(mat)
+    def kernel(self, keys) -> list[dict]:
+        """Kernel basis of the rows seen as linear forms on `keys`, which must
+        hold every key of every row in ascending order: one vector per
+        non-pivot key f, with 1 at f and minus each pivot row's f entry at
+        that row's pivot."""
+        basis = []
+        for f in keys:
+            if f in self.pivots:
+                continue
+            v = {f: Q(1)}
+            for k, row in self.pivots.items():
+                c = row.get(f)
+                if c:
+                    v[k] = -c
+            basis.append(v)
+        return basis

@@ -21,8 +21,6 @@ SIMPLE_ROOTS: tuple[Weight, ...] = (
     (0, 0, -1, 2),
 )
 
-RHO: Weight = (1, 1, 1, 1)  # half-sum of positive roots
-
 # 5 times the inverse Cartan matrix of A4 (det C = 5, so this is integral)
 _CARTAN_INV5 = (
     (4, 3, 2, 1),
@@ -38,11 +36,6 @@ def wadd(a: Weight, b: Weight) -> Weight:
 
 def wsub(a: Weight, b: Weight) -> Weight:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def fundamental_weight(i: int) -> Weight:
-    """The fundamental weight attached to the pair (i, i+1), 1 <= i <= 4."""
-    return tuple(1 if k == i - 1 else 0 for k in range(4))
 
 
 def pair_value(lam: Weight, i: int, j: int) -> int:
@@ -107,7 +100,8 @@ def weyl_dimension(lam: Weight) -> int:
             num *= pair_value(lam, i, j) + (j - i)
             den *= j - i
     dim, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"Weyl product for {lam} is not an integer: {num}/{den}")
     return dim
 
 
@@ -121,38 +115,9 @@ def lowest_weight(lam: Weight) -> Weight:
     return tuple(-x for x in reversed(lam))
 
 
-def gl_lift(lam: Weight) -> tuple:
-    """Canonical gl5 lift (c_1..c_5) with c_5 = 0: c_i = lam_{i5}."""
-    return tuple(pair_value(lam, i, 5) for i in range(1, 5)) + (0,)
-
-
 def from_gl(c) -> Weight:
     """Fundamental coordinates of a gl5 weight vector (c_1..c_5)."""
     return tuple(c[i] - c[i + 1] for i in range(4))
-
-
-def tensor_multiplicity(mu: Weight, weights, lam: Weight) -> int:
-    """Multiplicity of F(lam) in F(mu) (x) E via the Racah-Klimyk alternating
-    sum, where `weights` iterates over the weights of E with multiplicity.
-
-    Used as an independent oracle for highest-weight-space dimensions.
-    """
-    target = gl_lift(wadd(lam, RHO))
-    tshift = target[-1]
-    target = tuple(t - tshift for t in target)
-    mult = 0
-    base = gl_lift(wadd(mu, RHO))
-    for eta in weights:
-        c = tuple(b + e for b, e in zip(base, gl_lift(eta)))
-        if len(set(c)) < 5:
-            continue
-        order = sorted(range(5), key=lambda i: -c[i])
-        sign = perm_sign(order)
-        sc = tuple(c[i] for i in order)
-        sc = tuple(x - sc[-1] for x in sc)
-        if sc == target:
-            mult += sign
-    return mult
 
 
 def perm_sign(perm) -> int:

@@ -148,11 +148,6 @@ def u_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def mono_mul(m: tuple, u: dict) -> dict:
-    """Left-multiply a UElement by a single PBW monomial."""
-    return u_mul({m: Q(1)}, u)
-
-
 def degree(m: tuple) -> int:
     d5, ps = m
     return 2 * sum(d5) + len(ps)
@@ -313,13 +308,8 @@ def canonical_orbit_rep(I: tuple):
     if len(set(canon)) < len(canon):
         return 0, None
     rep = tuple(sorted(canon))
-    sign *= sl5.perm_sign(_sorting_permutation(canon))
+    sign *= sl5.perm_sign(sorted(range(len(canon)), key=lambda i: canon[i]))
     return sign, rep
-
-
-def _sorting_permutation(seq):
-    order = sorted(range(len(seq)), key=lambda i: seq[i])
-    return order
 
 
 # ---------------------------------------------------------------------------

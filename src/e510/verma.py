@@ -215,16 +215,14 @@ def _stacked_solver(mod: TensorModule, nu):
     """Factor the stacked raising maps out of the weight space nu.
 
     Returns (solve_combs, zero_combs): solve_combs maps each basis index of
-    the space to a row-combination dict over stacked row keys (i, target_idx)
-    recovering that coordinate of the unique solution of A v = b; zero_combs
-    are the left-kernel combinations yielding consistency constraints.
-    Raising maps are jointly injective below the top weight, so every
-    coordinate is pinned.
+    the space, in ascending order, to a row-combination dict over stacked row
+    keys (i, target_idx) recovering that coordinate of the unique solution of
+    A v = b; zero_combs are the left-kernel combinations yielding consistency
+    constraints.  Raising maps are jointly injective below the top weight, so
+    every coordinate is pinned.
     """
-    cache = getattr(mod, "_stack_cache", None)
-    if cache is None:
-        cache = mod._stack_cache = {}
-    got = cache.get(tuple(nu))
+    nu = tuple(nu)
+    got = mod._stack_cache.get(nu)
     if got is not None:
         return got
     cols = mod.ensure_weight(nu)
@@ -238,35 +236,13 @@ def _stacked_solver(mod: TensorModule, nu):
         for col in cols:
             for tidx, val in entries[col].items():
                 rows[(i, tidx)][col] = val
-    work = [(dict(r), {rk: Q(1)}) for rk, r in sorted(rows.items())]
-    piv: list = []  # (col, row, comb)
-    zeros: list = []
-    for row, comb in work:
-        for (pc, prow, pcomb) in piv:
-            c = row.get(pc)
-            if c:
-                add_into(row, prow, -c)
-                add_into(comb, pcomb, -c)
-        if row:
-            pc = min(row)
-            pv = row[pc]
-            piv.append((pc, {k: v / pv for k, v in row.items()},
-                        {k: v / pv for k, v in comb.items()}))
-        else:
-            zeros.append(comb)
-    if len(piv) != len(cols):
+    red = RowReducer()
+    for rk, row in sorted(rows.items()):
+        red.insert(row, {rk: Q(1)})
+    if red.rank != len(cols):
         raise ArithmeticError(f"raising maps not injective on weight space {nu}")
-    piv.sort(key=lambda t: t[0])
-    for k in range(len(piv) - 1, 0, -1):
-        pc, prow, pcomb = piv[k]
-        for k2 in range(k):
-            c = piv[k2][1].get(pc)
-            if c:
-                add_into(piv[k2][1], prow, -c)
-                add_into(piv[k2][2], pcomb, -c)
-    solve_combs = {pc: pcomb for pc, _, pcomb in piv}
-    got = (solve_combs, zeros)
-    cache[tuple(nu)] = got
+    got = mod._stack_cache[nu] = ({pc: red.combs[pc] for pc in sorted(red.pivots)},
+                                  red.relations)
     return got
 
 
@@ -911,8 +887,11 @@ FAMILIES = {
 
 
 def label_family(mu, lam, d: int, vecs) -> str:
-    """Family label for a singular-vector hit, or ANOMALY when it matches no
-    catalogued family (pattern, weight shift, leading term, 1-dim line)."""
+    """Family label for a singular-vector hit: "exploratory" above degree 3,
+    where no family is catalogued, else the matching family of FAMILIES
+    (pattern, weight shift, leading term, 1-dim line) or ANOMALY."""
+    if d > 3:
+        return "exploratory"
     if len(vecs) != 1:
         return "ANOMALY"
     lead = leading_term(vecs[0])
@@ -933,22 +912,19 @@ class ClassifyRow:
     vectors: list
 
 
-def classify(d: int, max_entry: int, progress=None) -> list[ClassifyRow]:
+def classify_mu(mu, d: int) -> list[ClassifyRow]:
+    """Every singular-vector hit of degree d in M(mu), labelled."""
+    mu = tuple(mu)
+    return [ClassifyRow(mu, lam, len(vecs), label_family(mu, lam, d, vecs), vecs)
+            for lam, vecs in singular_vectors(mu, d)]
+
+
+def classify(d: int, max_entry: int) -> list[ClassifyRow]:
     """Sweep all dominant mu with entries <= max_entry at degree d and label
     every singular-vector hit; unlabeled hits come back as ANOMALY rows.
     Degrees above 3 are searched but tagged exploratory (no family labels)."""
-    rows: list[ClassifyRow] = []
-    for mu in sl5.dominant_weights_in_box(max_entry):
-        res = singular_vectors(mu, d)
-        for lam, vecs in res:
-            if d <= 3:
-                fam = label_family(mu, lam, d, vecs)
-            else:
-                fam = "exploratory"
-            rows.append(ClassifyRow(mu, lam, len(vecs), fam, vecs))
-        if progress:
-            progress(mu, res)
-    return rows
+    return [row for mu in sl5.dominant_weights_in_box(max_entry)
+            for row in classify_mu(mu, d)]
 
 
 def verma_element_to_obj(w: VermaElement) -> list:
@@ -995,9 +971,62 @@ def make_certificate(mu, lam, d: int, w: VermaElement, family: str) -> dict:
     }
 
 
+def _is_ints(x, n: int) -> bool:
+    return isinstance(x, list) and len(x) == n and all(type(v) is int for v in x)
+
+
+def _element_shape_error(obj) -> str | None:
+    """Why obj is not in the form verma_element_to_obj writes, or None."""
+    if not isinstance(obj, list):
+        return "not a list"
+    for e in obj:
+        mono = e.get("monomial") if isinstance(e, dict) else None
+        if not (isinstance(mono, dict) and _is_ints(mono.get("del"), 5)
+                and isinstance(mono.get("pairs"), list)
+                and all(_is_ints(p, 2) for p in mono["pairs"])
+                and isinstance(e.get("fcoeffs"), list)
+                and all(isinstance(fc, dict) and type(fc.get("index")) is int
+                        and isinstance(fc.get("coeff"), str) for fc in e["fcoeffs"])):
+            return f"bad entry {e!r}"
+        for fc in e["fcoeffs"]:
+            try:
+                ok = parse_scalar(fc["coeff"]) != 0  # terms hold no zeros
+            except (ValueError, ZeroDivisionError):
+                ok = False
+            if not ok:
+                return f"bad coefficient {fc['coeff']!r}"
+    return None
+
+
+def _certificate_shape_error(cert) -> str | None:
+    """Why cert is not in the form make_certificate writes, or None."""
+    if not isinstance(cert, dict):
+        return f"expected a JSON object, got {type(cert).__name__}"
+    for key in ("mu", "lambda", "degree", "vector", "leading_term"):
+        if key not in cert:
+            return f"missing key {key!r}"
+    for key in ("mu", "lambda"):
+        if not _is_ints(cert[key], 4):
+            return f"{key} must be a list of 4 integers, got {cert[key]!r}"
+    if not sl5.is_dominant(tuple(cert["mu"])):
+        return f"mu {cert['mu']!r} is not dominant"
+    if not (type(cert["degree"]) is int and cert["degree"] >= 1):
+        return f"degree must be an integer >= 1, got {cert['degree']!r}"
+    if not cert["vector"]:
+        return "vector is empty"
+    for key in ("vector", "leading_term"):
+        bad = _element_shape_error(cert[key])
+        if bad:
+            return f"{key}: {bad}"
+    return None
+
+
 def verify_certificate(cert: dict) -> tuple[bool, str]:
     """Re-run the search for the certified (mu, degree) and check the stored
     vector is reproduced exactly, with all checks passing."""
+    bad = _certificate_shape_error(cert)
+    if bad:
+        return False, f"malformed certificate: {bad}"
     mu = tuple(cert["mu"])
     lam = tuple(cert["lambda"])
     d = cert["degree"]
@@ -1018,7 +1047,7 @@ def verify_certificate(cert: dict) -> tuple[bool, str]:
         lt = verma_element_from_obj(mod, d, cert["leading_term"])
         if leading_term(w).terms != lt.terms:
             return False, "stored leading term mismatch"
-        fam = label_family(mu, lam, d, [w]) if d <= 3 else "exploratory"
+        fam = label_family(mu, lam, d, [w])
         if fam != cert.get("family"):
             return False, f"family label mismatch: {fam} != {cert.get('family')}"
         return True, "ok"

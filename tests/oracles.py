@@ -9,28 +9,56 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 
-def dense_rank(rows):
-    """Rank by textbook dense Gaussian elimination on lists of Fractions."""
+def dense_rref(rows, ncols):
+    """Reduced row echelon form by textbook dense Gauss-Jordan elimination on
+    lists of Fractions: (the nonzero rows, the pivot column of each)."""
     m = [[Q(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
+    pivots = []
     for col in range(ncols):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                piv = r
-                break
+        top = len(pivots)
+        piv = next((r for r in range(top, len(m)) if m[r][col]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
+        m[top], m[piv] = m[piv], m[top]
+        pv = m[top][col]
+        m[top] = [x / pv for x in m[top]]
         for r in range(len(m)):
-            if r != rank and m[r][col]:
+            if r != top and m[r][col]:
                 f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+                m[r] = [a - f * b for a, b in zip(m[r], m[top])]
+        pivots.append(col)
+    return m[:len(pivots)], pivots
+
+
+def dense_rank(rows):
+    """Rank by textbook dense Gaussian elimination on lists of Fractions."""
+    return len(dense_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def dense_null_space(rows, ncols):
+    """Kernel basis read off the reduced echelon form: for each free column f
+    in ascending order, 1 at f and minus column f of each pivot row at that
+    row's pivot column (zeros left out)."""
+    rref, pivots = dense_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = {f: Q(1)}
+        for row, p in zip(rref, pivots):
+            if row[f]:
+                v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def dense_solve(rows, ncols, b):
+    """The solution of Mx = b whose free coordinates are 0 (zeros left out),
+    or None when the augmented system has a pivot in its last column."""
+    rref, pivots = dense_rref([list(r) + [bi] for r, bi in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    return {p: row[ncols] for row, p in zip(rref, pivots) if row[ncols]}
 
 
 def hook_content_dimension(partition, n=5):

@@ -94,6 +94,38 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert code == 3 and "FAIL" in out
 
 
+@pytest.mark.parametrize("cert", [
+    {"mu": [0, 0, 0, 0]},
+    [1, 2],
+    {"mu": [0, 0, 0, 0], "lambda": [0, 1, 0, 0], "degree": "x",
+     "vector": [], "leading_term": [], "family": "nabla_A"},
+])
+def test_verify_malformed_certificate(cert, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, _ = run(["verify", str(path)], capsys)
+    assert code == 3
+    assert out.startswith(f"{path}: FAIL: malformed certificate: ")
+
+
+@pytest.mark.parametrize("tamper", ["zero", "empty"])
+def test_verify_rejects_zero_vector(tamper, tmp_path, capsys):
+    out_dir = str(tmp_path / "certs")
+    run(["singular", "--mu", "0,0,1,0", "--degree", "1", "--out", out_dir],
+        capsys)
+    path = next((tmp_path / "certs").glob("*.json"))
+    cert = json.loads(path.read_text())
+    for key in ("vector", "leading_term"):
+        if tamper == "empty":
+            cert[key] = []
+        for entry in cert[key]:
+            for fc in entry["fcoeffs"]:
+                fc["coeff"] = "0"
+    path.write_text(json.dumps(cert))
+    code, out, _ = run(["verify", str(path)], capsys)
+    assert code == 3 and "FAIL: malformed certificate" in out
+
+
 def test_classify_small(capsys):
     code, out, _ = run(["classify", "--degree", "1", "--max-entry", "0",
                         "--json"], capsys)

@@ -1,7 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -282,3 +286,32 @@ def test_built_vectors_have_fraction_coefficients():
         m = fm.build_irreducible(lam)
         for vec in m.vectors:
             assert all(type(c) is Q for c in vec.values()), lam
+
+
+@pytest.mark.parametrize("code", [
+    # a Weyl product that is not an integer
+    "sl5.pair_value = lambda lam, i, j: 1 if (i, j) == (1, 3) else 0\n"
+    "sl5.weyl_dimension((0, 0, 0, 0))\n",
+    # a base module with two lowest weight vectors
+    "class Base:\n"
+    "    dim, highest_weight = 2, (0, 0, 0, 0)\n"
+    "    def weight_of(self, idx):\n"
+    "        return (0, 0, 0, 0)\n"
+    "fmodules.DualModule(Base())\n",
+], ids=["weyl_dimension", "dual_module"])
+def test_checks_run_under_optimize(code):
+    # with asserts stripped (-O) a failed consistency check must still raise
+    prog = ("import sys\n"
+            "from e510 import fmodules, sl5\n"
+            "assert sys.flags.optimize\n"  # stripped: must not stop the check
+            "try:\n" + "".join("    " + line + "\n" for line in code.splitlines()) +
+            "except ArithmeticError as exc:\n"
+            "    print('raised:', exc)\n"
+            "else:\n"
+            "    sys.exit('no error raised')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", prog], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised:")

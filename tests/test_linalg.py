@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction as Q
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from e510.linalg import (SparseMatrix, format_scalar, null_space, parse_scalar,
                          rank, solve, RowReducer)
-from oracles import dense_rank
+from oracles import dense_null_space, dense_rank, dense_rref, dense_solve
 
 
 def mat(rows, ncols=None):
@@ -125,3 +128,55 @@ def test_row_reducer_kernel():
     assert red.rank == 1
     kern = red.kernel([0, 1, 2])
     assert len(kern) == 2
+
+
+# small exact systems: (ncols, rows, right-hand side), entries mostly zero
+_entries = st.one_of(st.just(0), st.just(0),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@st.composite
+def systems(draw):
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 6))
+    rows = [[draw(_entries) for _ in range(ncols)] for _ in range(nrows)]
+    b = [draw(_entries) for _ in range(nrows)]
+    return ncols, rows, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_linear_algebra_matches_dense_gauss_jordan(system):
+    ncols, rows, b = system
+    m = mat(rows, ncols=ncols)
+    assert rank(m) == len(dense_rref(rows, ncols)[1])
+    assert null_space(m) == dense_null_space(rows, ncols)
+    assert solve(m, b) == dense_solve(rows, ncols, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_row_reducer_combination_invariants(system):
+    ncols, rows, _b = system
+    red = RowReducer()
+    for i, r in enumerate(rows):
+        red.insert({j: Q(v) for j, v in enumerate(r) if v}, {i: Q(1)})
+
+    def combine(comb):
+        return [sum((c * Q(rows[i][j]) for i, c in comb.items()), Q(0))
+                for j in range(ncols)]
+
+    rref, pivots = dense_rref(rows, ncols)
+    # the pivot rows are the reduced echelon form, pivots on the least keys
+    assert sorted(red.pivots) == pivots
+    for k, row in red.pivots.items():
+        assert min(row) == k and row[k] == 1
+        assert [row.get(j, 0) for j in range(ncols)] == rref[pivots.index(k)]
+        assert combine(red.combs[k]) == [row.get(j, 0) for j in range(ncols)]
+    # each row that reduced to zero leaves a nonzero relation among the rows,
+    # supported on itself and earlier rows
+    assert red.rank + len(red.relations) == len(rows)
+    for rel in red.relations:
+        assert rel and combine(rel) == [0] * ncols
+        assert rel[max(rel)] == 1
+    assert red.kernel(range(ncols)) == dense_null_space(rows, ncols)

@@ -490,3 +490,33 @@ def test_search_reverification_runs_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: lifted vector fails the singular check")
+
+
+def test_stacked_solver_inverts_raising_maps():
+    mod = fm.TensorModule((1, 1, 0, 0)).build_full()
+    top = mod.highest_weight
+    for nu in sorted(set(mod.weights) - {top}):
+        solve_combs, zero_combs = V._stacked_solver(mod, nu)
+        cols = mod.ensure_weight(nu)
+        # stacked row (i, target index) of e_i = x_i d_{i+1} on the space nu
+        entries = {i: mod.act_entries(i, i + 1, nu) for i in range(1, 5)}
+        nrows = sum(len(mod.ensure_weight(sl5.wadd(nu, sl5.SIMPLE_ROOTS[i - 1])))
+                    for i in range(1, 5))
+
+        def apply(comb, col):
+            return sum((c * entries[i][col].get(tidx, 0)
+                        for (i, tidx), c in comb.items()), Q(0))
+
+        assert list(solve_combs) == sorted(cols)
+        for pc, comb in solve_combs.items():
+            assert [apply(comb, col) for col in cols] == \
+                [int(col == pc) for col in cols]
+        assert len(zero_combs) == nrows - len(cols)
+        for comb in zero_combs:
+            assert comb and all(apply(comb, col) == 0 for col in cols)
+        assert V._stacked_solver(mod, nu) is mod._stack_cache[nu]
+
+
+def test_label_family_above_degree_three_is_exploratory():
+    assert V.label_family((0, 0, 0, 0), (3, 0, 0, 0), 4, []) == "exploratory"
+    assert V.label_family((0, 0, 0, 0), (0, 1, 0, 0), 1, []) == "ANOMALY"
