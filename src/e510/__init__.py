@@ -11,7 +11,7 @@ from .verma import (VermaElement, MorphismData, act_l0, act_x5d45,
                     singular_vectors, leading_term, morphism_from_singular,
                     apply_morphism, compose, theta_decomposition,
                     dual_morphism, check_morphism, verify_degree_equations,
-                    classify, classify_mu, nabla_A, nabla_B, nabla_C,
+                    classify, classify_mu, clear_caches, nabla_A, nabla_B, nabla_C,
                     family_instance)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

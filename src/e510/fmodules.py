@@ -147,11 +147,26 @@ class TensorModule:
         self.spaces: dict[tuple, list[int]] = {}
         self.pivots: dict[tuple, dict] = {}
         self._full = False
-        self._act_cache: dict = {}
-        # filled by the singular search: (x_5 d_t op, index) -> ambient image,
-        # and weight -> factored stacked raising maps
-        self._zterm_cache: dict = {}
-        self._stack_cache: dict = {}
+        self._clear_derived()
+
+    # Caches derived from the basis, rebuilt on demand and not pickled: the
+    # action columns (r, s, weight) -> {idx -> {idx' -> Q}}, and, filled by
+    # the singular search, (x_5 d_t op, index) -> ambient image, weight ->
+    # factored stacked raising maps, p -> the F_p images of those and of the
+    # basis vectors, and weight -> depth below the highest weight.
+    _DERIVED = ("_act_cache", "_zterm_cache", "_stack_cache", "_fp_cache", "_depth_cache")
+
+    def _clear_derived(self):
+        for name in self._DERIVED:
+            setattr(self, name, {})
+
+    def __getstate__(self):
+        """Pickle the basis and its provenance without the derived caches."""
+        return {k: v for k, v in self.__dict__.items() if k not in self._DERIVED}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._clear_derived()
 
     # -- construction -----------------------------------------------------
 

@@ -1,9 +1,11 @@
-"""Exact rational scalars and sparse linear algebra over Q.
+"""Exact rational scalars and sparse linear algebra over Q, and over F_p.
 
 Everything here is exact: scalars are `fractions.Fraction`, elimination is
 plain fraction arithmetic with deterministic pivoting, and there is no
 tolerance anywhere.  Matrices are stored sparsely as {(row, col): Fraction}
-with no explicit zeros.
+with no explicit zeros.  `add_into` and `RowReducer` also work over a prime
+field F_p when given a modulus p: values are then plain ints in range(p), and
+`to_fp` maps a p-integral rational into F_p.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "null_space",
     "solve",
     "RowReducer",
+    "to_fp",
 ]
 
 
@@ -42,16 +45,39 @@ def format_scalar(x: Q) -> str:
 _ZERO = Q(0)
 
 
-def add_into(acc: dict, other: dict, scale: Q = Q(1)) -> None:
-    """acc += scale * other for sparse dicts, dropping zeros."""
-    if not scale:
-        return
-    for k, v in other.items():
-        s = acc.get(k, _ZERO) + scale * v
-        if s:
-            acc[k] = s
-        else:
-            acc.pop(k, None)
+def to_fp(x, p: int) -> int:
+    """The image in F_p (an int in range(p)) of a rational or int x; raises
+    ZeroDivisionError when p divides its denominator."""
+    den = x.denominator
+    if den == 1:
+        return x.numerator % p
+    if den % p == 0:
+        raise ZeroDivisionError(f"{p} divides the denominator of {x}")
+    return x.numerator * pow(den, -1, p) % p
+
+
+def add_into(acc: dict, other: dict, scale: Q = Q(1), p: int | None = None) -> None:
+    """acc += scale * other for sparse dicts, dropping zeros.  With a modulus
+    p the arithmetic is in F_p: values are ints in range(p), scale an int."""
+    if p is None:
+        if not scale:
+            return
+        for k, v in other.items():
+            s = acc.get(k, _ZERO) + scale * v
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+    else:
+        scale %= p
+        if not scale:
+            return
+        for k, v in other.items():
+            s = (acc.get(k, 0) + scale * v) % p
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
 
 
 class SparseMatrix:
@@ -168,9 +194,13 @@ class RowReducer:
     is reduced alongside it: combs[k] then expresses pivot row k, and each
     entry of relations a row that reduced to zero, as a combination of the
     inserted rows.  Either every insert carries a combination or none does.
+
+    With a modulus p the reduction is over the field F_p instead: row and
+    combination values are ints, kept in range(p).
     """
 
-    def __init__(self):
+    def __init__(self, p: int | None = None):
+        self.p = p
         self.pivots: dict[object, dict] = {}
         self.combs: dict[object, dict] = {}
         self.relations: list[dict] = []
@@ -179,12 +209,16 @@ class RowReducer:
         """The remainder of row against the basis; comb, when given, is
         reduced alongside in place.  One pass suffices, because subtracting a
         pivot row changes no other pivot key's coefficient."""
-        row = {k: v for k, v in row.items() if v}
+        p = self.p
+        if p is None:
+            row = {k: v for k, v in row.items() if v}
+        else:
+            row = {k: v % p for k, v in row.items() if v % p}
         for k in [k for k in row if k in self.pivots]:
             c = row[k]
-            add_into(row, self.pivots[k], -c)
+            add_into(row, self.pivots[k], -c, p)
             if comb is not None:
-                add_into(comb, self.combs[k], -c)
+                add_into(comb, self.combs[k], -c, p)
         return row
 
     def insert(self, row: dict, comb: dict | None = None) -> bool:
@@ -197,16 +231,23 @@ class RowReducer:
                 self.relations.append(comb)
             return False
         k = min(row)
-        pv = row[k]
-        unit = {j: v / pv for j, v in row.items()}
-        if comb is not None:
-            comb = {j: v / pv for j, v in comb.items()}
+        p = self.p
+        if p is None:
+            pv = row[k]
+            unit = {j: v / pv for j, v in row.items()}
+            if comb is not None:
+                comb = {j: v / pv for j, v in comb.items()}
+        else:
+            inv = pow(row[k], -1, p)
+            unit = {j: v * inv % p for j, v in row.items()}
+            if comb is not None:
+                comb = {j: v * inv % p for j, v in comb.items()}
         for key, other in self.pivots.items():
             c = other.get(k)
             if c:
-                add_into(other, unit, -c)
+                add_into(other, unit, -c, p)
                 if comb is not None:
-                    add_into(self.combs[key], comb, -c)
+                    add_into(self.combs[key], comb, -c, p)
         self.pivots[k] = unit
         if comb is not None:
             self.combs[k] = comb
@@ -221,14 +262,15 @@ class RowReducer:
         hold every key of every row in ascending order: one vector per
         non-pivot key f, with 1 at f and minus each pivot row's f entry at
         that row's pivot."""
+        p = self.p
         basis = []
         for f in keys:
             if f in self.pivots:
                 continue
-            v = {f: Q(1)}
+            v = {f: Q(1) if p is None else 1}
             for k, row in self.pivots.items():
                 c = row.get(f)
                 if c:
-                    v[k] = -c
+                    v[k] = -c if p is None else p - c
             basis.append(v)
         return basis

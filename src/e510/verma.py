@@ -11,6 +11,21 @@ condition x_5 d45 . w = 0 is imposed level by level.  This is an exact
 block-triangular elimination of the usual linear system {raisings = 0,
 x5 d45 = 0} on each weight subspace; every returned vector is re-verified
 directly, including against a full spanning set of L_1.
+
+Almost every candidate lam has no singular vector, so the lifting runs first
+over F_p (p = SIEVE_PRIME = 2^31 - 1, plain ints) as a sieve.  Its inputs are
+the images mod p of the rational ones and its lifting uses only sums and
+products, so its constraints are the rational constraints reduced mod p, and
+reduction mod p cannot raise a rank: a constraint rank mod p that reaches the
+number L of leading monomials proves the candidate dead over Q.  When p
+divides a denominator on the way, the candidate skips the sieve.  Survivors
+are lifted again over Q, which alone produces and verifies the vectors.  The
+sieve reads the module through the same ensure_weight calls as the exact
+lifting, so the lazy F-basis (whose indices certificates record) is numbered
+as without it, unless the rank mod p falls short of the rank over Q: then the
+sieve may lift deeper than Q would, build more weight spaces and renumber the
+basis.  Results stay correct even then, but certificates may change; for
+p = 2^31 - 1 no case is known (the denominators seen are at most 204).
 """
 
 from __future__ import annotations
@@ -18,12 +33,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import fmodules, sl5, uminus
 from .fmodules import TensorModule, DualModule, glact_vector, gen_shift
 from .fmodules import _PAIR_POS
-from .linalg import RowReducer, add_into, format_scalar, parse_scalar
+from .linalg import RowReducer, add_into, format_scalar, parse_scalar, to_fp
 
 ZDEL = uminus.ZERO_DEL
 
@@ -280,135 +295,195 @@ def highest_weight_vectors(mu, d: int, lam, module: TensorModule | None = None):
                           verify=False)
 
 
+# The modulus of the search's F_p sieve: the Mersenne prime 2^31 - 1.
+SIEVE_PRIME = 2**31 - 1
+
+
+def _zimage(mod: TensorModule, op, fidx):
+    """The ambient image x_5 d_t . v_fidx, cached on the module: shared by
+    every candidate lam of a search."""
+    key = (op, fidx)
+    img = mod._zterm_cache.get(key)
+    if img is None:
+        img = mod._zterm_cache[key] = glact_vector(op[0], op[1], mod.vectors[fidx])
+    return img
+
+
+def _fp_view(mod: TensorModule, p: int):
+    """Accessors (solver, vector, zimage) of the module data the search reads,
+    mapped into F_p: _stacked_solver's combinations, the basis vectors and
+    the z-term images, each converted from its Q original once and cached on
+    the module per p.  They raise ZeroDivisionError where p divides a
+    denominator."""
+    stack, vectors, zterms = mod._fp_cache.setdefault(p, ({}, {}, {}))
+
+    def fp(form):
+        return {k: v for k, c in form.items() if (v := to_fp(c, p))}
+
+    def solver(nu):
+        got = stack.get(nu)
+        if got is None:
+            solve_combs, zero_combs = _stacked_solver(mod, nu)
+            got = stack[nu] = ({col: fp(comb) for col, comb in solve_combs.items()},
+                               [fp(comb) for comb in zero_combs])
+        return got
+
+    def vector(fidx):
+        got = vectors.get(fidx)
+        if got is None:
+            got = vectors[fidx] = fp(mod.vectors[fidx])
+        return got
+
+    def zimage(op, fidx):
+        key = (op, fidx)
+        got = zterms.get(key)
+        if got is None:
+            got = zterms[key] = fp(_zimage(mod, op, fidx))
+        return got
+
+    return solver, vector, zimage
+
+
 def _lift_singular(mod, d, lam, mons, monw, impose_l1=True, verify=True):
+    """Basis of the degree-d singular vectors of weight lam in M(mu) (of the
+    highest weight vectors when impose_l1 is False) by leading-term lifting:
+    one lifting loop, run over F_p as a sieve and then over Q for the
+    survivors (see the module docstring)."""
     mu = mod.highest_weight
+    depths = mod._depth_cache
+
+    def nu_depth(nu):
+        """sum(dominated_depth(nu, mu)), or None; memoized on the module."""
+        got = depths.get(nu, -1)
+        if got == -1:
+            ks = sl5.dominated_depth(nu, mu)
+            got = depths[nu] = None if ks is None else sum(ks)
+        return got
+
     levels: dict[int, list] = {}
     nu_of: dict = {}
     depth_of: dict = {}
     for m in mons:
         nu = sl5.wsub(lam, monw[m])
-        ks = sl5.dominated_depth(nu, mu)
-        if ks is None:
+        dm = nu_depth(nu)
+        if dm is None:
             continue
-        depth = depth_of[m] = sum(ks)
-        levels.setdefault(depth, []).append(m)
+        depth_of[m] = dm
+        levels.setdefault(dm, []).append(m)
         nu_of[m] = nu
     if 0 not in levels:
         return []
     leading = sorted(levels[0])
     L = len(leading)
-    # adjoint transition tables: trans[i][m_target][m_source] = coeff
-    trans = {i: {} for i in range(1, 5)}
-    for m in nu_of:
-        for i in range(1, 5):
-            for m2, c in _l0_mono(i, i + 1, m):
-                if m2 in nu_of:
-                    trans[i].setdefault(m2, {})[m] = c
 
-    constraints = RowReducer()
-    V: dict = {}           # monomial -> {fidx -> {ci -> Q}}
-    zacc: dict = {}        # depth -> {(monomial, ambient mono) -> {ci -> Q}}
-
-    # ambient images x_5 d_t . v_fidx, shared by every candidate lam
-    zimages = mod._zterm_cache
-
-    def zimage(op, fidx):
-        key = (op, fidx)
-        img = zimages.get(key)
-        if img is None:
-            img = zimages[key] = glact_vector(op[0], op[1], mod.vectors[fidx])
-        return img
-
-    def add_z_terms(m, nu, comps):
-        for m2, c2, op in _odd_action(5, (4, 5), m):
-            if op is None:
-                tau_depth = depth_of[m]
-                vecs = {fidx: mod.vectors[fidx] for fidx in comps}
-            else:
-                tau = sl5.wadd(nu, gen_shift(op[0], op[1]))
-                ks = sl5.dominated_depth(tau, mu)
-                if ks is None:
-                    continue
-                tau_depth = sum(ks)
-                vecs = {fidx: zimage(op, fidx) for fidx in comps}
-            level = zacc.setdefault(tau_depth, {})
-            for fidx, vec in vecs.items():
-                form = comps[fidx]
-                for amb, ac in vec.items():
-                    acc = level.setdefault((m2, amb), {})
-                    add_into(acc, form, c2 * ac)
-
-    def flush_z(depth) -> bool:
-        level = zacc.pop(depth, None)
-        if not level:
-            return constraints.rank >= L
-        for row in level.values():
-            constraints.insert(row)
-            if constraints.rank >= L:
-                return True
-        return constraints.rank >= L
-
-    dead = False
-    maxdepth = max(levels)
-    for depth in range(maxdepth + 1):
-        group = sorted(levels.get(depth, []))
-        if depth == 0:
-            for ci, m in enumerate(leading):
-                hw_space = mod.ensure_weight(mu)
-                V[m] = {hw_space[0]: {ci: Q(1)}}
-                if impose_l1:
-                    add_z_terms(m, mu, V[m])
+    def lift(p):
+        """(V, constraints) over Q (p None) or F_p, or None once dead."""
+        if p is None:
+            solver = partial(_stacked_solver, mod)
+            vector = mod.vectors.__getitem__
+            zimage = partial(_zimage, mod)
         else:
-            by_nu: dict = {}
-            for m in group:
-                by_nu.setdefault(nu_of[m], []).append(m)
-            for nu, ms in sorted(by_nu.items()):
-                solve_combs, zero_combs = _stacked_solver(mod, nu)
-                for m in ms:
-                    b: dict = {}
-                    for i in range(1, 5):
-                        for u, tcoef in trans[i].get(m, {}).items():
-                            for fidx, form in V.get(u, {}).items():
-                                acc = b.setdefault((i, fidx), {})
-                                add_into(acc, form, -tcoef)
-                    comps: dict = {}
-                    for col, comb in solve_combs.items():
-                        form: dict = {}
-                        for rk, cf in comb.items():
-                            bf = b.get(rk)
-                            if bf:
-                                add_into(form, bf, cf)
-                        if form:
-                            comps[col] = form
-                    for comb in zero_combs:
-                        form: dict = {}
-                        for rk, cf in comb.items():
-                            bf = b.get(rk)
-                            if bf:
-                                add_into(form, bf, cf)
-                        if form:
-                            constraints.insert(form)
-                    if comps:
-                        V[m] = comps
-                        if impose_l1:
-                            add_z_terms(m, nu, comps)
-                    if constraints.rank >= L:
-                        dead = True
-                        break
-                if dead:
-                    break
-        if dead:
-            break
-        if impose_l1 and flush_z(depth):
-            dead = True
-            break
-    if not dead and impose_l1:
-        for depth in sorted(list(zacc)):
-            if flush_z(depth):
-                dead = True
-                break
-    if dead or constraints.rank >= L:
+            solver, vector, zimage = _fp_view(mod, p)
+        # adjoint transition tables: trans[i][m_target][m_source] = coeff
+        trans = {i: {} for i in range(1, 5)}
+        for m in nu_of:
+            for i in range(1, 5):
+                for m2, c in _l0_mono(i, i + 1, m):
+                    if m2 in nu_of:
+                        trans[i].setdefault(m2, {})[m] = c if p is None else to_fp(c, p)
+
+        constraints = RowReducer(p)
+        V: dict = {}           # monomial -> {fidx -> {ci -> scalar}}
+        zacc: dict = {}        # depth -> {(monomial, ambient mono) -> {ci -> scalar}}
+
+        def add_z_terms(m, nu, comps):
+            for m2, c2, op in _odd_action(5, (4, 5), m):
+                if op is None:
+                    tau_depth = depth_of[m]
+                    vecs = {fidx: vector(fidx) for fidx in comps}
+                else:
+                    tau_depth = nu_depth(sl5.wadd(nu, gen_shift(op[0], op[1])))
+                    if tau_depth is None:
+                        continue
+                    vecs = {fidx: zimage(op, fidx) for fidx in comps}
+                if p is not None:
+                    c2 = to_fp(c2, p)
+                level = zacc.setdefault(tau_depth, {})
+                for fidx, vec in vecs.items():
+                    form = comps[fidx]
+                    for amb, ac in vec.items():
+                        acc = level.setdefault((m2, amb), {})
+                        add_into(acc, form, c2 * ac, p)
+
+        def flush_z(depth) -> bool:
+            for row in zacc.pop(depth, {}).values():
+                constraints.insert(row)
+                if constraints.rank >= L:
+                    return True
+            return constraints.rank >= L
+
+        def combine(comb, b) -> dict:
+            form: dict = {}
+            for rk, cf in comb.items():
+                bf = b.get(rk)
+                if bf:
+                    add_into(form, bf, cf, p)
+            return form
+
+        one = Q(1) if p is None else 1
+        for depth in range(max(levels) + 1):
+            if depth == 0:
+                for ci, m in enumerate(leading):
+                    hw_space = mod.ensure_weight(mu)
+                    V[m] = {hw_space[0]: {ci: one}}
+                    if impose_l1:
+                        add_z_terms(m, mu, V[m])
+            else:
+                by_nu: dict = {}
+                for m in sorted(levels.get(depth, [])):
+                    by_nu.setdefault(nu_of[m], []).append(m)
+                for nu, ms in sorted(by_nu.items()):
+                    solve_combs, zero_combs = solver(nu)
+                    for m in ms:
+                        b: dict = {}
+                        for i in range(1, 5):
+                            for u, tcoef in trans[i].get(m, {}).items():
+                                for fidx, form in V.get(u, {}).items():
+                                    acc = b.setdefault((i, fidx), {})
+                                    add_into(acc, form, -tcoef, p)
+                        comps: dict = {}
+                        for col, comb in solve_combs.items():
+                            form = combine(comb, b)
+                            if form:
+                                comps[col] = form
+                        for comb in zero_combs:
+                            form = combine(comb, b)
+                            if form:
+                                constraints.insert(form)
+                        if comps:
+                            V[m] = comps
+                            if impose_l1:
+                                add_z_terms(m, nu, comps)
+                        if constraints.rank >= L:
+                            return None
+            if impose_l1 and flush_z(depth):
+                return None
+        if impose_l1:
+            for depth in sorted(list(zacc)):
+                if flush_z(depth):
+                    return None
+        if constraints.rank >= L:
+            return None
+        return V, constraints
+
+    try:
+        alive = lift(SIEVE_PRIME) is not None
+    except ZeroDivisionError:
+        alive = True  # p divides a denominator: only Q can decide
+    lifted = lift(None) if alive else None
+    if lifted is None:
         return []
+    V, constraints = lifted
     kernel = constraints.kernel(list(range(L)))
     vecs = []
     for kv in kernel:
@@ -477,6 +552,18 @@ def get_module(lam) -> TensorModule:
     if mod is None:
         mod = _module_cache[lam] = fmodules.build_irreducible(lam)
     return mod
+
+
+def clear_caches() -> None:
+    """Empty the process-wide caches: the L_0 and L_1 action tables on PBW
+    monomials, the L_1 spanning set, the fully built modules of get_module
+    and uminus's normal-ordering table.  Results do not depend on them."""
+    global _l1_cache
+    _l0_mono.cache_clear()
+    _odd_action.cache_clear()
+    _l1_cache = None
+    _module_cache.clear()
+    uminus._order_cache.clear()
 
 
 def reexpress(w: VermaElement, module) -> VermaElement:

@@ -35,6 +35,26 @@ def dense_rank(rows):
     return len(dense_rref(rows, len(rows[0]) if rows else 0)[1])
 
 
+def dense_rank_mod(rows, p):
+    """Rank over F_p by textbook dense Gaussian elimination on lists of ints,
+    inverting pivots by Fermat's little theorem (p prime)."""
+    m = [[x % p for x in row] for row in rows]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][col], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(r + 1, len(m)):
+            f = m[i][col]
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
 def dense_null_space(rows, ncols):
     """Kernel basis read off the reduced echelon form: for each free column f
     in ascending order, 1 at f and minus column f of each pivot row at that

@@ -4,9 +4,12 @@ from fractions import Fraction as Q
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e510.linalg import (SparseMatrix, format_scalar, null_space, parse_scalar,
-                         rank, solve, RowReducer)
-from oracles import dense_null_space, dense_rank, dense_rref, dense_solve
+import pytest
+
+from e510.linalg import (SparseMatrix, add_into, format_scalar, null_space,
+                         parse_scalar, rank, solve, to_fp, RowReducer)
+from oracles import (dense_null_space, dense_rank, dense_rank_mod, dense_rref,
+                     dense_solve)
 
 
 def mat(rows, ncols=None):
@@ -180,3 +183,66 @@ def test_row_reducer_combination_invariants(system):
         assert rel and combine(rel) == [0] * ncols
         assert rel[max(rel)] == 1
     assert red.kernel(range(ncols)) == dense_null_space(rows, ncols)
+
+
+# -- arithmetic over F_p ------------------------------------------------------
+
+_PRIMES = st.sampled_from([2, 3, 5, 7, 2**31 - 1])
+
+
+@st.composite
+def fp_systems(draw):
+    p = draw(_PRIMES)
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 7))
+    ints = st.one_of(st.just(0), st.integers(-2 * p, 2 * p))
+    return p, ncols, [[draw(ints) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_systems())
+def test_row_reducer_mod_p_rank_matches_dense_oracle(system):
+    p, ncols, rows = system
+    red = RowReducer(p)
+    for r in rows:
+        red.insert({j: v for j, v in enumerate(r) if v})
+    assert red.rank == dense_rank_mod(rows, p)
+    for k, row in red.pivots.items():
+        assert min(row) == k and row[k] == 1
+        assert all(0 < v < p for v in row.values())
+    # each kernel vector annihilates every inserted row mod p
+    for v in red.kernel(range(ncols)):
+        for r in rows:
+            assert sum(r[j] * c for j, c in v.items()) % p == 0
+
+
+def _p_integral(p):
+    return st.builds(Q, st.integers(-10**6, 10**6),
+                     st.integers(1, 10**6).filter(lambda den: den % p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_to_fp_is_a_ring_homomorphism(data):
+    p = data.draw(_PRIMES)
+    a, b = data.draw(_p_integral(p)), data.draw(_p_integral(p))
+    assert 0 <= to_fp(a, p) < p
+    assert to_fp(a + b, p) == (to_fp(a, p) + to_fp(b, p)) % p
+    assert to_fp(a * b, p) == to_fp(a, p) * to_fp(b, p) % p
+    assert to_fp(a.denominator, p) * to_fp(a, p) % p == to_fp(a.numerator, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PRIMES, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**4))
+def test_to_fp_raises_when_p_divides_the_denominator(p, num, k):
+    x = Q(num * p + 1, k * p)  # numerator prime to p, so p stays in the denominator
+    with pytest.raises(ZeroDivisionError):
+        to_fp(x, p)
+
+
+def test_add_into_mod_p():
+    acc = {0: 3, 1: 4}
+    add_into(acc, {0: 1, 2: 1}, -3, 7)  # 3 - 3 = 0 is dropped, -3 = 4 mod 7
+    assert acc == {1: 4, 2: 4}
+    add_into(acc, {1: 1}, 7, 7)  # a multiple of p adds nothing
+    assert acc == {1: 4, 2: 4}

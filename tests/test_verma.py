@@ -520,3 +520,112 @@ def test_stacked_solver_inverts_raising_maps():
 def test_label_family_above_degree_three_is_exploratory():
     assert V.label_family((0, 0, 0, 0), (3, 0, 0, 0), 4, []) == "exploratory"
     assert V.label_family((0, 0, 0, 0), (0, 1, 0, 0), 1, []) == "ANOMALY"
+
+
+# -- the F_p sieve of the search ----------------------------------------------
+
+def _sweep_d2_hits(monkeypatch, prime=None):
+    """(mu, lam, dim) of every degree-2 hit over the weights of box 2 with
+    entry sum <= 4; exact only (every candidate lifted over Q) when prime is
+    None, else sieved mod prime.  Checks every vector on the way."""
+    if prime is None:
+        def no_fp(x, p):
+            raise ZeroDivisionError("exact only")
+        monkeypatch.setattr(V, "to_fp", no_fp)
+    else:
+        monkeypatch.setattr(V, "SIEVE_PRIME", prime)
+    hits = []
+    for mu in sl5.dominant_weights_in_box(2):
+        if sum(mu) > 4:
+            continue
+        for lam, vecs in V.singular_vectors(mu, 2):
+            assert all(V.is_singular(w) for w in vecs)
+            hits.append((mu, lam, len(vecs)))
+    monkeypatch.undo()
+    return hits
+
+
+def test_sieve_at_tiny_primes_keeps_the_exact_hits(monkeypatch):
+    exact = _sweep_d2_hits(monkeypatch)
+    assert len(exact) == 6
+    real, raised = V.to_fp, []
+
+    def counting(x, p):
+        try:
+            return real(x, p)
+        except ZeroDivisionError:
+            raised.append(p)
+            raise
+
+    for p in (2, 3, 5, 7):
+        monkeypatch.setattr(V, "to_fp", counting)
+        assert _sweep_d2_hits(monkeypatch, p) == exact, p
+    # stacked-solver denominators 2 and 3 send those candidates to Q
+    assert {2, 3} <= set(raised)
+
+
+def test_sieve_sends_only_survivors_to_the_exact_pass(monkeypatch):
+    mu = (0, 0, 1, 0)
+    mod = fm.TensorModule(mu)
+    first = V.singular_vectors(mu, 2, module=mod)
+    moduli = []
+
+    class Recording(V.RowReducer):
+        def __init__(self, p=None):
+            moduli.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(V, "RowReducer", Recording)
+    # the raising systems are cached now, so every RowReducer made is the
+    # constraint system of one lifting: one mod p per candidate with a
+    # leading term, one over Q per survivor
+    again = V.singular_vectors(mu, 2, module=mod)
+    assert [(lam, V.verma_element_to_obj(w)) for lam, vs in again for w in vs] == \
+        [(lam, V.verma_element_to_obj(w)) for lam, vs in first for w in vs]
+    assert moduli.count(None) == len(again) == 1
+    assert moduli.count(V.SIEVE_PRIME) == 5 == len(moduli) - 1
+
+
+def test_depth_memo_matches_dominated_depth():
+    mu = (0, 0, 1, 1)
+    mod = fm.TensorModule(mu)
+    V.singular_vectors(mu, 2, module=mod)
+    assert mod._depth_cache
+    for nu, depth in mod._depth_cache.items():
+        ks = sl5.dominated_depth(nu, mu)
+        assert depth == (None if ks is None else sum(ks))
+
+
+def test_pickled_module_drops_caches_and_keeps_certificates():
+    import pickle
+
+    rows = V.classify_mu((0, 0, 1, 1), 2)
+    mod = rows[0].vectors[0].module
+    assert mod._zterm_cache and mod._stack_cache and mod._fp_cache
+    back = pickle.loads(pickle.dumps(rows))
+    mod2 = back[0].vectors[0].module
+    for name in fm.TensorModule._DERIVED:
+        assert getattr(mod2, name) == {}
+    assert mod2.vectors == mod.vectors and mod2.prov == mod.prov
+    for row, row2 in zip(rows, back):
+        assert (row2.mu, row2.lam, row2.family) == (row.mu, row.lam, row.family)
+        for w, w2 in zip(row.vectors, row2.vectors):
+            assert V.make_certificate(row2.mu, row2.lam, 2, w2, row2.family) == \
+                V.make_certificate(row.mu, row.lam, 2, w, row.family)
+
+
+def test_clear_caches_empties_every_global_cache():
+    def search():
+        return [(lam, V.verma_element_to_obj(w))
+                for lam, vecs in V.singular_vectors((0, 0, 1, 0), 2) for w in vecs]
+
+    before = search()
+    V.get_module((0, 1, 0, 0))
+    V._l1_basis_cached()
+    V.clear_caches()
+    assert V._l0_mono.cache_info().currsize == 0
+    assert V._odd_action.cache_info().currsize == 0
+    assert V._l1_cache is None
+    assert V._module_cache == {}
+    assert um._order_cache == {}
+    assert search() == before
