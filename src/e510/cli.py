@@ -269,7 +269,8 @@ def cmd_classify(args) -> int:
     return EXIT_ANOMALY if anomalies else EXIT_OK
 
 
-def _morphism_report(phi, as_json: bool, latex: bool = False) -> None:
+def _morphism_report(phi, as_json: bool, latex: bool = False) -> bool:
+    """Print phi with the verdict of check_morphism, and return the verdict."""
     ok, diag = verma.check_morphism(phi)
     lt = verma.morphism_leading_term(phi)
     lt_u: dict = {}
@@ -291,6 +292,7 @@ def _morphism_report(phi, as_json: bool, latex: bool = False) -> None:
             print(f"  leading term: {uminus.latex_uelement(lt_u)}")
         else:
             print(f"  leading term: {uminus.format_uelement(lt_u)}")
+    return ok
 
 
 def cmd_compose(args) -> int:
@@ -310,8 +312,7 @@ def cmd_dual(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     psi = verma.dual_morphism(phi)
-    _morphism_report(psi, args.json)
-    ok, _ = verma.check_morphism(psi)
+    ok = _morphism_report(psi, args.json)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -314,6 +314,8 @@ class DualModule:
             raise ArithmeticError(
                 f"F{base.highest_weight} has {len(hw)} lowest weight vectors, not 1")
         self.hw_index = hw[0]
+        # the base is fully built, so its weights are final
+        self._weights = [tuple(-x for x in base.weight_of(i)) for i in range(base_dim)]
         self._act_cache: dict = {}
 
     @property
@@ -325,7 +327,7 @@ class DualModule:
         return self.weight
 
     def weight_of(self, idx: int):
-        return tuple(-x for x in self.base.weight_of(idx))
+        return self._weights[idx]
 
     def ensure_weight(self, nu) -> list[int]:
         return self.base.ensure_weight(tuple(-x for x in nu))

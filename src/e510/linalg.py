@@ -42,9 +42,6 @@ def format_scalar(x: Q) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-_ZERO = Q(0)
-
-
 def to_fp(x, p: int) -> int:
     """The image in F_p (an int in range(p)) of a rational or int x; raises
     ZeroDivisionError when p divides its denominator."""
@@ -57,13 +54,17 @@ def to_fp(x, p: int) -> int:
 
 
 def add_into(acc: dict, other: dict, scale: Q = Q(1), p: int | None = None) -> None:
-    """acc += scale * other for sparse dicts, dropping zeros.  With a modulus
-    p the arithmetic is in F_p: values are ints in range(p), scale an int."""
+    """acc += scale * other for sparse dicts, dropping zeros.  A new entry is
+    scale * v itself, with no zero added, so ints times an int scale stay
+    ints (exact, and much cheaper than Fractions); a Fraction anywhere gives
+    a Fraction.  With a modulus p the arithmetic is in F_p: values are ints
+    in range(p), scale an int."""
     if p is None:
         if not scale:
             return
         for k, v in other.items():
-            s = acc.get(k, _ZERO) + scale * v
+            s = acc.get(k)
+            s = scale * v if s is None else s + scale * v
             if s:
                 acc[k] = s
             else:

@@ -26,11 +26,20 @@ as without it, unless the rank mod p falls short of the rank over Q: then the
 sieve may lift deeper than Q would, build more weight spaces and renumber the
 basis.  Results stay correct even then, but certificates may change; for
 p = 2^31 - 1 no case is known (the denominators seen are at most 204).
+
+The morphism checks (check_morphism, verify_degree_equations) run in ints.
+Their conditions are linear and homogeneous in Phi, so with D > 0 the lcm of
+the denominators of Phi's coefficients, x . (D Phi) = D (x . Phi) vanishes
+exactly when x . Phi does; likewise the theta blocks are scaled by a positive
+integer and each degree equation is multiplied by 4.  Scaling by a positive
+integer keeps zero-ness, so verdicts and diagnostics are those of rational
+arithmetic, and all 20 generators of L_0 are still checked in full.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache, partial
@@ -72,9 +81,14 @@ class VermaElement:
         return None
 
 
+def _as_int(x):
+    """x as an int when it is integral (a Fraction otherwise)."""
+    return x.numerator if x.denominator == 1 else x
+
+
 @lru_cache(maxsize=None)
 def _l0_mono(s: int, r: int, m: tuple):
-    return tuple(uminus.l0_adjoint(s, r, {m: Q(1)}).items())
+    return tuple((m2, _as_int(c)) for m2, c in uminus.l0_adjoint(s, r, {m: Q(1)}).items())
 
 
 def act_l0(r: int, s: int, w: VermaElement) -> VermaElement:
@@ -704,45 +718,123 @@ def dual_morphism(phi: MorphismData) -> MorphismData:
                         sl5.dual_weight(phi.lam), src, tgt, coeffs, tag)
 
 
-def _gen_on_theta(phi: MorphismData, r: int, s: int):
-    """x_r d/dx_s . Phi as a morphism-shaped coefficient dict (zero iff Phi is
-    invariant): sum [x, m] (x) theta_m + m (x) (A_W theta_m - theta_m A_V)."""
-    src = phi.source
-    shift = gen_shift(r, s)
+def _clear_denominators(table: dict) -> dict:
+    """D * table in ints for a three-level table key -> column -> index ->
+    scalar, D > 0 the lcm of the scalars' denominators."""
+    D = math.lcm(*(c.denominator for cols in table.values()
+                   for col in cols.values() for c in col.values()))
+    return {key: {n: {i: c.numerator * (D // c.denominator) for i, c in col.items()}
+                  for n, col in cols.items()}
+            for key, cols in table.items()}
+
+
+class _ActionColumns(dict):
+    """idx -> the image column of x_r d/dx_s at basis index idx of a module,
+    integral entries as ints.  A missing index is filled with its whole
+    weight space from module.act_entries, so the module sees the calls
+    module.apply_gen would make, in the same order: a lazily built module (a
+    search's module, whose F-basis numbering certificates record) gains the
+    same weight spaces as under the rational action."""
+
+    def __init__(self, module, r: int, s: int):
+        self.module, self.r, self.s = module, r, s
+
+    def __missing__(self, idx):
+        mod = self.module
+        for j, img in mod.act_entries(self.r, self.s, mod.weight_of(idx)).items():
+            self[j] = {i: _as_int(v) for i, v in img.items()}
+        return self[idx]
+
+    def apply(self, col: dict, out: dict) -> dict:
+        """out += x_r d/dx_s applied to a coordinate vector; returns out."""
+        for idx, c in col.items():
+            add_into(out, self[idx], c)
+        return out
+
+
+class _TransposedAction(dict):
+    """k -> [(n, A[k, n])] with n ascending for A the action of x_r d/dx_s
+    on a module: the columns n whose image has a k component.  A missing k
+    transposes the action on the weight space those n lie in, once."""
+
+    def __init__(self, module, r: int, s: int):
+        self.module, self.r, self.s = module, r, s
+        self.shift = gen_shift(r, s)
+        self.done: set = set()
+
+    def __missing__(self, k):
+        mod = self.module
+        nu = sl5.wsub(mod.weight_of(k), self.shift)
+        if nu not in self.done:
+            self.done.add(nu)
+            ns = mod.ensure_weight(nu)
+            entries = mod.act_entries(self.r, self.s, nu)
+            for n in ns:
+                for k2, c in entries[n].items():
+                    self.setdefault(k2, []).append((n, _as_int(c)))
+        return self.setdefault(k, [])
+
+
+class _IntView:
+    """What one morphism check reads, in ints: D * Phi (see
+    _clear_denominators) and the actions of x_r d/dx_s on the target, each
+    built on first use and kept for this check only."""
+
+    def __init__(self, phi: MorphismData):
+        self.phi = phi
+        self.coeffs = _clear_denominators(phi.coeffs)
+        self._target: dict = {}
+
+    def target_action(self, r: int, s: int) -> _ActionColumns:
+        got = self._target.get((r, s))
+        if got is None:
+            got = self._target[r, s] = _ActionColumns(self.phi.target, r, s)
+        return got
+
+
+def _gen_on_theta(phi: MorphismData, r: int, s: int, view: _IntView | None = None):
+    """x_r d/dx_s . (D Phi) as a morphism-shaped coefficient dict in ints, D
+    as in view.coeffs (zero iff Phi is invariant): sum [x, m] (x) theta_m +
+    m (x) (A_W theta_m - theta_m A_V)."""
+    if view is None:
+        view = _IntView(phi)
+    A_W = view.target_action(r, s)
+    A_V = _TransposedAction(phi.source, r, s)
     out: dict = {}
-    for m, cols in phi.coeffs.items():
+    for m, cols in view.coeffs.items():
         for m2, c2 in _l0_mono(r, s, m):
             tgt = out.setdefault(m2, {})
             for n, col in cols.items():
-                acc = tgt.setdefault(n, {})
-                add_into(acc, col, c2)
+                add_into(tgt.setdefault(n, {}), col, c2)
         tgt = out.setdefault(m, {})
         for k, col in cols.items():
-            img = phi.target.apply_gen(r, s, col)
-            acc = tgt.setdefault(k, {})
-            add_into(acc, img)
+            A_W.apply(col, tgt.setdefault(k, {}))
             # (theta A_V) column n picks up A_V[k, n] theta_col[k]
-            nu_n = sl5.wsub(src.weight_of(k), shift)
-            for n in src.ensure_weight(nu_n):
-                c = src.act_entries(r, s, nu_n)[n].get(k)
-                if c:
-                    acc2 = tgt.setdefault(n, {})
-                    add_into(acc2, col, -c)
+            for n, c in A_V[k]:
+                add_into(tgt.setdefault(n, {}), col, -c)
     return {m: {n: col for n, col in cols.items() if col}
             for m, cols in out.items() if any(cols.values())}
+
+
+def _equivariance_failure(view: _IntView):
+    """The first (r, s, monomial) at which x_r d/dx_s . Phi is not zero, over
+    all 20 generators of L_0 in order, or None when Phi is invariant."""
+    for r in range(1, 6):
+        for s in range(1, 6):
+            if r != s:
+                bad = _gen_on_theta(view.phi, r, s, view)
+                if bad:
+                    return r, s, next(iter(bad))
+    return None
 
 
 def check_morphism(phi: MorphismData):
     """Morphism conditions: (a) L_0 . Phi = 0 for all 20 generators and
     (b) x5 d45 annihilates Phi(hw).  Returns (ok, diagnostics)."""
-    for r in range(1, 6):
-        for s in range(1, 6):
-            if r == s:
-                continue
-            bad = _gen_on_theta(phi, r, s)
-            if any(any(col for col in cols.values()) for cols in bad.values()):
-                mono = next(m for m, cols in bad.items() if any(cols.values()))
-                return False, f"L0 equivariance fails at x_{r}d{s}, monomial {uminus.format_monomial(mono)}"
+    bad = _equivariance_failure(_IntView(phi))
+    if bad:
+        r, s, mono = bad
+        return False, f"L0 equivariance fails at x_{r}d{s}, monomial {uminus.format_monomial(mono)}"
     img = act_x5d45(phi.hw_image())
     if not img.is_zero():
         return False, "x5 d45 does not annihilate the highest weight image"
@@ -750,6 +842,11 @@ def check_morphism(phi: MorphismData):
 
 
 # -- degree-specific equation checks ----------------------------------------
+#
+# The equations run in ints: the theta table is scaled by a positive integer
+# (_theta_table) and the degree-2 and degree-3 equations are multiplied by 4,
+# which clears their halves and quarters.  Every equation is linear and
+# homogeneous in theta, so neither scaling changes which ones vanish.
 
 def _theta_lookup(table: dict, T: tuple, I: tuple):
     """theta^T_I for arbitrary index tuples, extended by sign equivariance."""
@@ -762,7 +859,7 @@ def _theta_lookup(table: dict, T: tuple, I: tuple):
     return theta, sign
 
 
-def _mat_add(acc: dict, theta, sign: Q) -> None:
+def _mat_add(acc: dict, theta, sign: int) -> None:
     if theta is None or not sign:
         return
     for n, col in theta.items():
@@ -770,10 +867,11 @@ def _mat_add(acc: dict, theta, sign: Q) -> None:
         add_into(a, col, sign)
 
 
-def _mat_apply(module, r: int, s: int, theta) -> dict:
+def _mat_apply(view: _IntView, r: int, s: int, theta) -> dict:
+    A_W = view.target_action(r, s)
     out: dict = {}
     for n, col in theta.items():
-        img = module.apply_gen(r, s, col)
+        img = A_W.apply(col, {})
         if img:
             out[n] = img
     return out
@@ -781,19 +879,20 @@ def _mat_apply(module, r: int, s: int, theta) -> dict:
 
 def _theta_shuffle(table, T: tuple, I: tuple, p: int, gamma: int):
     """(x_p d/d gamma . theta)^T_I via the index shuffles: raise T letters
-    gamma -> p and lower I letters p -> gamma."""
+    gamma -> p and lower I letters p -> gamma.  The caller scales the
+    result, so its signs here stay +-1."""
     acc: dict = {}
     for h in range(len(T)):
         if T[h] == gamma:
             theta, sign = _theta_lookup(table, T[:h] + (p,) + T[h + 1:], I)
-            _mat_add(acc, theta, Q(sign))
+            _mat_add(acc, theta, sign)
     for l, (a, b) in enumerate(I):
         if a == p:
             theta, sign = _theta_lookup(table, T, I[:l] + ((gamma, b),) + I[l + 1:])
-            _mat_add(acc, theta, Q(-sign))
+            _mat_add(acc, theta, -sign)
         if b == p:
             theta, sign = _theta_lookup(table, T, I[:l] + ((a, gamma),) + I[l + 1:])
-            _mat_add(acc, theta, Q(-sign))
+            _mat_add(acc, theta, -sign)
     return acc
 
 
@@ -810,31 +909,26 @@ def verify_degree_equations(phi: MorphismData):
     """Degree-specific scalar equations characterizing morphisms among
     L0-invariant Phi, evaluated on every basis vector of F(lam) at once.
     Returns (ok, diagnostics); the verdict agrees with check_morphism."""
-    for r in range(1, 6):
-        for s in range(1, 6):
-            if r == s:
-                continue
-            bad = _gen_on_theta(phi, r, s)
-            if any(any(col for col in cols.values()) for cols in bad.values()):
-                return False, f"precheck: L0 equivariance fails at x_{r}d{s}"
-    d = phi.degree
-    if d == 1:
-        return _equations_deg1(phi)
-    if d == 2:
-        return _equations_deg2(phi)
-    if d == 3:
-        return _equations_deg3(phi)
-    return False, "unsupported degree"
+    view = _IntView(phi)
+    bad = _equivariance_failure(view)
+    if bad:
+        r, s, _mono = bad
+        return False, f"precheck: L0 equivariance fails at x_{r}d{s}"
+    equations = {1: _equations_deg1, 2: _equations_deg2, 3: _equations_deg3}.get(phi.degree)
+    if equations is None:
+        return False, "unsupported degree"
+    return equations(view)
 
 
 def _theta_table(phi: MorphismData) -> dict:
-    return {(tuple(rep[0]), rep[1]): theta
-            for rep, theta in theta_decomposition(phi).items()}
+    """The theta blocks keyed (T, I), scaled to ints by a positive integer
+    (see _clear_denominators)."""
+    return _clear_denominators({(tuple(rep[0]), rep[1]): theta
+                                for rep, theta in theta_decomposition(phi).items()})
 
 
-def _equations_deg1(phi: MorphismData):
-    table = _theta_table(phi)
-    W = phi.target
+def _equations_deg1(view: _IntView):
+    table = _theta_table(view.phi)
     for p in range(1, 6):
         others = [x for x in range(1, 6) if x != p]
         for trip in itertools.permutations(others, 3):
@@ -843,18 +937,18 @@ def _equations_deg1(phi: MorphismData):
             for al, be, ga in _cyclic(a, b, c):
                 theta, sign = _theta_lookup(table, (), ((al, be),))
                 if theta:
-                    _mat_add(acc, _mat_apply(W, p, ga, theta), Q(sign))
+                    _mat_add(acc, _mat_apply(view, p, ga, theta), sign)
             if any(col for col in acc.values()):
                 return False, f"degree-1 equation fails at p={p}, (a,b,c)={trip}"
     return True, "ok"
 
 
-def _equations_deg2(phi: MorphismData):
+def _equations_deg2(view: _IntView):
     """x_p d_Q Phi(v) expanded over the d_K basis: the coefficient of each
     canonical K must vanish; the theta^p term appears only on the K matching
-    Q, weighted by the orientation sign of d_Q = sign * d_K."""
-    table = _theta_table(phi)
-    W = phi.target
+    Q, weighted by the orientation sign of d_Q = sign * d_K.  Each equation
+    is multiplied by 4."""
+    table = _theta_table(view.phi)
     for p, q in itertools.permutations(range(1, 6), 2):
         a, b, c = [x for x in range(1, 6) if x not in (p, q)]
         eps = _perm_eps(p, q, a, b, c)
@@ -863,22 +957,22 @@ def _equations_deg2(phi: MorphismData):
             acc: dict = {}
             if K == qc:
                 theta, sign = _theta_lookup(table, (p,), ())
-                _mat_add(acc, theta, Q(-qsign * sign))
+                _mat_add(acc, theta, -4 * qsign * sign)
             for al, be, ga in _cyclic(a, b, c):
                 I = ((al, be), K)
                 sh = _theta_shuffle(table, (), I, p, ga)
-                _mat_add(acc, sh, Q(-eps, 2))
+                _mat_add(acc, sh, -2 * eps)
                 theta, sign = _theta_lookup(table, (), I)
                 if theta:
-                    _mat_add(acc, _mat_apply(W, p, ga, theta), Q(eps * sign))
+                    _mat_add(acc, _mat_apply(view, p, ga, theta), 4 * eps * sign)
             if any(col for col in acc.values()):
                 return False, f"degree-2 equation fails at Q=({p},{q}), K={K}"
     return True, "ok"
 
 
-def _equations_deg3(phi: MorphismData):
-    table = _theta_table(phi)
-    W = phi.target
+def _equations_deg3(view: _IntView):
+    """The degree-3 equations (3)-(6), each multiplied by 4."""
+    table = _theta_table(view.phi)
     pairs1 = list(uminus.PAIRS)
     for p, q in itertools.permutations(range(1, 6), 2):
         rest = [x for x in range(1, 6) if x not in (p, q)]
@@ -892,12 +986,12 @@ def _equations_deg3(phi: MorphismData):
             for al, be, ga in _cyclic(a, b, c):
                 th, sg = _theta_lookup(table, (p,), ((al, be),))
                 if th:
-                    _mat_add(acc5, _mat_apply(W, p, ga, th), Q(sg))
+                    _mat_add(acc5, _mat_apply(view, p, ga, th), 4 * sg)
                 th, sg = _theta_lookup(table, (q,), ((al, be),))
                 if th:
-                    _mat_add(acc6, _mat_apply(W, p, ga, th), Q(eps * sg))
+                    _mat_add(acc6, _mat_apply(view, p, ga, th), 4 * eps * sg)
             th, sg = _theta_lookup(table, (), ((a, b), (b, c), (c, a)))
-            _mat_add(acc6, th, Q(-sg, 2))
+            _mat_add(acc6, th, -2 * sg)
             if any(col for col in acc5.values()):
                 return False, f"degree-3 equation (5) fails at Q=({p},{q})"
             if any(col for col in acc6.values()):
@@ -906,15 +1000,15 @@ def _equations_deg3(phi: MorphismData):
             for aa, bb, cc in _cyclic(a, b, c):
                 acc4: dict = {}
                 th, sg = _theta_lookup(table, (), ((aa, bb), (bb, cc), (cc, q)))
-                _mat_add(acc4, th, Q(sg, 4))
+                _mat_add(acc4, th, sg)
                 th, sg = _theta_lookup(table, (), ((aa, cc), (cc, bb), (bb, q)))
-                _mat_add(acc4, th, Q(sg, 4))
+                _mat_add(acc4, th, sg)
                 for al, be, ga in _cyclic(aa, bb, cc):
                     sh = _theta_shuffle(table, (aa,), ((al, be),), p, ga)
-                    _mat_add(acc4, sh, Q(-eps, 2))
+                    _mat_add(acc4, sh, -2 * eps)
                     th, sg = _theta_lookup(table, (aa,), ((al, be),))
                     if th:
-                        _mat_add(acc4, _mat_apply(W, p, ga, th), Q(eps * sg))
+                        _mat_add(acc4, _mat_apply(view, p, ga, th), 4 * eps * sg)
                 if any(col for col in acc4.values()):
                     return False, f"degree-3 equation (4) fails at Q=({p},{q}), a={aa}"
             # (3): coefficients of the omega_{H,L} basis, H < L canonical;
@@ -929,17 +1023,17 @@ def _equations_deg3(phi: MorphismData):
                     acc3: dict = {}
                     if Lp == qc:
                         th, sg = _theta_lookup(table, (p,), (H,))
-                        _mat_add(acc3, th, Q(qsign * sg))
+                        _mat_add(acc3, th, 4 * qsign * sg)
                     if H == qc:
                         th, sg = _theta_lookup(table, (p,), (Lp,))
-                        _mat_add(acc3, th, Q(-qsign * sg))
+                        _mat_add(acc3, th, -4 * qsign * sg)
                     for al, be, ga in _cyclic(a, b, c):
                         I = ((al, be), H, Lp)
                         sh = _theta_shuffle(table, (), I, p, ga)
-                        _mat_add(acc3, sh, Q(-eps, 2))
+                        _mat_add(acc3, sh, -2 * eps)
                         th, sg = _theta_lookup(table, (), I)
                         if th:
-                            _mat_add(acc3, _mat_apply(W, p, ga, th), Q(eps * sg))
+                            _mat_add(acc3, _mat_apply(view, p, ga, th), 4 * eps * sg)
                     if any(col for col in acc3.values()):
                         return False, (f"degree-3 equation (3) fails at Q=({p},{q}), "
                                        f"H={H}, L={Lp}")
@@ -1208,14 +1302,24 @@ def nabla_C(m: int, n: int) -> MorphismData:
     raise ArithmeticError(f"no nabla_C singular vector in M({mu})")
 
 
+# chain -> the parameters it takes; the others must be 0
+_CHAIN_PARAMS = {"A": "mn", "B": "mn", "C": "mn", "BA": "m", "CB": "n", "CA": "", "CBA": ""}
+
+
 def family_instance(chain: str, m: int = 0, n: int = 0) -> MorphismData:
     """Catalogued morphisms and compositions by chain name.
 
     A, B, C take the (m, n) of their defining family; BA is
     nabla_B . nabla_A : M(m,1,0,0) -> M(m-1,0,0,1) for m >= 1; CB is
     M(1,0,0,n) -> M(0,0,1,n+1); CA is M(0,1,0,0) -> M(0,0,1,0); CBA is
-    M(1,1,0,0) -> M(0,0,1,1).
+    M(1,1,0,0) -> M(0,0,1,1).  A nonzero parameter that the chain does not
+    take raises ValueError.
     """
+    if chain not in _CHAIN_PARAMS:
+        raise ValueError(f"unknown chain {chain!r}")
+    for name, value in (("m", m), ("n", n)):
+        if value and name not in _CHAIN_PARAMS[chain]:
+            raise ValueError(f"chain {chain} does not take {name} (got {name}={value})")
     if chain == "A":
         return nabla_A(m, n)
     if chain == "B":
@@ -1230,9 +1334,7 @@ def family_instance(chain: str, m: int = 0, n: int = 0) -> MorphismData:
         return compose(nabla_C(0, n + 1), nabla_B(0, n))
     if chain == "CA":
         return compose(nabla_C(0, 0), nabla_A(0, 0))
-    if chain == "CBA":
-        return compose(nabla_C(0, 1), compose(nabla_B(0, 0), nabla_A(1, 0)))
-    raise ValueError(f"unknown chain {chain!r}")
+    return compose(nabla_C(0, 1), compose(nabla_B(0, 0), nabla_A(1, 0)))
 
 
 def morphism_leading_term(phi: MorphismData) -> VermaElement:

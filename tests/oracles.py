@@ -155,3 +155,43 @@ def klimyk_multiplicity(mu, weights, lam):
         if sc == target:
             total += perm_sign_by_inversions(order)
     return total
+
+
+def _axpy(acc, col, c):
+    """acc += c * col for sparse dicts of Fractions, dropping zeros."""
+    for k, v in col.items():
+        s = acc.get(k, Q(0)) + c * v
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+
+
+def gen_on_theta(phi, r, s):
+    """x_r d/dx_s . Phi as a morphism-shaped coefficient dict, in Fractions
+    straight from Phi's coefficients and the modules' rational action tables
+    (zero iff Phi is invariant): sum [x, m] (x) theta_m + m (x) (A_W theta_m
+    - theta_m A_V), the rational reference for verma._gen_on_theta."""
+    from e510 import sl5, uminus
+    from e510.fmodules import gen_shift
+
+    src = phi.source
+    shift = gen_shift(r, s)
+    out = {}
+    for m, cols in phi.coeffs.items():
+        for m2, c2 in uminus.l0_adjoint(r, s, {m: Q(1)}).items():
+            tgt = out.setdefault(m2, {})
+            for n, col in cols.items():
+                _axpy(tgt.setdefault(n, {}), col, c2)
+        tgt = out.setdefault(m, {})
+        for k, col in cols.items():
+            img = phi.target.apply_gen(r, s, col)
+            _axpy(tgt.setdefault(k, {}), img, Q(1))
+            # (theta A_V) column n picks up A_V[k, n] theta_col[k]
+            nu_n = sl5.wsub(src.weight_of(k), shift)
+            for n in src.ensure_weight(nu_n):
+                c = src.act_entries(r, s, nu_n)[n].get(k)
+                if c:
+                    _axpy(tgt.setdefault(n, {}), col, -c)
+    return {m: {n: col for n, col in cols.items() if col}
+            for m, cols in out.items() if any(cols.values())}

@@ -165,6 +165,29 @@ def test_compose_and_dual(capsys):
     assert data["check_morphism"]
 
 
+def test_dual_checks_the_dual_once(capsys, monkeypatch):
+    calls = []
+    real = cli.verma.check_morphism
+
+    def counted(phi):
+        calls.append(phi.tag)
+        return real(phi)
+
+    monkeypatch.setattr(cli.verma, "check_morphism", counted)
+    code, out, _ = run(["dual", "--chain", "BA", "--m", "1"], capsys)
+    assert code == 0 and "check_morphism: True" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [["compose", "--chain", "CBA", "--m", "3"],
+                                  ["dual", "--chain", "CB", "--m", "1"],
+                                  ["compose", "--chain", "BA", "--m", "1", "--n", "2"]])
+def test_chain_rejects_ignored_parameter(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: chain ")
+
+
 def test_usage_error_exit_code(capsys):
     try:
         cli.main(["classify", "--degree", "not-a-number", "--max-entry", "1"])

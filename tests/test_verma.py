@@ -3,7 +3,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as Q
+from functools import cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from e510 import fmodules as fm
 from e510 import sl5
 from e510 import uminus as um
@@ -355,6 +361,122 @@ def test_hw_controls_equivariant():
         ok2, diag2 = V.verify_degree_equations(bad)
         assert not ok1 and not ok2
         assert not diag2.startswith("precheck")
+
+
+_GENERATORS = [(r, s) for r in range(1, 6) for s in range(1, 6) if r != s]
+
+
+def _pattern(bad):
+    return [(m, list(cols)) for m, cols in bad.items()]
+
+
+def test_gen_on_theta_matches_fraction_reference():
+    # the integer result is D * (the rational one) for one D > 0 per Phi: the
+    # same monomials and columns in the same order, every entry scaled by D
+    corpus = []
+    for chain, m, n in [("A", 1, 0), ("B", 0, 1), ("C", 0, 1), ("BA", 1, 0),
+                        ("CB", 0, 0), ("CA", 0, 0), ("CBA", 0, 0)]:
+        phi = V.family_instance(chain, m, n)
+        corpus += [phi, V.dual_morphism(phi)]
+        if chain != "CBA":
+            corpus += V.perturbed_controls(phi, 1, seed=3)
+    corpus += V.equivariant_controls(V.family_instance("CA"), 1)
+    corpus += V.hw_controls((1, 1, 0, 0), 1, 1)
+    for phi in corpus:
+        ratios = set()
+        for r, s in _GENERATORS:
+            got = V._gen_on_theta(phi, r, s)
+            want = oracles.gen_on_theta(phi, r, s)
+            assert _pattern(got) == _pattern(want), (phi.tag, r, s)
+            for m, cols in want.items():
+                for n, col in cols.items():
+                    assert set(got[m][n]) == set(col)
+                    ratios.update(Q(got[m][n][i]) / v for i, v in col.items())
+        assert len(ratios) <= 1
+        assert all(q > 0 and q.denominator == 1 for q in ratios)
+
+
+def _scaled(phi, q):
+    return V.MorphismData(phi.degree, phi.lam, phi.mu, phi.source, phi.target,
+                          {m: {n: {i: q * c for i, c in col.items()}
+                               for n, col in cols.items()}
+                           for m, cols in phi.coeffs.items()})
+
+
+@cache
+def _small_morphisms():
+    return (V.nabla_A(1, 0), V.family_instance("BA", 1), V.family_instance("CA"))
+
+
+def _reference_equivariance(phi):
+    """check_morphism's verdict from the Fraction reference, when some
+    generator fails; None when Phi is L0-invariant."""
+    for r, s in _GENERATORS:
+        bad = oracles.gen_on_theta(phi, r, s)
+        if bad:
+            mono = um.format_monomial(next(iter(bad)))
+            return (False, f"L0 equivariance fails at x_{r}d{s}, monomial {mono}"), \
+                (False, f"precheck: L0 equivariance fails at x_{r}d{s}")
+    return None
+
+
+_RATIONALS = st.builds(Q, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 97))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2), _RATIONALS, _RATIONALS, st.randoms(use_true_random=False))
+def test_checks_exact_under_rational_scaling(which, scale, bump, rng):
+    phi = _small_morphisms()[which]
+    for c in (phi, _scaled(phi, scale)):
+        assert V.check_morphism(c) == (True, "ok")
+        assert V.verify_degree_equations(c) == (True, "ok")
+    m = rng.choice(sorted(phi.coeffs))
+    n = rng.randrange(phi.source.dim)
+    idx = rng.randrange(phi.target.dim)
+    bad = _scaled(phi, 1)
+    col = bad.coeffs[m].setdefault(n, {})
+    col[idx] = col.get(idx, 0) + bump
+    verdicts = (V.check_morphism(bad), V.verify_degree_equations(bad))
+    want = _reference_equivariance(bad)
+    if want is not None:
+        assert verdicts == want
+    scaled = _scaled(bad, scale)
+    assert (V.check_morphism(scaled), V.verify_degree_equations(scaled)) == verdicts
+
+
+def test_checks_leave_lazy_target_as_reference():
+    # morphism_from_singular keeps the search's lazy module as its target,
+    # whose F-basis numbering certificates record; the checks must build the
+    # weight spaces the rational path builds, in the same order
+    def fresh():
+        (lam, vecs), = V.singular_vectors((0, 0, 1, 0), 2)
+        return V.morphism_from_singular(vecs[0], lam)
+
+    phi, ref = fresh(), fresh()
+    assert not phi.target._full and phi.target is not ref.target
+    before = list(phi.target.spaces)
+    assert V.check_morphism(phi) == (True, "ok")
+    assert V.verify_degree_equations(phi) == (True, "ok")
+    assert list(phi.target.spaces) != before  # the checks did build spaces
+    # the rational path: check_morphism's 20 generators and x5 d45, then the
+    # precheck of verify_degree_equations (its equations read only target
+    # columns of theta blocks, combinations of the Phi columns already read)
+    def generators():
+        for r, s in _GENERATORS:
+            assert not oracles.gen_on_theta(ref, r, s)
+
+    generators()
+    assert V.act_x5d45(ref.hw_image()).is_zero()
+    generators()
+    assert phi.target.vectors == ref.target.vectors
+    assert list(phi.target.spaces.items()) == list(ref.target.spaces.items())
+
+
+@pytest.mark.parametrize("chain,m,n", [("BA", 1, 1), ("CB", 1, 0), ("CA", 1, 0),
+                                       ("CA", 0, 1), ("CBA", 3, 0), ("CBA", 0, 2)])
+def test_family_instance_rejects_ignored_parameter(chain, m, n):
+    with pytest.raises(ValueError, match=f"chain {chain} does not take"):
+        V.family_instance(chain, m, n)
 
 
 # -- duality -----------------------------------------------------------------
