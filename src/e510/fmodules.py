@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from . import sl5
-from .linalg import add_into
+from .linalg import UnluckyPrime, add_into, to_fp
 from .uminus import PAIRS
 
 N_GEN = 30
@@ -105,12 +105,13 @@ def glact_monomial(r: int, s: int, m: tuple) -> dict:
     return out
 
 
-def glact_vector(r: int, s: int, vec: dict) -> dict:
+def glact_vector(r: int, s: int, vec: dict, *, p: int | None = None) -> dict:
     """x_r d/dx_s on a sparse ambient vector; each term is coefficient times
-    an int, so Fraction coefficients in give Fraction coefficients out."""
+    an int, so Fraction coefficients in give Fraction coefficients out.  With
+    a modulus p the vector and its image are over F_p."""
     out: dict = {}
     for m, c in vec.items():
-        add_into(out, glact_monomial(r, s, m), c)
+        add_into(out, glact_monomial(r, s, m), c, p)
     return out
 
 
@@ -152,13 +153,20 @@ class TensorModule:
     # Caches derived from the basis, rebuilt on demand and not pickled: the
     # action columns (r, s, weight) -> {idx -> {idx' -> Q}}, and, filled by
     # the singular search, (x_5 d_t op, index) -> ambient image, weight ->
-    # factored stacked raising maps, p -> the F_p images of those and of the
-    # basis vectors, and weight -> depth below the highest weight.
+    # factored stacked raising maps, and weight -> depth below the highest
+    # weight.  _fp_cache maps p -> cache name -> the same data over F_p
+    # (with "bases" for the weight-space bases reduced mod p); see cache().
     _DERIVED = ("_act_cache", "_zterm_cache", "_stack_cache", "_fp_cache", "_depth_cache")
 
     def _clear_derived(self):
         for name in self._DERIVED:
             setattr(self, name, {})
+
+    def cache(self, name: str, p: int | None = None) -> dict:
+        """The derived cache `name` over Q, or its F_p counterpart."""
+        if p is None:
+            return getattr(self, name)
+        return self._fp_cache.setdefault(p, {}).setdefault(name, {})
 
     def __getstate__(self):
         """Pickle the basis and its provenance without the derived caches."""
@@ -196,14 +204,37 @@ class TensorModule:
                 self._insert(nu, img, (i, idx))
         return self.spaces[nu]
 
-    def _reduce(self, nu, vec):
+    def vector(self, idx: int, *, p: int | None = None) -> dict:
+        """Basis vector idx, or with a modulus p its image in F_p (see
+        fp_basis)."""
+        if p is None:
+            return self.vectors[idx]
+        return self.fp_basis(self.weights[idx], p)[idx]
+
+    def fp_basis(self, nu, p: int) -> dict:
+        """The basis of the built weight space nu reduced mod p, index ->
+        vector, made once and cached.  Raises UnluckyPrime unless every
+        vector is p-integral: only then are coordinates mod p the rational
+        ones reduced."""
+        bases = self.cache("bases", p)
+        got = bases.get(nu)
+        if got is None:
+            got = bases[nu] = {idx: {k: v for k, c in self.vectors[idx].items()
+                                     if (v := to_fp(c, p))}
+                               for idx in self.spaces[nu]}
+        return got
+
+    def _reduce(self, nu, vec, *, p: int | None = None):
         """Reduce an ambient vector by the basis of the weight space nu, least
         monomial first, until the least monomial is no basis vector's pivot.
         Returns (residual, trail), trail being the [(index, coefficient)]
-        subtracted; the residual is empty when vec lies in the space."""
+        subtracted; the residual is empty when vec lies in the space.  With a
+        modulus p, vec and the basis are over F_p; pivots are 1 there too, so
+        nothing is divided."""
         residual = dict(vec)
         trail = []
         piv = self.pivots.get(nu, {})
+        basis = self.vectors if p is None else self.fp_basis(nu, p)
         while residual:
             mkey = min(residual)
             hit = piv.get(mkey)
@@ -211,7 +242,7 @@ class TensorModule:
                 break
             c = residual[mkey]
             trail.append((hit, c))
-            add_into(residual, self.vectors[hit], -c)
+            add_into(residual, basis[hit], -c, p)
         return residual, trail
 
     def _insert(self, nu, vec, origin):
@@ -228,11 +259,13 @@ class TensorModule:
         self.prov.append((origin, trail, pc))
         return n
 
-    def coords(self, nu, vec) -> dict:
-        """Coordinates of an ambient vector lying in the weight space nu."""
-        residual, trail = self._reduce(tuple(nu), vec)
+    def coords(self, nu, vec, *, p: int | None = None) -> dict:
+        """Coordinates of an ambient vector lying in the weight space nu (over
+        F_p with a modulus p, where a residual raises UnluckyPrime)."""
+        residual, trail = self._reduce(tuple(nu), vec, p=p)
         if residual:
-            raise ArithmeticError(f"vector not inside weight space {nu}")
+            error = ArithmeticError if p is None else UnluckyPrime
+            raise error(f"vector not inside weight space {nu}")
         return dict(trail)
 
     def build_full(self):
@@ -276,19 +309,22 @@ class TensorModule:
     def weight_of(self, idx: int):
         return self.weights[idx]
 
-    def act_entries(self, r: int, s: int, nu) -> dict:
-        """Column map idx -> {idx': Q} of x_r d/dx_s on the weight space nu."""
+    def act_entries(self, r: int, s: int, nu, *, p: int | None = None) -> dict:
+        """Column map idx -> {idx': Q} of x_r d/dx_s on the weight space nu,
+        or with a modulus p the same map over F_p, computed from the basis
+        vectors mod p.  Both build the same weight spaces in the same order."""
         key = (r, s, tuple(nu))
-        got = self._act_cache.get(key)
+        cache = self.cache("_act_cache", p)
+        got = cache.get(key)
         if got is not None:
             return got
         target = sl5.wadd(nu, gen_shift(r, s))
         self.ensure_weight(target)
         cols = {}
         for idx in self.ensure_weight(nu):
-            img = glact_vector(r, s, self.vectors[idx])
-            cols[idx] = self.coords(target, img) if img else {}
-        self._act_cache[key] = cols
+            img = glact_vector(r, s, self.vector(idx, p=p), p=p)
+            cols[idx] = self.coords(target, img, p=p) if img else {}
+        cache[key] = cols
         return cols
 
     def apply_gen(self, r: int, s: int, coords: dict) -> dict:

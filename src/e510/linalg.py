@@ -5,7 +5,9 @@ plain fraction arithmetic with deterministic pivoting, and there is no
 tolerance anywhere.  Matrices are stored sparsely as {(row, col): Fraction}
 with no explicit zeros.  `add_into` and `RowReducer` also work over a prime
 field F_p when given a modulus p: values are then plain ints in range(p), and
-`to_fp` maps a p-integral rational into F_p.
+`to_fp` maps a p-integral rational into F_p.  `UnluckyPrime` is raised where
+F_p cannot stand in for Q because p divides a denominator of the rational
+computation.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "solve",
     "RowReducer",
     "to_fp",
+    "UnluckyPrime",
 ]
 
 
@@ -42,14 +45,20 @@ def format_scalar(x: Q) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+class UnluckyPrime(ZeroDivisionError):
+    """p divides a denominator of the rational computation being reduced mod
+    p, so its F_p image does not exist: seen as a rational that is not
+    p-integral, a rank that drops mod p, or a residual left mod p."""
+
+
 def to_fp(x, p: int) -> int:
     """The image in F_p (an int in range(p)) of a rational or int x; raises
-    ZeroDivisionError when p divides its denominator."""
+    UnluckyPrime when p divides its denominator."""
     den = x.denominator
     if den == 1:
         return x.numerator % p
     if den % p == 0:
-        raise ZeroDivisionError(f"{p} divides the denominator of {x}")
+        raise UnluckyPrime(f"{p} divides the denominator of {x}")
     return x.numerator * pow(den, -1, p) % p
 
 

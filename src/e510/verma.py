@@ -13,19 +13,39 @@ x5 d45 = 0} on each weight subspace; every returned vector is re-verified
 directly, including against a full spanning set of L_1.
 
 Almost every candidate lam has no singular vector, so the lifting runs first
-over F_p (p = SIEVE_PRIME = 2^31 - 1, plain ints) as a sieve.  Its inputs are
-the images mod p of the rational ones and its lifting uses only sums and
-products, so its constraints are the rational constraints reduced mod p, and
-reduction mod p cannot raise a rank: a constraint rank mod p that reaches the
-number L of leading monomials proves the candidate dead over Q.  When p
-divides a denominator on the way, the candidate skips the sieve.  Survivors
-are lifted again over Q, which alone produces and verifies the vectors.  The
-sieve reads the module through the same ensure_weight calls as the exact
-lifting, so the lazy F-basis (whose indices certificates record) is numbered
-as without it, unless the rank mod p falls short of the rank over Q: then the
-sieve may lift deeper than Q would, build more weight spaces and renumber the
-basis.  Results stay correct even then, but certificates may change; for
-p = 2^31 - 1 no case is known (the denominators seen are at most 204).
+over F_p (p = SIEVE_PRIME = 2^31 - 1, plain ints) as a sieve, on F_p data of
+its own: the basis vectors reduced mod p once (their denominators are at most
+2), the action columns and z-term images computed from those by the integer
+tensor action and the same forward reduction (pivots are 1, so nothing is
+divided), and the stacked raising solver factored by RowReducer(p).  All
+but the solver are the rational data reduced mod p: coordinates mod p are
+the rational ones reduced because the whole basis of the space they are
+taken in is reduced first.  Only survivors, lifted again over Q, build the
+rational solver, action tables and z-term images; the Q pass alone produces
+and verifies the vectors.
+
+The sieve is sound while every stacked raising system A has full column rank
+mod p.  The left kernel of A mod p then has the dimension of the rational
+one, so it is the reduction of the rational left kernel, and the F_p solve
+combinations differ from the reduced rational ones only by left-kernel rows.
+Such rows change the lifted components only by combinations of constraints
+already imposed, so the span of the constraints is the reduction of the
+rational span, and reduction mod p cannot raise a rank: a constraint rank mod
+p that reaches the number L of leading monomials proves the candidate dead
+over Q.  Where p cannot decide, UnluckyPrime sends the candidate to the Q
+pass: to_fp meets a denominator divisible by p (in a basis vector or a PBW
+coefficient); an F_p coordinate computation leaves a residual; or the F_p
+rank of a stacked system falls short of the dimension of its weight space.
+
+The sieve builds the lazy module through the same ensure_weight calls as the
+exact lifting, in the same order (each weight space, then its raising
+targets), so the lazy F-basis, whose indices certificates record, is
+numbered as without it, unless the constraint rank mod p falls short of the
+rank over Q: then the sieve may lift deeper than Q would, build more weight
+spaces and renumber the basis.  Results stay correct even then, but
+certificates may change; this is seen at p = 2 and not known for
+p = 2^31 - 1, which meets no UnluckyPrime on the degree-2 box-2 and
+degree-4 box-1 sweeps.
 
 The morphism checks (check_morphism, verify_degree_equations) run in ints.
 Their conditions are linear and homogeneous in Phi, so with D > 0 the lcm of
@@ -47,7 +67,7 @@ from functools import lru_cache, partial
 from . import fmodules, sl5, uminus
 from .fmodules import TensorModule, DualModule, glact_vector, gen_shift
 from .fmodules import _PAIR_POS
-from .linalg import RowReducer, add_into, format_scalar, parse_scalar, to_fp
+from .linalg import RowReducer, UnluckyPrime, add_into, format_scalar, parse_scalar, to_fp
 
 ZDEL = uminus.ZERO_DEL
 
@@ -240,7 +260,7 @@ def is_singular(w: VermaElement, full_l1: bool = True) -> bool:
 # ---------------------------------------------------------------------------
 # Singular vector search by leading-term lifting
 
-def _stacked_solver(mod: TensorModule, nu):
+def _stacked_solver(mod: TensorModule, nu, *, p: int | None = None):
     """Factor the stacked raising maps out of the weight space nu.
 
     Returns (solve_combs, zero_combs): solve_combs maps each basis index of
@@ -248,10 +268,13 @@ def _stacked_solver(mod: TensorModule, nu):
     keys (i, target_idx) recovering that coordinate of the unique solution of
     A v = b; zero_combs are the left-kernel combinations yielding consistency
     constraints.  Raising maps are jointly injective below the top weight, so
-    every coordinate is pinned.
+    every coordinate is pinned.  With a modulus p the maps are factored over
+    F_p from the action mod p; a rank below the dimension of the space then
+    raises UnluckyPrime (p divides a denominator of the rational solver).
     """
     nu = tuple(nu)
-    got = mod._stack_cache.get(nu)
+    cache = mod.cache("_stack_cache", p)
+    got = cache.get(nu)
     if got is not None:
         return got
     cols = mod.ensure_weight(nu)
@@ -261,17 +284,18 @@ def _stacked_solver(mod: TensorModule, nu):
         target = sl5.wadd(nu, sl5.SIMPLE_ROOTS[i - 1])
         for tidx in mod.ensure_weight(target):
             rows[(i, tidx)] = {}
-        entries = mod.act_entries(i, i + 1, nu)
+        entries = mod.act_entries(i, i + 1, nu, p=p)
         for col in cols:
             for tidx, val in entries[col].items():
                 rows[(i, tidx)][col] = val
-    red = RowReducer()
+    red = RowReducer(p)
+    one = Q(1) if p is None else 1
     for rk, row in sorted(rows.items()):
-        red.insert(row, {rk: Q(1)})
+        red.insert(row, {rk: one})
     if red.rank != len(cols):
-        raise ArithmeticError(f"raising maps not injective on weight space {nu}")
-    got = mod._stack_cache[nu] = ({pc: red.combs[pc] for pc in sorted(red.pivots)},
-                                  red.relations)
+        error = ArithmeticError if p is None else UnluckyPrime
+        raise error(f"raising maps not injective on weight space {nu}")
+    got = cache[nu] = ({pc: red.combs[pc] for pc in sorted(red.pivots)}, red.relations)
     return got
 
 
@@ -287,13 +311,10 @@ def singular_vectors(mu, d: int, module: TensorModule | None = None):
         raise ValueError("degree must be >= 1")
     mu = tuple(mu)
     mod = module if module is not None else TensorModule(mu)
-    mons = uminus.pbw_monomials(d)
-    monw = {m: uminus.monomial_weight(m) for m in mons}
-    cands = sorted({sl5.wadd(mu, w) for w in monw.values()
-                    if sl5.is_dominant(sl5.wadd(mu, w))})
+    groups = _weight_groups(d)
     out = []
-    for lam in cands:
-        vecs = _lift_singular(mod, d, lam, mons, monw)
+    for lam in _candidates(mu, groups):
+        vecs = _lift_singular(mod, d, lam, groups)
         if vecs:
             out.append((lam, vecs))
     return out
@@ -303,66 +324,61 @@ def highest_weight_vectors(mu, d: int, lam, module: TensorModule | None = None):
     """Basis of the weight-lam highest weight vectors of (U_-)_d (x) F(mu)
     (no L_1 condition); used for cross-checks and negative controls."""
     mod = module if module is not None else TensorModule(tuple(mu))
-    mons = uminus.pbw_monomials(d)
-    monw = {m: uminus.monomial_weight(m) for m in mons}
-    return _lift_singular(mod, d, tuple(lam), mons, monw, impose_l1=False,
+    return _lift_singular(mod, d, tuple(lam), _weight_groups(d), impose_l1=False,
                           verify=False)
+
+
+def _weight_groups(d: int) -> dict:
+    """The PBW monomials of degree d grouped by weight: weight -> [monomial],
+    each list in the order of uminus.pbw_monomials."""
+    groups: dict = {}
+    for m in uminus.pbw_monomials(d):
+        groups.setdefault(uminus.monomial_weight(m), []).append(m)
+    return groups
+
+
+def _candidates(mu, groups) -> list:
+    """The dominant weights mu + wt(m), sorted: the lam a search tries."""
+    return sorted(lam for w in groups if sl5.is_dominant(lam := sl5.wadd(mu, w)))
 
 
 # The modulus of the search's F_p sieve: the Mersenne prime 2^31 - 1.
 SIEVE_PRIME = 2**31 - 1
 
 
-def _zimage(mod: TensorModule, op, fidx):
-    """The ambient image x_5 d_t . v_fidx, cached on the module: shared by
-    every candidate lam of a search."""
+def _zimage(mod: TensorModule, op, fidx, *, p: int | None = None):
+    """The ambient image x_5 d_t . v_fidx (over F_p with a modulus p), cached
+    on the module: shared by every candidate lam of a search."""
     key = (op, fidx)
-    img = mod._zterm_cache.get(key)
+    cache = mod.cache("_zterm_cache", p)
+    img = cache.get(key)
     if img is None:
-        img = mod._zterm_cache[key] = glact_vector(op[0], op[1], mod.vectors[fidx])
+        img = cache[key] = glact_vector(op[0], op[1], mod.vector(fidx, p=p), p=p)
     return img
 
 
-def _fp_view(mod: TensorModule, p: int):
-    """Accessors (solver, vector, zimage) of the module data the search reads,
-    mapped into F_p: _stacked_solver's combinations, the basis vectors and
-    the z-term images, each converted from its Q original once and cached on
-    the module per p.  They raise ZeroDivisionError where p divides a
-    denominator."""
-    stack, vectors, zterms = mod._fp_cache.setdefault(p, ({}, {}, {}))
-
-    def fp(form):
-        return {k: v for k, c in form.items() if (v := to_fp(c, p))}
-
-    def solver(nu):
-        got = stack.get(nu)
-        if got is None:
-            solve_combs, zero_combs = _stacked_solver(mod, nu)
-            got = stack[nu] = ({col: fp(comb) for col, comb in solve_combs.items()},
-                               [fp(comb) for comb in zero_combs])
-        return got
-
-    def vector(fidx):
-        got = vectors.get(fidx)
-        if got is None:
-            got = vectors[fidx] = fp(mod.vectors[fidx])
-        return got
-
-    def zimage(op, fidx):
-        key = (op, fidx)
-        got = zterms.get(key)
-        if got is None:
-            got = zterms[key] = fp(_zimage(mod, op, fidx))
-        return got
-
-    return solver, vector, zimage
+def _lifting_inputs(mod: TensorModule, p: int | None):
+    """(solver, vector, zimage): the module data the lifting reads, over Q
+    (p None) or F_p; see _stacked_solver, TensorModule.vector and _zimage."""
+    return (partial(_stacked_solver, mod, p=p), partial(mod.vector, p=p),
+            partial(_zimage, mod, p=p))
 
 
-def _lift_singular(mod, d, lam, mons, monw, impose_l1=True, verify=True):
+def _sieve(lift) -> str:
+    """The sieve's verdict on one candidate: "dead" when its lifting mod
+    SIEVE_PRIME proves it dead, "alive" when it survives, and "unlucky" when
+    the prime cannot decide (UnluckyPrime: see the module docstring)."""
+    try:
+        return "alive" if lift(SIEVE_PRIME) is not None else "dead"
+    except ZeroDivisionError:
+        return "unlucky"
+
+
+def _lift_singular(mod, d, lam, groups, impose_l1=True, verify=True):
     """Basis of the degree-d singular vectors of weight lam in M(mu) (of the
     highest weight vectors when impose_l1 is False) by leading-term lifting:
     one lifting loop, run over F_p as a sieve and then over Q for the
-    survivors (see the module docstring)."""
+    survivors (see the module docstring).  groups is _weight_groups(d)."""
     mu = mod.highest_weight
     depths = mod._depth_cache
 
@@ -377,14 +393,15 @@ def _lift_singular(mod, d, lam, mons, monw, impose_l1=True, verify=True):
     levels: dict[int, list] = {}
     nu_of: dict = {}
     depth_of: dict = {}
-    for m in mons:
-        nu = sl5.wsub(lam, monw[m])
+    for w, ms in groups.items():
+        nu = sl5.wsub(lam, w)
         dm = nu_depth(nu)
         if dm is None:
             continue
-        depth_of[m] = dm
-        levels.setdefault(dm, []).append(m)
-        nu_of[m] = nu
+        levels.setdefault(dm, []).extend(ms)
+        for m in ms:
+            depth_of[m] = dm
+            nu_of[m] = nu
     if 0 not in levels:
         return []
     leading = sorted(levels[0])
@@ -392,12 +409,7 @@ def _lift_singular(mod, d, lam, mons, monw, impose_l1=True, verify=True):
 
     def lift(p):
         """(V, constraints) over Q (p None) or F_p, or None once dead."""
-        if p is None:
-            solver = partial(_stacked_solver, mod)
-            vector = mod.vectors.__getitem__
-            zimage = partial(_zimage, mod)
-        else:
-            solver, vector, zimage = _fp_view(mod, p)
+        solver, vector, zimage = _lifting_inputs(mod, p)
         # adjoint transition tables: trans[i][m_target][m_source] = coeff
         trans = {i: {} for i in range(1, 5)}
         for m in nu_of:
@@ -490,11 +502,7 @@ def _lift_singular(mod, d, lam, mons, monw, impose_l1=True, verify=True):
             return None
         return V, constraints
 
-    try:
-        alive = lift(SIEVE_PRIME) is not None
-    except ZeroDivisionError:
-        alive = True  # p divides a denominator: only Q can decide
-    lifted = lift(None) if alive else None
+    lifted = None if _sieve(lift) == "dead" else lift(None)
     if lifted is None:
         return []
     V, constraints = lifted
@@ -634,8 +642,13 @@ def morphism_from_singular(w: VermaElement, lam, mu=None, check: bool = True) ->
     return MorphismData(w.degree, lam, mod_mu.highest_weight, src, mod_mu, coeffs)
 
 
-def apply_morphism(phi: MorphismData, u: dict, vcoords: dict) -> VermaElement:
-    """phi(u (x) v) = u Phi(v) for a UElement u and coordinates v in F(lam)."""
+def apply_morphism(phi: MorphismData, u: dict, vcoords: dict, *,
+                   products: dict | None = None) -> VermaElement:
+    """phi(u (x) v) = u Phi(v) for a UElement u and coordinates v in F(lam).
+    products, when given, memoizes the products u * m (m a PBW monomial of
+    phi) for calls with this same u."""
+    if products is None:
+        products = {}
     out: dict = {}
     for m, cols in phi.coeffs.items():
         fv: dict = {}
@@ -643,7 +656,9 @@ def apply_morphism(phi: MorphismData, u: dict, vcoords: dict) -> VermaElement:
             add_into(fv, cols.get(n, {}), cn)
         if not fv:
             continue
-        prod = uminus.u_mul(u, {m: Q(1)})
+        prod = products.get(m)
+        if prod is None:
+            prod = products[m] = uminus.u_mul(u, {m: Q(1)})
         for m2, c2 in prod.items():
             for idx, cf in fv.items():
                 add_into(out, {(m2, idx): c2 * cf})
@@ -656,12 +671,14 @@ def compose(phi2: MorphismData, phi1: MorphismData) -> MorphismData:
     if phi1.mu != phi2.lam or phi1.target is not phi2.source:
         raise ValueError("weight mismatch in composition")
     coeffs: dict = {}
+    products: dict = {}  # m -> {m2 -> m * m2}: the U products, shared by columns
     for n in range(phi1.source.dim):
         acc: dict = {}
         for m, cols in phi1.coeffs.items():
             col = cols.get(n)
             if col:
-                img = apply_morphism(phi2, {m: Q(1)}, col)
+                img = apply_morphism(phi2, {m: Q(1)}, col,
+                                     products=products.setdefault(m, {}))
                 add_into(acc, img.terms)
         for (m, idx), c in acc.items():
             coeffs.setdefault(m, {}).setdefault(n, {})[idx] = c
@@ -688,11 +705,27 @@ def theta_decomposition(phi: MorphismData) -> dict:
     return out
 
 
+def _onto_full_target(phi: MorphismData) -> MorphismData:
+    """phi with its images re-expressed on get_module(mu) when its target is
+    a lazily built TensorModule (whose dual cannot be formed); phi itself
+    otherwise."""
+    if not isinstance(phi.target, TensorModule) or phi.target._full:
+        return phi
+    full = get_module(phi.mu)
+    coeffs: dict = {}
+    for n in range(phi.source.dim):
+        for (m, idx), c in reexpress(phi.column(n), full).terms.items():
+            coeffs.setdefault(m, {}).setdefault(n, {})[idx] = c
+    return MorphismData(phi.degree, phi.lam, phi.mu, phi.source, full, coeffs, phi.tag)
+
+
 def dual_morphism(phi: MorphismData) -> MorphismData:
     """The dual map M(mu*) -> M(lam*): decompose as sum del_T omega_I (x)
     theta, transpose each theta into the abstract duals and weight the block
     with k = len(T) del factors by (-1)^k.  Proven for degree <= 3; higher
-    degrees are built identically but tagged conjectural."""
+    degrees are built identically but tagged conjectural.  A target that is
+    a search's lazily built module is first replaced by get_module(mu)."""
+    phi = _onto_full_target(phi)
     thetas = theta_decomposition(phi)
     src = DualModule(phi.target)
     tgt = DualModule(phi.source)
@@ -1370,11 +1403,8 @@ def hw_controls(mu, d: int, count: int):
     fail the L_1 condition, so both checks must reject them."""
     mu = tuple(mu)
     mod = get_module(mu)
-    mons = uminus.pbw_monomials(d)
-    monw = {m: uminus.monomial_weight(m) for m in mons}
     out = []
-    for lam in sorted({sl5.wadd(mu, w) for w in monw.values()
-                       if sl5.is_dominant(sl5.wadd(mu, w))}):
+    for lam in _candidates(mu, _weight_groups(d)):
         hw = highest_weight_vectors(mu, d, lam, module=mod)
         if not hw:
             continue

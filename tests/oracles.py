@@ -195,3 +195,42 @@ def gen_on_theta(phi, r, s):
                     _axpy(tgt.setdefault(n, {}), col, -c)
     return {m: {n: col for n, col in cols.items() if col}
             for m, cols in out.items() if any(cols.values())}
+
+
+def fp_view(mod, p, solver, zimage):
+    """The search's F_p inputs (solver, vector, zimage) as the first F_p
+    sieve made them: each converted once from its rational original
+    (solver(mod, nu), mod.vectors[fidx], zimage(mod, op, fidx)) into F_p,
+    raising ZeroDivisionError where p divides a denominator."""
+    stack, vectors, zterms = {}, {}, {}
+
+    def mod_p(c):
+        c = Q(c)
+        if c.denominator % p == 0:
+            raise ZeroDivisionError(f"{p} divides the denominator of {c}")
+        return c.numerator * pow(c.denominator, -1, p) % p
+
+    def fp(form):
+        return {k: v for k, c in form.items() if (v := mod_p(c))}
+
+    def fp_solver(nu):
+        got = stack.get(nu)
+        if got is None:
+            solve_combs, zero_combs = solver(mod, nu)
+            got = stack[nu] = ({col: fp(comb) for col, comb in solve_combs.items()},
+                               [fp(comb) for comb in zero_combs])
+        return got
+
+    def fp_vector(fidx):
+        got = vectors.get(fidx)
+        if got is None:
+            got = vectors[fidx] = fp(mod.vectors[fidx])
+        return got
+
+    def fp_zimage(op, fidx):
+        got = zterms.get((op, fidx))
+        if got is None:
+            got = zterms[op, fidx] = fp(zimage(mod, op, fidx))
+        return got
+
+    return fp_solver, fp_vector, fp_zimage

@@ -36,3 +36,20 @@ def test_chain_pins(key):
     chain, m, n = key.split("|")
     phi = V.family_instance(chain, int(m), int(n))
     assert ref.digest(V, phi.hw_image()) == ref.CHAIN_DIGESTS[key]
+
+
+def test_compose_makes_each_u_product_once_and_keeps_the_CBA_pin(monkeypatch):
+    from e510 import uminus
+
+    real, calls = uminus.u_mul, []
+
+    def counting(u, v):
+        calls.append((tuple(u.items()), tuple(v.items())))
+        return real(u, v)
+
+    monkeypatch.setattr(uminus, "u_mul", counting)
+    phi = V.family_instance("CBA")
+    assert ref.digest(V, phi.hw_image()) == ref.CHAIN_DIGESTS["CBA|0|0"]
+    # 600 distinct products (the two compositions share none); 2,190 calls
+    # when every column recomputed them
+    assert len(calls) == len(set(calls)) == 600

@@ -14,6 +14,7 @@ from e510 import fmodules as fm
 from e510 import sl5
 from e510 import uminus as um
 from e510 import verma as V
+from e510.linalg import RowReducer, UnluckyPrime, add_into, to_fp
 from oracles import klimyk_multiplicity
 
 ZD = um.ZERO_DEL
@@ -501,6 +502,18 @@ def test_dual_twice_identity():
         assert len(ratios) == 1
 
 
+def test_dual_of_a_raw_search_morphism():
+    # the search's module is lazy: the dual re-expresses onto get_module(mu)
+    mu, lam = (0, 0, 0, 1), (1, 0, 0, 0)
+    (v,) = dict(V.singular_vectors(mu, 1))[lam]
+    assert not v.module._full
+    psi = V.dual_morphism(V.morphism_from_singular(v, lam))
+    ok, diag = V.check_morphism(psi)
+    assert ok, diag
+    full = V.dual_morphism(V.morphism_from_singular(V.reexpress(v, V.get_module(mu)), lam))
+    assert (psi.lam, psi.mu, psi.coeffs) == (full.lam, full.mu, full.coeffs)
+
+
 def test_dual_BA_leading_weight():
     # leading weight of the dual is -(leading weight)*
     BA = V.family_instance("BA", m=1)
@@ -670,20 +683,137 @@ def _sweep_d2_hits(monkeypatch, prime=None):
 def test_sieve_at_tiny_primes_keeps_the_exact_hits(monkeypatch):
     exact = _sweep_d2_hits(monkeypatch)
     assert len(exact) == 6
-    real, raised = V.to_fp, []
+    real, unlucky = V._sieve, []
 
-    def counting(x, p):
-        try:
-            return real(x, p)
-        except ZeroDivisionError:
-            raised.append(p)
-            raise
+    def counting(lift):
+        verdict = real(lift)
+        if verdict == "unlucky":
+            unlucky.append(V.SIEVE_PRIME)
+        return verdict
 
     for p in (2, 3, 5, 7):
-        monkeypatch.setattr(V, "to_fp", counting)
+        monkeypatch.setattr(V, "_sieve", counting)
         assert _sweep_d2_hits(monkeypatch, p) == exact, p
-    # stacked-solver denominators 2 and 3 send those candidates to Q
-    assert {2, 3} <= set(raised)
+    # basis-vector halves (p = 2) and stacked raising systems that lose rank
+    # mod 3 send those candidates to the Q fallback
+    assert {2, 3} <= set(unlucky)
+
+
+SWEEPS = ([(mu, 2) for mu in sl5.dominant_weights_in_box(2) if sum(mu) <= 4]
+          + [(mu, 4) for mu in sl5.dominant_weights_in_box(1)])
+
+
+def _sieve_run(monkeypatch, searches, oracle=False):
+    """Run the searches; returns [((mu, d, lam), verdict)] of the sieve on
+    every candidate with a leading term, and the hits as (mu, d, lam, vecs).
+    With oracle set the sieve reads oracles.fp_view (its F_p inputs
+    converted from the rational solver, basis and z-term images)."""
+    real_lift, real_sieve = V._lift_singular, V._sieve
+    current, verdicts = [], []
+
+    def lift_singular(mod, d, lam, *args, **kwargs):
+        current.append((mod.highest_weight, d, lam))
+        return real_lift(mod, d, lam, *args, **kwargs)
+
+    def sieve(lift):
+        verdict = real_sieve(lift)
+        verdicts.append((current[-1], verdict))
+        return verdict
+
+    monkeypatch.setattr(V, "_lift_singular", lift_singular)
+    monkeypatch.setattr(V, "_sieve", sieve)
+    if oracle:
+        real_inputs, views = V._lifting_inputs, {}
+
+        def inputs(mod, p):
+            if p is None:
+                return real_inputs(mod, None)
+            if (mod, p) not in views:
+                views[mod, p] = oracles.fp_view(mod, p, V._stacked_solver, V._zimage)
+            return views[mod, p]
+
+        monkeypatch.setattr(V, "_lifting_inputs", inputs)
+    hits = [(mu, d, lam, vecs)
+            for mu, d in searches for lam, vecs in V.singular_vectors(mu, d)]
+    monkeypatch.undo()
+    return verdicts, hits
+
+
+def _objs(hits, onto_full=False):
+    return [(mu, d, lam, [V.verma_element_to_obj(V.reexpress(w, V.get_module(mu))
+                                                 if onto_full else w) for w in vecs])
+            for mu, d, lam, vecs in hits]
+
+
+def test_sieve_on_its_own_data_matches_the_converted_sieve(monkeypatch):
+    verdicts, hits = _sieve_run(monkeypatch, SWEEPS)
+    old_verdicts, old_hits = _sieve_run(monkeypatch, SWEEPS, oracle=True)
+    assert verdicts == old_verdicts
+    assert _objs(hits) == _objs(old_hits)
+    # no fallback at 2^31 - 1; every survivor is a hit (575 + 262 killed)
+    counts = {v: sum(1 for _, x in verdicts if x == v)
+              for v in ("dead", "alive", "unlucky")}
+    assert counts == {"dead": 575 + 262, "alive": 6 + 2, "unlucky": 0}
+    assert len(hits) == counts["alive"]
+
+
+def test_forced_fallback_at_a_small_prime_keeps_the_vectors(monkeypatch):
+    # a small prime may renumber the lazy basis: compare on get_module(mu)
+    searches = [(mu, 2) for mu in sl5.dominant_weights_in_box(2) if sum(mu) <= 4]
+    _, want = _sieve_run(monkeypatch, searches)
+    monkeypatch.setattr(V, "SIEVE_PRIME", 3)
+    verdicts, hits = _sieve_run(monkeypatch, searches)
+    assert any(v == "unlucky" for _, v in verdicts)
+    assert _objs(hits, onto_full=True) == _objs(want, onto_full=True)
+
+
+def test_unlucky_prime_triggers():
+    mod = fm.TensorModule((2, 0, 0, 1)).build_full()
+    # the one basis vector with a half cannot be reduced mod 2
+    (half,) = [i for i, v in enumerate(mod.vectors)
+               if any(c.denominator == 2 for c in v.values())]
+    with pytest.raises(UnluckyPrime):
+        mod.vector(half, p=2)
+    # an F_p vector outside its weight space leaves a residual
+    nu = mod.weights[half]
+    stray = dict(mod.vector(half, p=3))
+    stray[max(stray)] = (stray[max(stray)] + 1) % 3
+    with pytest.raises(UnluckyPrime):
+        mod.coords(nu, stray, p=3)
+    # a stacked raising system of F(1,1,0,0) loses rank mod 3, never mod 2^31 - 1
+    mod = fm.TensorModule((1, 1, 0, 0)).build_full()
+    dropped = []
+    for nu in sorted(set(mod.weights) - {mod.highest_weight}):
+        V._stacked_solver(mod, nu, p=V.SIEVE_PRIME)
+        try:
+            V._stacked_solver(mod, nu, p=3)
+        except UnluckyPrime:
+            dropped.append(nu)
+    assert len(dropped) == 1
+
+
+def test_fp_solver_is_the_rational_solver_mod_p():
+    p = V.SIEVE_PRIME
+    mod = fm.TensorModule((1, 1, 0, 0)).build_full()
+    for nu in sorted(set(mod.weights) - {mod.highest_weight}):
+        for r, s in ((1, 2), (2, 3), (3, 4), (4, 5)):
+            assert mod.act_entries(r, s, nu, p=p) == {
+                col: {k: v for k, c in img.items() if (v := to_fp(c, p))}
+                for col, img in mod.act_entries(r, s, nu).items()}
+        solve_combs, zero_combs = V._stacked_solver(mod, nu, p=p)
+        q_solve, q_zero = V._stacked_solver(mod, nu)
+        assert list(solve_combs) == list(q_solve)
+        # full column rank mod p: the left kernels have equal dimensions, and
+        # the solve combinations differ from the reduced rational ones by a
+        # combination of the F_p left kernel
+        assert len(zero_combs) == len(q_zero)
+        kernel = RowReducer(p)
+        for comb in zero_combs:
+            kernel.insert(comb)
+        for col, comb in solve_combs.items():
+            diff = dict(comb)
+            add_into(diff, {k: to_fp(c, p) for k, c in q_solve[col].items()}, -1, p)
+            assert not kernel.reduce(diff)
 
 
 def test_sieve_sends_only_survivors_to_the_exact_pass(monkeypatch):
