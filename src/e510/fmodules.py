@@ -15,10 +15,8 @@ Weight spaces are built lazily; a full build checks the Weyl dimension.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
-
 from . import sl5
-from .linalg import UnluckyPrime, add_into, to_fp
+from .linalg import UnluckyPrime, add_into, as_int, exact_div, to_fp
 from .uminus import PAIRS
 
 N_GEN = 30
@@ -53,55 +51,47 @@ def monomial_weight(m: tuple):
     return sl5.from_gl(monomial_gl_weight(m))
 
 
-def _bump(m: tuple, pos: int, delta: int, pos2: int = None, delta2: int = 0) -> tuple:
-    e = list(m)
-    e[pos] += delta
-    if pos2 is not None:
-        e[pos2] += delta2
-    return tuple(e)
+def _moves(r: int, s: int) -> tuple:
+    """The (source slot, target slot, sign) moves of x_r d/dx_s: a monomial
+    with exponent e at the source slot gives the term sign * e at itself
+    with one unit moved to the target slot.  Rules: x_r ds . x_t = delta_ts
+    x_r, x_r ds . x*_t = -delta_rt x*_s, extended as derivations to the
+    wedge generators; source == target when r = s."""
+    moves = [(_V0 + s - 1, _V0 + r - 1, 1), (_VD0 + r - 1, _VD0 + s - 1, -1)]
+
+    def wedge(base, k, sign, pairs):
+        for a, b in pairs:
+            if a != b:
+                moves.append((base + k, base + _PAIR_POS[min(a, b), max(a, b)],
+                              sign if a < b else -sign))
+
+    for k, (i, j) in enumerate(PAIRS):
+        # x_r ds . x_ij = delta_is x_rj + delta_js x_ir (slot order kept)
+        wedge(_W0, k, 1, [(r, j)] * (i == s) + [(i, r)] * (j == s))
+        # x_r ds . x*_ij = -(delta_ri x*_sj + delta_rj x*_is)
+        wedge(_WD0, k, -1, [(s, j)] * (i == r) + [(i, s)] * (j == r))
+    return tuple(moves)
+
+
+_MOVES = {(r, s): _moves(r, s) for r in range(1, 6) for s in range(1, 6)}
 
 
 def glact_monomial(r: int, s: int, m: tuple) -> dict:
-    """Derivation action of x_r d/dx_s on a tensor monomial (r = s allowed).
-
-    Rules: x_r ds . x_t = delta_ts x_r and x_r ds . x*_t = -delta_rt x*_s,
-    extended as derivations to the wedge generators.  Coefficients are plain
-    ints (exponents times signs); terms may cancel only when r = s.
-    """
-    out: dict = {}
-
-    def put(key, c):
-        c += out.get(key, 0)
-        if c:
-            out[key] = c
-        else:
-            out.pop(key, None)
-
-    e = m[_V0 + s - 1]
-    if e:
-        put(_bump(m, _V0 + s - 1, -1, _V0 + r - 1, +1), e)
-    ed = m[_VD0 + r - 1]
-    if ed:
-        put(_bump(m, _VD0 + r - 1, -1, _VD0 + s - 1, +1), -ed)
-    for k, (i, j) in enumerate(PAIRS):
-        ew = m[_W0 + k]
-        if ew:
-            # x_r ds . x_ij = delta_is x_rj + delta_js x_ir (slot order kept)
-            for np_raw in (((r, j),) if i == s else ()) + (((i, r),) if j == s else ()):
-                a, b = np_raw
-                if a == b:
-                    continue
-                sign, np = (1, (a, b)) if a < b else (-1, (b, a))
-                put(_bump(m, _W0 + k, -1, _W0 + _PAIR_POS[np], +1), sign * ew)
-        ewd = m[_WD0 + k]
-        if ewd:
-            # x_r ds . x*_ij = -(delta_ri x*_sj + delta_rj x*_is)
-            for np_raw in (((s, j),) if i == r else ()) + (((i, s),) if j == r else ()):
-                a, b = np_raw
-                if a == b:
-                    continue
-                sign, np = (1, (a, b)) if a < b else (-1, (b, a))
-                put(_bump(m, _WD0 + k, -1, _WD0 + _PAIR_POS[np], +1), -sign * ewd)
+    """Derivation action of x_r d/dx_s on a tensor monomial (r = s allowed),
+    read off the precomputed moves.  Coefficients are plain ints (exponents
+    times signs); for r != s every move gives its own monomial, and for
+    r = s every move gives m itself, so terms cancel only then."""
+    if r == s:
+        c = sum(sign * m[src] for src, _dst, sign in _MOVES[r, s])
+        return {m: c} if c else {}
+    out = {}
+    for src, dst, sign in _MOVES[r, s]:
+        e = m[src]
+        if e:
+            t = list(m)
+            t[src] -= 1
+            t[dst] += 1
+            out[tuple(t)] = sign * e
     return out
 
 
@@ -134,7 +124,9 @@ class TensorModule:
     monomial has coefficient 1 and reduced against earlier vectors of the same
     weight space.  Provenance of each vector (which lowering of which parent
     created it, with the reduction trail) supports equivariant extension of
-    singular vectors to morphisms.
+    singular vectors to morphisms.  Every rational scalar stored (basis
+    vectors, provenance, action columns) is an int where integral and a
+    Fraction otherwise.
     """
 
     def __init__(self, lam):
@@ -186,7 +178,7 @@ class TensorModule:
         if nu == self.weight:
             self.spaces[nu] = []
             self.pivots[nu] = {}
-            self._insert(nu, {hw_monomial(self.weight): Q(1)}, None)
+            self._insert(nu, {hw_monomial(self.weight): 1}, None)
             return self.spaces[nu]
         if sl5.dominated_depth(nu, self.weight) is None:
             self.spaces[nu] = []
@@ -228,9 +220,9 @@ class TensorModule:
         """Reduce an ambient vector by the basis of the weight space nu, least
         monomial first, until the least monomial is no basis vector's pivot.
         Returns (residual, trail), trail being the [(index, coefficient)]
-        subtracted; the residual is empty when vec lies in the space.  With a
-        modulus p, vec and the basis are over F_p; pivots are 1 there too, so
-        nothing is divided."""
+        subtracted, each coefficient an int where integral; the residual is
+        empty when vec lies in the space.  With a modulus p, vec and the basis
+        are over F_p; pivots are 1 there too, so nothing is divided."""
         residual = dict(vec)
         trail = []
         piv = self.pivots.get(nu, {})
@@ -240,7 +232,7 @@ class TensorModule:
             hit = piv.get(mkey)
             if hit is None:
                 break
-            c = residual[mkey]
+            c = as_int(residual[mkey])
             trail.append((hit, c))
             add_into(residual, basis[hit], -c, p)
         return residual, trail
@@ -250,9 +242,13 @@ class TensorModule:
         if not residual:
             return None
         mkey = min(residual)
-        pc = residual[mkey]
+        pc = as_int(residual[mkey])
+        if pc == 1 or pc == -1:
+            unit = {k: as_int(pc * v) for k, v in residual.items()}
+        else:
+            unit = {k: exact_div(v, pc) for k, v in residual.items()}
         n = len(self.vectors)
-        self.vectors.append({k: v / pc for k, v in residual.items()})
+        self.vectors.append(unit)
         self.weights.append(nu)
         self.spaces[nu].append(n)
         self.pivots[nu][mkey] = n
@@ -310,8 +306,8 @@ class TensorModule:
         return self.weights[idx]
 
     def act_entries(self, r: int, s: int, nu, *, p: int | None = None) -> dict:
-        """Column map idx -> {idx': Q} of x_r d/dx_s on the weight space nu,
-        or with a modulus p the same map over F_p, computed from the basis
+        """Column map idx -> {idx': scalar} of x_r d/dx_s on the weight space
+        nu, or with a modulus p the same map over F_p, computed from the basis
         vectors mod p.  Both build the same weight spaces in the same order."""
         key = (r, s, tuple(nu))
         cache = self.cache("_act_cache", p)

@@ -1,13 +1,15 @@
 """Exact rational scalars and sparse linear algebra over Q, and over F_p.
 
-Everything here is exact: scalars are `fractions.Fraction`, elimination is
-plain fraction arithmetic with deterministic pivoting, and there is no
-tolerance anywhere.  Matrices are stored sparsely as {(row, col): Fraction}
-with no explicit zeros.  `add_into` and `RowReducer` also work over a prime
-field F_p when given a modulus p: values are then plain ints in range(p), and
-`to_fp` maps a p-integral rational into F_p.  `UnluckyPrime` is raised where
-F_p cannot stand in for Q because p divides a denominator of the rational
-computation.
+Everything here is exact: scalars are ints where integral and
+`fractions.Fraction`s otherwise, elimination is plain rational arithmetic
+with deterministic pivoting, and there is no tolerance anywhere.  No `/`
+sees two ints, so no float can arise (`exact_div` divides; the pivot of
+`RowReducer` is a Fraction).  Matrices are stored sparsely as
+{(row, col): scalar} with no explicit zeros.  `add_into` and `RowReducer`
+also work over a prime field F_p when given a modulus p: values are then
+plain ints in range(p), and `to_fp` maps a p-integral rational into F_p.
+`UnluckyPrime` is raised where F_p cannot stand in for Q because p divides
+a denominator of the rational computation.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ __all__ = [
     "solve",
     "RowReducer",
     "to_fp",
+    "as_int",
+    "exact_div",
     "UnluckyPrime",
 ]
 
@@ -60,6 +64,20 @@ def to_fp(x, p: int) -> int:
     if den % p == 0:
         raise UnluckyPrime(f"{p} divides the denominator of {x}")
     return x.numerator * pow(den, -1, p) % p
+
+
+def as_int(x):
+    """x as an int when it is integral (a Fraction otherwise)."""
+    return x if type(x) is int else x.numerator if x.denominator == 1 else x
+
+
+def exact_div(a, b):
+    """a / b for ints or Fractions a and b != 0: an int when the quotient is
+    integral, a Fraction otherwise, and never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Q(a, b) if r else q
+    return as_int(a / b)
 
 
 def add_into(acc: dict, other: dict, scale: Q = Q(1), p: int | None = None) -> None:
@@ -193,9 +211,10 @@ def solve(m: SparseMatrix, b) -> dict[int, Q] | None:
 class RowReducer:
     """Incremental reduced row echelon form over ordered hashable column keys.
 
-    Rows are sparse dicts key -> Q.  insert() reduces a new row against the
-    basis, absorbs the remainder as a new row with a unit pivot on its least
-    key, and back-eliminates that key from the older rows, so no pivot key
+    Rows are sparse dicts key -> rational (int or Fraction).  insert()
+    reduces a new row against the basis, absorbs the remainder as a new row
+    with a unit pivot on its least key (dividing by the pivot as a Fraction
+    over Q), and back-eliminates that key from the older rows, so no pivot key
     ever appears in another row and each row's pivot is its least key.  The
     result is the reduced echelon form of the rows inserted so far, unique for
     the natural order of the keys.
@@ -243,7 +262,7 @@ class RowReducer:
         k = min(row)
         p = self.p
         if p is None:
-            pv = row[k]
+            pv = Q(row[k])  # rows may hold ints: divide as Fractions
             unit = {j: v / pv for j, v in row.items()}
             if comb is not None:
                 comb = {j: v / pv for j, v in comb.items()}

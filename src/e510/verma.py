@@ -67,7 +67,7 @@ from functools import lru_cache, partial
 from . import fmodules, sl5, uminus
 from .fmodules import TensorModule, DualModule, glact_vector, gen_shift
 from .fmodules import _PAIR_POS
-from .linalg import RowReducer, UnluckyPrime, add_into, format_scalar, parse_scalar, to_fp
+from .linalg import RowReducer, UnluckyPrime, add_into, as_int, format_scalar, parse_scalar, to_fp
 
 ZDEL = uminus.ZERO_DEL
 
@@ -101,14 +101,9 @@ class VermaElement:
         return None
 
 
-def _as_int(x):
-    """x as an int when it is integral (a Fraction otherwise)."""
-    return x.numerator if x.denominator == 1 else x
-
-
 @lru_cache(maxsize=None)
 def _l0_mono(s: int, r: int, m: tuple):
-    return tuple((m2, _as_int(c)) for m2, c in uminus.l0_adjoint(s, r, {m: Q(1)}).items())
+    return tuple((m2, as_int(c)) for m2, c in uminus.l0_adjoint(s, r, {m: Q(1)}).items())
 
 
 def act_l0(r: int, s: int, w: VermaElement) -> VermaElement:
@@ -337,6 +332,21 @@ def _weight_groups(d: int) -> dict:
     return groups
 
 
+@lru_cache(maxsize=8)
+def _transitions(d: int, p: int | None) -> dict:
+    """The adjoint actions of the raisings on the degree-d PBW monomials,
+    over Q (p None) or F_p: table[i][m2][m] is the coefficient of m2 in
+    x_i d_{i+1} . m, the sources m of each m2 in _weight_groups(d) order.
+    Shared by every candidate of every search of degree d."""
+    table: dict = {i: {} for i in range(1, 5)}
+    for ms in _weight_groups(d).values():
+        for m in ms:
+            for i in range(1, 5):
+                for m2, c in _l0_mono(i, i + 1, m):
+                    table[i].setdefault(m2, {})[m] = c if p is None else to_fp(c, p)
+    return table
+
+
 def _candidates(mu, groups) -> list:
     """The dominant weights mu + wt(m), sorted: the lam a search tries."""
     return sorted(lam for w in groups if sl5.is_dominant(lam := sl5.wadd(mu, w)))
@@ -410,13 +420,9 @@ def _lift_singular(mod, d, lam, groups, impose_l1=True, verify=True):
     def lift(p):
         """(V, constraints) over Q (p None) or F_p, or None once dead."""
         solver, vector, zimage = _lifting_inputs(mod, p)
-        # adjoint transition tables: trans[i][m_target][m_source] = coeff
-        trans = {i: {} for i in range(1, 5)}
-        for m in nu_of:
-            for i in range(1, 5):
-                for m2, c in _l0_mono(i, i + 1, m):
-                    if m2 in nu_of:
-                        trans[i].setdefault(m2, {})[m] = c if p is None else to_fp(c, p)
+        # trans[i][m_target][m_source] = coeff; V holds only monomials of
+        # nu_of, so the sources outside it contribute nothing
+        trans = _transitions(d, p)
 
         constraints = RowReducer(p)
         V: dict = {}           # monomial -> {fidx -> {ci -> scalar}}
@@ -578,11 +584,13 @@ def get_module(lam) -> TensorModule:
 
 def clear_caches() -> None:
     """Empty the process-wide caches: the L_0 and L_1 action tables on PBW
-    monomials, the L_1 spanning set, the fully built modules of get_module
-    and uminus's normal-ordering table.  Results do not depend on them."""
+    monomials, the raising transition tables, the L_1 spanning set, the
+    fully built modules of get_module and uminus's normal-ordering table.
+    Results do not depend on them."""
     global _l1_cache
     _l0_mono.cache_clear()
     _odd_action.cache_clear()
+    _transitions.cache_clear()
     _l1_cache = None
     _module_cache.clear()
     uminus._order_cache.clear()
@@ -763,19 +771,19 @@ def _clear_denominators(table: dict) -> dict:
 
 class _ActionColumns(dict):
     """idx -> the image column of x_r d/dx_s at basis index idx of a module,
-    integral entries as ints.  A missing index is filled with its whole
-    weight space from module.act_entries, so the module sees the calls
-    module.apply_gen would make, in the same order: a lazily built module (a
-    search's module, whose F-basis numbering certificates record) gains the
-    same weight spaces as under the rational action."""
+    as module.act_entries stores it (ints where integral).  A missing index
+    is filled with its whole weight space from module.act_entries, so the
+    module sees the calls module.apply_gen would make, in the same order: a
+    lazily built module (a search's module, whose F-basis numbering
+    certificates record) gains the same weight spaces as under the rational
+    action."""
 
     def __init__(self, module, r: int, s: int):
         self.module, self.r, self.s = module, r, s
 
     def __missing__(self, idx):
         mod = self.module
-        for j, img in mod.act_entries(self.r, self.s, mod.weight_of(idx)).items():
-            self[j] = {i: _as_int(v) for i, v in img.items()}
+        self.update(mod.act_entries(self.r, self.s, mod.weight_of(idx)))
         return self[idx]
 
     def apply(self, col: dict, out: dict) -> dict:
@@ -804,14 +812,15 @@ class _TransposedAction(dict):
             entries = mod.act_entries(self.r, self.s, nu)
             for n in ns:
                 for k2, c in entries[n].items():
-                    self.setdefault(k2, []).append((n, _as_int(c)))
+                    self.setdefault(k2, []).append((n, c))
         return self.setdefault(k, [])
 
 
 class _IntView:
-    """What one morphism check reads, in ints: D * Phi (see
-    _clear_denominators) and the actions of x_r d/dx_s on the target, each
-    built on first use and kept for this check only."""
+    """What one morphism check reads: D * Phi in ints (see
+    _clear_denominators) and the actions of x_r d/dx_s on the target as the
+    module stores them (ints where integral), each built on first use and
+    kept for this check only."""
 
     def __init__(self, phi: MorphismData):
         self.phi = phi

@@ -234,3 +234,52 @@ def fp_view(mod, p, solver, zimage):
         return got
 
     return fp_solver, fp_vector, fp_zimage
+
+
+def glact_monomial(r, s, m):
+    """x_r d/dx_s on a tensor monomial by the slot loop the table-driven
+    fmodules.glact_monomial replaced: the reference for its terms, their
+    order and their int coefficients."""
+    from e510.uminus import PAIRS
+
+    pair_pos = {p: k for k, p in enumerate(PAIRS)}
+    V0, W0, WD0, VD0 = 0, 5, 15, 25
+    out = {}
+
+    def bump(pos, pos2):
+        e = list(m)
+        e[pos] -= 1
+        e[pos2] += 1
+        return tuple(e)
+
+    def put(key, c):
+        c += out.get(key, 0)
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+
+    e = m[V0 + s - 1]
+    if e:
+        put(bump(V0 + s - 1, V0 + r - 1), e)
+    ed = m[VD0 + r - 1]
+    if ed:
+        put(bump(VD0 + r - 1, VD0 + s - 1), -ed)
+    for k, (i, j) in enumerate(PAIRS):
+        ew = m[W0 + k]
+        if ew:
+            # x_r ds . x_ij = delta_is x_rj + delta_js x_ir (slot order kept)
+            for a, b in (((r, j),) if i == s else ()) + (((i, r),) if j == s else ()):
+                if a == b:
+                    continue
+                sign, np = (1, (a, b)) if a < b else (-1, (b, a))
+                put(bump(W0 + k, W0 + pair_pos[np]), sign * ew)
+        ewd = m[WD0 + k]
+        if ewd:
+            # x_r ds . x*_ij = -(delta_ri x*_sj + delta_rj x*_is)
+            for a, b in (((s, j),) if i == r else ()) + (((i, s),) if j == r else ()):
+                if a == b:
+                    continue
+                sign, np = (1, (a, b)) if a < b else (-1, (b, a))
+                put(bump(WD0 + k, WD0 + pair_pos[np]), -sign * ewd)
+    return out

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from e510 import fmodules as fm
 from e510 import sl5
 
@@ -281,11 +282,55 @@ def test_glact_vector_matches_fraction_reference(r, s, vec):
     assert all(type(c) is Q for c in got.values())
 
 
+def _stored_scalars(mod):
+    """Every scalar a module stores: basis vectors, provenance trail
+    coefficients and pivots, and the rational action columns."""
+    for vec in mod.vectors:
+        yield from vec.values()
+    for _origin, trail, pc in mod.prov:
+        yield pc
+        yield from (c for _idx, c in trail)
+    for cols in mod._act_cache.values():
+        for col in cols.values():
+            yield from col.values()
+
+
 def test_built_vectors_have_fraction_coefficients():
-    for lam in [(1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 0, 0), (2, 0, 0, 1)]:
-        m = fm.build_irreducible(lam)
-        for vec in m.vectors:
-            assert all(type(c) is Q for c in vec.values()), lam
+    # the coefficients are rationals stored as an int when integral and as a
+    # Fraction only when not, never as a float; checked on full modules with
+    # every action column built (F(0,0,1,2) is the least whose coordinates
+    # meet integral Fractions) and on a search's lazy module
+    from e510 import verma
+
+    mods = [fm.build_irreducible(lam) for lam in
+            [(1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 0, 0), (2, 0, 0, 1), (0, 0, 1, 2)]]
+    for mod in mods:
+        for nu in list(mod.spaces):
+            for r, s in itertools.product(range(1, 6), repeat=2):
+                mod.act_entries(r, s, nu)
+    lazy = fm.TensorModule((0, 0, 1, 0))
+    assert verma.singular_vectors((0, 0, 1, 0), 2, module=lazy)
+    assert lazy._act_cache
+    kinds = set()
+    for mod in mods + [lazy]:
+        for c in _stored_scalars(mod):
+            assert type(c) is int or (type(c) is Q and c.denominator != 1), (mod.weight, c)
+            kinds.add(type(c))
+    assert kinds == {int, Q}
+
+
+_dense_monomials = st.lists(st.integers(0, 2), min_size=30, max_size=30).map(tuple)
+
+
+@pytest.mark.parametrize("r,s", list(itertools.product(range(1, 6), repeat=2)))
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_monomials, _dense_monomials))
+def test_glact_monomial_matches_slot_loop(r, s, m):
+    got = fm.glact_monomial(r, s, m)
+    want = oracles.glact_monomial(r, s, m)
+    # same terms in the same order, as ints
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is int for c in got.values())
 
 
 @pytest.mark.parametrize("code", [

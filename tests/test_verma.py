@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -14,7 +16,7 @@ from e510 import fmodules as fm
 from e510 import sl5
 from e510 import uminus as um
 from e510 import verma as V
-from e510.linalg import RowReducer, UnluckyPrime, add_into, to_fp
+from e510.linalg import RowReducer, UnluckyPrime, add_into, format_scalar, to_fp
 from oracles import klimyk_multiplicity
 
 ZD = um.ZERO_DEL
@@ -838,6 +840,27 @@ def test_sieve_sends_only_survivors_to_the_exact_pass(monkeypatch):
     assert moduli.count(V.SIEVE_PRIME) == 5 == len(moduli) - 1
 
 
+def test_lazy_sweep_modules_are_pinned():
+    # the degree-2 sweep's results and every lazy module it builds: weight
+    # spaces in build order, basis vectors term by term in stored order and
+    # the provenance, values as format_scalar renders them
+    h = hashlib.sha256()
+    for mu in sl5.dominant_weights_in_box(2):
+        if sum(mu) > 4:
+            continue
+        mod = fm.TensorModule(mu)
+        hits = V.singular_vectors(mu, 2, module=mod)
+        parts = [
+            [[lam, [V.verma_element_to_obj(w) for w in vecs]] for lam, vecs in hits],
+            [[nu, idxs] for nu, idxs in mod.spaces.items()],
+            [[[m, format_scalar(c)] for m, c in vec.items()] for vec in mod.vectors],
+            [[origin, [[k, format_scalar(c)] for k, c in trail], format_scalar(pc)]
+             for origin, trail, pc in mod.prov],
+        ]
+        h.update(json.dumps(parts, separators=(",", ":")).encode())
+    assert h.hexdigest() == "22976dfd59af7205b8b2d51fb18c4d161331e15930ccb6197ed59615a48e6142"
+
+
 def test_depth_memo_matches_dominated_depth():
     mu = (0, 0, 1, 1)
     mod = fm.TensorModule(mu)
@@ -877,6 +900,7 @@ def test_clear_caches_empties_every_global_cache():
     V.clear_caches()
     assert V._l0_mono.cache_info().currsize == 0
     assert V._odd_action.cache_info().currsize == 0
+    assert V._transitions.cache_info().currsize == 0
     assert V._l1_cache is None
     assert V._module_cache == {}
     assert um._order_cache == {}
