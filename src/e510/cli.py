@@ -178,7 +178,6 @@ def cmd_irrep(args) -> int:
 
 def _write_certs(rows, out_dir, d):
     paths = []
-    os.makedirs(out_dir, exist_ok=True)
     for row in rows:
         for i, w in enumerate(row.vectors):
             cert = verma.make_certificate(row.mu, row.lam, d, w, row.family)
@@ -339,6 +338,12 @@ def main(argv=None) -> int:
             opt = "--" + dest.replace("_", "-")
             print(f"error: {opt} must be >= {low}, got {getattr(args, dest)}",
                   file=sys.stderr)
+            return EXIT_USAGE
+    if getattr(args, "out", None):
+        try:  # before any search, so a bad --out costs no sweep
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"error: --out: {exc}", file=sys.stderr)
             return EXIT_USAGE
     handler = {
         "omega": cmd_omega,

@@ -392,7 +392,3 @@ class DualModule:
 def build_irreducible(lam) -> TensorModule:
     """Fully built F(lam); raises on a Weyl-dimension mismatch."""
     return TensorModule(lam).build_full()
-
-
-def dual_module(mod) -> DualModule:
-    return DualModule(mod)

@@ -4,10 +4,11 @@ Everything here is exact: scalars are ints where integral and
 `fractions.Fraction`s otherwise, elimination is plain rational arithmetic
 with deterministic pivoting, and there is no tolerance anywhere.  No `/`
 sees two ints, so no float can arise (`exact_div` divides; the pivot of
-`RowReducer` is a Fraction).  Matrices are stored sparsely as
-{(row, col): scalar} with no explicit zeros.  `add_into` and `RowReducer`
-also work over a prime field F_p when given a modulus p: values are then
-plain ints in range(p), and `to_fp` maps a p-integral rational into F_p.
+`RowReducer` is a Fraction).  Vectors and matrix rows are sparse dicts
+key -> scalar with no explicit zeros, and `RowReducer` is the one
+Gauss-Jordan eliminator.  `add_into` and `RowReducer` also work over a
+prime field F_p when given a modulus p: values are then plain ints in
+range(p), and `to_fp` maps a p-integral rational into F_p.
 `UnluckyPrime` is raised where F_p cannot stand in for Q because p divides
 a denominator of the rational computation.
 """
@@ -20,10 +21,7 @@ __all__ = [
     "Q",
     "parse_scalar",
     "format_scalar",
-    "SparseMatrix",
-    "rank",
     "null_space",
-    "solve",
     "RowReducer",
     "to_fp",
     "as_int",
@@ -108,104 +106,13 @@ def add_into(acc: dict, other: dict, scale: Q = Q(1), p: int | None = None) -> N
                 acc.pop(k, None)
 
 
-class SparseMatrix:
-    """Sparse matrix over Q; entries maps (row, col) -> nonzero Fraction."""
-
-    def __init__(self, nrows: int, ncols: int, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries: dict[tuple[int, int], Q] = {}
-        if entries:
-            for (i, j), v in entries.items():
-                self[i, j] = v
-
-    def __getitem__(self, ij):
-        return self.entries.get(ij, Q(0))
-
-    def __setitem__(self, ij, v):
-        i, j = ij
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"index {ij} out of bounds for {self.nrows}x{self.ncols}")
-        v = Q(v)
-        if v:
-            self.entries[ij] = v
-        else:
-            self.entries.pop(ij, None)
-
-    @classmethod
-    def from_rows(cls, rows, ncols=None):
-        """Build from an iterable of dense rows (lists) or sparse rows (dicts)."""
-        rows = list(rows)
-        if ncols is None:
-            width = 0
-            for r in rows:
-                if isinstance(r, (list, tuple)):
-                    width = max(width, len(r))
-                elif r:
-                    width = max(width, max(r) + 1)
-            ncols = width
-        m = cls(len(rows), ncols)
-        for i, r in enumerate(rows):
-            items = enumerate(r) if isinstance(r, (list, tuple)) else r.items()
-            for j, v in items:
-                if v:
-                    m[i, j] = v
-        return m
-
-    def rows(self) -> list[dict[int, Q]]:
-        out = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def mul_vector(self, x: dict[int, Q]) -> dict[int, Q]:
-        out: dict[int, Q] = {}
-        for (i, j), v in self.entries.items():
-            xv = x.get(j)
-            if xv:
-                s = out.get(i, Q(0)) + v * xv
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
-        return out
-
-
-def _reduced(rows) -> RowReducer:
+def null_space(rows, ncols: int) -> list[dict]:
+    """Kernel basis of the sparse dict rows seen as linear forms on
+    range(ncols), read off their reduced echelon form (RowReducer.kernel)."""
     red = RowReducer()
     for row in rows:
         red.insert(row)
-    return red
-
-
-def rank(m: SparseMatrix) -> int:
-    """Rank over Q by exact elimination."""
-    return _reduced(m.rows()).rank
-
-
-def null_space(m: SparseMatrix) -> list[dict[int, Q]]:
-    """Echelonized basis of {v : Mv = 0}.
-
-    Each basis vector has a distinguished free coordinate equal to 1 that does
-    not appear in the other basis vectors; the basis has m.ncols - rank(m)
-    elements and is deterministic.
-    """
-    return _reduced(m.rows()).kernel(range(m.ncols))
-
-
-def solve(m: SparseMatrix, b) -> dict[int, Q] | None:
-    """Some x with Mx = b, or None when b is not in the column space."""
-    if isinstance(b, (list, tuple)):
-        b = {i: Q(v) for i, v in enumerate(b) if v}
-    aug = m.ncols  # augmented column index
-    rows = m.rows()
-    for i, v in b.items():
-        if v:
-            rows[i][aug] = Q(v)
-    red = _reduced(rows)
-    if aug in red.pivots:
-        return None  # a row reduced to 0 = 1: inconsistent
-    return {c: row[aug] for c, row in red.pivots.items() if aug in row}
+    return red.kernel(range(ncols))
 
 
 class RowReducer:

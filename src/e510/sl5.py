@@ -9,8 +9,6 @@ integer matrix 5 C^{-1} followed by an exact division by 5.
 
 from __future__ import annotations
 
-import json
-
 Weight = tuple  # 4 integers in fundamental-weight coordinates
 
 # simple roots in fundamental coordinates: rows of the A4 Cartan matrix
@@ -135,14 +133,3 @@ def dominant_weights_in_box(max_entry: int):
     """All dominant weights with every coordinate in [0, max_entry]."""
     rng = range(max_entry + 1)
     return [(a, b, c, d) for a in rng for b in rng for c in rng for d in rng]
-
-
-def weight_to_json(lam: Weight) -> str:
-    return json.dumps(list(lam))
-
-
-def weight_from_json(s: str) -> Weight:
-    v = json.loads(s)
-    if len(v) != 4 or not all(isinstance(x, int) for x in v):
-        raise ValueError(f"not a weight: {s}")
-    return tuple(v)

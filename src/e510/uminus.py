@@ -123,19 +123,6 @@ def normal_form(word) -> dict:
     return out
 
 
-def u_scale(u: dict, c: Q) -> dict:
-    if not c:
-        return {}
-    return {m: c * v for m, v in u.items()}
-
-
-def u_add(*elems) -> dict:
-    out: dict = {}
-    for e in elems:
-        add_into(out, e)
-    return out
-
-
 def u_mul(a: dict, b: dict) -> dict:
     """Product in U(L_-) of two elements in normal form."""
     out: dict = {}

@@ -319,8 +319,7 @@ def highest_weight_vectors(mu, d: int, lam, module: TensorModule | None = None):
     """Basis of the weight-lam highest weight vectors of (U_-)_d (x) F(mu)
     (no L_1 condition); used for cross-checks and negative controls."""
     mod = module if module is not None else TensorModule(tuple(mu))
-    return _lift_singular(mod, d, tuple(lam), _weight_groups(d), impose_l1=False,
-                          verify=False)
+    return _lift_singular(mod, d, tuple(lam), _weight_groups(d), impose_l1=False)
 
 
 def _weight_groups(d: int) -> dict:
@@ -384,11 +383,12 @@ def _sieve(lift) -> str:
         return "unlucky"
 
 
-def _lift_singular(mod, d, lam, groups, impose_l1=True, verify=True):
+def _lift_singular(mod, d, lam, groups, impose_l1=True):
     """Basis of the degree-d singular vectors of weight lam in M(mu) (of the
     highest weight vectors when impose_l1 is False) by leading-term lifting:
     one lifting loop, run over F_p as a sieve and then over Q for the
-    survivors (see the module docstring).  groups is _weight_groups(d)."""
+    survivors (see the module docstring).  groups is _weight_groups(d).  With
+    impose_l1 each vector is re-verified by the full is_singular check."""
     mu = mod.highest_weight
     depths = mod._depth_cache
 
@@ -523,7 +523,7 @@ def _lift_singular(mod, d, lam, groups, impose_l1=True, verify=True):
                     terms[(m, fidx)] = val
         w = VermaElement(mod, d, terms)
         w = _normalize_singular(w)
-        if verify and not is_singular(w, full_l1=impose_l1):
+        if impose_l1 and not is_singular(w):
             raise ArithmeticError(
                 f"lifted vector fails the singular check: mu={mu}, lam={lam}, d={d}")
         vecs.append(w)

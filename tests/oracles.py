@@ -72,13 +72,18 @@ def dense_null_space(rows, ncols):
     return basis
 
 
-def dense_solve(rows, ncols, b):
-    """The solution of Mx = b whose free coordinates are 0 (zeros left out),
-    or None when the augmented system has a pivot in its last column."""
-    rref, pivots = dense_rref([list(r) + [bi] for r, bi in zip(rows, b)], ncols + 1)
-    if ncols in pivots:
-        return None
-    return {p: row[ncols] for row, p in zip(rref, pivots) if row[ncols]}
+def u_scale(u, c):
+    """c * u for a sparse element {monomial: coefficient}, zeros left out."""
+    return {m: c * v for m, v in u.items() if c * v}
+
+
+def u_add(*elems):
+    """The sum of sparse elements {monomial: coefficient}, zeros left out."""
+    out = {}
+    for e in elems:
+        for m, v in e.items():
+            out[m] = out.get(m, 0) + v
+    return {m: v for m, v in out.items() if v}
 
 
 def hook_content_dimension(partition, n=5):

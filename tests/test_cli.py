@@ -215,3 +215,18 @@ def test_out_of_range_integer_option(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: --") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["singular", "--mu", "0,0,0,1", "--degree", "1"],
+    ["classify", "--degree", "1", "--max-entry", "0"],
+])
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+def test_out_that_cannot_be_a_directory(argv, sub, tmp_path, capsys):
+    # --out naming a regular file, or a path below one, is a usage error
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory\n")
+    code, out, err = run(argv + ["--out", str(blocker / sub)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --out") and err.count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"

@@ -126,11 +126,11 @@ def test_commutator_relations_random():
 
 
 def test_dual_module_examples():
-    triv = fm.dual_module(fm.build_irreducible((0, 0, 0, 0)))
+    triv = fm.DualModule(fm.build_irreducible((0, 0, 0, 0)))
     assert triv.highest_weight == (0, 0, 0, 0)
-    d5 = fm.dual_module(fm.build_irreducible((1, 0, 0, 0)))
+    d5 = fm.DualModule(fm.build_irreducible((1, 0, 0, 0)))
     assert d5.highest_weight == (0, 0, 0, 1)
-    d40 = fm.dual_module(fm.build_irreducible((1, 1, 0, 0)))
+    d40 = fm.DualModule(fm.build_irreducible((1, 1, 0, 0)))
     assert d40.highest_weight == (0, 0, 1, 1)
     assert d40.weight_of(d40.hw_index) == (0, 0, 1, 1)
     for i in range(1, 5):
@@ -139,7 +139,7 @@ def test_dual_module_examples():
 
 def test_dual_negated_transpose():
     m = fm.build_irreducible((0, 1, 0, 0))
-    dm = fm.dual_module(m)
+    dm = fm.DualModule(m)
     for r, s in [(2, 1), (1, 2), (3, 5)]:
         for p in range(m.dim):
             img = m.apply_gen(r, s, {p: Q(1)})
@@ -159,7 +159,7 @@ def test_every_weight_dominated_by_highest():
 def test_weight_multiplicities_symmetric_under_duality():
     lam = (1, 1, 0, 0)
     m = fm.build_irreducible(lam)
-    dm = fm.dual_module(m)
+    dm = fm.DualModule(m)
     mults, dmults = {}, {}
     for idx in range(m.dim):
         mults[m.weight_of(idx)] = mults.get(m.weight_of(idx), 0) + 1

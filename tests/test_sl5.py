@@ -101,12 +101,6 @@ def test_dual_respects_dominance():
             sl5.dominance_compare(sl5.dual_weight(lam), sl5.dual_weight(mu))
 
 
-def test_weight_json_round_trip():
-    lam = (1, 0, 2, 3)
-    assert sl5.weight_from_json(sl5.weight_to_json(lam)) == lam
-    assert sl5.weight_to_json(lam) == "[1, 0, 2, 3]"
-
-
 # (C^{-1})_{ij} = min(i, j) (5 - max(i, j)) / 5 for the A4 Cartan matrix
 _CARTAN_INV_REF = [[Q(min(i, j) * (5 - max(i, j)), 5) for j in range(1, 5)]
                    for i in range(1, 5)]
