@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction as Q
+from functools import lru_cache
 
 from . import sl5
 from .linalg import add_into, format_scalar, parse_scalar
@@ -339,14 +340,17 @@ def d_arrow(s: int, r: int, I: tuple) -> dict:
 # ---------------------------------------------------------------------------
 # The omega basis of (U_-)_d
 
+@lru_cache(maxsize=8)
 def omega_basis(d: int):
     """Representatives (T, I) and their expansions in PBW monomials.
 
     T runs over nondecreasing tuples in [5]^k and I over canonical B-orbit
     representatives (strictly increasing tuples of canonical pairs) with
     2k + len(I) = d.  Returns (reps, cols) with cols[i] the UElement
-    del_T omega_I.  The matrix is square unitriangular: the level-k component
-    of each column is exactly the PBW monomial (T, I) with coefficient 1.
+    del_T omega_I, by del count k ascending.  The matrix is square
+    unitriangular in that order: the level-k component of each column is
+    exactly the PBW monomial (T, I) with coefficient 1.  One result per
+    degree is memoized and shared, so callers only read reps and cols.
     """
     reps = []
     cols = []
@@ -354,14 +358,15 @@ def omega_basis(d: int):
         npairs = d - 2 * k
         if npairs > len(PAIRS):
             continue
+        omegas = [(I, omega(I)) for I in itertools.combinations(PAIRS, npairs)]
         for T in itertools.combinations_with_replacement(range(1, 6), k):
             d5 = [0] * 5
             for t in T:
                 d5[t - 1] += 1
             d5 = tuple(d5)
-            for I in itertools.combinations(PAIRS, npairs):
+            for I, om in omegas:
                 col = {}
-                for (d5w, psw), c in omega(I).items():
+                for (d5w, psw), c in om.items():
                     col[(tuple(x + y for x, y in zip(d5, d5w)), psw)] = c
                 reps.append((T, I))
                 cols.append(col)
@@ -400,27 +405,6 @@ def omega_basis_check(d: int) -> bool:
                 return False
         diag.add(m0)
     return diag == monos
-
-
-def omega_basis_inverse(d: int):
-    """Rows of the inverse change of basis: inv[i] is a sparse map
-    monomial -> Q with X_i = sum_m inv[i][m] * target[m] solving
-    sum_i X_i col_i = target.  Exact back-substitution on the
-    unitriangular structure."""
-    reps, cols = omega_basis(d)
-    order = sorted(range(len(reps)), key=lambda i: sum(rep_monomial(reps[i])[0]))
-    inv: list[dict] = [None] * len(reps)
-    for i in order:
-        m0 = rep_monomial(reps[i])
-        row = {m0: Q(1)}
-        for j in order:
-            if j == i:
-                break
-            c = cols[j].get(m0)
-            if c:
-                add_into(row, inv[j], -c)
-        inv[i] = row
-    return reps, cols, inv
 
 
 # ---------------------------------------------------------------------------

@@ -189,9 +189,11 @@ def act_l1_combination(elem: dict, w: VermaElement) -> VermaElement:
     return VermaElement(w.module, w.degree - 1, out)
 
 
+@lru_cache(maxsize=1)
 def l1_basis() -> list[dict]:
     """A spanning set of L_1 as the closure of x_5 d45 under the raising
-    operators, echelonized; 40 elements, each a dict (p, pair) -> Q."""
+    operators, echelonized; 40 elements, each a dict (p, pair) -> Q.
+    Memoized and shared: callers only read it."""
     def raise_elem(i, elem):
         out: dict = {}
         for (p, (a, b)), c in elem.items():
@@ -220,16 +222,6 @@ def l1_basis() -> list[dict]:
     return basis
 
 
-_l1_cache: list | None = None
-
-
-def _l1_basis_cached():
-    global _l1_cache
-    if _l1_cache is None:
-        _l1_cache = l1_basis()
-    return _l1_cache
-
-
 def leading_term(w: VermaElement) -> VermaElement:
     """Projection onto U_- (x) F(mu)_mu: the terms whose F part lies on the
     top weight line."""
@@ -246,7 +238,7 @@ def is_singular(w: VermaElement, full_l1: bool = True) -> bool:
     if not act_x5d45(w).is_zero():
         return False
     if full_l1:
-        for elem in _l1_basis_cached():
+        for elem in l1_basis():
             if not act_l1_combination(elem, w).is_zero():
                 return False
     return True
@@ -585,14 +577,14 @@ def get_module(lam) -> TensorModule:
 def clear_caches() -> None:
     """Empty the process-wide caches: the L_0 and L_1 action tables on PBW
     monomials, the raising transition tables, the L_1 spanning set, the
-    fully built modules of get_module and uminus's normal-ordering table.
-    Results do not depend on them."""
-    global _l1_cache
+    fully built modules of get_module, and uminus's omega basis and
+    normal-ordering table.  Results do not depend on them."""
     _l0_mono.cache_clear()
     _odd_action.cache_clear()
     _transitions.cache_clear()
-    _l1_cache = None
+    l1_basis.cache_clear()
     _module_cache.clear()
+    uminus.omega_basis.cache_clear()
     uminus._order_cache.clear()
 
 
@@ -617,7 +609,7 @@ def reexpress(w: VermaElement, module) -> VermaElement:
     return VermaElement(module, w.degree, terms)
 
 
-def morphism_from_singular(w: VermaElement, lam, mu=None, check: bool = True) -> MorphismData:
+def morphism_from_singular(w: VermaElement, lam, check: bool = True) -> MorphismData:
     """The morphism M(lam) -> M(mu) with Phi(hw) = w, extended equivariantly
     along the lowering provenance of the freshly built F(lam).
 
@@ -695,22 +687,41 @@ def compose(phi2: MorphismData, phi1: MorphismData) -> MorphismData:
 
 
 def theta_decomposition(phi: MorphismData) -> dict:
-    """Coefficients of Phi on the del_T omega_I basis: rep -> column map."""
-    reps, _cols, inv = uminus.omega_basis_inverse(phi.degree)
+    """Coefficients of Phi on the del_T omega_I basis: rep -> column map.
+
+    The basis is unitriangular by del count (uminus.omega_basis), so in its
+    order theta_rep is what is left of Phi at the diagonal monomial of rep,
+    and del_T omega_I (x) theta_rep is then peeled off the rest."""
+    reps, cols = uminus.omega_basis(phi.degree)
+    rest = {m: {n: dict(col) for n, col in cs.items()} for m, cs in phi.coeffs.items()}
     out: dict = {}
-    for rep, row in zip(reps, inv):
-        theta: dict = {}
-        for mono, cf in row.items():
-            cols = phi.coeffs.get(mono)
-            if not cols:
-                continue
-            for n, col in cols.items():
-                acc = theta.setdefault(n, {})
-                add_into(acc, col, cf)
-        theta = {n: col for n, col in theta.items() if col}
-        if theta:
-            out[rep] = theta
+    for rep, col in zip(reps, cols):
+        m0 = uminus.rep_monomial(rep)
+        theta = {n: c for n, c in rest.pop(m0, {}).items() if c}
+        if not theta:
+            continue
+        out[rep] = theta
+        for mono, cf in col.items():
+            if mono != m0:
+                acc = rest.setdefault(mono, {})
+                for n, c in theta.items():
+                    add_into(acc.setdefault(n, {}), c, -cf)
     return out
+
+
+def _expand_omega(degree: int, thetas: dict, factor) -> dict:
+    """sum over rep = (T, I) of factor(rep) del_T omega_I (x) thetas[rep] as
+    Phi coefficients, without empty columns or monomials."""
+    colmap = dict(zip(*uminus.omega_basis(degree)))
+    coeffs: dict = {}
+    for rep, theta in thetas.items():
+        f = factor(rep)
+        for mono, cf in colmap[rep].items():
+            for n, col in theta.items():
+                add_into(coeffs.setdefault(mono, {}).setdefault(n, {}), col, f * cf)
+    coeffs = {m: {n: col for n, col in cols.items() if col}
+              for m, cols in coeffs.items()}
+    return {m: cols for m, cols in coeffs.items() if cols}
 
 
 def _onto_full_target(phi: MorphismData) -> MorphismData:
@@ -737,23 +748,14 @@ def dual_morphism(phi: MorphismData) -> MorphismData:
     thetas = theta_decomposition(phi)
     src = DualModule(phi.target)
     tgt = DualModule(phi.source)
-    reps, cols = uminus.omega_basis(phi.degree)
-    colmap = dict(zip(reps, cols))
-    coeffs: dict = {}
+    # transpose: theta* column at w-index q collects theta[n][q] at n
+    tstars: dict = {}
     for rep, theta in thetas.items():
-        sign = Q((-1) ** len(rep[0]))
-        # transpose: theta* column at w-index q collects theta[n][q] at n
-        tstar: dict = {}
+        tstar = tstars[rep] = {}
         for n, col in theta.items():
             for q, v in col.items():
                 tstar.setdefault(q, {})[n] = v
-        for mono, cf in colmap[rep].items():
-            for q, col in tstar.items():
-                acc = coeffs.setdefault(mono, {}).setdefault(q, {})
-                add_into(acc, col, sign * cf)
-    coeffs = {m: {n: col for n, col in cols_.items() if col}
-              for m, cols_ in coeffs.items()}
-    coeffs = {m: cols_ for m, cols_ in coeffs.items() if cols_}
+    coeffs = _expand_omega(phi.degree, tstars, lambda rep: Q((-1) ** len(rep[0])))
     tag = "conjectural" if phi.degree >= 4 else ""
     return MorphismData(phi.degree, sl5.dual_weight(phi.mu),
                         sl5.dual_weight(phi.lam), src, tgt, coeffs, tag)
@@ -965,8 +967,7 @@ def verify_degree_equations(phi: MorphismData):
 def _theta_table(phi: MorphismData) -> dict:
     """The theta blocks keyed (T, I), scaled to ints by a positive integer
     (see _clear_denominators)."""
-    return _clear_denominators({(tuple(rep[0]), rep[1]): theta
-                                for rep, theta in theta_decomposition(phi).items()})
+    return _clear_denominators(theta_decomposition(phi))
 
 
 def _equations_deg1(view: _IntView):
@@ -1179,7 +1180,7 @@ def make_certificate(mu, lam, d: int, w: VermaElement, family: str) -> dict:
     checks = {
         "l0_highest": all(act_l0(i, i + 1, w).is_zero() for i in range(1, 5)),
         "x5d45": act_x5d45(w).is_zero(),
-        "full_l1": all(act_l1_combination(e, w).is_zero() for e in _l1_basis_cached()),
+        "full_l1": all(act_l1_combination(e, w).is_zero() for e in l1_basis()),
     }
     phi = morphism_from_singular(w, lam)
     checks["equations"] = verify_degree_equations(phi)[0] if d <= 3 else False
@@ -1439,20 +1440,11 @@ def equivariant_controls(phi: MorphismData, count: int):
     ks = {len(rep[0]) for rep in thetas}
     if len(ks) < 2:
         return []
-    reps, cols = uminus.omega_basis(phi.degree)
-    colmap = dict(zip(reps, cols))
     out = []
     for j in range(count):
         scale = Q(2 + j)
-        coeffs: dict = {}
-        for rep, theta in thetas.items():
-            factor = scale if len(rep[0]) > 0 else Q(1)
-            for mono, cf in colmap[rep].items():
-                for n, col in theta.items():
-                    acc = coeffs.setdefault(mono, {}).setdefault(n, {})
-                    add_into(acc, col, factor * cf)
-        coeffs = {m: {n: col for n, col in cs.items() if col}
-                  for m, cs in coeffs.items()}
+        coeffs = _expand_omega(phi.degree, thetas,
+                               lambda rep: scale if len(rep[0]) > 0 else Q(1))
         out.append(MorphismData(phi.degree, phi.lam, phi.mu, phi.source,
                                 phi.target, coeffs, tag=f"scaled-{j}"))
     return out

@@ -288,3 +288,44 @@ def glact_monomial(r, s, m):
                 sign, np = (1, (a, b)) if a < b else (-1, (b, a))
                 put(bump(WD0 + k, WD0 + pair_pos[np]), -sign * ewd)
     return out
+
+
+def omega_basis_inverse(d: int):
+    """Rows of the inverse change of basis: inv[i] is a sparse map
+    monomial -> Q with X_i = sum_m inv[i][m] * target[m] solving
+    sum_i X_i col_i = target.  Exact back-substitution on the
+    unitriangular structure."""
+    from e510.linalg import add_into
+    from e510.uminus import omega_basis, rep_monomial
+
+    reps, cols = omega_basis(d)
+    order = sorted(range(len(reps)), key=lambda i: sum(rep_monomial(reps[i])[0]))
+    inv: list[dict] = [None] * len(reps)
+    for i in order:
+        m0 = rep_monomial(reps[i])
+        row = {m0: Q(1)}
+        for j in order:
+            if j == i:
+                break
+            c = cols[j].get(m0)
+            if c:
+                add_into(row, inv[j], -c)
+        inv[i] = row
+    return reps, cols, inv
+
+
+def theta_decomposition(phi):
+    """Phi's theta blocks by the explicit inverse change of basis, the
+    reference for verma.theta_decomposition, which peels them off by del
+    count: rep -> n -> column, in the order of the omega basis."""
+    reps, _cols, inv = omega_basis_inverse(phi.degree)
+    out = {}
+    for rep, row in zip(reps, inv):
+        theta = {}
+        for mono, cf in row.items():
+            for n, col in phi.coeffs.get(mono, {}).items():
+                _axpy(theta.setdefault(n, {}), col, cf)
+        theta = {n: col for n, col in theta.items() if col}
+        if theta:
+            out[rep] = theta
+    return out

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction as Q
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from e510 import sl5
 from e510 import uminus as um
+from e510 import verma as V
 from oracles import (crossing_count, partial_matchings, perm_sign_by_inversions,
                      u_add, u_scale)
 
@@ -212,21 +216,21 @@ def test_omega_basis_invertible_small():
         assert um.omega_basis_check(d)
 
 
-def test_omega_basis_inverse_round_trip():
-    rng = random.Random(23)
-    reps, cols, inv = um.omega_basis_inverse(2)
-    target = {}
-    picks = {rng.randrange(len(reps)): Q(rng.randint(-5, 5)) for _ in range(6)}
-    for i, c in picks.items():
-        for m, v in cols[i].items():
-            target[m] = target.get(m, Q(0)) + c * v
-    target = {m: v for m, v in target.items() if v}
-    got = {}
-    for i, row in enumerate(inv):
-        val = sum((cf * target.get(m, Q(0)) for m, cf in row.items()), Q(0))
-        if val:
-            got[i] = val
-    assert got == {i: c for i, c in picks.items() if c}
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_omega_basis_round_trip(data):
+    # random theta blocks on random reps, expanded on the omega basis and
+    # decomposed again, come back unchanged
+    d = data.draw(st.integers(1, 4))
+    reps = um.omega_basis(d)[0]
+    picked = data.draw(st.lists(st.sampled_from(reps), min_size=1, max_size=6, unique=True))
+    scalars = st.builds(Q, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    column = st.dictionaries(st.integers(0, 5), scalars, min_size=1, max_size=3)
+    thetas = {rep: data.draw(st.dictionaries(st.integers(0, 3), column, min_size=1, max_size=3))
+              for rep in picked}
+    phi = V.MorphismData(d, None, None, None, None,
+                         V._expand_omega(d, thetas, lambda rep: Q(1)))
+    assert V.theta_decomposition(phi) == thetas
 
 
 def test_dominance_on_degree2_monomials():

@@ -299,6 +299,32 @@ def test_theta_decomposition_del_basis_element():
     assert thetas[((3,), ())][0] == {0: Q(5)}
 
 
+_CHAINS = [("A", 0, 0), ("A", 1, 0), ("A", 0, 1), ("B", 0, 0), ("B", 1, 0), ("B", 0, 1),
+           ("C", 0, 0), ("C", 1, 0), ("C", 0, 1), ("BA", 1, 0), ("CB", 0, 0),
+           ("CA", 0, 0), ("CBA", 0, 0)]
+
+
+def _nested(d):
+    return [(k, _nested(v) if isinstance(v, dict) else v) for k, v in d.items()]
+
+
+def test_theta_decomposition_matches_inverse_oracle():
+    # peeling by del count gives the blocks of the explicit inverse change of
+    # basis: the same values, reps, source indices and target indices, all in
+    # the same order
+    corpus = []
+    for chain, m, n in _CHAINS:
+        phi = V.family_instance(chain, m, n)
+        corpus += [phi, V.dual_morphism(phi)]
+        corpus += V.perturbed_controls(phi, 1, seed=11)
+        corpus += V.equivariant_controls(phi, 2)
+    assert len(corpus) == 43
+    for phi in corpus:
+        got = V.theta_decomposition(phi)
+        assert got
+        assert _nested(got) == _nested(oracles.theta_decomposition(phi)), (phi.lam, phi.tag)
+
+
 def test_theta_CA_relation():
     # theta_{12,45}(s) = 2 theta^3(s) for nabla_C nabla_A
     CA = V.family_instance("CA")
@@ -592,20 +618,12 @@ def test_grading_act_l0_preserves_degree():
         assert um.degree(m) == 2
 
 
-def test_is_singular_builds_l1_basis_once(monkeypatch):
-    calls = []
-    real = V.l1_basis
-
-    def counting():
-        calls.append(1)
-        return real()
-
-    monkeypatch.setattr(V, "l1_basis", counting)
-    monkeypatch.setattr(V, "_l1_cache", None)
+def test_is_singular_builds_l1_basis_once():
+    V.l1_basis.cache_clear()
     (_lam, vecs), = V.singular_vectors((0, 0, 0, 1), 1)
     for _ in range(3):
         assert V.is_singular(vecs[0], full_l1=True)
-    assert len(calls) == 1
+    assert V.l1_basis.cache_info().misses == 1
 
 
 def test_search_reverification_runs_under_optimize():
@@ -896,12 +914,18 @@ def test_clear_caches_empties_every_global_cache():
 
     before = search()
     V.get_module((0, 1, 0, 0))
-    V._l1_basis_cached()
+    V.l1_basis()
+    um.omega_basis(2)
     V.clear_caches()
     assert V._l0_mono.cache_info().currsize == 0
     assert V._odd_action.cache_info().currsize == 0
     assert V._transitions.cache_info().currsize == 0
-    assert V._l1_cache is None
+    # every memoized function of either namespace, so a forgotten one fails
+    memoized = {(ns.__name__, name): obj.cache_info().currsize
+                for ns in (V, um) for name, obj in vars(ns).items()
+                if hasattr(obj, "cache_info")}
+    assert {("e510.verma", "l1_basis"), ("e510.uminus", "omega_basis")} <= set(memoized)
+    assert all(size == 0 for size in memoized.values()), memoized
     assert V._module_cache == {}
     assert um._order_cache == {}
     assert search() == before
