@@ -120,7 +120,7 @@ def cmd_omega(args) -> int:
         return EXIT_USAGE
     w = uminus.omega(I)
     if args.json:
-        print(uminus.uelement_to_json(w))
+        print(json.dumps(uminus.uelement_to_obj(w)))
     elif args.latex:
         print(uminus.latex_uelement(w))
     else:

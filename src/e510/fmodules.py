@@ -113,11 +113,46 @@ def gen_shift(r: int, s: int):
     return sl5.from_gl(c)
 
 
-_RAISING = [(i, i + 1) for i in range(1, 5)]   # e_i = x_i d_{i+1}
-_LOWERING = [(i + 1, i) for i in range(1, 5)]  # f_i = x_{i+1} d_i
+class ActionColumns(dict):
+    """idx -> the image column of x_r d/dx_s at basis index idx of a module,
+    as module.act_entries stores it.  A missing index is filled with its
+    whole weight space from module.act_entries, so a lazily built module (a
+    search's module, whose F-basis numbering certificates record) gains the
+    same weight spaces, in the same order, as under one act_entries call per
+    index."""
+
+    def __init__(self, module, r: int, s: int):
+        self.module, self.r, self.s = module, r, s
+
+    def __missing__(self, idx):
+        mod = self.module
+        self.update(mod.act_entries(self.r, self.s, mod.weight_of(idx)))
+        return self[idx]
+
+    def apply(self, coords: dict, out: dict) -> dict:
+        """out += x_r d/dx_s applied to a coordinate vector; returns out."""
+        for idx, c in coords.items():
+            add_into(out, self[idx], c)
+        return out
 
 
-class TensorModule:
+class _ActingModule:
+    """The sl5 action shared by TensorModule and DualModule: one cached
+    ActionColumns view per generator, kept in self._actions."""
+
+    def action(self, r: int, s: int) -> ActionColumns:
+        """The column view of x_r d/dx_s, made once per module."""
+        got = self._actions.get((r, s))
+        if got is None:
+            got = self._actions[r, s] = ActionColumns(self, r, s)
+        return got
+
+    def apply_gen(self, r: int, s: int, coords: dict) -> dict:
+        """x_r d/dx_s applied to a coordinate vector (indices may mix weights)."""
+        return self.action(r, s).apply(coords, {})
+
+
+class TensorModule(_ActingModule):
     """F(a,b,c,d) with lazily built weight spaces.
 
     Basis vectors are ambient sparse dicts, normalized so the pivot (least)
@@ -143,12 +178,14 @@ class TensorModule:
         self._clear_derived()
 
     # Caches derived from the basis, rebuilt on demand and not pickled: the
-    # action columns (r, s, weight) -> {idx -> {idx' -> Q}}, and, filled by
-    # the singular search, (x_5 d_t op, index) -> ambient image, weight ->
-    # factored stacked raising maps, and weight -> depth below the highest
-    # weight.  _fp_cache maps p -> cache name -> the same data over F_p
-    # (with "bases" for the weight-space bases reduced mod p); see cache().
-    _DERIVED = ("_act_cache", "_zterm_cache", "_stack_cache", "_fp_cache", "_depth_cache")
+    # action columns (r, s, weight) -> {idx -> {idx' -> Q}} and their views
+    # (r, s) -> ActionColumns, and, filled by the singular search, (x_5 d_t
+    # op, index) -> ambient image, weight -> factored stacked raising maps,
+    # and weight -> depth below the highest weight.  _fp_cache maps p ->
+    # cache name -> the same data over F_p (with "bases" for the weight-space
+    # bases reduced mod p); see cache().
+    _DERIVED = ("_act_cache", "_actions", "_zterm_cache", "_stack_cache", "_fp_cache",
+                "_depth_cache")
 
     def _clear_derived(self):
         for name in self._DERIVED:
@@ -323,16 +360,8 @@ class TensorModule:
         cache[key] = cols
         return cols
 
-    def apply_gen(self, r: int, s: int, coords: dict) -> dict:
-        """x_r d/dx_s applied to a coordinate vector (indices may mix weights)."""
-        out: dict = {}
-        for idx, c in coords.items():
-            cols = self.act_entries(r, s, self.weights[idx])
-            add_into(out, cols[idx], c)
-        return out
 
-
-class DualModule:
+class DualModule(_ActingModule):
     """Abstract dual of a fully built module: generators act by negated
     transpose; the reported highest weight is the dual weight."""
 
@@ -349,6 +378,7 @@ class DualModule:
         # the base is fully built, so its weights are final
         self._weights = [tuple(-x for x in base.weight_of(i)) for i in range(base_dim)]
         self._act_cache: dict = {}
+        self._actions: dict = {}
 
     @property
     def dim(self) -> int:
@@ -380,13 +410,6 @@ class DualModule:
                 cols[p][q] = -v
         self._act_cache[key] = cols
         return cols
-
-    def apply_gen(self, r: int, s: int, coords: dict) -> dict:
-        out: dict = {}
-        for idx, c in coords.items():
-            nu = self.weight_of(idx)
-            add_into(out, self.act_entries(r, s, nu)[idx], c)
-        return out
 
 
 def build_irreducible(lam) -> TensorModule:

@@ -12,7 +12,6 @@ the crossing-number combinatorics and the L0-adjoint action live here.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -162,26 +161,12 @@ def pbw_monomials(d: int) -> list[tuple]:
         npairs = d - 2 * k
         if npairs > len(PAIRS):
             continue
-        dels = sorted(_multidegrees(k))
+        dels = sorted(rep_monomial((T, ()))[0]
+                      for T in itertools.combinations_with_replacement(range(1, 6), k))
         for d5 in dels:
             for ps in itertools.combinations(PAIRS, npairs):
                 out.append((d5, ps))
     return out
-
-
-def _multidegrees(k: int):
-    """5-tuples of nonnegative integers summing to k."""
-    if k == 0:
-        yield ZERO_DEL
-        return
-    for cuts in itertools.combinations(range(k + 4), 4):
-        prev = -1
-        parts = []
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(k + 3 - prev)
-        yield tuple(parts)
 
 
 def pbw_dimension(d: int) -> int:
@@ -360,10 +345,7 @@ def omega_basis(d: int):
             continue
         omegas = [(I, omega(I)) for I in itertools.combinations(PAIRS, npairs)]
         for T in itertools.combinations_with_replacement(range(1, 6), k):
-            d5 = [0] * 5
-            for t in T:
-                d5[t - 1] += 1
-            d5 = tuple(d5)
+            d5 = rep_monomial((T, ()))[0]
             for I, om in omegas:
                 col = {}
                 for (d5w, psw), c in om.items():
@@ -427,10 +409,6 @@ def uelement_to_obj(u: dict) -> list:
 
 def uelement_from_obj(obj) -> dict:
     return {monomial_from_obj(t["monomial"]): parse_scalar(t["coeff"]) for t in obj}
-
-
-def uelement_to_json(u: dict) -> str:
-    return json.dumps(uelement_to_obj(u))
 
 
 def format_monomial(m: tuple) -> str:

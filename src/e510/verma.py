@@ -53,7 +53,9 @@ the denominators of Phi's coefficients, x . (D Phi) = D (x . Phi) vanishes
 exactly when x . Phi does; likewise the theta blocks are scaled by a positive
 integer and each degree equation is multiplied by 4.  Scaling by a positive
 integer keeps zero-ness, so verdicts and diagnostics are those of rational
-arithmetic, and all 20 generators of L_0 are still checked in full.
+arithmetic, and all 20 generators of L_0 are still checked in full.  The
+target's action is read through its module's column views (action(r, s)),
+the same ones apply_gen uses, and the source's through a transposed view.
 """
 
 from __future__ import annotations
@@ -392,38 +394,34 @@ def _lift_singular(mod, d, lam, groups, impose_l1=True):
             got = depths[nu] = None if ks is None else sum(ks)
         return got
 
-    levels: dict[int, list] = {}
-    nu_of: dict = {}
-    depth_of: dict = {}
+    # depth -> {nu -> the sorted monomials of weight lam - nu}: w -> lam - w is
+    # injective, so each nu has one group, and depth 0 holds only nu = mu
+    levels: dict[int, dict] = {}
     for w, ms in groups.items():
         nu = sl5.wsub(lam, w)
         dm = nu_depth(nu)
-        if dm is None:
-            continue
-        levels.setdefault(dm, []).extend(ms)
-        for m in ms:
-            depth_of[m] = dm
-            nu_of[m] = nu
+        if dm is not None:
+            levels.setdefault(dm, {})[nu] = sorted(ms)
     if 0 not in levels:
         return []
-    leading = sorted(levels[0])
+    leading = levels[0][mu]
     L = len(leading)
 
     def lift(p):
         """(V, constraints) over Q (p None) or F_p, or None once dead."""
         solver, vector, zimage = _lifting_inputs(mod, p)
         # trans[i][m_target][m_source] = coeff; V holds only monomials of
-        # nu_of, so the sources outside it contribute nothing
+        # levels, so the sources outside it contribute nothing
         trans = _transitions(d, p)
 
         constraints = RowReducer(p)
         V: dict = {}           # monomial -> {fidx -> {ci -> scalar}}
         zacc: dict = {}        # depth -> {(monomial, ambient mono) -> {ci -> scalar}}
 
-        def add_z_terms(m, nu, comps):
+        def add_z_terms(m, nu, depth, comps):
             for m2, c2, op in _odd_action(5, (4, 5), m):
                 if op is None:
-                    tau_depth = depth_of[m]
+                    tau_depth = depth
                     vecs = {fidx: vector(fidx) for fidx in comps}
                 else:
                     tau_depth = nu_depth(sl5.wadd(nu, gen_shift(op[0], op[1])))
@@ -461,12 +459,9 @@ def _lift_singular(mod, d, lam, groups, impose_l1=True):
                     hw_space = mod.ensure_weight(mu)
                     V[m] = {hw_space[0]: {ci: one}}
                     if impose_l1:
-                        add_z_terms(m, mu, V[m])
+                        add_z_terms(m, mu, 0, V[m])
             else:
-                by_nu: dict = {}
-                for m in sorted(levels.get(depth, [])):
-                    by_nu.setdefault(nu_of[m], []).append(m)
-                for nu, ms in sorted(by_nu.items()):
+                for nu, ms in sorted(levels.get(depth, {}).items()):
                     solve_combs, zero_combs = solver(nu)
                     for m in ms:
                         b: dict = {}
@@ -487,7 +482,7 @@ def _lift_singular(mod, d, lam, groups, impose_l1=True):
                         if comps:
                             V[m] = comps
                             if impose_l1:
-                                add_z_terms(m, nu, comps)
+                                add_z_terms(m, nu, depth, comps)
                         if constraints.rank >= L:
                             return None
             if impose_l1 and flush_z(depth):
@@ -771,30 +766,6 @@ def _clear_denominators(table: dict) -> dict:
             for key, cols in table.items()}
 
 
-class _ActionColumns(dict):
-    """idx -> the image column of x_r d/dx_s at basis index idx of a module,
-    as module.act_entries stores it (ints where integral).  A missing index
-    is filled with its whole weight space from module.act_entries, so the
-    module sees the calls module.apply_gen would make, in the same order: a
-    lazily built module (a search's module, whose F-basis numbering
-    certificates record) gains the same weight spaces as under the rational
-    action."""
-
-    def __init__(self, module, r: int, s: int):
-        self.module, self.r, self.s = module, r, s
-
-    def __missing__(self, idx):
-        mod = self.module
-        self.update(mod.act_entries(self.r, self.s, mod.weight_of(idx)))
-        return self[idx]
-
-    def apply(self, col: dict, out: dict) -> dict:
-        """out += x_r d/dx_s applied to a coordinate vector; returns out."""
-        for idx, c in col.items():
-            add_into(out, self[idx], c)
-        return out
-
-
 class _TransposedAction(dict):
     """k -> [(n, A[k, n])] with n ascending for A the action of x_r d/dx_s
     on a module: the columns n whose image has a k component.  A missing k
@@ -818,34 +789,17 @@ class _TransposedAction(dict):
         return self.setdefault(k, [])
 
 
-class _IntView:
-    """What one morphism check reads: D * Phi in ints (see
-    _clear_denominators) and the actions of x_r d/dx_s on the target as the
-    module stores them (ints where integral), each built on first use and
-    kept for this check only."""
-
-    def __init__(self, phi: MorphismData):
-        self.phi = phi
-        self.coeffs = _clear_denominators(phi.coeffs)
-        self._target: dict = {}
-
-    def target_action(self, r: int, s: int) -> _ActionColumns:
-        got = self._target.get((r, s))
-        if got is None:
-            got = self._target[r, s] = _ActionColumns(self.phi.target, r, s)
-        return got
-
-
-def _gen_on_theta(phi: MorphismData, r: int, s: int, view: _IntView | None = None):
-    """x_r d/dx_s . (D Phi) as a morphism-shaped coefficient dict in ints, D
-    as in view.coeffs (zero iff Phi is invariant): sum [x, m] (x) theta_m +
-    m (x) (A_W theta_m - theta_m A_V)."""
-    if view is None:
-        view = _IntView(phi)
-    A_W = view.target_action(r, s)
+def _gen_on_theta(phi: MorphismData, r: int, s: int, coeffs: dict | None = None):
+    """x_r d/dx_s . (D Phi) as a morphism-shaped coefficient dict in ints
+    (zero iff Phi is invariant): sum [x, m] (x) theta_m + m (x) (A_W theta_m
+    - theta_m A_V).  coeffs is D Phi, _clear_denominators(phi.coeffs),
+    computed when not given."""
+    if coeffs is None:
+        coeffs = _clear_denominators(phi.coeffs)
+    A_W = phi.target.action(r, s)
     A_V = _TransposedAction(phi.source, r, s)
     out: dict = {}
-    for m, cols in view.coeffs.items():
+    for m, cols in coeffs.items():
         for m2, c2 in _l0_mono(r, s, m):
             tgt = out.setdefault(m2, {})
             for n, col in cols.items():
@@ -860,13 +814,14 @@ def _gen_on_theta(phi: MorphismData, r: int, s: int, view: _IntView | None = Non
             for m, cols in out.items() if any(cols.values())}
 
 
-def _equivariance_failure(view: _IntView):
+def _equivariance_failure(phi: MorphismData):
     """The first (r, s, monomial) at which x_r d/dx_s . Phi is not zero, over
     all 20 generators of L_0 in order, or None when Phi is invariant."""
+    coeffs = _clear_denominators(phi.coeffs)
     for r in range(1, 6):
         for s in range(1, 6):
             if r != s:
-                bad = _gen_on_theta(view.phi, r, s, view)
+                bad = _gen_on_theta(phi, r, s, coeffs)
                 if bad:
                     return r, s, next(iter(bad))
     return None
@@ -875,7 +830,7 @@ def _equivariance_failure(view: _IntView):
 def check_morphism(phi: MorphismData):
     """Morphism conditions: (a) L_0 . Phi = 0 for all 20 generators and
     (b) x5 d45 annihilates Phi(hw).  Returns (ok, diagnostics)."""
-    bad = _equivariance_failure(_IntView(phi))
+    bad = _equivariance_failure(phi)
     if bad:
         r, s, mono = bad
         return False, f"L0 equivariance fails at x_{r}d{s}, monomial {uminus.format_monomial(mono)}"
@@ -911,8 +866,8 @@ def _mat_add(acc: dict, theta, sign: int) -> None:
         add_into(a, col, sign)
 
 
-def _mat_apply(view: _IntView, r: int, s: int, theta) -> dict:
-    A_W = view.target_action(r, s)
+def _mat_apply(phi: MorphismData, r: int, s: int, theta) -> dict:
+    A_W = phi.target.action(r, s)
     out: dict = {}
     for n, col in theta.items():
         img = A_W.apply(col, {})
@@ -953,15 +908,14 @@ def verify_degree_equations(phi: MorphismData):
     """Degree-specific scalar equations characterizing morphisms among
     L0-invariant Phi, evaluated on every basis vector of F(lam) at once.
     Returns (ok, diagnostics); the verdict agrees with check_morphism."""
-    view = _IntView(phi)
-    bad = _equivariance_failure(view)
+    bad = _equivariance_failure(phi)
     if bad:
         r, s, _mono = bad
         return False, f"precheck: L0 equivariance fails at x_{r}d{s}"
     equations = {1: _equations_deg1, 2: _equations_deg2, 3: _equations_deg3}.get(phi.degree)
     if equations is None:
         return False, "unsupported degree"
-    return equations(view)
+    return equations(phi)
 
 
 def _theta_table(phi: MorphismData) -> dict:
@@ -970,8 +924,8 @@ def _theta_table(phi: MorphismData) -> dict:
     return _clear_denominators(theta_decomposition(phi))
 
 
-def _equations_deg1(view: _IntView):
-    table = _theta_table(view.phi)
+def _equations_deg1(phi: MorphismData):
+    table = _theta_table(phi)
     for p in range(1, 6):
         others = [x for x in range(1, 6) if x != p]
         for trip in itertools.permutations(others, 3):
@@ -980,18 +934,18 @@ def _equations_deg1(view: _IntView):
             for al, be, ga in _cyclic(a, b, c):
                 theta, sign = _theta_lookup(table, (), ((al, be),))
                 if theta:
-                    _mat_add(acc, _mat_apply(view, p, ga, theta), sign)
+                    _mat_add(acc, _mat_apply(phi, p, ga, theta), sign)
             if any(col for col in acc.values()):
                 return False, f"degree-1 equation fails at p={p}, (a,b,c)={trip}"
     return True, "ok"
 
 
-def _equations_deg2(view: _IntView):
+def _equations_deg2(phi: MorphismData):
     """x_p d_Q Phi(v) expanded over the d_K basis: the coefficient of each
     canonical K must vanish; the theta^p term appears only on the K matching
     Q, weighted by the orientation sign of d_Q = sign * d_K.  Each equation
     is multiplied by 4."""
-    table = _theta_table(view.phi)
+    table = _theta_table(phi)
     for p, q in itertools.permutations(range(1, 6), 2):
         a, b, c = [x for x in range(1, 6) if x not in (p, q)]
         eps = _perm_eps(p, q, a, b, c)
@@ -1007,15 +961,15 @@ def _equations_deg2(view: _IntView):
                 _mat_add(acc, sh, -2 * eps)
                 theta, sign = _theta_lookup(table, (), I)
                 if theta:
-                    _mat_add(acc, _mat_apply(view, p, ga, theta), 4 * eps * sign)
+                    _mat_add(acc, _mat_apply(phi, p, ga, theta), 4 * eps * sign)
             if any(col for col in acc.values()):
                 return False, f"degree-2 equation fails at Q=({p},{q}), K={K}"
     return True, "ok"
 
 
-def _equations_deg3(view: _IntView):
+def _equations_deg3(phi: MorphismData):
     """The degree-3 equations (3)-(6), each multiplied by 4."""
-    table = _theta_table(view.phi)
+    table = _theta_table(phi)
     pairs1 = list(uminus.PAIRS)
     for p, q in itertools.permutations(range(1, 6), 2):
         rest = [x for x in range(1, 6) if x not in (p, q)]
@@ -1029,10 +983,10 @@ def _equations_deg3(view: _IntView):
             for al, be, ga in _cyclic(a, b, c):
                 th, sg = _theta_lookup(table, (p,), ((al, be),))
                 if th:
-                    _mat_add(acc5, _mat_apply(view, p, ga, th), 4 * sg)
+                    _mat_add(acc5, _mat_apply(phi, p, ga, th), 4 * sg)
                 th, sg = _theta_lookup(table, (q,), ((al, be),))
                 if th:
-                    _mat_add(acc6, _mat_apply(view, p, ga, th), 4 * eps * sg)
+                    _mat_add(acc6, _mat_apply(phi, p, ga, th), 4 * eps * sg)
             th, sg = _theta_lookup(table, (), ((a, b), (b, c), (c, a)))
             _mat_add(acc6, th, -2 * sg)
             if any(col for col in acc5.values()):
@@ -1051,7 +1005,7 @@ def _equations_deg3(view: _IntView):
                     _mat_add(acc4, sh, -2 * eps)
                     th, sg = _theta_lookup(table, (aa,), ((al, be),))
                     if th:
-                        _mat_add(acc4, _mat_apply(view, p, ga, th), 4 * eps * sg)
+                        _mat_add(acc4, _mat_apply(phi, p, ga, th), 4 * eps * sg)
                 if any(col for col in acc4.values()):
                     return False, f"degree-3 equation (4) fails at Q=({p},{q}), a={aa}"
             # (3): coefficients of the omega_{H,L} basis, H < L canonical;
@@ -1076,7 +1030,7 @@ def _equations_deg3(view: _IntView):
                         _mat_add(acc3, sh, -2 * eps)
                         th, sg = _theta_lookup(table, (), I)
                         if th:
-                            _mat_add(acc3, _mat_apply(view, p, ga, th), 4 * eps * sg)
+                            _mat_add(acc3, _mat_apply(phi, p, ga, th), 4 * eps * sg)
                     if any(col for col in acc3.values()):
                         return False, (f"degree-3 equation (3) fails at Q=({p},{q}), "
                                        f"H={H}, L={Lp}")

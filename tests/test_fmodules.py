@@ -148,6 +148,30 @@ def test_dual_negated_transpose():
                 assert dimg.get(p, Q(0)) == -v
 
 
+# the weights of box 2 whose modules are small enough to build in a test
+_BOX2 = [lam for lam in itertools.product(range(3), repeat=4) if sl5.weyl_dimension(lam) <= 200]
+_built: dict = {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dual_of_dual_is_the_base(data):
+    # DualModule(DualModule(F)) has F's weights and highest weight vector,
+    # and the negated transpose of the negated transpose is F's own action
+    lam = data.draw(st.sampled_from(_BOX2))
+    if lam not in _built:
+        base = fm.build_irreducible(lam)
+        _built[lam] = base, fm.DualModule(fm.DualModule(base))
+    base, dd = _built[lam]
+    assert dd.highest_weight == base.highest_weight
+    assert dd.hw_index == base.hw_index
+    assert [dd.weight_of(i) for i in range(dd.dim)] == base.weights
+    r, s = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    scalars = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    coords = data.draw(st.dictionaries(st.integers(0, base.dim - 1), scalars, max_size=6))
+    assert dd.apply_gen(r, s, coords) == base.apply_gen(r, s, coords)
+
+
 def test_every_weight_dominated_by_highest():
     for lam in [(1, 1, 0, 0), (0, 1, 1, 0)]:
         m = fm.build_irreducible(lam)

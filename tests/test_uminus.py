@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -56,6 +57,38 @@ def test_normal_form_is_associative_random():
                  for _ in range(3)]
         u, v, w = (um.normal_form(word) for word in words)
         assert um.u_mul(um.u_mul(u, v), w) == um.u_mul(u, um.u_mul(v, w))
+
+
+_letters = st.tuples(st.integers(1, 5), st.integers(1, 5))  # d_ij, any orientation
+_words = st.lists(st.one_of(_letters, st.integers(1, 5)), max_size=3)  # ints are del_t
+_elements = st.lists(st.tuples(st.integers(-3, 3).filter(bool), _words), max_size=2).map(
+    lambda terms: u_add(*(u_scale(um.normal_form(w), Q(c)) for c, w in terms)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_elements, _elements, _elements)
+def test_u_mul_is_associative(u, v, w):
+    assert um.u_mul(um.u_mul(u, v), w) == um.u_mul(u, um.u_mul(v, w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_words, _letters, _letters, _words)
+def test_d_anticommutator_is_del_in_normal_form(left, A, B, right):
+    # u (d_A d_B + d_B d_A) w = eps_{A,B} u del_t w, t the index A and B miss
+    sign, t = um.eps_t(*A, *B)
+    lhs = u_add(um.normal_form(left + [A, B] + right), um.normal_form(left + [B, A] + right))
+    assert lhs == u_scale(um.normal_form(left + [t] + right), Q(sign))
+
+
+def test_pbw_monomials_order():
+    # every PBW monomial of degree d once: del count, then del multidegree
+    # lex, then pair tuple lex
+    for d in range(7):
+        brute = [(d5, ps) for d5 in itertools.product(range(d // 2 + 1), repeat=5)
+                 if 2 * sum(d5) <= d
+                 for ps in itertools.combinations(um.PAIRS, d - 2 * sum(d5))]
+        brute.sort(key=lambda m: (sum(m[0]), m[0], m[1]))
+        assert um.pbw_monomials(d) == brute
 
 
 def test_sif_subsets_small():
