@@ -15,6 +15,8 @@ Weight spaces are built lazily; a full build checks the Weyl dimension.
 
 from __future__ import annotations
 
+import weakref
+
 from . import sl5
 from .linalg import UnluckyPrime, add_into, as_int, exact_div, to_fp
 from .uminus import PAIRS
@@ -119,13 +121,18 @@ class ActionColumns(dict):
     whole weight space from module.act_entries, so a lazily built module (a
     search's module, whose F-basis numbering certificates record) gains the
     same weight spaces, in the same order, as under one act_entries call per
-    index."""
+    index.  The module keeps its views, so a view refers to its module weakly
+    and a module is freed when its last reference goes."""
 
     def __init__(self, module, r: int, s: int):
-        self.module, self.r, self.s = module, r, s
+        self.module, self.r, self.s = weakref.ref(module), r, s
+
+    def __reduce__(self):
+        # pickled empty, since a weak reference cannot be pickled; it refills
+        return ActionColumns, (self.module(), self.r, self.s)
 
     def __missing__(self, idx):
-        mod = self.module
+        mod = self.module()
         self.update(mod.act_entries(self.r, self.s, mod.weight_of(idx)))
         return self[idx]
 

@@ -202,6 +202,20 @@ def gen_on_theta(phi, r, s):
             for m, cols in out.items() if any(cols.values())}
 
 
+def equivariance_failure(phi):
+    """The first (r, s, monomial) at which gen_on_theta(phi, r, s) is not
+    zero, over all 20 generators x_r d/dx_s (r != s) in order, r then s, or
+    None: the reference for verma._equivariance_failure, which decides
+    invariance on the 8 Chevalley generators."""
+    for r in range(1, 6):
+        for s in range(1, 6):
+            if r != s:
+                bad = gen_on_theta(phi, r, s)
+                if bad:
+                    return r, s, next(iter(bad))
+    return None
+
+
 def fp_view(mod, p, solver, zimage):
     """The search's F_p inputs (solver, vector, zimage) as the first F_p
     sieve made them: each converted once from its rational original

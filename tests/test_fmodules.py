@@ -1,8 +1,11 @@
+import gc
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction as Q
 
 import pytest
@@ -170,6 +173,29 @@ def test_dual_of_dual_is_the_base(data):
     scalars = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
     coords = data.draw(st.dictionaries(st.integers(0, base.dim - 1), scalars, max_size=6))
     assert dd.apply_gen(r, s, coords) == base.apply_gen(r, s, coords)
+
+
+def test_module_acted_on_is_freed_without_the_cycle_collector():
+    # the module keeps its action views, so a view must not keep the module
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = fm.build_irreducible((1, 0, 0, 0))
+        assert m.apply_gen(2, 1, {m.hw_index: 1})
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_module_acted_on_pickles():
+    # the view's weak reference to its module is not pickled
+    dual = fm.DualModule(fm.build_irreducible((1, 0, 0, 0)))
+    img = dual.apply_gen(1, 2, {0: 1})
+    back = pickle.loads(pickle.dumps(dual))
+    assert back.apply_gen(1, 2, {0: 1}) == img
 
 
 def test_every_weight_dominated_by_highest():
