@@ -145,7 +145,22 @@ class ActionColumns(dict):
 
 class _ActingModule:
     """The sl5 action shared by TensorModule and DualModule: one cached
-    ActionColumns view per generator, kept in self._actions."""
+    ActionColumns view per generator, kept in self._actions.  The caches
+    named in _DERIVED are rebuilt on demand and not pickled."""
+
+    _DERIVED = ("_act_cache", "_actions")
+
+    def _clear_derived(self):
+        for name in self._DERIVED:
+            setattr(self, name, {})
+
+    def __getstate__(self):
+        """Pickle the module without its derived caches."""
+        return {k: v for k, v in self.__dict__.items() if k not in self._DERIVED}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._clear_derived()
 
     def action(self, r: int, s: int) -> ActionColumns:
         """The column view of x_r d/dx_s, made once per module."""
@@ -194,23 +209,11 @@ class TensorModule(_ActingModule):
     _DERIVED = ("_act_cache", "_actions", "_zterm_cache", "_stack_cache", "_fp_cache",
                 "_depth_cache")
 
-    def _clear_derived(self):
-        for name in self._DERIVED:
-            setattr(self, name, {})
-
     def cache(self, name: str, p: int | None = None) -> dict:
         """The derived cache `name` over Q, or its F_p counterpart."""
         if p is None:
             return getattr(self, name)
         return self._fp_cache.setdefault(p, {}).setdefault(name, {})
-
-    def __getstate__(self):
-        """Pickle the basis and its provenance without the derived caches."""
-        return {k: v for k, v in self.__dict__.items() if k not in self._DERIVED}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._clear_derived()
 
     # -- construction -----------------------------------------------------
 
@@ -384,8 +387,7 @@ class DualModule(_ActingModule):
         self.hw_index = hw[0]
         # the base is fully built, so its weights are final
         self._weights = [tuple(-x for x in base.weight_of(i)) for i in range(base_dim)]
-        self._act_cache: dict = {}
-        self._actions: dict = {}
+        self._clear_derived()
 
     @property
     def dim(self) -> int:

@@ -47,6 +47,21 @@ certificates may change; this is seen at p = 2 and not known for
 p = 2^31 - 1, which meets no UnluckyPrime on the degree-2 box-2 and
 degree-4 box-1 sweeps.
 
+The L_1 condition x_5 d45 . w = 0 gives z-term rows at the depth of the
+weight each term lands in.  The lifting records each term (PBW monomial, PBW
+coefficient, x_5 d_t op, lifted components) under that depth as it arises,
+and expands a depth's records into rows only when it flushes that depth, so
+a candidate killed earlier never multiplies out the terms of the depths it
+does not reach.  The rows, their order and every rank check are those of
+expanding each term at once.  Deferring changes no sieve verdict, because
+nothing deferred can raise UnluckyPrime: to_fp of the PBW coefficient runs
+when the term is recorded, and the expansion reads only basis vectors of the
+weight space nu the components live in (vector, and _zimage through it),
+whose reduction mod p fp_basis made when solver(nu) built the action mod p
+(at depth 0 the one highest weight vector, a monomial with coefficient 1);
+glact_vector over F_p divides nothing.  Nor does it build a weight space, so
+the lazy F-basis numbering is unchanged.
+
 The morphism checks (check_morphism, verify_degree_equations) run in ints.
 Their conditions are linear and homogeneous in Phi, so with D > 0 the lcm of
 the denominators of Phi's coefficients, x . (D Phi) = D (x . Phi) vanishes
@@ -384,7 +399,10 @@ def _lift_singular(mod, d, lam, groups, impose_l1=True):
     highest weight vectors when impose_l1 is False) by leading-term lifting:
     one lifting loop, run over F_p as a sieve and then over Q for the
     survivors (see the module docstring).  groups is _weight_groups(d).  With
-    impose_l1 each vector is re-verified by the full is_singular check."""
+    impose_l1 the z-terms of x_5 d45 are recorded per depth and expanded into
+    constraint rows only when the lifting flushes that depth (the module
+    docstring says why that is safe), and each vector is re-verified by the
+    full is_singular check."""
     mu = mod.highest_weight
     depths = mod._depth_cache
 
@@ -418,29 +436,28 @@ def _lift_singular(mod, d, lam, groups, impose_l1=True):
 
         constraints = RowReducer(p)
         V: dict = {}           # monomial -> {fidx -> {ci -> scalar}}
-        zacc: dict = {}        # depth -> {(monomial, ambient mono) -> {ci -> scalar}}
+        zterms: dict = {}      # depth -> [(monomial, scalar, op, comps)]
 
         def add_z_terms(m, nu, depth, comps):
             for m2, c2, op in _odd_action(5, (4, 5), m):
                 if op is None:
                     tau_depth = depth
-                    vecs = {fidx: vector(fidx) for fidx in comps}
                 else:
                     tau_depth = nu_depth(sl5.wadd(nu, gen_shift(op[0], op[1])))
                     if tau_depth is None:
                         continue
-                    vecs = {fidx: zimage(op, fidx) for fidx in comps}
                 if p is not None:
                     c2 = to_fp(c2, p)
-                level = zacc.setdefault(tau_depth, {})
-                for fidx, vec in vecs.items():
-                    form = comps[fidx]
-                    for amb, ac in vec.items():
-                        acc = level.setdefault((m2, amb), {})
-                        add_into(acc, form, c2 * ac, p)
+                zterms.setdefault(tau_depth, []).append((m2, c2, op, comps))
 
         def flush_z(depth) -> bool:
-            for row in zacc.pop(depth, {}).values():
+            rows: dict = {}    # (monomial, ambient mono) -> {ci -> scalar}
+            for m2, c2, op, comps in zterms.pop(depth, ()):
+                for fidx, form in comps.items():
+                    vec = vector(fidx) if op is None else zimage(op, fidx)
+                    for amb, ac in vec.items():
+                        add_into(rows.setdefault((m2, amb), {}), form, c2 * ac, p)
+            for row in rows.values():
                 constraints.insert(row)
                 if constraints.rank >= L:
                     return True
@@ -490,7 +507,7 @@ def _lift_singular(mod, d, lam, groups, impose_l1=True):
             if impose_l1 and flush_z(depth):
                 return None
         if impose_l1:
-            for depth in sorted(list(zacc)):
+            for depth in sorted(zterms):
                 if flush_z(depth):
                     return None
         if constraints.rank >= L:

@@ -198,6 +198,23 @@ def test_module_acted_on_pickles():
     assert back.apply_gen(1, 2, {0: 1}) == img
 
 
+def test_pickled_dual_module_drops_derived_caches():
+    # as a TensorModule does: the transposed columns built so far stay behind
+    dual = fm.DualModule(fm.build_irreducible((1, 0, 0, 0)))
+    imgs = {(r, s): dual.apply_gen(r, s, {i: 1 for i in range(dual.dim)})
+            for r in range(1, 6) for s in range(1, 6)}
+    assert dual._act_cache and dual._actions
+    back = pickle.loads(pickle.dumps(dual))
+    for name in fm.DualModule._DERIVED:
+        assert getattr(back, name) == {}
+    for name in fm.TensorModule._DERIVED:
+        assert getattr(back.base, name) == {}
+    assert (back.weight, back.hw_index, back._weights) == \
+        (dual.weight, dual.hw_index, dual._weights)
+    assert {(r, s): back.apply_gen(r, s, {i: 1 for i in range(back.dim)})
+            for r in range(1, 6) for s in range(1, 6)} == imgs
+
+
 def test_every_weight_dominated_by_highest():
     for lam in [(1, 1, 0, 0), (0, 1, 1, 0)]:
         m = fm.build_irreducible(lam)

@@ -27,21 +27,35 @@ def test_dominance_equal():
     assert sl5.dominance_compare((1, 2, 0, 1), (1, 2, 0, 1)) == "equal"
 
 
-def test_dominance_partial_order_random():
-    rng = random.Random(17)
-    weights = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(40)]
+def _raise_by(lam, ks):
+    """lam + sum_i ks[i] alpha_i."""
+    return tuple(lam[t] + sum(k * alpha[t] for k, alpha in zip(ks, sl5.SIMPLE_ROOTS))
+                 for t in range(4))
 
-    def le(a, b):
-        return sl5.dominance_compare(a, b) in ("less-or-equal", "equal")
 
-    for a in weights:
-        assert le(a, a)
-    for _ in range(300):
-        a, b, c = rng.choice(weights), rng.choice(weights), rng.choice(weights)
-        if le(a, b) and le(b, a):
-            assert a == b
-        if le(a, b) and le(b, c):
-            assert le(a, c)
+_weights = st.tuples(*[st.integers(-4, 4)] * 4)
+_steps = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weights, _steps, _steps, st.tuples(*[st.integers(-3, 3)] * 4))
+def test_dominance_partial_order_random(a, up1, up2, ks):
+    # a <= b <= c built by nonnegative root steps: reflexive, antisymmetric
+    # and transitive, and the reverse comparison mirrors the forward one
+    def le(x, y):
+        return sl5.dominance_compare(x, y) in ("less-or-equal", "equal")
+
+    b = _raise_by(a, up1)
+    c = _raise_by(b, up2)
+    assert le(a, a) and le(a, b) and le(b, c) and le(a, c)
+    assert (le(b, a) and le(a, b)) == (a == b) == (not any(up1))
+    # any root-lattice difference is decided by the signs of its coefficients
+    want = ("equal" if not any(ks) else "less-or-equal" if min(ks) >= 0
+            else "greater-or-equal" if max(ks) <= 0 else "incomparable")
+    mirror = {"equal": "equal", "less-or-equal": "greater-or-equal",
+              "greater-or-equal": "less-or-equal", "incomparable": "incomparable"}
+    assert sl5.dominance_compare(a, _raise_by(a, ks)) == want
+    assert sl5.dominance_compare(_raise_by(a, ks), a) == mirror[want]
 
 
 def test_weyl_dimension_trivial():

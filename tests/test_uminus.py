@@ -176,17 +176,17 @@ def test_bd_rank_mismatch():
         raise AssertionError("expected ValueError")
 
 
-def test_sign_equivariance_random():
-    rng = random.Random(7)
-    for d in (2, 3, 4):
-        for _ in range(40):
-            I = tuple((rng.randint(1, 5), rng.randint(1, 5)) for _ in range(d))
-            sigma = list(range(1, d + 1))
-            rng.shuffle(sigma)
-            etas = tuple(rng.choice((1, -1)) for _ in range(d))
-            g = (tuple(sigma), etas)
-            assert um.omega(um.bd_act(g, I)) == \
-                u_scale(um.omega(I), Q(um.sign_character(g)))
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_sign_equivariance_random(data):
+    # omega_{g.I} = (-1)^{l(g)} omega_I for every signed permutation g of B_d
+    d = data.draw(st.integers(1, 4))
+    index = st.tuples(st.integers(1, 5), st.integers(1, 5))
+    I = data.draw(st.tuples(*[index] * d))
+    sigma = tuple(data.draw(st.permutations(range(1, d + 1))))
+    etas = data.draw(st.tuples(*[st.sampled_from((1, -1))] * d))
+    g = (sigma, etas)
+    assert um.omega(um.bd_act(g, I)) == u_scale(um.omega(I), Q(um.sign_character(g)))
 
 
 def test_l0_adjoint_examples():

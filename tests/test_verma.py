@@ -808,8 +808,8 @@ def test_sieve_at_tiny_primes_keeps_the_exact_hits(monkeypatch):
     assert {2, 3} <= set(unlucky)
 
 
-SWEEPS = ([(mu, 2) for mu in sl5.dominant_weights_in_box(2) if sum(mu) <= 4]
-          + [(mu, 4) for mu in sl5.dominant_weights_in_box(1)])
+SWEEP_D2 = [(mu, 2) for mu in sl5.dominant_weights_in_box(2) if sum(mu) <= 4]
+SWEEPS = SWEEP_D2 + [(mu, 4) for mu in sl5.dominant_weights_in_box(1)]
 
 
 def _sieve_run(monkeypatch, searches, oracle=False):
@@ -854,10 +854,27 @@ def _objs(hits, onto_full=False):
             for mu, d, lam, vecs in hits]
 
 
+# SHA-256 of the ordered [((mu, d, lam), verdict)] list of the sieve, per
+# modulus: the degree-2 box-2 sweep at the small primes (where "unlucky"
+# verdicts occur) and both sweeps at 2^31 - 1
+VERDICT_PINS = {
+    2: "ab9d7803d2a7998bce9381b2565f6c0de3c1ac782fe28ab4c1fdc4fb702d8f43",
+    3: "fdb451351227f885fe36f30f001ff4ccf58aeebae2826c7bed1422a5a804754a",
+    5: "12bde6c01ad53d5cebf1ce8af2413368431b91e12d9633cf6a32937754df8d43",
+    7: "b43a459f47fbe7ef80e9f0f9fcc1400d0444ffe85b52d7869b9667b592822e69",
+    V.SIEVE_PRIME: "8958636e3e4dd70c07201b310380311743f7b1f2797fa2632d5f9f2c64ac4969",
+}
+
+
+def _verdict_digest(verdicts) -> str:
+    return hashlib.sha256(json.dumps(verdicts, separators=(",", ":")).encode()).hexdigest()
+
+
 def test_sieve_on_its_own_data_matches_the_converted_sieve(monkeypatch):
     verdicts, hits = _sieve_run(monkeypatch, SWEEPS)
     old_verdicts, old_hits = _sieve_run(monkeypatch, SWEEPS, oracle=True)
     assert verdicts == old_verdicts
+    assert _verdict_digest(verdicts) == VERDICT_PINS[V.SIEVE_PRIME]
     assert _objs(hits) == _objs(old_hits)
     # no fallback at 2^31 - 1; every survivor is a hit (575 + 262 killed)
     counts = {v: sum(1 for _, x in verdicts if x == v)
@@ -866,12 +883,35 @@ def test_sieve_on_its_own_data_matches_the_converted_sieve(monkeypatch):
     assert len(hits) == counts["alive"]
 
 
+@pytest.mark.parametrize("prime", (2, 3, 5, 7))
+def test_sieve_verdicts_at_small_primes_are_pinned(monkeypatch, prime):
+    monkeypatch.setattr(V, "SIEVE_PRIME", prime)
+    verdicts, _ = _sieve_run(monkeypatch, SWEEP_D2)
+    assert len(verdicts) == 581
+    assert _verdict_digest(verdicts) == VERDICT_PINS[prime]
+
+
+def test_sieve_builds_zterm_images_only_for_flushed_depths():
+    # a candidate's z-term images are made when the lifting flushes their
+    # depth, so the sieve makes none for the depths of the candidates it
+    # kills before they get there (accumulating every depth at once made
+    # 5,326 and 1,409 of them); the Q pass lifts only survivors, which flush
+    # every depth
+    made = {2: [0, 0], 4: [0, 0]}
+    for mu, d in SWEEPS:
+        mod = fm.TensorModule(mu)
+        V.singular_vectors(mu, d, module=mod)
+        made[d][0] += len(mod.cache("_zterm_cache", V.SIEVE_PRIME))
+        made[d][1] += len(mod.cache("_zterm_cache"))
+    assert made[2][0] <= 1341 and made[4][0] <= 275
+    assert (made[2][1], made[4][1]) == (111, 4)
+
+
 def test_forced_fallback_at_a_small_prime_keeps_the_vectors(monkeypatch):
     # a small prime may renumber the lazy basis: compare on get_module(mu)
-    searches = [(mu, 2) for mu in sl5.dominant_weights_in_box(2) if sum(mu) <= 4]
-    _, want = _sieve_run(monkeypatch, searches)
+    _, want = _sieve_run(monkeypatch, SWEEP_D2)
     monkeypatch.setattr(V, "SIEVE_PRIME", 3)
-    verdicts, hits = _sieve_run(monkeypatch, searches)
+    verdicts, hits = _sieve_run(monkeypatch, SWEEP_D2)
     assert any(v == "unlucky" for _, v in verdicts)
     assert _objs(hits, onto_full=True) == _objs(want, onto_full=True)
 
