@@ -94,7 +94,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("compose", help="build a catalogued morphism chain")
     sp.add_argument("--chain", required=True,
-                    choices=["A", "B", "C", "BA", "CB", "CA", "CBA"])
+                    choices=list(verma.CHAINS))
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--json", action="store_true")
@@ -102,7 +102,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("dual", help="dual of a catalogued morphism chain")
     sp.add_argument("--chain", required=True,
-                    choices=["A", "B", "C", "BA", "CB", "CA", "CBA"])
+                    choices=list(verma.CHAINS))
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--json", action="store_true")

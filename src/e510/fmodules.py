@@ -144,29 +144,38 @@ class ActionColumns(dict):
 
 
 class _ActingModule:
-    """The sl5 action shared by TensorModule and DualModule: one cached
-    ActionColumns view per generator, kept in self._actions.  The caches
-    named in _DERIVED are rebuilt on demand and not pickled."""
+    """The sl5 action shared by TensorModule and DualModule, and the one
+    store of data derived from the basis.  self._derived maps (name, p) ->
+    dict, p None over Q and a prime over F_p; cache(name, p) is the only way
+    in.  The store is rebuilt on demand and not pickled."""
 
-    _DERIVED = ("_act_cache", "_actions")
+    def cache(self, name: str, p: int | None = None) -> dict:
+        """The derived cache `name` over Q, or its F_p counterpart."""
+        got = self._derived.get((name, p))
+        if got is None:
+            got = self._derived[name, p] = {}
+        return got
 
-    def _clear_derived(self):
-        for name in self._DERIVED:
-            setattr(self, name, {})
+    # Read-only aliases, only for the cache probes of perfbench/tracer.py,
+    # which reads them by name; they go when the benchmark probes through
+    # cache() (ROADMAP.md, item 1).
+    _act_cache = property(lambda self: self.cache("act"))
+    _stack_cache = property(lambda self: self.cache("stack"))
 
     def __getstate__(self):
         """Pickle the module without its derived caches."""
-        return {k: v for k, v in self.__dict__.items() if k not in self._DERIVED}
+        return {k: v for k, v in self.__dict__.items() if k != "_derived"}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._clear_derived()
+        self._derived = {}
 
     def action(self, r: int, s: int) -> ActionColumns:
         """The column view of x_r d/dx_s, made once per module."""
-        got = self._actions.get((r, s))
+        views = self.cache("actions")
+        got = views.get((r, s))
         if got is None:
-            got = self._actions[r, s] = ActionColumns(self, r, s)
+            got = views[r, s] = ActionColumns(self, r, s)
         return got
 
     def apply_gen(self, r: int, s: int, coords: dict) -> dict:
@@ -197,23 +206,13 @@ class TensorModule(_ActingModule):
         self.spaces: dict[tuple, list[int]] = {}
         self.pivots: dict[tuple, dict] = {}
         self._full = False
-        self._clear_derived()
+        self._derived: dict = {}
 
-    # Caches derived from the basis, rebuilt on demand and not pickled: the
-    # action columns (r, s, weight) -> {idx -> {idx' -> Q}} and their views
-    # (r, s) -> ActionColumns, and, filled by the singular search, (x_5 d_t
-    # op, index) -> ambient image, weight -> factored stacked raising maps,
-    # and weight -> depth below the highest weight.  _fp_cache maps p ->
-    # cache name -> the same data over F_p (with "bases" for the weight-space
-    # bases reduced mod p); see cache().
-    _DERIVED = ("_act_cache", "_actions", "_zterm_cache", "_stack_cache", "_fp_cache",
-                "_depth_cache")
-
-    def cache(self, name: str, p: int | None = None) -> dict:
-        """The derived cache `name` over Q, or its F_p counterpart."""
-        if p is None:
-            return getattr(self, name)
-        return self._fp_cache.setdefault(p, {}).setdefault(name, {})
+    # Its derived caches, over Q and over F_p: "act" (r, s, weight) -> action
+    # columns, "actions" (r, s) -> their ActionColumns view (Q only), "bases"
+    # weight -> the basis reduced mod p (F_p only), and from the singular
+    # search "stack" weight -> factored raising maps, "zterm" (x_5 d_t op,
+    # index) -> ambient image and "depth" weight -> depth below the top (Q only).
 
     # -- construction -----------------------------------------------------
 
@@ -357,7 +356,7 @@ class TensorModule(_ActingModule):
         nu, or with a modulus p the same map over F_p, computed from the basis
         vectors mod p.  Both build the same weight spaces in the same order."""
         key = (r, s, tuple(nu))
-        cache = self.cache("_act_cache", p)
+        cache = self.cache("act", p)
         got = cache.get(key)
         if got is not None:
             return got
@@ -387,7 +386,7 @@ class DualModule(_ActingModule):
         self.hw_index = hw[0]
         # the base is fully built, so its weights are final
         self._weights = [tuple(-x for x in base.weight_of(i)) for i in range(base_dim)]
-        self._clear_derived()
+        self._derived: dict = {}
 
     @property
     def dim(self) -> int:
@@ -407,7 +406,8 @@ class DualModule(_ActingModule):
         """Column map of x_r d/dx_s on dual indices of dual weight nu:
         the negated transpose of the action on the base."""
         key = (r, s, tuple(nu))
-        got = self._act_cache.get(key)
+        cache = self.cache("act")
+        got = cache.get(key)
         if got is not None:
             return got
         base_nu = tuple(-x for x in nu)
@@ -417,7 +417,7 @@ class DualModule(_ActingModule):
         for q in self.base.ensure_weight(src):
             for p, v in src_entries[q].items():
                 cols[p][q] = -v
-        self._act_cache[key] = cols
+        cache[key] = cols
         return cols
 
 

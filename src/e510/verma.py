@@ -85,7 +85,7 @@ from functools import lru_cache, partial
 
 from . import fmodules, sl5, uminus
 from .fmodules import TensorModule, DualModule, glact_vector, gen_shift
-from .fmodules import _PAIR_POS
+from .fmodules import _PAIR_POS, _V0, _VD0, _W0
 from .linalg import RowReducer, UnluckyPrime, add_into, as_int, format_scalar, parse_scalar, to_fp
 
 ZDEL = uminus.ZERO_DEL
@@ -121,8 +121,9 @@ class VermaElement:
 
 
 @lru_cache(maxsize=None)
-def _l0_mono(s: int, r: int, m: tuple):
-    return tuple((m2, as_int(c)) for m2, c in uminus.l0_adjoint(s, r, {m: Q(1)}).items())
+def _l0_mono(r: int, s: int, m: tuple):
+    """The adjoint action of x_r d/dx_s on the PBW monomial m: (m', int) pairs."""
+    return tuple((m2, as_int(c)) for m2, c in uminus.l0_adjoint(r, s, {m: Q(1)}).items())
 
 
 def act_l0(r: int, s: int, w: VermaElement) -> VermaElement:
@@ -279,7 +280,7 @@ def _stacked_solver(mod: TensorModule, nu, *, p: int | None = None):
     raises UnluckyPrime (p divides a denominator of the rational solver).
     """
     nu = tuple(nu)
-    cache = mod.cache("_stack_cache", p)
+    cache = mod.cache("stack", p)
     got = cache.get(nu)
     if got is not None:
         return got
@@ -370,7 +371,7 @@ def _zimage(mod: TensorModule, op, fidx, *, p: int | None = None):
     """The ambient image x_5 d_t . v_fidx (over F_p with a modulus p), cached
     on the module: shared by every candidate lam of a search."""
     key = (op, fidx)
-    cache = mod.cache("_zterm_cache", p)
+    cache = mod.cache("zterm", p)
     img = cache.get(key)
     if img is None:
         img = cache[key] = glact_vector(op[0], op[1], mod.vector(fidx, p=p), p=p)
@@ -404,7 +405,7 @@ def _lift_singular(mod, d, lam, groups, impose_l1=True):
     docstring says why that is safe), and each vector is re-verified by the
     full is_singular check."""
     mu = mod.highest_weight
-    depths = mod._depth_cache
+    depths = mod.cache("depth")
 
     def nu_depth(nu):
         """sum(dominated_depth(nu, mu)), or None; memoized on the module."""
@@ -1297,7 +1298,7 @@ def nabla_A(m: int, n: int) -> MorphismData:
     """M(m, n+1, 0, 0) -> M(m, n, 0, 0), associated to
     sum_{i<j} d_ij (x) d/dx_ij."""
     def theta(i, j, mono):
-        k = 5 + _PAIR_POS[(i, j)]
+        k = _W0 + _PAIR_POS[(i, j)]
         e = mono[k]
         if not e:
             return {}
@@ -1313,11 +1314,11 @@ def nabla_B(m: int, n: int) -> MorphismData:
     def theta(i, j, mono):
         out: dict = {}
         for star, dx in ((i, j), (j, i)):
-            e = mono[dx - 1]
+            e = mono[_V0 + dx - 1]
             if e:
                 nm = list(mono)
-                nm[dx - 1] -= 1
-                nm[25 + star - 1] += 1
+                nm[_V0 + dx - 1] -= 1
+                nm[_VD0 + star - 1] += 1
                 sign = 1 if star == i else -1
                 add_into(out, {tuple(nm): Q(sign * e)})
         return out
@@ -1336,12 +1337,21 @@ def nabla_C(m: int, n: int) -> MorphismData:
     raise ArithmeticError(f"no nabla_C singular vector in M({mu})")
 
 
-# chain -> the parameters it takes; the others must be 0
-_CHAIN_PARAMS = {"A": "mn", "B": "mn", "C": "mn", "BA": "m", "CB": "n", "CA": "", "CBA": ""}
+# The catalogued chains: name -> (the parameters it takes, the others must be
+# 0; its builder (m, n) -> MorphismData).  family_instance and the CLI read it.
+CHAINS = {
+    "A": ("mn", nabla_A),
+    "B": ("mn", nabla_B),
+    "C": ("mn", nabla_C),
+    "BA": ("m", lambda m, n: compose(nabla_B(m - 1, 0), nabla_A(m, 0))),
+    "CB": ("n", lambda m, n: compose(nabla_C(0, n + 1), nabla_B(0, n))),
+    "CA": ("", lambda m, n: compose(nabla_C(0, 0), nabla_A(0, 0))),
+    "CBA": ("", lambda m, n: compose(nabla_C(0, 1), compose(nabla_B(0, 0), nabla_A(1, 0)))),
+}
 
 
 def family_instance(chain: str, m: int = 0, n: int = 0) -> MorphismData:
-    """Catalogued morphisms and compositions by chain name.
+    """Catalogued morphisms and compositions by chain name (see CHAINS).
 
     A, B, C take the (m, n) of their defining family; BA is
     nabla_B . nabla_A : M(m,1,0,0) -> M(m-1,0,0,1) for m >= 1; CB is
@@ -1349,26 +1359,15 @@ def family_instance(chain: str, m: int = 0, n: int = 0) -> MorphismData:
     M(1,1,0,0) -> M(0,0,1,1).  A nonzero parameter that the chain does not
     take raises ValueError.
     """
-    if chain not in _CHAIN_PARAMS:
+    if chain not in CHAINS:
         raise ValueError(f"unknown chain {chain!r}")
+    params, build = CHAINS[chain]
     for name, value in (("m", m), ("n", n)):
-        if value and name not in _CHAIN_PARAMS[chain]:
+        if value and name not in params:
             raise ValueError(f"chain {chain} does not take {name} (got {name}={value})")
-    if chain == "A":
-        return nabla_A(m, n)
-    if chain == "B":
-        return nabla_B(m, n)
-    if chain == "C":
-        return nabla_C(m, n)
-    if chain == "BA":
-        if m < 1:
-            raise ValueError("BA needs m >= 1")
-        return compose(nabla_B(m - 1, 0), nabla_A(m, 0))
-    if chain == "CB":
-        return compose(nabla_C(0, n + 1), nabla_B(0, n))
-    if chain == "CA":
-        return compose(nabla_C(0, 0), nabla_A(0, 0))
-    return compose(nabla_C(0, 1), compose(nabla_B(0, 0), nabla_A(1, 0)))
+    if chain == "BA" and m < 1:
+        raise ValueError("BA needs m >= 1")
+    return build(m, n)
 
 
 def morphism_leading_term(phi: MorphismData) -> VermaElement:

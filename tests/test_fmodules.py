@@ -203,12 +203,10 @@ def test_pickled_dual_module_drops_derived_caches():
     dual = fm.DualModule(fm.build_irreducible((1, 0, 0, 0)))
     imgs = {(r, s): dual.apply_gen(r, s, {i: 1 for i in range(dual.dim)})
             for r in range(1, 6) for s in range(1, 6)}
-    assert dual._act_cache and dual._actions
+    assert dual.cache("act") and dual.cache("actions")
     back = pickle.loads(pickle.dumps(dual))
-    for name in fm.DualModule._DERIVED:
-        assert getattr(back, name) == {}
-    for name in fm.TensorModule._DERIVED:
-        assert getattr(back.base, name) == {}
+    assert back._derived == {}
+    assert back.base._derived == {}
     assert (back.weight, back.hw_index, back._weights) == \
         (dual.weight, dual.hw_index, dual._weights)
     assert {(r, s): back.apply_gen(r, s, {i: 1 for i in range(back.dim)})
@@ -357,7 +355,7 @@ def _stored_scalars(mod):
     for _origin, trail, pc in mod.prov:
         yield pc
         yield from (c for _idx, c in trail)
-    for cols in mod._act_cache.values():
+    for cols in mod.cache("act").values():
         for col in cols.values():
             yield from col.values()
 
@@ -377,7 +375,7 @@ def test_built_vectors_have_fraction_coefficients():
                 mod.act_entries(r, s, nu)
     lazy = fm.TensorModule((0, 0, 1, 0))
     assert verma.singular_vectors((0, 0, 1, 0), 2, module=lazy)
-    assert lazy._act_cache
+    assert lazy.cache("act")
     kinds = set()
     for mod in mods + [lazy]:
         for c in _stored_scalars(mod):

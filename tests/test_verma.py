@@ -758,7 +758,7 @@ def test_stacked_solver_inverts_raising_maps():
         assert len(zero_combs) == nrows - len(cols)
         for comb in zero_combs:
             assert comb and all(apply(comb, col) == 0 for col in cols)
-        assert V._stacked_solver(mod, nu) is mod._stack_cache[nu]
+        assert V._stacked_solver(mod, nu) is mod.cache("stack")[nu]
 
 
 def test_label_family_above_degree_three_is_exploratory():
@@ -901,8 +901,8 @@ def test_sieve_builds_zterm_images_only_for_flushed_depths():
     for mu, d in SWEEPS:
         mod = fm.TensorModule(mu)
         V.singular_vectors(mu, d, module=mod)
-        made[d][0] += len(mod.cache("_zterm_cache", V.SIEVE_PRIME))
-        made[d][1] += len(mod.cache("_zterm_cache"))
+        made[d][0] += len(mod.cache("zterm", V.SIEVE_PRIME))
+        made[d][1] += len(mod.cache("zterm"))
     assert made[2][0] <= 1341 and made[4][0] <= 275
     assert (made[2][1], made[4][1]) == (111, 4)
 
@@ -1012,8 +1012,8 @@ def test_depth_memo_matches_dominated_depth():
     mu = (0, 0, 1, 1)
     mod = fm.TensorModule(mu)
     V.singular_vectors(mu, 2, module=mod)
-    assert mod._depth_cache
-    for nu, depth in mod._depth_cache.items():
+    assert mod.cache("depth")
+    for nu, depth in mod.cache("depth").items():
         ks = sl5.dominated_depth(nu, mu)
         assert depth == (None if ks is None else sum(ks))
 
@@ -1023,17 +1023,43 @@ def test_pickled_module_drops_caches_and_keeps_certificates():
 
     rows = V.classify_mu((0, 0, 1, 1), 2)
     mod = rows[0].vectors[0].module
-    assert mod._zterm_cache and mod._stack_cache and mod._fp_cache
+    assert mod.cache("zterm") and mod.cache("stack") and \
+        any(p is not None and got for (_name, p), got in mod._derived.items())
     back = pickle.loads(pickle.dumps(rows))
     mod2 = back[0].vectors[0].module
-    for name in fm.TensorModule._DERIVED:
-        assert getattr(mod2, name) == {}
+    assert mod2._derived == {}
     assert mod2.vectors == mod.vectors and mod2.prov == mod.prov
     for row, row2 in zip(rows, back):
         assert (row2.mu, row2.lam, row2.family) == (row.mu, row.lam, row.family)
         for w, w2 in zip(row.vectors, row2.vectors):
             assert V.make_certificate(row2.mu, row2.lam, 2, w2, row2.family) == \
                 V.make_certificate(row.mu, row.lam, 2, w, row.family)
+
+
+def test_derived_state_sits_in_one_store():
+    # after a search, both checks and a dual, a search module and a
+    # DualModule hold their basis data and one store of derived caches, and
+    # the read-only aliases that the benchmark's probes read are that store
+    phi = V.nabla_C(0, 0)
+    psi = V.dual_morphism(phi)
+    for f in (phi, psi):
+        assert V.check_morphism(f)[0] and V.verify_degree_equations(f)[0]
+    mod = phi.target
+    assert psi.source.base is mod and psi.target.base is phi.source
+    assert set(vars(mod)) == {"weight", "vectors", "weights", "prov", "spaces", "pivots",
+                              "_full", "_derived"}
+    assert {"act", "actions", "stack", "zterm", "depth"} <= {n for n, p in mod._derived}
+    assert {("stack", V.SIEVE_PRIME), ("bases", V.SIEVE_PRIME)} <= set(mod._derived)
+    for dual in (psi.source, psi.target):
+        assert isinstance(dual, fm.DualModule)
+        assert set(vars(dual)) == {"base", "weight", "hw_index", "_weights", "_derived"}
+        assert ("act", None) in dual._derived
+    assert ("actions", None) in psi.target._derived
+    for m in (mod, psi.source, psi.target):
+        assert m._act_cache is m.cache("act") and m._stack_cache is m.cache("stack")
+        with pytest.raises(AttributeError):
+            m._act_cache = {}
+        assert m.__getstate__().keys() == set(vars(m)) - {"_derived"}
 
 
 def test_clear_caches_empties_every_global_cache():
