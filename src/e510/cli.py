@@ -244,9 +244,10 @@ def _classify_table(rows):
 def cmd_classify(args) -> int:
     d, box = args.degree, args.max_entry
     mus = sl5.dominant_weights_in_box(box)
-    if args.threads > 1:
+    workers = min(args.threads, len(mus), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
-        with multiprocessing.Pool(args.threads) as pool:
+        with multiprocessing.Pool(workers) as pool:
             chunks = pool.starmap(verma.classify_mu, [(mu, d) for mu in mus])
     else:
         chunks = [verma.classify_mu(mu, d) for mu in mus]
@@ -321,7 +322,8 @@ def cmd_verify(args) -> int:
         try:
             with open(path) as fh:
                 cert = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: not UTF-8, not JSON or an integer too long to convert
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"error reading {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         ok, diag = verma.verify_certificate(cert)

@@ -212,7 +212,8 @@ class TensorModule(_ActingModule):
     # columns, "actions" (r, s) -> their ActionColumns view (Q only), "bases"
     # weight -> the basis reduced mod p (F_p only), and from the singular
     # search "stack" weight -> factored raising maps, "zterm" (x_5 d_t op,
-    # index) -> ambient image and "depth" weight -> depth below the top (Q only).
+    # index) -> ambient image and "depth" weight -> depth below the top (Q only);
+    # "dual" None -> its DualModule (see dual()).
 
     # -- construction -----------------------------------------------------
 
@@ -351,6 +352,13 @@ class TensorModule(_ActingModule):
     def weight_of(self, idx: int):
         return self.weights[idx]
 
+    def dual(self) -> DualModule:
+        """The one DualModule of this fully built module, kept in the store."""
+        duals = self.cache("dual")
+        if None not in duals:
+            duals[None] = DualModule(self)
+        return duals[None]
+
     def act_entries(self, r: int, s: int, nu, *, p: int | None = None) -> dict:
         """Column map idx -> {idx': scalar} of x_r d/dx_s on the weight space
         nu, or with a modulus p the same map over F_p, computed from the basis
@@ -372,7 +380,8 @@ class TensorModule(_ActingModule):
 
 class DualModule(_ActingModule):
     """Abstract dual of a fully built module: generators act by negated
-    transpose; the reported highest weight is the dual weight."""
+    transpose; the reported highest weight is the dual weight.  Made once per
+    module by base.dual(); base and dual refer to each other."""
 
     def __init__(self, base):
         base_dim = base.dim  # requires full build
@@ -398,6 +407,10 @@ class DualModule(_ActingModule):
 
     def weight_of(self, idx: int):
         return self._weights[idx]
+
+    def dual(self) -> TensorModule:
+        """The base, whose action is the negated transpose of this one's."""
+        return self.base
 
     def ensure_weight(self, nu) -> list[int]:
         return self.base.ensure_weight(tuple(-x for x in nu))

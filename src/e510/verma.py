@@ -70,9 +70,9 @@ integer and each degree equation is multiplied by 4.  Scaling by a positive
 integer keeps zero-ness, so verdicts and diagnostics are those of rational
 arithmetic.  Invariance is decided on the 8 Chevalley generators x_i d_{i+1}
 and x_{i+1} d_i, which generate sl5; a failing Phi is reported at the first
-failing generator of all 20 x_r d/dx_s in order.  The target's action is
-read through its module's column views (action(r, s)), the same ones
-apply_gen uses, and the source's through a transposed view.
+failing generator of all 20 x_r d/dx_s in order.  Both actions are read
+through the column views apply_gen uses (action(r, s)): the target's, and
+the source's rows as the columns of its dual(), with the sign flipped.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from fractions import Fraction as Q
 from functools import lru_cache, partial
 
 from . import fmodules, sl5, uminus
-from .fmodules import TensorModule, DualModule, glact_vector, gen_shift
+from .fmodules import TensorModule, glact_vector, gen_shift
 from .fmodules import _PAIR_POS, _V0, _VD0, _W0
 from .linalg import RowReducer, UnluckyPrime, add_into, as_int, format_scalar, parse_scalar, to_fp
 
@@ -755,14 +755,15 @@ def _onto_full_target(phi: MorphismData) -> MorphismData:
 
 def dual_morphism(phi: MorphismData) -> MorphismData:
     """The dual map M(mu*) -> M(lam*): decompose as sum del_T omega_I (x)
-    theta, transpose each theta into the abstract duals and weight the block
-    with k = len(T) del factors by (-1)^k.  Proven for degree <= 3; higher
-    degrees are built identically but tagged conjectural.  A target that is
-    a search's lazily built module is first replaced by get_module(mu)."""
+    theta, transpose each theta into the modules' one dual() each (so duals
+    of a chain compose) and weight the block with k = len(T) del factors by
+    (-1)^k.  Proven for degree <= 3; higher degrees are built identically but
+    tagged conjectural.  A lazily built target is first replaced by
+    get_module(mu)."""
     phi = _onto_full_target(phi)
     thetas = theta_decomposition(phi)
-    src = DualModule(phi.target)
-    tgt = DualModule(phi.source)
+    src = phi.target.dual()
+    tgt = phi.source.dual()
     # transpose: theta* column at w-index q collects theta[n][q] at n
     tstars: dict = {}
     for rep, theta in thetas.items():
@@ -786,38 +787,16 @@ def _clear_denominators(table: dict) -> dict:
             for key, cols in table.items()}
 
 
-class _TransposedAction(dict):
-    """k -> [(n, A[k, n])] with n ascending for A the action of x_r d/dx_s
-    on a module: the columns n whose image has a k component.  A missing k
-    transposes the action on the weight space those n lie in, once."""
-
-    def __init__(self, module, r: int, s: int):
-        self.module, self.r, self.s = module, r, s
-        self.shift = gen_shift(r, s)
-        self.done: set = set()
-
-    def __missing__(self, k):
-        mod = self.module
-        nu = sl5.wsub(mod.weight_of(k), self.shift)
-        if nu not in self.done:
-            self.done.add(nu)
-            ns = mod.ensure_weight(nu)
-            entries = mod.act_entries(self.r, self.s, nu)
-            for n in ns:
-                for k2, c in entries[n].items():
-                    self.setdefault(k2, []).append((n, c))
-        return self.setdefault(k, [])
-
-
 def _gen_on_theta(phi: MorphismData, r: int, s: int, coeffs: dict | None = None):
     """x_r d/dx_s . (D Phi) as a morphism-shaped coefficient dict in ints
     (zero iff Phi is invariant): sum [x, m] (x) theta_m + m (x) (A_W theta_m
     - theta_m A_V).  coeffs is D Phi, _clear_denominators(phi.coeffs),
-    computed when not given."""
+    computed when not given.  Row k of A_V is minus column k of the action
+    on the source's dual(), the negated transpose."""
     if coeffs is None:
         coeffs = _clear_denominators(phi.coeffs)
     A_W = phi.target.action(r, s)
-    A_V = _TransposedAction(phi.source, r, s)
+    A_V_dual = phi.source.dual().action(r, s)
     out: dict = {}
     for m, cols in coeffs.items():
         for m2, c2 in _l0_mono(r, s, m):
@@ -827,9 +806,9 @@ def _gen_on_theta(phi: MorphismData, r: int, s: int, coeffs: dict | None = None)
         tgt = out.setdefault(m, {})
         for k, col in cols.items():
             A_W.apply(col, tgt.setdefault(k, {}))
-            # (theta A_V) column n picks up A_V[k, n] theta_col[k]
-            for n, c in A_V[k]:
-                add_into(tgt.setdefault(n, {}), col, -c)
+            # -(theta A_V) column n picks up -A_V[k, n] theta_col[k]
+            for n, c in A_V_dual[k].items():
+                add_into(tgt.setdefault(n, {}), col, c)
     return {m: {n: col for n, col in cols.items() if col}
             for m, cols in out.items() if any(cols.values())}
 

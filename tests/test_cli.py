@@ -108,6 +108,20 @@ def test_verify_malformed_certificate(cert, tmp_path, capsys):
     assert out.startswith(f"{path}: FAIL: malformed certificate: ")
 
 
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe not UTF-8",
+    b"[" * 100_000 + b"]" * 100_000,
+    b"1" * 5000,
+], ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+def test_verify_unreadable_file(data, tmp_path, capsys):
+    # input that json cannot decode is a usage error, not a traceback
+    path = tmp_path / "cert.json"
+    path.write_bytes(data)
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error reading {path}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tamper", ["zero", "empty"])
 def test_verify_rejects_zero_vector(tamper, tmp_path, capsys):
     out_dir = str(tmp_path / "certs")
@@ -151,6 +165,38 @@ def test_classify_thread_count_invariant(capsys):
     threaded = run(["classify", "--degree", "1", "--max-entry", "1",
                     "--threads", "2", "--json"], capsys)[1]
     assert base == threaded
+
+
+@pytest.mark.parametrize("threads, box, cpus, size", [
+    (3, "1", 8, 3),      # the thread count asked for
+    (10**6, "1", 4, 4),  # no more processes than cores
+    (10**6, "0", 8, None),  # one weight: no pool
+    (2, "1", None, None),   # unknown core count: no pool
+])
+def test_classify_pool_size(threads, box, cpus, size, capsys, monkeypatch):
+    import multiprocessing
+    sizes = []
+
+    class InlinePool:  # records its size, starts no process, runs inline
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, args):
+            return [func(*a) for a in args]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    argv = ["classify", "--degree", "1", "--max-entry", box, "--json"]
+    code, out, _ = run(argv + ["--threads", str(threads)], capsys)
+    assert code == 0
+    assert sizes == ([] if size is None else [size])
+    assert out == run(argv, capsys)[1]
 
 
 def test_compose_and_dual(capsys):

@@ -175,6 +175,16 @@ def test_dual_of_dual_is_the_base(data):
     assert dd.apply_gen(r, s, coords) == base.apply_gen(r, s, coords)
 
 
+def test_each_module_has_one_dual_whose_dual_is_the_module():
+    base = fm.build_irreducible((1, 1, 0, 0))
+    dual = base.dual()
+    assert isinstance(dual, fm.DualModule) and dual.base is base
+    assert base.dual() is dual
+    assert dual.dual() is base
+    with pytest.raises(ValueError, match="not fully built"):
+        fm.TensorModule((1, 0, 0, 0)).dual()
+
+
 def test_module_acted_on_is_freed_without_the_cycle_collector():
     # the module keeps its action views, so a view must not keep the module
     was_enabled = gc.isenabled()

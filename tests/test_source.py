@@ -31,3 +31,14 @@ def test_only_fmodules_reads_derived_state_by_attribute():
              if isinstance(node, ast.Attribute) and node.attr in DERIVED_ATTRS
              or isinstance(node, ast.Constant) and node.value in DERIVED_ATTRS]
     assert found == []
+
+
+def test_only_fmodules_makes_a_dual_module():
+    # every dual is a module's shared dual(), so that duals of one module
+    # are one object and compose can chain them
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "fmodules.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "DualModule"]
+    assert found == []

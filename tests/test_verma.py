@@ -596,6 +596,38 @@ def test_dual_twice_identity():
         assert len(ratios) == 1
 
 
+@pytest.mark.parametrize("chain, m, n", _CHAINS)
+def test_double_dual_is_the_morphism_itself(chain, m, n):
+    # the dual of a module's dual is the module, and the two (-1)^k weights
+    # cancel, so the double dual has phi's own modules and coefficients
+    phi = V.family_instance(chain, m, n)
+    back = V.dual_morphism(V.dual_morphism(phi))
+    assert back.source is phi.source and back.target is phi.target
+    assert back.coeffs == phi.coeffs
+
+
+@pytest.mark.parametrize("chain, factors, sign", [
+    ("BA", lambda: [V.nabla_B(0, 0), V.nabla_A(1, 0)], -1),
+    ("CB", lambda: [V.nabla_C(0, 1), V.nabla_B(0, 0)], -1),
+    ("CA", lambda: [V.nabla_C(0, 0), V.nabla_A(0, 0)], -1),
+    ("CBA", lambda: [V.nabla_C(0, 1), V.compose(V.nabla_B(0, 0), V.nabla_A(1, 0))], 1),
+    ("CBA", lambda: [V.compose(V.nabla_C(0, 1), V.nabla_B(0, 0)), V.nabla_A(1, 0)], 1),
+], ids=["BA", "CB", "CA", "C.BA", "CB.A"])
+def test_dual_of_a_composite_composes_the_duals(chain, factors, sign):
+    # dual(phi2 . phi1) = (-1)^(d1 d2) dual(phi1) . dual(phi2): the duals
+    # of one module are one object, so the duals of a chain compose
+    phi2, phi1 = factors()
+    composite = V.compose(phi2, phi1)
+    assert composite.coeffs == V.family_instance(chain, 1 if chain == "BA" else 0).coeffs
+    assert sign == (-1) ** (phi1.degree * phi2.degree)
+    dual = V.dual_morphism(composite)
+    chained = V.compose(V.dual_morphism(phi1), V.dual_morphism(phi2))
+    assert (chained.source, chained.target) == (dual.source, dual.target)
+    assert chained.coeffs == _scaled(dual, sign).coeffs
+    ok, diag = V.check_morphism(chained)
+    assert ok, diag
+
+
 def test_dual_of_a_raw_search_morphism():
     # the search's module is lazy: the dual re-expresses onto get_module(mu)
     mu, lam = (0, 0, 0, 1), (1, 0, 0, 0)
@@ -1044,11 +1076,15 @@ def test_derived_state_sits_in_one_store():
     psi = V.dual_morphism(phi)
     for f in (phi, psi):
         assert V.check_morphism(f)[0] and V.verify_degree_equations(f)[0]
+    # psi's checks read phi.target's own views, not its dual's, so act on
+    # the dual to fill its store
+    psi.source.apply_gen(2, 1, {psi.source.hw_index: 1})
     mod = phi.target
     assert psi.source.base is mod and psi.target.base is phi.source
     assert set(vars(mod)) == {"weight", "vectors", "weights", "prov", "spaces", "pivots",
                               "_full", "_derived"}
     assert {"act", "actions", "stack", "zterm", "depth"} <= {n for n, p in mod._derived}
+    assert ("dual", None) in mod._derived
     assert {("stack", V.SIEVE_PRIME), ("bases", V.SIEVE_PRIME)} <= set(mod._derived)
     for dual in (psi.source, psi.target):
         assert isinstance(dual, fm.DualModule)
