@@ -412,9 +412,6 @@ class DualModule(_ActingModule):
         """The base, whose action is the negated transpose of this one's."""
         return self.base
 
-    def ensure_weight(self, nu) -> list[int]:
-        return self.base.ensure_weight(tuple(-x for x in nu))
-
     def act_entries(self, r: int, s: int, nu) -> dict:
         """Column map of x_r d/dx_s on dual indices of dual weight nu:
         the negated transpose of the action on the base."""
@@ -423,12 +420,10 @@ class DualModule(_ActingModule):
         got = cache.get(key)
         if got is not None:
             return got
-        base_nu = tuple(-x for x in nu)
-        src = sl5.wsub(base_nu, gen_shift(r, s))
-        cols = {idx: {} for idx in self.base.ensure_weight(base_nu)}
-        src_entries = self.base.act_entries(r, s, src)
-        for q in self.base.ensure_weight(src):
-            for p, v in src_entries[q].items():
+        cols = {idx: {} for idx, wt in enumerate(self._weights) if wt == key[2]}
+        src = sl5.wsub(tuple(-x for x in nu), gen_shift(r, s))
+        for q, col in self.base.act_entries(r, s, src).items():
+            for p, v in col.items():
                 cols[p][q] = -v
         cache[key] = cols
         return cols

@@ -68,11 +68,13 @@ the denominators of Phi's coefficients, x . (D Phi) = D (x . Phi) vanishes
 exactly when x . Phi does; likewise the theta blocks are scaled by a positive
 integer and each degree equation is multiplied by 4.  Scaling by a positive
 integer keeps zero-ness, so verdicts and diagnostics are those of rational
-arithmetic.  Invariance is decided on the 8 Chevalley generators x_i d_{i+1}
-and x_{i+1} d_i, which generate sl5; a failing Phi is reported at the first
-failing generator of all 20 x_r d/dx_s in order.  Both actions are read
-through the column views apply_gen uses (action(r, s)): the target's, and
-the source's rows as the columns of its dual(), with the sign flipped.
+arithmetic.  Invariance is decided on the 5 root vectors x_i d_{i+1}
+(i = 1..4) and x_5 d_1, which generate sl5, once per Phi: the first check
+keeps the verdict on the MorphismData for the other; a failing Phi is
+reported at the first failing generator of all 20 x_r d/dx_s in order.  Both
+actions are read through the column views apply_gen uses (action(r, s)): the
+target's, and the source's rows as the columns of its dual(), with the sign
+flipped.
 """
 
 from __future__ import annotations
@@ -548,11 +550,16 @@ def _normalize_singular(w: VermaElement) -> VermaElement:
 # ---------------------------------------------------------------------------
 # Morphisms
 
+_UNDECIDED = object()
+
+
 @dataclass
 class MorphismData:
     """Degree-d element of (U_-)_d (x) Hom(F(lam), F(mu)) defining a linear
     map M(lam) -> M(mu); coeffs maps each PBW monomial to a column map
-    {source index -> {target index -> Q}}."""
+    {source index -> {target index -> Q}}.  coeffs is fixed once built: the
+    first check keeps Phi's L_0-invariance verdict in l0_failure for the
+    next (see _equivariance_failure)."""
 
     degree: int
     lam: tuple
@@ -561,6 +568,7 @@ class MorphismData:
     target: object
     coeffs: dict = field(default_factory=dict)
     tag: str = ""
+    l0_failure: object = field(default=_UNDECIDED, init=False, repr=False, compare=False)
 
     def is_zero(self) -> bool:
         return all(not col for cols in self.coeffs.values() for col in cols.values()) \
@@ -813,40 +821,50 @@ def _gen_on_theta(phi: MorphismData, r: int, s: int, coeffs: dict | None = None)
             for m, cols in out.items() if any(cols.values())}
 
 
-# The 20 generators x_r d/dx_s (r != s) in diagnostic order, and the 8
-# Chevalley generators x_i d_{i+1}, x_{i+1} d_i in the same order.
+# The 20 generators x_r d/dx_s (r != s) in diagnostic order, and the 5 root
+# vectors x_i d_{i+1} (i = 1..4) and x_5 d_1 in the same order.  The first
+# four generate n+, and the lowest root vector x_5 d_1 generates the
+# irreducible adjoint module under n+ (sl5 = U(n+) . E_51), so the five
+# generate sl5.  No four root vectors do: a root and its negative are not
+# both sums of four independent roots.
 _ORDER = tuple((r, s) for r in range(1, 6) for s in range(1, 6) if r != s)
-_SIMPLE = tuple((r, s) for r, s in _ORDER if abs(r - s) == 1)
+_SIMPLE = tuple((r, s) for r, s in _ORDER if s == r % 5 + 1)
 
 
 def _equivariance_failure(phi: MorphismData):
     """The first (r, s, monomial) at which x_r d/dx_s . Phi is not zero, over
-    the 20 generators of L_0 in order, or None when Phi is invariant.
+    the 20 generators of L_0 in order, or None when Phi is invariant: the
+    verdict kept in phi.l0_failure, decided on the first call.
 
     x -> x . Phi is a representation of sl5, so the x that kill Phi form a
-    subalgebra; the 8 Chevalley generators generate sl5, so Phi is invariant
-    exactly when they kill it, and only they are applied to an invariant Phi.
-    When one fails, the generators before it in _ORDER are scanned, reusing
-    the images already computed, for the first failure of the 20."""
-    coeffs = _clear_denominators(phi.coeffs)
-    images = {}
-    for g in _SIMPLE:
-        images[g] = _gen_on_theta(phi, *g, coeffs)
-        if images[g]:
-            break
-    else:
-        return None
-    for g in _ORDER:
-        bad = images[g] if g in images else _gen_on_theta(phi, *g, coeffs)
-        if bad:
-            return (*g, next(iter(bad)))
+    subalgebra; the 5 root vectors of _SIMPLE generate sl5, so Phi is
+    invariant exactly when they kill it, and only they are applied to an
+    invariant Phi.  When one fails, the generators before it in _ORDER are
+    scanned, reusing the images already computed, for the first failure of
+    the 20."""
+    if phi.l0_failure is _UNDECIDED:
+        coeffs = _clear_denominators(phi.coeffs)
+        images = {}
+        for g in _SIMPLE:
+            images[g] = _gen_on_theta(phi, *g, coeffs)
+            if images[g]:
+                break
+        phi.l0_failure = None
+        if any(images.values()):
+            for g in _ORDER:
+                bad = images[g] if g in images else _gen_on_theta(phi, *g, coeffs)
+                if bad:
+                    phi.l0_failure = (*g, next(iter(bad)))
+                    break
+    return phi.l0_failure
 
 
 def check_morphism(phi: MorphismData):
-    """Morphism conditions: (a) L_0 . Phi = 0, decided on the 8 Chevalley
-    generators, and (b) x5 d45 annihilates Phi(hw).  Returns (ok,
+    """Morphism conditions: (a) L_0 . Phi = 0, decided on the 5 root vectors
+    of _SIMPLE, and (b) x5 d45 annihilates Phi(hw).  Returns (ok,
     diagnostics); a failure of (a) names the first failing generator of the
-    20 x_r d/dx_s in order."""
+    20 x_r d/dx_s in order.  The invariance verdict is kept on phi, so
+    verify_degree_equations on the same Phi does not decide it again."""
     bad = _equivariance_failure(phi)
     if bad:
         r, s, mono = bad

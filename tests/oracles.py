@@ -182,6 +182,9 @@ def gen_on_theta(phi, r, s):
 
     src = phi.source
     shift = gen_shift(r, s)
+    by_weight = {}  # the source is fully built: its indices by weight
+    for n in range(src.dim):
+        by_weight.setdefault(tuple(src.weight_of(n)), []).append(n)
     out = {}
     for m, cols in phi.coeffs.items():
         for m2, c2 in uminus.l0_adjoint(r, s, {m: Q(1)}).items():
@@ -194,7 +197,7 @@ def gen_on_theta(phi, r, s):
             _axpy(tgt.setdefault(k, {}), img, Q(1))
             # (theta A_V) column n picks up A_V[k, n] theta_col[k]
             nu_n = sl5.wsub(src.weight_of(k), shift)
-            for n in src.ensure_weight(nu_n):
+            for n in by_weight.get(nu_n, ()):
                 c = src.act_entries(r, s, nu_n)[n].get(k)
                 if c:
                     _axpy(tgt.setdefault(n, {}), col, -c)
@@ -206,7 +209,8 @@ def equivariance_failure(phi):
     """The first (r, s, monomial) at which gen_on_theta(phi, r, s) is not
     zero, over all 20 generators x_r d/dx_s (r != s) in order, r then s, or
     None: the reference for verma._equivariance_failure, which decides
-    invariance on the 8 Chevalley generators."""
+    invariance on the 5 root vectors of verma._SIMPLE and keeps the verdict
+    on Phi."""
     for r in range(1, 6):
         for s in range(1, 6):
             if r != s:

@@ -42,3 +42,33 @@ def test_only_fmodules_makes_a_dual_module():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "DualModule"]
     assert found == []
+
+
+def _referrers(name):
+    """path:owner for every mention of name in src/e510 as a variable or an
+    attribute, owner being the innermost enclosing def or class (<module>
+    at the top level)."""
+    found = set()
+
+    def visit(node, owner, path):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                found.add(f"{path.name}:{owner}")
+            scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if scope else owner, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), "<module>", path)
+    return found
+
+
+def test_invariance_passes_go_through_the_kept_verdict():
+    # only _equivariance_failure applies generators to Phi, and it keeps its
+    # verdict on the MorphismData; only the two checks ask it, and nothing
+    # else reads or sets the verdict, so no invariance pass is run twice
+    assert _referrers("_gen_on_theta") == {"verma.py:_equivariance_failure"}
+    assert _referrers("_equivariance_failure") == {"verma.py:check_morphism",
+                                                   "verma.py:verify_degree_equations"}
+    assert _referrers("l0_failure") == {"verma.py:MorphismData",
+                                        "verma.py:_equivariance_failure"}

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -426,9 +427,9 @@ def test_gen_on_theta_matches_fraction_reference():
 
 
 def test_equivariance_failure_matches_the_ordered_scan():
-    # the verdict comes from the 8 Chevalley generators, the diagnostic is the
-    # first failing generator of all 20 in order: some controls fail first at
-    # x_1d3 or x_1d4, before any simple generator but x_1d2 fails
+    # the verdict comes from the 5 root vectors of V._SIMPLE, the diagnostic
+    # is the first failing generator of all 20 in order: some controls fail
+    # first at x_1d3 or x_1d4, before any of the 5 but x_1d2 fails
     corpus = []
     for chain, m, n in _CHAINS:
         phi = V.family_instance(chain, m, n)
@@ -443,6 +444,77 @@ def test_equivariance_failure_matches_the_ordered_scan():
         if got:
             firsts.add(got[:2])
     assert {(1, 3), (1, 4)} <= firsts
+
+
+def _lie_closure_dim(gens):
+    """Dimension of the Lie algebra generated by the 5x5 matrix units E_rs,
+    (r, s) in gens: each layer brackets every generator with the new elements
+    of the one before, until no bracket is new."""
+    def unit(r, s):
+        return {(r, s): 1}
+
+    def bracket(a, b):
+        # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
+        out: dict = {}
+        for (i, j), x in a.items():
+            for (k, l), y in b.items():
+                if j == k:
+                    out[i, l] = out.get((i, l), 0) + x * y
+                if l == i:
+                    out[k, j] = out.get((k, j), 0) - x * y
+        return out
+
+    span = RowReducer()
+    layer = [unit(*g) for g in gens if span.insert(unit(*g))]
+    while layer:
+        layer = [z for z in (bracket(unit(*g), y) for g in gens for y in layer)
+                 if span.insert(z)]
+    return span.rank
+
+
+def test_five_root_vectors_generate_sl5():
+    # invariance is decided on _SIMPLE alone: E12, E23, E34, E45 and E51
+    # generate all 24 dimensions of sl5, and no 4 of them do
+    assert V._SIMPLE == ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1))
+    assert _lie_closure_dim(V._SIMPLE) == 24
+    for four in itertools.combinations(V._SIMPLE, 4):
+        assert _lie_closure_dim(four) < 24
+
+
+def _unchecked(phi):
+    return V.MorphismData(phi.degree, phi.lam, phi.mu, phi.source, phi.target,
+                          phi.coeffs, phi.tag)
+
+
+def test_checks_decide_invariance_once(monkeypatch):
+    # the first check keeps the verdict on Phi: an invariant Phi costs the 5
+    # generators of _SIMPLE once for both checks, and a failing one costs the
+    # second check nothing
+    A = V.nabla_A(1, 0)
+    invariant = [A, V.family_instance("CA"), V.family_instance("CBA"), V.dual_morphism(A)]
+    assert [phi.degree for phi in invariant] == [1, 2, 3, 1]
+    control = V.perturbed_controls(V.family_instance("BA", 1), 1, seed=7)[0]
+    calls = []
+    real = V._gen_on_theta
+
+    def counted(phi, r, s, coeffs=None):
+        calls.append((r, s))
+        return real(phi, r, s, coeffs)
+
+    monkeypatch.setattr(V, "_gen_on_theta", counted)
+    for phi in invariant:
+        calls.clear()
+        checked = _unchecked(phi)
+        assert V.check_morphism(checked) == (True, "ok")
+        assert V.verify_degree_equations(checked) == (True, "ok")
+        assert calls == [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
+        assert checked == _unchecked(phi) and repr(checked) == repr(_unchecked(phi))
+    checked = _unchecked(control)
+    assert not V.check_morphism(checked)[0]
+    before = len(calls)
+    assert V.verify_degree_equations(checked)[0] is False
+    assert len(calls) == before
+    assert checked == _unchecked(control) and repr(checked) == repr(_unchecked(control))
 
 
 def _scaled(phi, q):
@@ -508,7 +580,7 @@ def _int_morphism(phi, coeffs):
 def test_gen_on_theta_commutator_law(which, perm, bump, rng):
     # x -> x . Phi is a representation of L_0: [x_r d_s, x_s d_t] = x_r d_t
     # acts as the commutator of the two actions, which is why invariance
-    # under the 8 Chevalley generators is invariance under all 20
+    # under the 5 root vectors of V._SIMPLE is invariance under all 20
     phi = (_small_morphisms() + _small_duals())[which]
     r, s, t = perm[:3]
     bad = _scaled(phi, 1)
@@ -551,8 +623,9 @@ def test_checks_leave_lazy_target_as_reference(mu, d):
     # the rational path: all 20 generators and x5 d45, then the precheck of
     # verify_degree_equations (its equations read only target columns of
     # theta blocks, combinations of the Phi columns already read).  The checks
-    # decide invariance on the 8 Chevalley generators, so they look up fewer
-    # weights outside the module; those spaces are empty and number nothing
+    # decide invariance once, on the 5 root vectors of V._SIMPLE, so they look
+    # up fewer weights outside the module; those spaces are empty and number
+    # nothing
     def generators():
         for r, s in _GENERATORS:
             assert not oracles.gen_on_theta(ref, r, s)
