@@ -121,15 +121,12 @@ class ActionColumns(dict):
     whole weight space from module.act_entries, so a lazily built module (a
     search's module, whose F-basis numbering certificates record) gains the
     same weight spaces, in the same order, as under one act_entries call per
-    index.  The module keeps its views, so a view refers to its module weakly
-    and a module is freed when its last reference goes."""
+    index.  The module keeps its views (in its derived store, which is not
+    pickled), so a view refers to its module weakly and a module is freed
+    when its last reference goes."""
 
     def __init__(self, module, r: int, s: int):
         self.module, self.r, self.s = weakref.ref(module), r, s
-
-    def __reduce__(self):
-        # pickled empty, since a weak reference cannot be pickled; it refills
-        return ActionColumns, (self.module(), self.r, self.s)
 
     def __missing__(self, idx):
         mod = self.module()

@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 from . import sl5
-from .linalg import add_into, format_scalar, parse_scalar
+from .linalg import add_into, format_scalar
 
 # canonical pairs in lexicographic order
 PAIRS: tuple[tuple[int, int], ...] = tuple(
@@ -222,19 +222,15 @@ def omega(I: tuple) -> dict:
     d = len(I)
     out: dict = {}
     for S in sif_subsets(d):
+        factors = [contraction(I, kl) for kl in S]
+        if not all(factors):
+            continue  # a matched pair with eps = 0
         coeff = Q((-1) ** crossing_number(S))
-        d5 = [0] * 5
-        ok = True
-        for (k, l) in S:
-            a, b = I[k - 1], I[l - 1]
-            sign, t = eps_t(a[0], a[1], b[0], b[1])
-            if sign == 0:
-                ok = False
-                break
-            coeff *= Q(sign * (-1) ** (k + l), 2)
-            d5[t - 1] += 1
-        if not ok:
-            continue
+        d5 = (0,) * 5
+        for factor in factors:
+            ((dt, _), c), = factor.items()
+            coeff *= c
+            d5 = tuple(x + y for x, y in zip(d5, dt))
         matched = {pos for p in S for pos in p}
         rest = tuple(I[pos] for pos in range(d) if pos + 1 not in matched)
         for (d5w, psw), c in normal_form(rest).items():
@@ -364,31 +360,6 @@ def rep_monomial(rep) -> tuple:
     return (tuple(d5), I)
 
 
-def omega_basis_check(d: int) -> bool:
-    """Verify square-invertibility of the change of basis.
-
-    The columns are unitriangular with respect to the del-count filtration
-    and their level-k diagonal monomials biject onto the PBW monomials with k
-    del factors, which proves invertibility; both facts are checked here, as
-    is the dimension formula.
-    """
-    reps, cols = omega_basis(d)
-    if len(reps) != pbw_dimension(d):
-        return False
-    monos = set(pbw_monomials(d))
-    diag = set()
-    for rep, col in zip(reps, cols):
-        m0 = rep_monomial(rep)
-        k = sum(m0[0])
-        if col.get(m0) != 1:
-            return False
-        for (d5, ps) in col:
-            if sum(d5) < k or (sum(d5) == k and (d5, ps) != m0):
-                return False
-        diag.add(m0)
-    return diag == monos
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -405,10 +376,6 @@ def uelement_to_obj(u: dict) -> list:
     items = sorted(u.items(), key=lambda kv: (sum(kv[0][0]), kv[0]))
     return [{"monomial": monomial_to_obj(m), "coeff": format_scalar(c)}
             for m, c in items]
-
-
-def uelement_from_obj(obj) -> dict:
-    return {monomial_from_obj(t["monomial"]): parse_scalar(t["coeff"]) for t in obj}
 
 
 def format_monomial(m: tuple) -> str:

@@ -329,13 +329,6 @@ def singular_vectors(mu, d: int, module: TensorModule | None = None):
     return out
 
 
-def highest_weight_vectors(mu, d: int, lam, module: TensorModule | None = None):
-    """Basis of the weight-lam highest weight vectors of (U_-)_d (x) F(mu)
-    (no L_1 condition); used for cross-checks and negative controls."""
-    mod = module if module is not None else TensorModule(tuple(mu))
-    return _lift_singular(mod, d, tuple(lam), _weight_groups(d), impose_l1=False)
-
-
 def _weight_groups(d: int) -> dict:
     """The PBW monomials of degree d grouped by weight: weight -> [monomial],
     each list in the order of uminus.pbw_monomials."""
@@ -397,15 +390,14 @@ def _sieve(lift) -> str:
         return "unlucky"
 
 
-def _lift_singular(mod, d, lam, groups, impose_l1=True):
-    """Basis of the degree-d singular vectors of weight lam in M(mu) (of the
-    highest weight vectors when impose_l1 is False) by leading-term lifting:
-    one lifting loop, run over F_p as a sieve and then over Q for the
-    survivors (see the module docstring).  groups is _weight_groups(d).  With
-    impose_l1 the z-terms of x_5 d45 are recorded per depth and expanded into
-    constraint rows only when the lifting flushes that depth (the module
-    docstring says why that is safe), and each vector is re-verified by the
-    full is_singular check."""
+def _lift_singular(mod, d, lam, groups):
+    """Basis of the degree-d singular vectors of weight lam in M(mu) by
+    leading-term lifting: one lifting loop, run over F_p as a sieve and then
+    over Q for the survivors (see the module docstring).  groups is
+    _weight_groups(d).  The z-terms of x_5 d45 are recorded per depth and
+    expanded into constraint rows only when the lifting flushes that depth
+    (the module docstring says why that is safe), and each vector is
+    re-verified by the full is_singular check."""
     mu = mod.highest_weight
     depths = mod.cache("depth")
 
@@ -480,8 +472,7 @@ def _lift_singular(mod, d, lam, groups, impose_l1=True):
                 for ci, m in enumerate(leading):
                     hw_space = mod.ensure_weight(mu)
                     V[m] = {hw_space[0]: {ci: one}}
-                    if impose_l1:
-                        add_z_terms(m, mu, 0, V[m])
+                    add_z_terms(m, mu, 0, V[m])
             else:
                 for nu, ms in sorted(levels.get(depth, {}).items()):
                     solve_combs, zero_combs = solver(nu)
@@ -503,16 +494,14 @@ def _lift_singular(mod, d, lam, groups, impose_l1=True):
                                 constraints.insert(form)
                         if comps:
                             V[m] = comps
-                            if impose_l1:
-                                add_z_terms(m, nu, depth, comps)
+                            add_z_terms(m, nu, depth, comps)
                         if constraints.rank >= L:
                             return None
-            if impose_l1 and flush_z(depth):
+            if flush_z(depth):
                 return None
-        if impose_l1:
-            for depth in sorted(zterms):
-                if flush_z(depth):
-                    return None
+        for depth in sorted(zterms):
+            if flush_z(depth):
+                return None
         if constraints.rank >= L:
             return None
         return V, constraints
@@ -532,7 +521,7 @@ def _lift_singular(mod, d, lam, groups, impose_l1=True):
                     terms[(m, fidx)] = val
         w = VermaElement(mod, d, terms)
         w = _normalize_singular(w)
-        if impose_l1 and not is_singular(w):
+        if not is_singular(w):
             raise ArithmeticError(
                 f"lifted vector fails the singular check: mu={mu}, lam={lam}, d={d}")
         vecs.append(w)
@@ -584,6 +573,16 @@ class MorphismData:
 
     def hw_image(self) -> VermaElement:
         return self.column(self.source.hw_index)
+
+
+def _coeffs(images) -> dict:
+    """MorphismData.coeffs from the images Phi(b_n), each a terms dict
+    (PBW monomial, target index) -> Q, in source index order n = 0, 1, ..."""
+    coeffs: dict = {}
+    for n, terms in enumerate(images):
+        for (m, idx), c in terms.items():
+            coeffs.setdefault(m, {}).setdefault(n, {})[idx] = c
+    return coeffs
 
 
 _module_cache: dict = {}
@@ -658,11 +657,8 @@ def morphism_from_singular(w: VermaElement, lam, check: bool = True) -> Morphism
         for k, c in trail:
             img = img.plus(images[k], -c)
         images[n] = img.scaled(Q(1) / pc)
-    coeffs: dict = {}
-    for n, img in enumerate(images):
-        for (m, idx), c in img.terms.items():
-            coeffs.setdefault(m, {}).setdefault(n, {})[idx] = c
-    return MorphismData(w.degree, lam, mod_mu.highest_weight, src, mod_mu, coeffs)
+    return MorphismData(w.degree, lam, mod_mu.highest_weight, src, mod_mu,
+                        _coeffs(img.terms for img in images))
 
 
 def apply_morphism(phi: MorphismData, u: dict, vcoords: dict, *,
@@ -693,7 +689,7 @@ def compose(phi2: MorphismData, phi1: MorphismData) -> MorphismData:
     """phi2 . phi1, of degree d1 + d2."""
     if phi1.mu != phi2.lam or phi1.target is not phi2.source:
         raise ValueError("weight mismatch in composition")
-    coeffs: dict = {}
+    images: list = []
     products: dict = {}  # m -> {m2 -> m * m2}: the U products, shared by columns
     for n in range(phi1.source.dim):
         acc: dict = {}
@@ -703,10 +699,9 @@ def compose(phi2: MorphismData, phi1: MorphismData) -> MorphismData:
                 img = apply_morphism(phi2, {m: Q(1)}, col,
                                      products=products.setdefault(m, {}))
                 add_into(acc, img.terms)
-        for (m, idx), c in acc.items():
-            coeffs.setdefault(m, {}).setdefault(n, {})[idx] = c
+        images.append(acc)
     return MorphismData(phi1.degree + phi2.degree, phi1.lam, phi2.mu,
-                        phi1.source, phi2.target, coeffs)
+                        phi1.source, phi2.target, _coeffs(images))
 
 
 def theta_decomposition(phi: MorphismData) -> dict:
@@ -754,10 +749,7 @@ def _onto_full_target(phi: MorphismData) -> MorphismData:
     if not isinstance(phi.target, TensorModule) or phi.target._full:
         return phi
     full = get_module(phi.mu)
-    coeffs: dict = {}
-    for n in range(phi.source.dim):
-        for (m, idx), c in reexpress(phi.column(n), full).terms.items():
-            coeffs.setdefault(m, {}).setdefault(n, {})[idx] = c
+    coeffs = _coeffs(reexpress(phi.column(n), full).terms for n in range(phi.source.dim))
     return MorphismData(phi.degree, phi.lam, phi.mu, phi.source, full, coeffs, phi.tag)
 
 
@@ -1164,8 +1156,10 @@ def verma_element_from_obj(module, degree: int, obj) -> VermaElement:
     return VermaElement(module, degree, terms)
 
 
-def make_certificate(mu, lam, d: int, w: VermaElement, family: str) -> dict:
-    """Certificate for one singular vector; all checks re-run on emission."""
+def _certificate_checks(lam, d: int, w: VermaElement) -> dict:
+    """The checks a certificate records for its vector w, each re-run: the
+    L_0 raisings, x_5 d45, the L_1 spanning set and the degree equations of
+    the morphism w defines (False above degree 3, which has none)."""
     checks = {
         "l0_highest": all(act_l0(i, i + 1, w).is_zero() for i in range(1, 5)),
         "x5d45": act_x5d45(w).is_zero(),
@@ -1173,13 +1167,18 @@ def make_certificate(mu, lam, d: int, w: VermaElement, family: str) -> dict:
     }
     phi = morphism_from_singular(w, lam)
     checks["equations"] = verify_degree_equations(phi)[0] if d <= 3 else False
+    return checks
+
+
+def make_certificate(mu, lam, d: int, w: VermaElement, family: str) -> dict:
+    """Certificate for one singular vector; all checks re-run on emission."""
     return {
         "mu": list(mu),
         "lambda": list(lam),
         "degree": d,
         "vector": verma_element_to_obj(w),
         "leading_term": verma_element_to_obj(leading_term(w)),
-        "checks": checks,
+        "checks": _certificate_checks(lam, d, w),
         "family": family,
     }
 
@@ -1215,7 +1214,7 @@ def _certificate_shape_error(cert) -> str | None:
     """Why cert is not in the form make_certificate writes, or None."""
     if not isinstance(cert, dict):
         return f"expected a JSON object, got {type(cert).__name__}"
-    for key in ("mu", "lambda", "degree", "vector", "leading_term"):
+    for key in ("mu", "lambda", "degree", "vector", "leading_term", "checks"):
         if key not in cert:
             return f"missing key {key!r}"
     for key in ("mu", "lambda"):
@@ -1231,12 +1230,18 @@ def _certificate_shape_error(cert) -> str | None:
         bad = _element_shape_error(cert[key])
         if bad:
             return f"{key}: {bad}"
+    checks = cert["checks"]
+    if not (isinstance(checks, dict)
+            and set(checks) == {"l0_highest", "x5d45", "full_l1", "equations"}
+            and all(type(v) is bool for v in checks.values())):
+        return f"checks must be the four booleans make_certificate writes, got {checks!r}"
     return None
 
 
 def verify_certificate(cert: dict) -> tuple[bool, str]:
     """Re-run the search for the certified (mu, degree) and check the stored
-    vector is reproduced exactly, with all checks passing."""
+    vector is reproduced exactly, with all checks passing and the stored
+    checks equal to the re-run ones."""
     bad = _certificate_shape_error(cert)
     if bad:
         return False, f"malformed certificate: {bad}"
@@ -1263,6 +1268,8 @@ def verify_certificate(cert: dict) -> tuple[bool, str]:
         fam = label_family(mu, lam, d, [w])
         if fam != cert.get("family"):
             return False, f"family label mismatch: {fam} != {cert.get('family')}"
+        if cert["checks"] != _certificate_checks(lam, d, w):
+            return False, "stored checks do not match the re-run checks"
         return True, "ok"
     return False, f"no singular vectors of weight {lam} found in M({mu}) at degree {d}"
 
@@ -1391,31 +1398,6 @@ def perturbed_controls(phi: MorphismData, count: int, seed: int = 0):
         col[idx] = col.get(idx, Q(0)) + Q(rng.randint(1, 7))
         out.append(MorphismData(phi.degree, phi.lam, phi.mu, phi.source,
                                 phi.target, coeffs, tag=f"control-{k}"))
-    return out
-
-
-def hw_controls(mu, d: int, count: int):
-    """L0-invariant Phi of degree d over M(mu) built from highest weight
-    vectors that are not singular: they pass the equivariance precheck and
-    fail the L_1 condition, so both checks must reject them."""
-    mu = tuple(mu)
-    mod = get_module(mu)
-    out = []
-    for lam in _candidates(mu, _weight_groups(d)):
-        hw = highest_weight_vectors(mu, d, lam, module=mod)
-        if not hw:
-            continue
-        sing = RowReducer()
-        for _lam2, vecs in singular_vectors(mu, d, module=mod):
-            if _lam2 == lam:
-                for v in vecs:
-                    sing.insert(dict(v.terms))
-        for w in hw:
-            if not sing.reduce(dict(w.terms)):
-                continue  # inside the singular space
-            out.append(morphism_from_singular(w, lam, check=False))
-            if len(out) >= count:
-                return out
     return out
 
 

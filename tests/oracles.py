@@ -1,8 +1,9 @@
-"""Independent oracles used by the tests.
+"""Independent oracles used by the tests, and the helpers only tests call.
 
-Everything here is deliberately written from first principles (hand
-elimination, enumeration, classical formulas) and never calls the code paths
-it is used to check.
+The oracles are deliberately written from first principles (hand
+elimination, enumeration, classical formulas) and never call the code paths
+they are used to check.  The helpers (omega_basis_check, uelement_from_obj,
+hw_controls) build test inputs and structural checks from the library.
 """
 
 from fractions import Fraction as Q
@@ -25,7 +26,7 @@ def dense_rref(rows, ncols):
         for r in range(len(m)):
             if r != top and m[r][col]:
                 f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[top])]
+                m[r] = [a - f * b if b else a for a, b in zip(m[r], m[top])]
         pivots.append(col)
     return m[:len(pivots)], pivots
 
@@ -347,3 +348,103 @@ def theta_decomposition(phi):
         if theta:
             out[rep] = theta
     return out
+
+
+def dominant_candidates(mu, d):
+    """The dominant weights mu + wt(m) over the PBW monomials m of degree d,
+    sorted: every lam a degree-d singular vector of M(mu) can have."""
+    from e510 import sl5, uminus
+
+    return sorted({lam for m in uminus.pbw_monomials(d)
+                   if sl5.is_dominant(lam := sl5.wadd(mu, uminus.monomial_weight(m)))})
+
+
+def verma_kernels(mu, d, lam):
+    """(highest weight space, singular space) of weight lam in (U_-)_d (x)
+    F(mu), on verma.get_module(mu), by dense elimination over the basis pairs
+    (m, idx) of weight lam: the kernel of the four raisings x_i d_{i+1}, and
+    the kernel of the raisings and x_5 d45.  Each is a list of VermaElements.
+    Only the actions act_l0 and act_x5d45 are read, never the lifting."""
+    from e510 import sl5, uminus, verma
+
+    mod = verma.get_module(mu)
+    lam = tuple(lam)
+    pairs = [(m, idx) for m in uminus.pbw_monomials(d) for idx in range(mod.dim)
+             if sl5.wadd(uminus.monomial_weight(m), mod.weight_of(idx)) == lam]
+    raisings, lowest = {}, {}  # row key -> {pair position -> Q}
+    for col, pair in enumerate(pairs):
+        e = verma.VermaElement(mod, d, {pair: Q(1)})
+        for i in range(1, 5):
+            for key, c in verma.act_l0(i, i + 1, e).terms.items():
+                raisings.setdefault((i, key), {})[col] = c
+        for key, c in verma.act_x5d45(e).terms.items():
+            lowest.setdefault(key, {})[col] = c
+
+    def kernel(rows):
+        dense = [[row.get(col, 0) for col in range(len(pairs))] for row in rows]
+        return [verma.VermaElement(mod, d, {pairs[c]: v for c, v in vec.items()})
+                for vec in dense_null_space(dense, len(pairs))]
+
+    return (kernel(list(raisings.values())),
+            kernel(list(raisings.values()) + list(lowest.values())))
+
+
+def in_span(vecs, w):
+    """Whether the VermaElement w lies in the span of the VermaElements vecs,
+    by dense rank over the union of their terms."""
+    keys = list({k for v in [*vecs, w] for k in v.terms})
+    rows = [[v.terms.get(k, 0) for k in keys] for v in vecs]
+    return dense_rank(rows + [[w.terms.get(k, 0) for k in keys]]) == dense_rank(rows)
+
+
+def hw_controls(mu, d, count):
+    """Up to count L0-invariant Phi of degree d into M(mu), each built from a
+    highest weight vector outside the singular space (verma_kernels): they
+    pass the equivariance precheck and fail the L_1 condition, so both checks
+    must reject them."""
+    from e510 import verma
+
+    out = []
+    for lam in dominant_candidates(mu, d):
+        hw, sing = verma_kernels(mu, d, lam)
+        for w in hw:
+            if not in_span(sing, w):
+                out.append(verma.morphism_from_singular(w, lam, check=False))
+                if len(out) >= count:
+                    return out
+    return out
+
+
+def omega_basis_check(d: int) -> bool:
+    """Verify square-invertibility of the change of basis.
+
+    The columns are unitriangular with respect to the del-count filtration
+    and their level-k diagonal monomials biject onto the PBW monomials with k
+    del factors, which proves invertibility; both facts are checked here, as
+    is the dimension formula.
+    """
+    from e510.uminus import omega_basis, pbw_dimension, pbw_monomials, rep_monomial
+
+    reps, cols = omega_basis(d)
+    if len(reps) != pbw_dimension(d):
+        return False
+    monos = set(pbw_monomials(d))
+    diag = set()
+    for rep, col in zip(reps, cols):
+        m0 = rep_monomial(rep)
+        k = sum(m0[0])
+        if col.get(m0) != 1:
+            return False
+        for (d5, ps) in col:
+            if sum(d5) < k or (sum(d5) == k and (d5, ps) != m0):
+                return False
+        diag.add(m0)
+    return diag == monos
+
+
+def uelement_from_obj(obj) -> dict:
+    """The UElement that uminus.uelement_to_obj wrote as obj."""
+    from e510.linalg import parse_scalar
+    from e510.uminus import monomial_from_obj
+
+    return {monomial_from_obj(t["monomial"]): parse_scalar(t["coeff"]) for t in obj}

@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import oracles
 from e510 import fmodules as fm
 from e510 import sl5
 from e510 import uminus as um
@@ -111,7 +112,7 @@ def test_criterion_04_basis_dimensions():
         want = sum(comb(k + 4, 4) * comb(10, d - 2 * k) for k in range(d // 2 + 1))
         reps, _cols = um.omega_basis(d)
         assert len(reps) == want == len(um.pbw_monomials(d))
-        assert um.omega_basis_check(d), f"basis not invertible at degree {d}"
+        assert oracles.omega_basis_check(d), f"basis not invertible at degree {d}"
     report(4, time.time() - t0, 60,
            "omega basis square and unitriangular-invertible for d <= 6")
 
@@ -236,9 +237,16 @@ def test_criterion_11_check_equivalence(catalogue):
              "CBA": V.family_instance("CBA")}
     for name, phi in seeds.items():
         controls[phi.degree].extend(V.perturbed_controls(phi, 8, seed=len(name)))
-    controls[1].extend(V.hw_controls((1, 1, 0, 0), 1, 2))
+    hw = {1: oracles.hw_controls((1, 1, 0, 0), 1, 2),
+          2: oracles.hw_controls((1, 0, 0, 0), 2, 2)}
+    for degree, batch in hw.items():
+        assert len(batch) == 2, degree
+        for bad in batch:
+            # L0-invariant by construction: rejected past the precheck
+            assert not V.verify_degree_equations(bad)[1].startswith("precheck")
+    controls[1].extend(hw[1])
     controls[2].extend(V.equivariant_controls(seeds["CA"], 2))
-    controls[2].extend(V.hw_controls((1, 0, 0, 0), 2, 2))
+    controls[2].extend(hw[2])
     controls[3].extend(V.equivariant_controls(seeds["CBA"], 2))
     counts = {}
     for degree, batch in controls.items():

@@ -122,6 +122,39 @@ def test_verify_unreadable_file(data, tmp_path, capsys):
     assert err.startswith(f"error reading {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tamper", ["all-false", "not-a-dict", "missing"])
+def test_verify_reads_stored_checks(tamper, tmp_path, capsys):
+    # the stored checks must be the four booleans the re-run produces
+    out_dir = str(tmp_path / "certs")
+    run(["singular", "--mu", "0,0,0,0", "--degree", "1", "--out", out_dir],
+        capsys)
+    path = next((tmp_path / "certs").glob("*.json"))
+    code, out, _ = run(["verify", str(path)], capsys)
+    assert code == 0 and out.endswith(": ok\n")
+    cert = json.loads(path.read_text())
+    if tamper == "all-false":
+        cert["checks"] = {key: False for key in cert["checks"]}
+    elif tamper == "not-a-dict":
+        cert["checks"] = "garbage"
+    else:
+        del cert["checks"]
+    path.write_text(json.dumps(cert))
+    code, out, _ = run(["verify", str(path)], capsys)
+    assert code == 3 and "FAIL" in out
+
+
+def test_verify_accepts_equations_false_above_degree_3(tmp_path, capsys):
+    # above degree 3 no equations exist, and "equations": false is written
+    out_dir = str(tmp_path / "certs")
+    code, _out, _ = run(["singular", "--mu", "0,0,0,0", "--degree", "4",
+                         "--out", out_dir], capsys)
+    assert code == 0
+    path = next((tmp_path / "certs").glob("*.json"))
+    assert json.loads(path.read_text())["checks"]["equations"] is False
+    code, out, _ = run(["verify", str(path)], capsys)
+    assert code == 0 and out.endswith(": ok\n")
+
+
 @pytest.mark.parametrize("tamper", ["zero", "empty"])
 def test_verify_rejects_zero_vector(tamper, tmp_path, capsys):
     out_dir = str(tmp_path / "certs")

@@ -139,13 +139,33 @@ def test_highest_weight_space_matches_klimyk():
     mus = [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (2, 0, 0, 1)]
     for mu in mus:
         d = rng.choice((1, 2))
-        mons = um.pbw_monomials(d)
-        weights = [um.monomial_weight(m) for m in mons]
-        cands = sorted({sl5.wadd(mu, w) for w in weights
-                        if sl5.is_dominant(sl5.wadd(mu, w))})
-        for lam in cands[:6]:
-            hw = V.highest_weight_vectors(mu, d, lam)
+        weights = [um.monomial_weight(m) for m in um.pbw_monomials(d)]
+        for lam in oracles.dominant_candidates(mu, d)[:6]:
+            hw, _sing = oracles.verma_kernels(mu, d, lam)
             assert len(hw) == klimyk_multiplicity(mu, weights, lam), (mu, d, lam)
+
+
+_COMPLETENESS_CASES = [
+    *((mu, d) for mu in [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (2, 0, 0, 1),
+                         (0, 0, 1, 1)] for d in (1, 2)),
+    ((0, 0, 1, 1), 3), ((1, 1, 0, 0), 3)]
+
+
+@pytest.mark.parametrize("mu,d", _COMPLETENESS_CASES,
+                         ids=["".join(map(str, mu)) + f"-d{d}" for mu, d in _COMPLETENESS_CASES])
+def test_search_is_complete_against_dense_kernel(mu, d):
+    # at every dominant candidate the search returns a basis of the singular
+    # space that dense elimination finds on get_module(mu): as many vectors,
+    # each inside that space once re-expressed there
+    found = dict(V.singular_vectors(mu, d))
+    full = V.get_module(mu)
+    for lam in oracles.dominant_candidates(mu, d):
+        _hw, sing = oracles.verma_kernels(mu, d, lam)
+        vecs = found.pop(lam, [])
+        assert len(sing) == len(vecs), (mu, d, lam)
+        for w in vecs:
+            assert oracles.in_span(sing, V.reexpress(w, full)), (mu, d, lam)
+    assert not found
 
 
 def test_leading_term_top_line_fixed_point():
@@ -386,7 +406,7 @@ def test_equivariant_controls_fail_only_l1():
 
 
 def test_hw_controls_equivariant():
-    for bad in V.hw_controls((1, 1, 0, 0), 1, 2):
+    for bad in oracles.hw_controls((1, 1, 0, 0), 1, 2):
         ok1, _ = V.check_morphism(bad)
         ok2, diag2 = V.verify_degree_equations(bad)
         assert not ok1 and not ok2
@@ -411,7 +431,7 @@ def test_gen_on_theta_matches_fraction_reference():
         if chain != "CBA":
             corpus += V.perturbed_controls(phi, 1, seed=3)
     corpus += V.equivariant_controls(V.family_instance("CA"), 1)
-    corpus += V.hw_controls((1, 1, 0, 0), 1, 1)
+    corpus += oracles.hw_controls((1, 1, 0, 0), 1, 1)
     for phi in corpus:
         ratios = set()
         for r, s in _GENERATORS:
