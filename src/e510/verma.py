@@ -74,7 +74,11 @@ keeps the verdict on the MorphismData for the other; a failing Phi is
 reported at the first failing generator of all 20 x_r d/dx_s in order.  Both
 actions are read through the column views apply_gen uses (action(r, s)): the
 target's, and the source's rows as the columns of its dual(), with the sign
-flipped.
+flipped.  The degree equations of an invariant Phi are decided on the highest
+weight column v of F(lam): there they hold every coefficient of
+x_5 d_45 Phi(v), n+ kills Phi(v), and L_1 = U(n+) . x_5 d_45, so they make
+Phi a morphism, which satisfies them on every column.  Only a Phi that fails
+at v is evaluated on all columns, to name its first failing equation.
 """
 
 from __future__ import annotations
@@ -704,14 +708,17 @@ def compose(phi2: MorphismData, phi1: MorphismData) -> MorphismData:
                         phi1.source, phi2.target, _coeffs(images))
 
 
-def theta_decomposition(phi: MorphismData) -> dict:
+def theta_decomposition(phi: MorphismData, column: int | None = None) -> dict:
     """Coefficients of Phi on the del_T omega_I basis: rep -> column map.
 
     The basis is unitriangular by del count (uminus.omega_basis), so in its
     order theta_rep is what is left of Phi at the diagonal monomial of rep,
-    and del_T omega_I (x) theta_rep is then peeled off the rest."""
+    and del_T omega_I (x) theta_rep is then peeled off the rest.  Each source
+    column is peeled on its own, so with column given only that column of
+    every theta_rep is computed."""
     reps, cols = uminus.omega_basis(phi.degree)
-    rest = {m: {n: dict(col) for n, col in cs.items()} for m, cs in phi.coeffs.items()}
+    rest = {m: {n: dict(col) for n, col in cs.items() if column in (None, n)}
+            for m, cs in phi.coeffs.items()}
     out: dict = {}
     for rep, col in zip(reps, cols):
         m0 = uminus.rep_monomial(rep)
@@ -933,8 +940,18 @@ def _perm_eps(p, q, a, b, c):
 
 def verify_degree_equations(phi: MorphismData):
     """Degree-specific scalar equations characterizing morphisms among
-    L0-invariant Phi, evaluated on every basis vector of F(lam) at once.
-    Returns (ok, diagnostics); the verdict agrees with check_morphism."""
+    L0-invariant Phi.  Returns (ok, diagnostics); the verdict agrees with
+    check_morphism.
+
+    Once Phi is invariant the equations are decided on the highest weight
+    column v = b_hw of F(lam) alone.  Invariance makes Phi(v) killed by n+.
+    The equations at one column are the coefficients of x_p d_{pq} Phi(v)
+    for every ordered pair (p, q), so at v they include every coefficient of
+    x_5 d_45 Phi(v); as L_1 = U(n+) . x_5 d_45, then L_1 Phi(v) = 0 and Phi
+    is a morphism (the lemma behind check_morphism's (b)).  A morphism
+    satisfies the equations on every column, so a failure at v is a failure
+    on all of them: only then are all columns evaluated, which names the
+    first failing equation over all of F(lam)."""
     bad = _equivariance_failure(phi)
     if bad:
         r, s, _mono = bad
@@ -942,17 +959,18 @@ def verify_degree_equations(phi: MorphismData):
     equations = {1: _equations_deg1, 2: _equations_deg2, 3: _equations_deg3}.get(phi.degree)
     if equations is None:
         return False, "unsupported degree"
-    return equations(phi)
+    if equations(phi, _theta_table(phi, phi.source.hw_index))[0]:
+        return True, "ok"
+    return equations(phi, _theta_table(phi))
 
 
-def _theta_table(phi: MorphismData) -> dict:
-    """The theta blocks keyed (T, I), scaled to ints by a positive integer
-    (see _clear_denominators)."""
-    return _clear_denominators(theta_decomposition(phi))
+def _theta_table(phi: MorphismData, column: int | None = None) -> dict:
+    """The theta blocks keyed (T, I), at one source column when given,
+    scaled to ints by a positive integer (see _clear_denominators)."""
+    return _clear_denominators(theta_decomposition(phi, column))
 
 
-def _equations_deg1(phi: MorphismData):
-    table = _theta_table(phi)
+def _equations_deg1(phi: MorphismData, table: dict):
     for p in range(1, 6):
         others = [x for x in range(1, 6) if x != p]
         for trip in itertools.permutations(others, 3):
@@ -967,12 +985,11 @@ def _equations_deg1(phi: MorphismData):
     return True, "ok"
 
 
-def _equations_deg2(phi: MorphismData):
+def _equations_deg2(phi: MorphismData, table: dict):
     """x_p d_Q Phi(v) expanded over the d_K basis: the coefficient of each
     canonical K must vanish; the theta^p term appears only on the K matching
     Q, weighted by the orientation sign of d_Q = sign * d_K.  Each equation
     is multiplied by 4."""
-    table = _theta_table(phi)
     for p, q in itertools.permutations(range(1, 6), 2):
         a, b, c = [x for x in range(1, 6) if x not in (p, q)]
         eps = _perm_eps(p, q, a, b, c)
@@ -994,9 +1011,8 @@ def _equations_deg2(phi: MorphismData):
     return True, "ok"
 
 
-def _equations_deg3(phi: MorphismData):
+def _equations_deg3(phi: MorphismData, table: dict):
     """The degree-3 equations (3)-(6), each multiplied by 4."""
-    table = _theta_table(phi)
     pairs1 = list(uminus.PAIRS)
     for p, q in itertools.permutations(range(1, 6), 2):
         rest = [x for x in range(1, 6) if x not in (p, q)]
@@ -1157,16 +1173,19 @@ def verma_element_from_obj(module, degree: int, obj) -> VermaElement:
 
 
 def _certificate_checks(lam, d: int, w: VermaElement) -> dict:
-    """The checks a certificate records for its vector w, each re-run: the
-    L_0 raisings, x_5 d45, the L_1 spanning set and the degree equations of
-    the morphism w defines (False above degree 3, which has none)."""
+    """The checks a certificate records for its vector w, each run once: the
+    L_0 raisings, x_5 d45, the L_1 spanning set (the three of is_singular)
+    and the degree equations of the morphism w defines.  That morphism is
+    built only once the first three hold, with check=False, as check=True
+    would apply the raisings and x_5 d45 again; "equations" is False when
+    they do not hold and above degree 3, which has none."""
     checks = {
         "l0_highest": all(act_l0(i, i + 1, w).is_zero() for i in range(1, 5)),
         "x5d45": act_x5d45(w).is_zero(),
         "full_l1": all(act_l1_combination(e, w).is_zero() for e in l1_basis()),
     }
-    phi = morphism_from_singular(w, lam)
-    checks["equations"] = verify_degree_equations(phi)[0] if d <= 3 else False
+    checks["equations"] = all(checks.values()) and d <= 3 and \
+        verify_degree_equations(morphism_from_singular(w, lam, check=False))[0]
     return checks
 
 
@@ -1260,7 +1279,8 @@ def verify_certificate(cert: dict) -> tuple[bool, str]:
                 span.insert(dict(v.terms))
             if span.reduce(dict(w.terms)):
                 return False, "stored vector is not in the computed solution space"
-        if not is_singular(w):
+        checks = _certificate_checks(lam, d, w)
+        if not (checks["l0_highest"] and checks["x5d45"] and checks["full_l1"]):
             return False, "stored vector fails the singular conditions"
         lt = verma_element_from_obj(mod, d, cert["leading_term"])
         if leading_term(w).terms != lt.terms:
@@ -1268,7 +1288,7 @@ def verify_certificate(cert: dict) -> tuple[bool, str]:
         fam = label_family(mu, lam, d, [w])
         if fam != cert.get("family"):
             return False, f"family label mismatch: {fam} != {cert.get('family')}"
-        if cert["checks"] != _certificate_checks(lam, d, w):
+        if cert["checks"] != checks:
             return False, "stored checks do not match the re-run checks"
         return True, "ok"
     return False, f"no singular vectors of weight {lam} found in M({mu}) at degree {d}"

@@ -72,3 +72,11 @@ def test_invariance_passes_go_through_the_kept_verdict():
                                                    "verma.py:verify_degree_equations"}
     assert _referrers("l0_failure") == {"verma.py:MorphismData",
                                         "verma.py:_equivariance_failure"}
+
+
+def test_degree_equations_are_decided_hw_column_first():
+    # the equations are evaluated only by verify_degree_equations, which
+    # tries the highest weight column before every column, so no caller can
+    # skip the one-column decision or read a diagnostic it did not name
+    for d in (1, 2, 3):
+        assert _referrers(f"_equations_deg{d}") == {"verma.py:verify_degree_equations"}

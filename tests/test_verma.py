@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -373,18 +374,54 @@ def test_check_morphism_CB():
     assert ok, diag
 
 
-def test_verify_equations_agree_with_check():
-    corpus = [V.nabla_A(0, 0), V.nabla_B(0, 0), V.nabla_C(0, 0),
-              V.family_instance("BA", m=1), V.family_instance("CA")]
+def test_verify_equations_agree_with_check(monkeypatch):
+    # the equations accept exactly what check_morphism accepts, and deciding
+    # them on the highest weight column first returns what evaluating them on
+    # every column of F(lam) returns, diagnostic included
+    corpus = [V.family_instance(chain, m, n) for chain, m, n in _CHAINS]
     for phi in corpus:
         ok1, _ = V.check_morphism(phi)
         ok2, _ = V.verify_degree_equations(phi)
         assert ok1 and ok2
-    for phi in corpus:
-        for bad in V.perturbed_controls(phi, 2, seed=7):
-            ok1, _ = V.check_morphism(bad)
-            ok2, _ = V.verify_degree_equations(bad)
-            assert (not ok1) and (not ok2)
+    controls = [bad for phi in corpus for bad in V.perturbed_controls(phi, 2, seed=7)]
+    controls += V.equivariant_controls(V.family_instance("CA"), 2)
+    controls += V.equivariant_controls(V.family_instance("CBA"), 2)
+    controls += oracles.hw_controls((1, 1, 0, 0), 1, 2)
+    for bad in controls:
+        ok1, _ = V.check_morphism(bad)
+        ok2, _ = V.verify_degree_equations(bad)
+        assert (not ok1) and (not ok2)
+    got = [V.verify_degree_equations(phi) for phi in corpus + controls]
+    assert {phi.degree for phi, (_, diag) in zip(controls, got[len(corpus):])
+            if not diag.startswith("precheck")} == {1, 2, 3}
+    real = V._theta_table
+    monkeypatch.setattr(V, "_theta_table", lambda phi, column=None: real(phi))
+    assert [V.verify_degree_equations(_unchecked(phi)) for phi in corpus + controls] == got
+
+
+def test_equations_of_a_morphism_read_only_the_hw_column(monkeypatch):
+    # an invariant Phi that passes is decided on the highest weight column of
+    # F(lam): the target action is applied to no other source column's
+    # theta blocks; a Phi that fails is scanned on the other columns too
+    columns = []
+    real = V._mat_apply
+
+    def counted(phi, r, s, theta):
+        columns.extend(theta)
+        return real(phi, r, s, theta)
+
+    monkeypatch.setattr(V, "_mat_apply", counted)
+    A = V.nabla_A(1, 0)
+    for phi in [A, V.dual_morphism(A), V.family_instance("CA"), V.family_instance("CBA")]:
+        columns.clear()
+        assert V.verify_degree_equations(phi) == (True, "ok")
+        assert columns and set(columns) == {phi.source.hw_index}
+    for bad in (oracles.hw_controls((1, 1, 0, 0), 1, 1)
+                + V.equivariant_controls(V.family_instance("CA"), 1)
+                + V.equivariant_controls(V.family_instance("CBA"), 1)):
+        columns.clear()
+        assert not V.verify_degree_equations(bad)[0]
+        assert set(columns) > {bad.source.hw_index}
 
 
 def test_verify_equations_unsupported_degree():
@@ -641,8 +678,9 @@ def test_checks_leave_lazy_target_as_reference(mu, d):
     assert V.verify_degree_equations(phi) == (True, "ok")
     assert list(phi.target.spaces) != before  # the checks did build spaces
     # the rational path: all 20 generators and x5 d45, then the precheck of
-    # verify_degree_equations (its equations read only target columns of
-    # theta blocks, combinations of the Phi columns already read).  The checks
+    # verify_degree_equations (its equations, decided on the highest weight
+    # column, read only target indices of that column's theta blocks,
+    # combinations of the Phi columns already read).  The checks
     # decide invariance once, on the 5 root vectors of V._SIMPLE, so they look
     # up fewer weights outside the module; those spaces are empty and number
     # nothing
@@ -780,6 +818,29 @@ def test_certificate_round_trip():
     assert all(cert["checks"].values())
     ok, diag = V.verify_certificate(cert)
     assert ok, diag
+
+
+def test_verify_certificate_runs_each_check_once(monkeypatch):
+    # verify_certificate reads the singular verdict from the checks it re-runs
+    # and builds the morphism for the equations unchecked, so beyond what the
+    # search applies, x_5 d45 and the L_1 spanning set act on the stored
+    # vector once each
+    mu = (1, 1, 0, 0)
+    (lam, vecs), = V.singular_vectors(mu, 1)
+    cert = V.make_certificate(mu, lam, 1, vecs[0], V.label_family(mu, lam, 1, vecs))
+    calls = []
+    for name in ("act_x5d45", "act_l1_combination", "morphism_from_singular"):
+        def counted(*args, real=getattr(V, name), name=name, **kwargs):
+            calls.append((name, kwargs.get("check")))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(V, name, counted)
+    V.singular_vectors(mu, 1)
+    search = collections.Counter(calls)
+    calls.clear()
+    assert V.verify_certificate(cert) == (True, "ok")
+    assert collections.Counter(calls) - search == collections.Counter(
+        {("act_x5d45", None): 1, ("act_l1_combination", None): 40,
+         ("morphism_from_singular", False): 1})
 
 
 def test_certificate_detects_tampering():
