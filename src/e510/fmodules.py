@@ -107,12 +107,15 @@ def glact_vector(r: int, s: int, vec: dict, *, p: int | None = None) -> dict:
     return out
 
 
-# fundamental-coordinate shift of the weight under x_r d/dx_s
+# gl5 weight of x_r d/dx_s: +1 at r, -1 at s (nothing when r = s)
+_SHIFTS = {(r, s): sl5.from_gl([(t == r) - (t == s) for t in range(1, 6)])
+           for r in range(1, 6) for s in range(1, 6)}
+
+
 def gen_shift(r: int, s: int):
-    c = [0] * 5
-    c[r - 1] += 1
-    c[s - 1] -= 1
-    return sl5.from_gl(c)
+    """The fundamental-coordinate shift of the weight under x_r d/dx_s, read
+    off the table of all 25 made at import."""
+    return _SHIFTS[r, s]
 
 
 class ActionColumns(dict):
@@ -193,7 +196,7 @@ class TensorModule(_ActingModule):
     """
 
     def __init__(self, lam):
-        lam = tuple(lam)
+        lam = sl5.check_weight(lam)
         if not sl5.is_dominant(lam):
             raise ValueError(f"not dominant: {lam}")
         self.weight = lam

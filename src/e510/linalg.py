@@ -8,7 +8,8 @@ sees two ints, so no float can arise (`exact_div` divides; the pivot of
 key -> scalar with no explicit zeros, and `RowReducer` is the one
 Gauss-Jordan eliminator.  `add_into` and `RowReducer` also work over a
 prime field F_p when given a modulus p: values are then plain ints in
-range(p), and `to_fp` maps a p-integral rational into F_p.
+range(p), and `to_fp` maps a p-integral rational into F_p; `add_into` also
+takes unreduced and negative ints there, and reduces every sum it stores.
 `UnluckyPrime` is raised where F_p cannot stand in for Q because p divides
 a denominator of the rational computation.
 """
@@ -103,7 +104,7 @@ def add_into(acc: dict, other: dict, scale: Q = Q(1), p: int | None = None) -> N
             if s:
                 acc[k] = s
             else:
-                acc.pop(k, None)
+                acc.pop(k, None)  # k may be absent: v can be 0 mod p
 
 
 def null_space(rows, ncols: int) -> list[dict]:

@@ -5,6 +5,12 @@ weights attached to the consecutive pairs (1,2), (2,3), (3,4), (4,5).  Derived
 pair values lam_{ij} are always recomputed from the coordinates, never stored.
 All arithmetic here is on plain integers: root coordinates come from the
 integer matrix 5 C^{-1} followed by an exact division by 5.
+
+The kernels the search runs most (wadd, wsub, root_coefficients,
+is_dominant, from_gl on gl5 5-tuples, and dominated_depth through them) are
+unrolled expressions on 4-tuples of ints that build no generator or list and
+check nothing.  check_weight is the check: the library's entry points pass the
+weights they are given through it.
 """
 
 from __future__ import annotations
@@ -19,21 +25,30 @@ SIMPLE_ROOTS: tuple[Weight, ...] = (
     (0, 0, -1, 2),
 )
 
-# 5 times the inverse Cartan matrix of A4 (det C = 5, so this is integral)
-_CARTAN_INV5 = (
-    (4, 3, 2, 1),
-    (3, 6, 4, 2),
-    (2, 4, 6, 3),
-    (1, 2, 3, 4),
-)
+
+def check_weight(lam) -> Weight:
+    """lam as a weight tuple, or ValueError unless it is 4 ints (bools are
+    refused).  The kernels below unpack their arguments without checking, so
+    the library's entry points check the weights they are given here."""
+    try:
+        lam = tuple(lam)
+    except TypeError:
+        raise ValueError(f"a weight is 4 integers, got {lam!r}") from None
+    if len(lam) != 4 or any(type(x) is not int for x in lam):
+        raise ValueError(f"a weight is 4 integers, got {lam!r}")
+    return lam
 
 
 def wadd(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
 
 
 def wsub(a: Weight, b: Weight) -> Weight:
-    return tuple(x - y for x, y in zip(a, b))
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 - b0, a1 - b1, a2 - b2, a3 - b3)
 
 
 def pair_value(lam: Weight, i: int, j: int) -> int:
@@ -42,7 +57,8 @@ def pair_value(lam: Weight, i: int, j: int) -> int:
 
 
 def is_dominant(lam: Weight) -> bool:
-    return all(x >= 0 for x in lam)
+    a, b, c, d = lam
+    return a >= 0 and b >= 0 and c >= 0 and d >= 0
 
 
 def root_coefficients(delta: Weight):
@@ -50,16 +66,16 @@ def root_coefficients(delta: Weight):
 
     delta = sum_i k_i alpha_i with k = C^{-1} delta = (5 C^{-1} delta) / 5,
     computed in integers; returns the 4-tuple of integers when every entry of
-    5 C^{-1} delta is divisible by 5, else None.
+    5 C^{-1} delta is divisible by 5, else None.  5 C^{-1} is integral (det C
+    = 5), with rows (4,3,2,1), (3,6,4,2), (2,4,6,3), (1,2,3,4); row i is
+    congruent to -i times the last row mod 5, so the last entry alone decides.
     """
     a, b, c, d = delta
-    ks = []
-    for r0, r1, r2, r3 in _CARTAN_INV5:
-        k, rem = divmod(r0 * a + r1 * b + r2 * c + r3 * d, 5)
-        if rem:
-            return None
-        ks.append(k)
-    return tuple(ks)
+    k4, rem = divmod(a + 2 * b + 3 * c + 4 * d, 5)
+    if rem:
+        return None
+    return ((4 * a + 3 * b + 2 * c + d) // 5, (3 * a + 6 * b + 4 * c + 2 * d) // 5,
+            (2 * a + 4 * b + 6 * c + 3 * d) // 5, k4)
 
 
 def dominance_compare(lam: Weight, mu: Weight) -> str:
@@ -83,7 +99,7 @@ def dominance_compare(lam: Weight, mu: Weight) -> str:
 def dominated_depth(lam: Weight, mu: Weight):
     """Root-coefficient vector of mu - lam when lam <= mu, else None."""
     ks = root_coefficients(wsub(mu, lam))
-    if ks is None or min(ks) < 0:
+    if ks is None or ks[0] < 0 or ks[1] < 0 or ks[2] < 0 or ks[3] < 0:
         return None
     return ks
 
@@ -115,7 +131,8 @@ def lowest_weight(lam: Weight) -> Weight:
 
 def from_gl(c) -> Weight:
     """Fundamental coordinates of a gl5 weight vector (c_1..c_5)."""
-    return tuple(c[i] - c[i + 1] for i in range(4))
+    c1, c2, c3, c4, c5 = c
+    return (c1 - c2, c2 - c3, c3 - c4, c4 - c5)
 
 
 def perm_sign(perm) -> int:

@@ -5,8 +5,12 @@ Generators: odd d_ij (= d_ji with a sign, degree 1) and even central del_t
 
 A PBW monomial is a del-multidegree together with a strictly increasing tuple
 of canonical pairs (i, j), i < j, ordered lexicographically.  Elements are
-sparse dicts monomial -> Fraction.  The omega_I basis, the signed B_d action,
-the crossing-number combinatorics and the L0-adjoint action live here.
+sparse dicts monomial -> rational, an int where integral and a Fraction
+otherwise: the structure constants of the relation are signs, so normal
+forms (and the L0-adjoint action on int elements) have int coefficients,
+while omega_I carries the halves of its contractions as Fractions.  The
+omega_I basis, the signed B_d action, the crossing-number combinatorics and
+the L0-adjoint action live here.
 """
 
 from __future__ import annotations
@@ -61,13 +65,21 @@ def bar(p: tuple[int, int]) -> tuple[int, int]:
 _order_cache: dict[tuple, dict] = {}
 
 
+def del_add(a: tuple, b: tuple) -> tuple:
+    """The sum of two del-multidegrees (5-tuples), unrolled."""
+    a1, a2, a3, a4, a5 = a
+    b1, b2, b3, b4, b5 = b
+    return (a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
+
+
 def _order_word(pairs: tuple) -> dict:
     """Normal-order a word of canonical pairs.
 
-    Returns {(del5, sorted_pairs): coeff}.  Rewrites: equal adjacent pairs
-    annihilate; an out-of-order adjacent pair (B, A) with B > A becomes
+    Returns {(del5, sorted_pairs): int coeff}.  Rewrites: equal adjacent
+    pairs annihilate; an out-of-order adjacent pair (B, A) with B > A becomes
     -(A, B) plus eps_{B,A} del_t times the word with both removed.  Each
-    rewrite lowers the inversion count or the length, so this terminates.
+    rewrite lowers the inversion count or the length, so this terminates;
+    every coefficient is a sum of products of signs, hence an int.
     """
     cached = _order_cache.get(pairs)
     if cached is not None:
@@ -78,21 +90,16 @@ def _order_word(pairs: tuple) -> dict:
         if a < b:
             continue
         if a == b:
-            out = {}
             break
-        swapped = pairs[:k] + (b, a) + pairs[k + 2:]
-        for m, c in _order_word(swapped).items():
-            add_into(out, {m: c}, Q(-1))
+        add_into(out, _order_word(pairs[:k] + (b, a) + pairs[k + 2:]), -1)
         sign, t = eps_t(a[0], a[1], b[0], b[1])
         if sign:
-            rest = pairs[:k] + pairs[k + 2:]
-            dt = tuple(1 if u == t - 1 else 0 for u in range(5))
-            for (d5, ps), c in _order_word(rest).items():
-                d5n = tuple(x + y for x, y in zip(d5, dt))
-                add_into(out, {(d5n, ps): c}, Q(sign))
+            rest = _order_word(pairs[:k] + pairs[k + 2:])
+            add_into(out, {(d5[:t - 1] + (d5[t - 1] + 1,) + d5[t:], ps): c
+                           for (d5, ps), c in rest.items()}, sign)
         break
     else:
-        out = {(ZERO_DEL, pairs): Q(1)}
+        out = {(ZERO_DEL, pairs): 1}
     _order_cache[pairs] = out
     return out
 
@@ -101,7 +108,8 @@ def normal_form(word) -> dict:
     """PBW normal form of a word of generators.
 
     Each letter is either a pair (i, j) standing for d_ij (any orientation,
-    d_ii = 0) or an integer t standing for del_t.  Returns a UElement.
+    d_ii = 0) or an integer t standing for del_t.  Returns a UElement with
+    int coefficients (the relation's structure constants are signs).
     """
     del5 = [0] * 5
     sign = 1
@@ -116,11 +124,8 @@ def normal_form(word) -> dict:
         sign *= s
         cpairs.append(p)
     base = tuple(del5)
-    out: dict = {}
-    for (d5, ps), c in _order_word(tuple(cpairs)).items():
-        m = (tuple(x + y for x, y in zip(base, d5)), ps)
-        add_into(out, {m: c}, Q(sign))
-    return out
+    return {(del_add(base, d5), ps): sign * c
+            for (d5, ps), c in _order_word(tuple(cpairs)).items()}
 
 
 def u_mul(a: dict, b: dict) -> dict:
@@ -128,9 +133,9 @@ def u_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for (d5a, psa), ca in a.items():
         for (d5b, psb), cb in b.items():
-            d5 = tuple(x + y for x, y in zip(d5a, d5b))
+            d5 = del_add(d5a, d5b)
             for (d5w, psw), cw in _order_word(psa + psb).items():
-                m = (tuple(x + y for x, y in zip(d5, d5w)), psw)
+                m = (del_add(d5, d5w), psw)
                 add_into(out, {m: ca * cb * cw})
     return out
 
@@ -230,11 +235,11 @@ def omega(I: tuple) -> dict:
         for factor in factors:
             ((dt, _), c), = factor.items()
             coeff *= c
-            d5 = tuple(x + y for x, y in zip(d5, dt))
+            d5 = del_add(d5, dt)
         matched = {pos for p in S for pos in p}
         rest = tuple(I[pos] for pos in range(d) if pos + 1 not in matched)
         for (d5w, psw), c in normal_form(rest).items():
-            m = (tuple(x + y for x, y in zip(d5, d5w)), psw)
+            m = (del_add(d5, d5w), psw)
             add_into(out, {m: coeff * c})
     return out
 
@@ -287,22 +292,26 @@ def canonical_orbit_rep(I: tuple):
 def l0_adjoint(s: int, r: int, u: dict) -> dict:
     """Adjoint action of x_s d/dx_r on a UElement, extended as an even
     derivation: [x_s dr, d_ij] = delta_ri d_sj + delta_rj d_is and
-    [x_s dr, del_t] = -delta_ts del_r."""
+    [x_s dr, del_t] = -delta_ts del_r.  The structure constants are ints, so
+    int coefficients in give int coefficients out."""
     out: dict = {}
     for (d5, ps), c in u.items():
-        if d5[s - 1]:
+        e = d5[s - 1]
+        if e:
             nd = list(d5)
             nd[s - 1] -= 1
             nd[r - 1] += 1
-            add_into(out, {(tuple(nd), ps): -d5[s - 1] * c})
+            add_into(out, {(tuple(nd), ps): -e}, c)
         for pos, (i, j) in enumerate(ps):
-            for slot, other in ((i, j), (j, i)):
-                if slot != r:
-                    continue
-                word = ps[:pos] + ((s, other) if slot == i else (other, s),) + ps[pos + 1:]
-                for (d5w, psw), cw in normal_form(word).items():
-                    m = (tuple(x + y for x, y in zip(d5, d5w)), psw)
-                    add_into(out, {m: c * cw})
+            if i == r:
+                letter = (s, j)
+            elif j == r:
+                letter = (i, s)
+            else:
+                continue
+            word = ps[:pos] + (letter,) + ps[pos + 1:]
+            add_into(out, {(del_add(d5, d5w), psw): cw
+                           for (d5w, psw), cw in normal_form(word).items()}, c)
     return out
 
 
@@ -345,7 +354,7 @@ def omega_basis(d: int):
             for I, om in omegas:
                 col = {}
                 for (d5w, psw), c in om.items():
-                    col[(tuple(x + y for x, y in zip(d5, d5w)), psw)] = c
+                    col[(del_add(d5, d5w), psw)] = c
                 reps.append((T, I))
                 cols.append(col)
     return reps, cols

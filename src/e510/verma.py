@@ -33,9 +33,11 @@ already imposed, so the span of the constraints is the reduction of the
 rational span, and reduction mod p cannot raise a rank: a constraint rank mod
 p that reaches the number L of leading monomials proves the candidate dead
 over Q.  Where p cannot decide, UnluckyPrime sends the candidate to the Q
-pass: to_fp meets a denominator divisible by p (in a basis vector or a PBW
-coefficient); an F_p coordinate computation leaves a residual; or the F_p
-rank of a stacked system falls short of the dimension of its weight space.
+pass: to_fp meets a denominator divisible by p in a basis vector (the PBW
+coefficients of the L_0 and L_1 actions are ints, reduced mod p once per
+degree in the tables _transitions and _zterm_records); an F_p coordinate
+computation leaves a residual; or the F_p rank of a stacked system falls
+short of the dimension of its weight space.
 
 The sieve builds the lazy module through the same ensure_weight calls as the
 exact lifting, in the same order (each weight space, then its raising
@@ -48,14 +50,15 @@ p = 2^31 - 1, which meets no UnluckyPrime on the degree-2 box-2 and
 degree-4 box-1 sweeps.
 
 The L_1 condition x_5 d45 . w = 0 gives z-term rows at the depth of the
-weight each term lands in.  The lifting records each term (PBW monomial, PBW
-coefficient, x_5 d_t op, lifted components) under that depth as it arises,
+weight each term lands in.  The lifting records the terms (PBW monomial, PBW
+coefficient, x_5 d_t op) of each monomial, with its lifted components, under
+that depth as they arise (_zterm_records groups them by depth once),
 and expands a depth's records into rows only when it flushes that depth, so
 a candidate killed earlier never multiplies out the terms of the depths it
 does not reach.  The rows, their order and every rank check are those of
 expanding each term at once.  Deferring changes no sieve verdict, because
-nothing deferred can raise UnluckyPrime: to_fp of the PBW coefficient runs
-when the term is recorded, and the expansion reads only basis vectors of the
+nothing deferred can raise UnluckyPrime: the PBW coefficients are ints, and
+the expansion reads only basis vectors of the
 weight space nu the components live in (vector, and _zimage through it),
 whose reduction mod p fp_basis made when solver(nu) built the action mod p
 (at depth 0 the one highest weight vector, a monomial with coefficient 1);
@@ -92,7 +95,7 @@ from functools import lru_cache, partial
 from . import fmodules, sl5, uminus
 from .fmodules import TensorModule, glact_vector, gen_shift
 from .fmodules import _PAIR_POS, _V0, _VD0, _W0
-from .linalg import RowReducer, UnluckyPrime, add_into, as_int, format_scalar, parse_scalar, to_fp
+from .linalg import RowReducer, UnluckyPrime, add_into, format_scalar, parse_scalar, to_fp
 
 ZDEL = uminus.ZERO_DEL
 
@@ -129,7 +132,7 @@ class VermaElement:
 @lru_cache(maxsize=None)
 def _l0_mono(r: int, s: int, m: tuple):
     """The adjoint action of x_r d/dx_s on the PBW monomial m: (m', int) pairs."""
-    return tuple((m2, as_int(c)) for m2, c in uminus.l0_adjoint(r, s, {m: Q(1)}).items())
+    return tuple(uminus.l0_adjoint(r, s, {m: 1}).items())
 
 
 def act_l0(r: int, s: int, w: VermaElement) -> VermaElement:
@@ -150,9 +153,9 @@ def _odd_action(p: int, A: tuple, m: tuple):
     """Left action of the positive odd generator x_p d_A on the PBW monomial m,
     pushed through to the Verma tensor form.
 
-    Returns a tuple of (monomial, coeff, op) with op None for terms where the
-    F part is untouched and op = (p, t) where the leftover x_p d/dx_t of L_0
-    still has to act on the F part.  Uses the brackets
+    Returns a tuple of (monomial, int coeff, op) with op None for terms where
+    the F part is untouched and op = (p, t) where the leftover x_p d/dx_t of
+    L_0 still has to act on the F part.  Uses the brackets
     [x_p d_A, d_B] = eps_{A,B} x_p del_{t_{A,B}} and
     [x_p d_A, del_t] = -delta_{tp} d_A, with a (-1) for each odd generator
     the (odd) element moves past; x_p d_A itself kills 1 (x) F.
@@ -163,14 +166,14 @@ def _odd_action(p: int, A: tuple, m: tuple):
         nd = list(d5)
         nd[p - 1] -= 1
         for (d5w, psw), cw in uminus.normal_form((A,) + ps).items():
-            mono = (tuple(x + y for x, y in zip(nd, d5w)), psw)
+            mono = (uminus.del_add(nd, d5w), psw)
             out.append((mono, -d5[p - 1] * cw, None))
     for j, Pj in enumerate(ps):
         sgn0 = -1 if j % 2 else 1
         se, t = uminus.eps_t(A[0], A[1], Pj[0], Pj[1])
         if not se:
             continue
-        coeff = Q(sgn0 * se)
+        coeff = sgn0 * se
         rest = ps[:j] + ps[j + 1:]
         # leftover x_p d/dx_t acts adjointly on the generators right of slot j
         for l in range(j, len(rest)):
@@ -181,7 +184,7 @@ def _odd_action(p: int, A: tuple, m: tuple):
                 np_raw = (p, j2) if pos == 0 else (i2, p)
                 word = rest[:l] + (np_raw,) + rest[l + 1:]
                 for (d5w, psw), cw in uminus.normal_form(word).items():
-                    mono = (tuple(x + y for x, y in zip(d5, d5w)), psw)
+                    mono = (uminus.del_add(d5, d5w), psw)
                     out.append((mono, coeff * cw, None))
         out.append(((d5, rest), coeff, (p, t)))
     return tuple(out)
@@ -320,9 +323,9 @@ def singular_vectors(mu, d: int, module: TensorModule | None = None):
     and normalized so the lexicographically least leading monomial has
     coefficient 1.
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    mu = tuple(mu)
+    if type(d) is not int or d < 1:
+        raise ValueError(f"degree must be an integer >= 1, got {d!r}")
+    mu = sl5.check_weight(mu)
     mod = module if module is not None else TensorModule(mu)
     groups = _weight_groups(d)
     out = []
@@ -333,9 +336,11 @@ def singular_vectors(mu, d: int, module: TensorModule | None = None):
     return out
 
 
+@lru_cache(maxsize=8)
 def _weight_groups(d: int) -> dict:
     """The PBW monomials of degree d grouped by weight: weight -> [monomial],
-    each list in the order of uminus.pbw_monomials."""
+    each list in the order of uminus.pbw_monomials.  Made once per degree and
+    shared by every search of that degree: callers only read it."""
     groups: dict = {}
     for m in uminus.pbw_monomials(d):
         groups.setdefault(uminus.monomial_weight(m), []).append(m)
@@ -354,6 +359,27 @@ def _transitions(d: int, p: int | None) -> dict:
             for i in range(1, 5):
                 for m2, c in _l0_mono(i, i + 1, m):
                     table[i].setdefault(m2, {})[m] = c if p is None else to_fp(c, p)
+    return table
+
+
+@lru_cache(maxsize=8)
+def _zterm_records(d: int, p: int | None) -> dict:
+    """x_5 d45 on the degree-d PBW monomials, over Q (p None) or F_p, grouped
+    for the lifting: m -> ((shift, terms), ...) with terms the (monomial,
+    coefficient, op) of _odd_action(5, (4, 5), m) that share op, the
+    coefficients reduced mod p, and shift the weight shift gen_shift(*op) of
+    the F part (None when op is None).  The groups land at distinct depths
+    (x_5 d/dx_t moves the F part 5 - t levels down, and t <= 3), so each
+    depth receives the terms of a monomial in _odd_action order.  Shared by
+    every candidate of every search of degree d."""
+    table = {}
+    for ms in _weight_groups(d).values():
+        for m in ms:
+            groups: dict = {}
+            for m2, c, op in _odd_action(5, (4, 5), m):
+                groups.setdefault(op, []).append((m2, c if p is None else to_fp(c, p), op))
+            table[m] = tuple((None if op is None else gen_shift(*op), tuple(terms))
+                             for op, terms in groups.items())
     return table
 
 
@@ -432,30 +458,26 @@ def _lift_singular(mod, d, lam, groups):
         # trans[i][m_target][m_source] = coeff; V holds only monomials of
         # levels, so the sources outside it contribute nothing
         trans = _transitions(d, p)
+        zrecords = _zterm_records(d, p)
 
         constraints = RowReducer(p)
         V: dict = {}           # monomial -> {fidx -> {ci -> scalar}}
-        zterms: dict = {}      # depth -> [(monomial, scalar, op, comps)]
+        zterms: dict = {}      # depth -> [(terms, comps)]
 
         def add_z_terms(m, nu, depth, comps):
-            for m2, c2, op in _odd_action(5, (4, 5), m):
-                if op is None:
-                    tau_depth = depth
-                else:
-                    tau_depth = nu_depth(sl5.wadd(nu, gen_shift(op[0], op[1])))
-                    if tau_depth is None:
-                        continue
-                if p is not None:
-                    c2 = to_fp(c2, p)
-                zterms.setdefault(tau_depth, []).append((m2, c2, op, comps))
+            for shift, terms in zrecords[m]:
+                tau_depth = depth if shift is None else nu_depth(sl5.wadd(nu, shift))
+                if tau_depth is not None:
+                    zterms.setdefault(tau_depth, []).append((terms, comps))
 
         def flush_z(depth) -> bool:
             rows: dict = {}    # (monomial, ambient mono) -> {ci -> scalar}
-            for m2, c2, op, comps in zterms.pop(depth, ()):
-                for fidx, form in comps.items():
-                    vec = vector(fidx) if op is None else zimage(op, fidx)
-                    for amb, ac in vec.items():
-                        add_into(rows.setdefault((m2, amb), {}), form, c2 * ac, p)
+            for terms, comps in zterms.pop(depth, ()):
+                for m2, c2, op in terms:
+                    for fidx, form in comps.items():
+                        vec = vector(fidx) if op is None else zimage(op, fidx)
+                        for amb, ac in vec.items():
+                            add_into(rows.setdefault((m2, amb), {}), form, c2 * ac, p)
             for row in rows.values():
                 constraints.insert(row)
                 if constraints.rank >= L:
@@ -593,7 +615,7 @@ _module_cache: dict = {}
 
 
 def get_module(lam) -> TensorModule:
-    lam = tuple(lam)
+    lam = sl5.check_weight(lam)
     mod = _module_cache.get(lam)
     if mod is None:
         mod = _module_cache[lam] = fmodules.build_irreducible(lam)
@@ -602,12 +624,15 @@ def get_module(lam) -> TensorModule:
 
 def clear_caches() -> None:
     """Empty the process-wide caches: the L_0 and L_1 action tables on PBW
-    monomials, the raising transition tables, the L_1 spanning set, the
+    monomials, the search's per-degree tables (monomials by weight, raising
+    transitions, z-term records), the L_1 spanning set, the
     fully built modules of get_module, and uminus's omega basis and
     normal-ordering table.  Results do not depend on them."""
     _l0_mono.cache_clear()
     _odd_action.cache_clear()
     _transitions.cache_clear()
+    _weight_groups.cache_clear()
+    _zterm_records.cache_clear()
     l1_basis.cache_clear()
     _module_cache.clear()
     uminus.omega_basis.cache_clear()

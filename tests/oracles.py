@@ -448,3 +448,154 @@ def uelement_from_obj(obj) -> dict:
     from e510.uminus import monomial_from_obj
 
     return {monomial_from_obj(t["monomial"]): parse_scalar(t["coeff"]) for t in obj}
+
+
+# -- reference definitions of the flat kernels ---------------------------------
+# The generator and loop forms the unrolled sl5 weight arithmetic, the shift
+# table of fmodules.gen_shift, the F_p loop of linalg.add_into and the int
+# normal forms of uminus replaced, kept to pin the rewrites value for value.
+
+_CARTAN_INV5 = ((4, 3, 2, 1), (3, 6, 4, 2), (2, 4, 6, 3), (1, 2, 3, 4))
+
+
+def wadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def wsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def is_dominant(lam):
+    return all(x >= 0 for x in lam)
+
+
+def from_gl(c):
+    return tuple(c[i] - c[i + 1] for i in range(4))
+
+
+def root_coefficients(delta):
+    """C^{-1} delta as 5 C^{-1} delta / 5, row by row; None unless integral."""
+    a, b, c, d = delta
+    ks = []
+    for r0, r1, r2, r3 in _CARTAN_INV5:
+        k, rem = divmod(r0 * a + r1 * b + r2 * c + r3 * d, 5)
+        if rem:
+            return None
+        ks.append(k)
+    return tuple(ks)
+
+
+def dominated_depth(lam, mu):
+    ks = root_coefficients(wsub(mu, lam))
+    if ks is None or min(ks) < 0:
+        return None
+    return ks
+
+
+def gen_shift(r, s):
+    c = [0] * 5
+    c[r - 1] += 1
+    c[s - 1] -= 1
+    return from_gl(c)
+
+
+def add_into(acc, other, scale=Q(1), p=None):
+    """acc += scale * other with zeros dropped, over Q or (with p) F_p."""
+    if p is None:
+        if not scale:
+            return
+        for k, v in other.items():
+            s = acc.get(k)
+            s = scale * v if s is None else s + scale * v
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+    else:
+        scale %= p
+        if not scale:
+            return
+        for k, v in other.items():
+            s = (acc.get(k, 0) + scale * v) % p
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+
+
+_order_cache_ref: dict = {}
+
+
+def _order_word(pairs):
+    """Normal order of a word of canonical pairs with Fraction coefficients,
+    memoized here, apart from uminus's table."""
+    from e510.uminus import ZERO_DEL, eps_t
+
+    cached = _order_cache_ref.get(pairs)
+    if cached is not None:
+        return cached
+    out: dict = {}
+    for k in range(len(pairs) - 1):
+        a, b = pairs[k], pairs[k + 1]
+        if a < b:
+            continue
+        if a == b:
+            out = {}
+            break
+        swapped = pairs[:k] + (b, a) + pairs[k + 2:]
+        for m, c in _order_word(swapped).items():
+            add_into(out, {m: c}, Q(-1))
+        sign, t = eps_t(a[0], a[1], b[0], b[1])
+        if sign:
+            rest = pairs[:k] + pairs[k + 2:]
+            dt = tuple(1 if u == t - 1 else 0 for u in range(5))
+            for (d5, ps), c in _order_word(rest).items():
+                add_into(out, {(wadd(d5, dt), ps): c}, Q(sign))
+        break
+    else:
+        out = {(ZERO_DEL, pairs): Q(1)}
+    _order_cache_ref[pairs] = out
+    return out
+
+
+def normal_form(word):
+    """PBW normal form of a word of generators, Fraction coefficients."""
+    from e510.uminus import canon_pair
+
+    del5 = [0] * 5
+    sign = 1
+    cpairs = []
+    for letter in word:
+        if isinstance(letter, int):
+            del5[letter - 1] += 1
+            continue
+        s, p = canon_pair(letter)
+        if s == 0:
+            return {}
+        sign *= s
+        cpairs.append(p)
+    out: dict = {}
+    for (d5, ps), c in _order_word(tuple(cpairs)).items():
+        add_into(out, {(wadd(tuple(del5), d5), ps): c}, Q(sign))
+    return out
+
+
+def l0_adjoint(s, r, u):
+    """x_s d/dx_r acting on a UElement as an even derivation, through the
+    Fraction normal_form above."""
+    out: dict = {}
+    for (d5, ps), c in u.items():
+        if d5[s - 1]:
+            nd = list(d5)
+            nd[s - 1] -= 1
+            nd[r - 1] += 1
+            add_into(out, {(tuple(nd), ps): -d5[s - 1] * c})
+        for pos, (i, j) in enumerate(ps):
+            for slot, other in ((i, j), (j, i)):
+                if slot != r:
+                    continue
+                word = ps[:pos] + ((s, other) if slot == i else (other, s),) + ps[pos + 1:]
+                for (d5w, psw), cw in normal_form(word).items():
+                    add_into(out, {(wadd(d5, d5w), psw): c * cw})
+    return out

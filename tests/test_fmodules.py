@@ -435,3 +435,22 @@ def test_checks_run_under_optimize(code):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised:")
+
+
+def test_gen_shift_table_matches_its_definition():
+    # all 25 x_r d/dx_s, the diagonal included; each shift is the weight that
+    # x_r d/dx_s adds to a monomial it does not kill
+    for r, s in itertools.product(range(1, 6), repeat=2):
+        assert fm.gen_shift(r, s) == oracles.gen_shift(r, s)
+        assert all(type(k) is int for k in fm.gen_shift(r, s))
+    m = mono(x1=1, x2=1, x3=1, x4=1, x5=1)
+    for r, s in itertools.product(range(1, 6), repeat=2):
+        for m2 in fm.glact_monomial(r, s, m):
+            assert fm.monomial_weight(m2) == sl5.wadd(fm.monomial_weight(m), fm.gen_shift(r, s))
+
+
+@pytest.mark.parametrize("bad", [(0, 0, 1, 0, 0), (0, 0, 1), (True, 0, 0, 0), (1, 0, 0, 0.0)])
+@pytest.mark.parametrize("make", [fm.TensorModule, fm.build_irreducible])
+def test_modules_refuse_a_weight_that_is_not_four_ints(make, bad):
+    with pytest.raises(ValueError, match="a weight is 4 integers"):
+        make(bad)

@@ -8,6 +8,7 @@ import pytest
 
 from e510.linalg import (add_into, format_scalar, null_space, parse_scalar,
                          to_fp, RowReducer)
+import oracles
 from oracles import dense_null_space, dense_rank, dense_rank_mod, dense_rref
 
 
@@ -226,3 +227,34 @@ def test_add_into_mod_p():
     assert acc == {1: 4, 2: 4}
     add_into(acc, {1: 1}, 7, 7)  # a multiple of p adds nothing
     assert acc == {1: 4, 2: 4}
+
+
+_keys = st.integers(0, 7)
+_big = st.integers(-2**40, 2**40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 2**31 - 1]), st.dictionaries(_keys, _big),
+       st.dictionaries(_keys, _big), _big)
+def test_add_into_mod_p_matches_its_loop_definition(p, acc, other, scale):
+    # unreduced and negative ints, as glact_vector passes exponents times
+    # signs: a term that is 0 mod p may meet a key acc does not hold
+    want = dict(acc)
+    oracles.add_into(want, other, scale, p)
+    got = dict(acc)
+    add_into(got, other, scale, p)
+    assert got == want
+    assert list(got) == list(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_keys, st.integers(-9, 9) | st.fractions(max_denominator=9)),
+       st.dictionaries(_keys, st.integers(-9, 9) | st.fractions(max_denominator=9)),
+       st.integers(-3, 3) | st.fractions(max_denominator=5))
+def test_add_into_over_q_matches_its_loop_definition(acc, other, scale):
+    want = dict(acc)
+    oracles.add_into(want, other, scale)
+    got = dict(acc)
+    add_into(got, other, scale)
+    assert got == want
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from e510 import sl5
 from oracles import hook_content_dimension, partition_of_weight
 
@@ -134,3 +136,39 @@ def test_root_coefficients_match_fraction_reference(delta):
     assert all(type(k) is int for k in got)
     back = [sum(k * alpha[t] for k, alpha in zip(got, sl5.SIMPLE_ROOTS)) for t in range(4)]
     assert tuple(back) == delta
+
+
+_ints = st.integers(-10**6, 10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[_ints] * 4), st.tuples(*[_ints] * 4),
+       st.tuples(*[st.integers(-6, 6)] * 4), st.tuples(*[_ints] * 5))
+@example((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0, 0))
+@example((0, 0, 0, 0), (1, 0, 0, 0), (-2, 1, 0, 0), (1, 1, 1, 1, 1))
+def test_unrolled_kernels_match_their_loop_definitions(a, b, small, c):
+    # the 4-tuple kernels equal the generator and loop forms of tests/oracles,
+    # value and type, on random int tuples (negatives included); small
+    # differences reach the integral and the dominated cases often
+    for x, y in ((a, b), (a, oracles.wadd(a, small)), (small, (0, 0, 0, 0))):
+        assert sl5.wadd(x, y) == oracles.wadd(x, y)
+        assert sl5.wsub(x, y) == oracles.wsub(x, y)
+        assert sl5.root_coefficients(sl5.wsub(x, y)) == oracles.root_coefficients(oracles.wsub(x, y))
+        assert sl5.dominated_depth(x, y) == oracles.dominated_depth(x, y)
+        assert sl5.dominated_depth(y, x) == oracles.dominated_depth(y, x)
+        assert sl5.is_dominant(x) is oracles.is_dominant(x)
+    assert sl5.from_gl(c) == oracles.from_gl(c)
+    assert sl5.from_gl(list(c)) == oracles.from_gl(list(c))
+    for got in (sl5.wadd(a, b), sl5.from_gl(c), sl5.dominated_depth(small, (0, 0, 0, 0))):
+        assert got is None or type(got) is tuple and all(type(k) is int for k in got)
+
+
+@pytest.mark.parametrize("bad", [(0, 0, 1, 0, 0), (0, 0, 1), (True, 0, 0, 0), (0, 1.0, 0, 0),
+                                 ("0", 0, 0, 0), 5, None])
+def test_check_weight_refuses_all_but_four_ints(bad):
+    with pytest.raises(ValueError, match="a weight is 4 integers"):
+        sl5.check_weight(bad)
+
+
+def test_check_weight_returns_a_tuple():
+    assert sl5.check_weight([1, 0, -2, 3]) == (1, 0, -2, 3)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from e510 import sl5
 from e510 import uminus as um
 from e510 import verma as V
+import oracles
 from oracles import (crossing_count, omega_basis_check, partial_matchings,
                      perm_sign_by_inversions, u_add, u_scale, uelement_from_obj)
 
@@ -314,3 +315,42 @@ def test_uelement_json_round_trip():
     obj = um.uelement_to_obj(w)[0]
     assert set(obj) == {"monomial", "coeff"}
     assert set(obj["monomial"]) == {"del", "pairs"}
+
+
+def _pair_words(n):
+    """Every word of at most n canonical pairs, repeats and any order allowed."""
+    return [w for k in range(n + 1) for w in itertools.product(um.PAIRS, repeat=k)]
+
+
+def test_int_normal_form_equals_the_fraction_reference():
+    # every word of at most 4 canonical pairs: the int normal form has the
+    # value of the Fraction one of tests/oracles, with int coefficients
+    for word in _pair_words(4):
+        got = um.normal_form(word)
+        assert got == oracles.normal_form(word), word
+        assert all(type(c) is int for c in got.values()), word
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_letters, st.integers(1, 5)), max_size=6))
+def test_normal_form_of_any_word_equals_the_fraction_reference(word):
+    # letters in either orientation, d_ii and del_t included
+    got = um.normal_form(word)
+    assert got == oracles.normal_form(word)
+    assert all(type(c) is int for c in got.values())
+
+
+def test_l0_adjoint_equals_the_fraction_reference():
+    # on every PBW monomial of degree at most 4 (so on every word of at most 4
+    # pairs, by linearity) and every x_s d/dx_r: int coefficients in give the
+    # reference's values as ints, Fraction coefficients give Fractions
+    for d in range(5):
+        for m in um.pbw_monomials(d):
+            for s, r in itertools.product(range(1, 6), repeat=2):
+                want = oracles.l0_adjoint(s, r, {m: Q(1)})
+                got = um.l0_adjoint(s, r, {m: 1})
+                assert got == want, (s, r, m)
+                assert all(type(c) is int for c in got.values())
+                half = um.l0_adjoint(s, r, {m: Q(1, 2)})
+                assert half == {k: v / 2 for k, v in want.items()}
+                assert all(type(c) is Q for c in half.values())

@@ -1265,12 +1265,60 @@ def test_clear_caches_empties_every_global_cache():
     assert V._l0_mono.cache_info().currsize == 0
     assert V._odd_action.cache_info().currsize == 0
     assert V._transitions.cache_info().currsize == 0
-    # every memoized function of either namespace, so a forgotten one fails
+    # every memoized function of these namespaces, so a forgotten one fails
     memoized = {(ns.__name__, name): obj.cache_info().currsize
-                for ns in (V, um) for name, obj in vars(ns).items()
+                for ns in (V, um, sl5, fm) for name, obj in vars(ns).items()
                 if hasattr(obj, "cache_info")}
     assert {("e510.verma", "l1_basis"), ("e510.uminus", "omega_basis")} <= set(memoized)
     assert all(size == 0 for size in memoized.values()), memoized
     assert V._module_cache == {}
     assert um._order_cache == {}
     assert search() == before
+
+
+@pytest.mark.parametrize("mu, d", [((0, 0, 1, 0, 0), 2), ((0, 0, 1), 2), ((True, 0, 0, 0), 1),
+                                   ((0, 0, 1, 0), "2"), ((0, 0, 1, 0), True),
+                                   ((0, 0, 1, 0), 2.0), ((0, 0, 1, 0), 0)])
+def test_search_refuses_bad_weights_and_degrees(mu, d):
+    with pytest.raises(ValueError, match="a weight is 4 integers|degree must be an integer"):
+        V.singular_vectors(mu, d)
+
+
+@pytest.mark.parametrize("bad", [(1, 0, 0, 0, 0), (1, 0, 0), (True, 0, 0, 0)])
+def test_get_module_refuses_a_weight_that_is_not_four_ints(bad):
+    V.get_module((1, 0, 0, 0))  # (True, 0, 0, 0) must not find this one
+    with pytest.raises(ValueError, match="a weight is 4 integers"):
+        V.get_module(bad)
+
+
+def test_second_search_at_a_degree_rebuilds_no_table(monkeypatch):
+    # the per-degree tables (weight groups, raising transitions, z-term
+    # records) are made by the first search of a degree and only read after
+    calls = collections.Counter()
+    real = um.pbw_monomials
+
+    def counted(d):
+        calls[d] += 1
+        return real(d)
+
+    monkeypatch.setattr(um, "pbw_monomials", counted)
+    V.clear_caches()
+    first = V.singular_vectors((0, 0, 1, 1), 2)
+    assert calls[2] >= 1
+    builds = {f: getattr(V, f).cache_info().misses
+              for f in ("_transitions", "_weight_groups", "_zterm_records")}
+    calls.clear()
+    second = V.singular_vectors((1, 0, 0, 1), 2)
+    assert first and second  # both searches lift a hit over Q too
+    assert calls[2] == 0
+    assert {f: getattr(V, f).cache_info().misses for f in builds} == builds
+
+
+def test_exact_pass_alone_finds_the_sieved_hits(monkeypatch):
+    # every candidate of the degree-2 sweep lifted over Q, with no F_p table
+    # read: the sieve changes neither the hits nor their vectors
+    _, sieved = _sieve_run(monkeypatch, SWEEP_D2)
+    monkeypatch.setattr(V, "_sieve", lambda lift: "unlucky")
+    verdicts, exact = _sieve_run(monkeypatch, SWEEP_D2)
+    assert verdicts and {v for _, v in verdicts} == {"unlucky"}
+    assert _objs(exact) == _objs(sieved)
