@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import sl5, uminus, verma
+from . import fmodules, sl5, uminus, verma
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,12 +150,9 @@ def cmd_dim_u(args) -> int:
 
 def cmd_irrep(args) -> int:
     try:
-        lam = parse_weight(args.lam)
+        lam = fmodules.check_module_weight(parse_weight(args.lam))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not sl5.is_dominant(lam):
-        print(f"error: not dominant: {lam}", file=sys.stderr)
         return EXIT_USAGE
     mod = verma.get_module(lam)
     mults = {}
@@ -211,12 +208,9 @@ def _emit_certs(rows, args, d, report: bool) -> bool:
 
 def cmd_singular(args) -> int:
     try:
-        mu = parse_weight(args.mu)
+        mu = fmodules.check_module_weight(parse_weight(args.mu))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not sl5.is_dominant(mu):
-        print(f"error: not dominant: {mu}", file=sys.stderr)
         return EXIT_USAGE
     d = args.degree
     rows = verma.classify_mu(mu, d)
@@ -326,7 +320,11 @@ def cmd_verify(args) -> int:
         except (OSError, ValueError, RecursionError) as exc:
             print(f"error reading {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        ok, diag = verma.verify_certificate(cert)
+        try:
+            ok, diag = verma.verify_certificate(cert)
+        except ValueError as exc:  # a weight beyond what a module can hold
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"{path}: {'ok' if ok else 'FAIL: ' + diag}")
         if not ok:
             bad += 1

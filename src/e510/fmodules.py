@@ -8,13 +8,17 @@ generated by the highest weight monomial x_1^a x_12^b (x*_45)^c (x*_5)^d,
 closed under the lowering operators x_{i+1} d/dx_i and echelonized inside each
 weight space with pivots on the lexicographically least monomial.
 
-A tensor monomial is a flat 30-tuple of exponents laid out as
-[x_1..x_5 | x_ij | x*_ij | x*_1..x*_5] with pairs in lexicographic order.
-Weight spaces are built lazily; a full build checks the Weyl dimension.
+A tensor monomial is one int: its 30 exponents, laid out as
+[x_1..x_5 | x_ij | x*_ij | x*_1..x*_5] with pairs in lexicographic order,
+sit in 16-bit slots, slot 0 most significant, so the order of the ints is the
+lexicographic order of the exponent tuples (pack and unpack convert).
+Exponents of F(lam) never exceed max(lam), which TensorModule keeps below
+2^16.  Weight spaces are built lazily; a full build checks the Weyl dimension.
 """
 
 from __future__ import annotations
 
+import struct
 import weakref
 
 from . import sl5
@@ -24,41 +28,67 @@ from .uminus import PAIRS
 N_GEN = 30
 _PAIR_POS = {p: k for k, p in enumerate(PAIRS)}
 
-# slot ranges in the flat exponent tuple
+# slot ranges in the exponent layout
 _V0, _W0, _WD0, _VD0 = 0, 5, 15, 25
 
+# the bit offset of each slot in a packed monomial, and the mask of one slot
+SLOT_BITS = 16
+_SHIFT = tuple(SLOT_BITS * (N_GEN - 1 - k) for k in range(N_GEN))
+_MASK = (1 << SLOT_BITS) - 1
+_SLOTS = struct.Struct(f">{N_GEN}H")
 
-def hw_monomial(lam) -> tuple:
+
+def pack(e) -> int:
+    """The packed monomial of 30 exponents, each in range(2^16)."""
+    return int.from_bytes(_SLOTS.pack(*e), "big")
+
+
+def unpack(m: int) -> tuple:
+    """The 30 exponents of a packed monomial."""
+    return _SLOTS.unpack(m.to_bytes(_SLOTS.size, "big"))
+
+
+def check_module_weight(lam) -> tuple:
+    """lam as a weight tuple, or ValueError unless it is 4 ints, dominant, and
+    has every entry below 2^16, so that no exponent of F(lam) overflows its
+    slot: the weights TensorModule accepts."""
+    lam = sl5.check_weight(lam)
+    if not sl5.is_dominant(lam):
+        raise ValueError(f"not dominant: {lam}")
+    if max(lam) > _MASK:
+        raise ValueError(f"weight entries must be below 2^{SLOT_BITS} = "
+                         f"{_MASK + 1}, the limit of a tensor exponent: {lam}")
+    return lam
+
+
+def hw_monomial(lam) -> int:
     a, b, c, d = lam
-    e = [0] * N_GEN
-    e[_V0 + 0] = a
-    e[_W0 + _PAIR_POS[(1, 2)]] = b
-    e[_WD0 + _PAIR_POS[(4, 5)]] = c
-    e[_VD0 + 4] = d
-    return tuple(e)
+    return (a << _SHIFT[_V0 + 0] | b << _SHIFT[_W0 + _PAIR_POS[(1, 2)]]
+            | c << _SHIFT[_WD0 + _PAIR_POS[(4, 5)]] | d << _SHIFT[_VD0 + 4])
 
 
-def monomial_gl_weight(m: tuple) -> tuple:
+def monomial_gl_weight(m: int) -> tuple:
     """gl5 weight vector (c_1..c_5) of a tensor monomial."""
+    e = unpack(m)
     c = [0] * 5
     for t in range(5):
-        c[t] += m[_V0 + t] - m[_VD0 + t]
+        c[t] += e[_V0 + t] - e[_VD0 + t]
     for k, (i, j) in enumerate(PAIRS):
-        c[i - 1] += m[_W0 + k] - m[_WD0 + k]
-        c[j - 1] += m[_W0 + k] - m[_WD0 + k]
+        c[i - 1] += e[_W0 + k] - e[_WD0 + k]
+        c[j - 1] += e[_W0 + k] - e[_WD0 + k]
     return tuple(c)
 
 
-def monomial_weight(m: tuple):
+def monomial_weight(m: int):
     return sl5.from_gl(monomial_gl_weight(m))
 
 
 def _moves(r: int, s: int) -> tuple:
-    """The (source slot, target slot, sign) moves of x_r d/dx_s: a monomial
-    with exponent e at the source slot gives the term sign * e at itself
-    with one unit moved to the target slot.  Rules: x_r ds . x_t = delta_ts
-    x_r, x_r ds . x*_t = -delta_rt x*_s, extended as derivations to the
-    wedge generators; source == target when r = s."""
+    """The (shift, delta, sign) moves of x_r d/dx_s: a monomial m with
+    exponent e = m >> shift & _MASK at the source slot gives the term sign * e
+    at m + delta, which moves one unit to the target slot.  Rules: x_r ds . x_t
+    = delta_ts x_r, x_r ds . x*_t = -delta_rt x*_s, extended as derivations to
+    the wedge generators; source == target (delta 0) when r = s."""
     moves = [(_V0 + s - 1, _V0 + r - 1, 1), (_VD0 + r - 1, _VD0 + s - 1, -1)]
 
     def wedge(base, k, sign, pairs):
@@ -72,28 +102,27 @@ def _moves(r: int, s: int) -> tuple:
         wedge(_W0, k, 1, [(r, j)] * (i == s) + [(i, r)] * (j == s))
         # x_r ds . x*_ij = -(delta_ri x*_sj + delta_rj x*_is)
         wedge(_WD0, k, -1, [(s, j)] * (i == r) + [(i, s)] * (j == r))
-    return tuple(moves)
+    return tuple((_SHIFT[src], (1 << _SHIFT[dst]) - (1 << _SHIFT[src]), sign)
+                 for src, dst, sign in moves)
 
 
 _MOVES = {(r, s): _moves(r, s) for r in range(1, 6) for s in range(1, 6)}
 
 
-def glact_monomial(r: int, s: int, m: tuple) -> dict:
+def glact_monomial(r: int, s: int, m: int) -> dict:
     """Derivation action of x_r d/dx_s on a tensor monomial (r = s allowed),
     read off the precomputed moves.  Coefficients are plain ints (exponents
     times signs); for r != s every move gives its own monomial, and for
-    r = s every move gives m itself, so terms cancel only then."""
+    r = s every move gives m itself, so terms cancel only then.  A move
+    raises one exponent by 1, which stays below 2^16 inside F(lam)."""
     if r == s:
-        c = sum(sign * m[src] for src, _dst, sign in _MOVES[r, s])
+        c = sum(sign * (m >> shift & _MASK) for shift, _delta, sign in _MOVES[r, s])
         return {m: c} if c else {}
     out = {}
-    for src, dst, sign in _MOVES[r, s]:
-        e = m[src]
+    for shift, delta, sign in _MOVES[r, s]:
+        e = m >> shift & _MASK
         if e:
-            t = list(m)
-            t[src] -= 1
-            t[dst] += 1
-            out[tuple(t)] = sign * e
+            out[m + delta] = sign * e
     return out
 
 
@@ -196,9 +225,7 @@ class TensorModule(_ActingModule):
     """
 
     def __init__(self, lam):
-        lam = sl5.check_weight(lam)
-        if not sl5.is_dominant(lam):
-            raise ValueError(f"not dominant: {lam}")
+        lam = check_module_weight(lam)
         self.weight = lam
         self.vectors: list[dict] = []
         self.weights: list[tuple] = []

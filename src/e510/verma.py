@@ -13,7 +13,7 @@ x5 d45 = 0} on each weight subspace; every returned vector is re-verified
 directly, including against a full spanning set of L_1.
 
 Almost every candidate lam has no singular vector, so the lifting runs first
-over F_p (p = SIEVE_PRIME = 2^31 - 1, plain ints) as a sieve, on F_p data of
+over F_p (p = SIEVE_PRIME = 2^30 - 35, plain ints) as a sieve, on F_p data of
 its own: the basis vectors reduced mod p once (their denominators are at most
 2), the action columns and z-term images computed from those by the integer
 tensor action and the same forward reduction (pivots are 1, so nothing is
@@ -46,8 +46,8 @@ numbered as without it, unless the constraint rank mod p falls short of the
 rank over Q: then the sieve may lift deeper than Q would, build more weight
 spaces and renumber the basis.  Results stay correct even then, but
 certificates may change; this is seen at p = 2 and not known for
-p = 2^31 - 1, which meets no UnluckyPrime on the degree-2 box-2 and
-degree-4 box-1 sweeps.
+p = 2^30 - 35 or 2^31 - 1, which meet no UnluckyPrime on the degree-2 box-2
+and degree-4 box-1 sweeps.
 
 The L_1 condition x_5 d45 . w = 0 gives z-term rows at the depth of the
 weight each term lands in.  The lifting records the terms (PBW monomial, PBW
@@ -94,7 +94,7 @@ from functools import lru_cache, partial
 
 from . import fmodules, sl5, uminus
 from .fmodules import TensorModule, glact_vector, gen_shift
-from .fmodules import _PAIR_POS, _V0, _VD0, _W0
+from .fmodules import _MASK, _PAIR_POS, _SHIFT, _V0, _VD0, _W0
 from .linalg import RowReducer, UnluckyPrime, add_into, format_scalar, parse_scalar, to_fp
 
 ZDEL = uminus.ZERO_DEL
@@ -388,8 +388,9 @@ def _candidates(mu, groups) -> list:
     return sorted(lam for w in groups if sl5.is_dominant(lam := sl5.wadd(mu, w)))
 
 
-# The modulus of the search's F_p sieve: the Mersenne prime 2^31 - 1.
-SIEVE_PRIME = 2**31 - 1
+# The modulus of the search's F_p sieve: 2^30 - 35, the largest prime below
+# 2^30, so every residue and every divisor of a % is a one-digit CPython int.
+SIEVE_PRIME = 2**30 - 35
 
 
 def _zimage(mod: TensorModule, op, fidx, *, p: int | None = None):
@@ -1285,7 +1286,8 @@ def _certificate_shape_error(cert) -> str | None:
 def verify_certificate(cert: dict) -> tuple[bool, str]:
     """Re-run the search for the certified (mu, degree) and check the stored
     vector is reproduced exactly, with all checks passing and the stored
-    checks equal to the re-run ones."""
+    checks equal to the re-run ones.  A well-formed mu that no module can
+    hold (an entry of 2^16 or more) raises ValueError, as TensorModule does."""
     bad = _certificate_shape_error(cert)
     if bad:
         return False, f"malformed certificate: {bad}"
@@ -1347,13 +1349,11 @@ def nabla_A(m: int, n: int) -> MorphismData:
     """M(m, n+1, 0, 0) -> M(m, n, 0, 0), associated to
     sum_{i<j} d_ij (x) d/dx_ij."""
     def theta(i, j, mono):
-        k = _W0 + _PAIR_POS[(i, j)]
-        e = mono[k]
+        shift = _SHIFT[_W0 + _PAIR_POS[(i, j)]]
+        e = mono >> shift & _MASK
         if not e:
             return {}
-        out = list(mono)
-        out[k] -= 1
-        return {tuple(out): Q(e)}
+        return {mono - (1 << shift): Q(e)}
     return _formula_morphism((m, n + 1, 0, 0), (m, n, 0, 0), theta)
 
 
@@ -1363,13 +1363,12 @@ def nabla_B(m: int, n: int) -> MorphismData:
     def theta(i, j, mono):
         out: dict = {}
         for star, dx in ((i, j), (j, i)):
-            e = mono[_V0 + dx - 1]
+            shift = _SHIFT[_V0 + dx - 1]
+            e = mono >> shift & _MASK
             if e:
-                nm = list(mono)
-                nm[_V0 + dx - 1] -= 1
-                nm[_VD0 + star - 1] += 1
+                nm = mono - (1 << shift) + (1 << _SHIFT[_VD0 + star - 1])
                 sign = 1 if star == i else -1
-                add_into(out, {tuple(nm): Q(sign * e)})
+                add_into(out, {nm: Q(sign * e)})
         return out
     return _formula_morphism((m + 1, 0, 0, n), (m, 0, 0, n + 1), theta)
 

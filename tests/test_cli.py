@@ -155,6 +155,26 @@ def test_verify_accepts_equations_false_above_degree_3(tmp_path, capsys):
     assert code == 0 and out.endswith(": ok\n")
 
 
+def test_weights_beyond_the_exponent_slot_are_usage_errors(tmp_path, capsys):
+    # a tensor exponent has 16 bits, so no module holds an entry of 2^16: a
+    # message and exit 1, not a traceback
+    limit = "weight entries must be below 2^16 = 65536"
+    for argv in (["singular", "--mu", "65536,0,0,0", "--degree", "1"],
+                 ["irrep", "--lambda", "0,0,0,65536"]):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {limit}") and err.count("\n") == 1
+    out_dir = str(tmp_path / "certs")
+    run(["singular", "--mu", "0,0,0,0", "--degree", "1", "--out", out_dir], capsys)
+    path = next((tmp_path / "certs").glob("*.json"))
+    cert = json.loads(path.read_text())
+    cert["mu"] = [65536, 0, 0, 0]
+    path.write_text(json.dumps(cert))
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: {limit}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tamper", ["zero", "empty"])
 def test_verify_rejects_zero_vector(tamper, tmp_path, capsys):
     out_dir = str(tmp_path / "certs")

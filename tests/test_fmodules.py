@@ -30,7 +30,12 @@ def mono(**kw):
             e[15 + pairs[(int(rest[0]), int(rest[1]))]] += val
         elif kind == "d":
             e[25 + int(rest) - 1] += val
-    return tuple(e)
+    return fm.pack(e)
+
+
+def times(a, b):
+    """The product of two packed monomials (exponents added slot by slot)."""
+    return fm.pack([x + y for x, y in zip(fm.unpack(a), fm.unpack(b))])
 
 
 def test_act_standard():
@@ -60,14 +65,14 @@ def test_act_is_derivation():
         r, s = rng.sample(range(1, 6), 2)
         a = rng.choice([mono(x1=1), mono(w23=1), mono(W45=1), mono(d3=1)])
         b = rng.choice([mono(x2=1), mono(w14=1), mono(W12=1), mono(d5=1)])
-        ab = tuple(x + y for x, y in zip(a, b))
+        ab = times(a, b)
         got = fm.glact_monomial(r, s, ab)
         want = {}
         for m, c in fm.glact_monomial(r, s, a).items():
-            k = tuple(x + y for x, y in zip(m, b))
+            k = times(m, b)
             want[k] = want.get(k, Q(0)) + c
         for m, c in fm.glact_monomial(r, s, b).items():
-            k = tuple(x + y for x, y in zip(a, m))
+            k = times(a, m)
             want[k] = want.get(k, Q(0)) + c
         want = {k: v for k, v in want.items() if v}
         assert got == want
@@ -276,6 +281,7 @@ def test_pluecker_contractions_annihilate():
     for n, m in itertools.product((0, 1), (0, 1)):
         mod = fm.build_irreducible((n, m + 1, 0, 0))
         for vec in mod.vectors:
+            vec = {fm.unpack(m): co for m, co in vec.items()}
             for a, b, c, d in itertools.permutations((1, 2, 3, 4, 5), 4):
                 acc = {}
                 for p1, p2 in (((a, b), (c, d)), ((a, c), (d, b)), ((a, d), (b, c))):
@@ -326,7 +332,8 @@ def _generator_image(r, s, slot):
 
 
 def _glact_reference(r, s, vec):
-    """Derivation rule over Q: sum over generators of exponent * image."""
+    """Derivation rule over Q on exponent tuples: sum over generators of
+    exponent * image."""
     out = {}
     for m, c in vec.items():
         for slot, e in enumerate(m):
@@ -352,8 +359,8 @@ _vectors = st.dictionaries(
 @settings(deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), _vectors)
 def test_glact_vector_matches_fraction_reference(r, s, vec):
-    got = fm.glact_vector(r, s, vec)
-    assert got == _glact_reference(r, s, vec)
+    got = fm.glact_vector(r, s, {fm.pack(m): c for m, c in vec.items()})
+    assert {fm.unpack(m): c for m, c in got.items()} == _glact_reference(r, s, vec)
     assert all(type(c) is Q for c in got.values())
 
 
@@ -395,16 +402,19 @@ def test_built_vectors_have_fraction_coefficients():
 
 
 _dense_monomials = st.lists(st.integers(0, 2), min_size=30, max_size=30).map(tuple)
+# a move raises one exponent by 1: inside F(lam) every exponent, the raised
+# one included, is at most max(lam) < 2^16, so here each stays one below that
+_wide_monomials = st.lists(st.integers(0, 2**16 - 2), min_size=30, max_size=30).map(tuple)
 
 
 @pytest.mark.parametrize("r,s", list(itertools.product(range(1, 6), repeat=2)))
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(_monomials, _dense_monomials))
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_monomials, _dense_monomials, _wide_monomials))
 def test_glact_monomial_matches_slot_loop(r, s, m):
-    got = fm.glact_monomial(r, s, m)
+    got = fm.glact_monomial(r, s, fm.pack(m))
     want = oracles.glact_monomial(r, s, m)
     # same terms in the same order, as ints
-    assert list(got.items()) == list(want.items())
+    assert [(fm.unpack(k), c) for k, c in got.items()] == list(want.items())
     assert all(type(c) is int for c in got.values())
 
 
@@ -454,3 +464,38 @@ def test_gen_shift_table_matches_its_definition():
 def test_modules_refuse_a_weight_that_is_not_four_ints(make, bad):
     with pytest.raises(ValueError, match="a weight is 4 integers"):
         make(bad)
+
+
+# -- the packed monomial encoding ----------------------------------------------
+
+_exponents = st.lists(st.integers(0, 2**16 - 1), min_size=30, max_size=30).map(tuple)
+
+
+@given(_exponents)
+def test_unpack_inverts_pack(e):
+    m = fm.pack(e)
+    assert type(m) is int and 0 <= m < 2**480
+    assert fm.unpack(m) == e
+
+
+@given(_exponents, _exponents)
+def test_pack_preserves_tuple_order(e, f):
+    # so min() of a residual, pivots and term order are those of the tuples
+    assert (fm.pack(e) < fm.pack(f)) == (e < f)
+    assert (fm.pack(e) == fm.pack(f)) == (e == f)
+
+
+def test_hw_monomial_packs_the_highest_weight_exponents():
+    for lam in [(0, 0, 0, 0), (1, 2, 3, 4), (2**16 - 1, 0, 7, 2**16 - 1)]:
+        a, b, c, d = lam
+        assert fm.hw_monomial(lam) == mono(x1=a, w12=b, W45=c, d5=d)
+        assert fm.monomial_gl_weight(fm.hw_monomial(lam)) == \
+            (a + b, b, 0, -c, -c - d)
+
+
+@pytest.mark.parametrize("make", [fm.TensorModule, fm.build_irreducible])
+def test_modules_refuse_a_weight_beyond_the_exponent_slot(make):
+    for lam in [(2**16, 0, 0, 0), (0, 0, 0, 2**16), (0, 1, 2**20, 0)]:
+        with pytest.raises(ValueError, match=r"below 2\^16 = 65536"):
+            make(lam)
+    assert fm.TensorModule((2**16 - 1, 0, 0, 0)).ensure_weight((2**16 - 1, 0, 0, 0)) == [0]

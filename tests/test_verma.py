@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -247,7 +248,7 @@ def test_nabla_C_hw_image_at_origin():
         vec = tgt.vectors[idx]
         mono = next(iter(vec))
         k = fm.PAIRS.index(pair)
-        assert mono[15 + k] == 1
+        assert fm.unpack(mono)[15 + k] == 1
 
 
 def test_morphism_from_singular_rejects_non_singular():
@@ -273,7 +274,7 @@ def test_compose_BA_paper_value():
         j = m[1][1][1]
         vec = tgt.vectors[idx]
         mono = next(iter(vec))
-        assert mono[25 + j - 1] == 1  # x*_j line
+        assert fm.unpack(mono)[25 + j - 1] == 1  # x*_j line
         assert c == Q(-1)  # -m at m = 1
 
 
@@ -959,9 +960,7 @@ def _sweep_d2_hits(monkeypatch, prime=None):
     entry sum <= 4; exact only (every candidate lifted over Q) when prime is
     None, else sieved mod prime.  Checks every vector on the way."""
     if prime is None:
-        def no_fp(x, p):
-            raise ZeroDivisionError("exact only")
-        monkeypatch.setattr(V, "to_fp", no_fp)
+        monkeypatch.setattr(V, "_sieve", lambda lift: "unlucky")
     else:
         monkeypatch.setattr(V, "SIEVE_PRIME", prime)
     hits = []
@@ -1042,13 +1041,15 @@ def _objs(hits, onto_full=False):
 
 # SHA-256 of the ordered [((mu, d, lam), verdict)] list of the sieve, per
 # modulus: the degree-2 box-2 sweep at the small primes (where "unlucky"
-# verdicts occur) and both sweeps at 2^31 - 1
+# verdicts occur) and both sweeps at the large primes, SIEVE_PRIME = 2^30 - 35
+# and 2^31 - 1, whose verdicts are the same
 VERDICT_PINS = {
     2: "ab9d7803d2a7998bce9381b2565f6c0de3c1ac782fe28ab4c1fdc4fb702d8f43",
     3: "fdb451351227f885fe36f30f001ff4ccf58aeebae2826c7bed1422a5a804754a",
     5: "12bde6c01ad53d5cebf1ce8af2413368431b91e12d9633cf6a32937754df8d43",
     7: "b43a459f47fbe7ef80e9f0f9fcc1400d0444ffe85b52d7869b9667b592822e69",
-    V.SIEVE_PRIME: "8958636e3e4dd70c07201b310380311743f7b1f2797fa2632d5f9f2c64ac4969",
+    2**30 - 35: "8958636e3e4dd70c07201b310380311743f7b1f2797fa2632d5f9f2c64ac4969",
+    2**31 - 1: "8958636e3e4dd70c07201b310380311743f7b1f2797fa2632d5f9f2c64ac4969",
 }
 
 
@@ -1062,11 +1063,26 @@ def test_sieve_on_its_own_data_matches_the_converted_sieve(monkeypatch):
     assert verdicts == old_verdicts
     assert _verdict_digest(verdicts) == VERDICT_PINS[V.SIEVE_PRIME]
     assert _objs(hits) == _objs(old_hits)
-    # no fallback at 2^31 - 1; every survivor is a hit (575 + 262 killed)
+    # no fallback at SIEVE_PRIME; every survivor is a hit (575 + 262 killed)
     counts = {v: sum(1 for _, x in verdicts if x == v)
               for v in ("dead", "alive", "unlucky")}
     assert counts == {"dead": 575 + 262, "alive": 6 + 2, "unlucky": 0}
     assert len(hits) == counts["alive"]
+
+
+def test_sieve_prime_is_a_prime_below_2_to_the_30():
+    # every residue and every divisor of a % is then a one-digit CPython int
+    p = V.SIEVE_PRIME
+    assert p.bit_length() <= 30 and p in VERDICT_PINS
+    assert all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def test_sieve_verdicts_at_the_previous_prime_are_pinned(monkeypatch):
+    # 2^31 - 1, the sieve prime before SIEVE_PRIME, gives the same ordered
+    # verdicts on both sweeps
+    monkeypatch.setattr(V, "SIEVE_PRIME", 2**31 - 1)
+    verdicts, _ = _sieve_run(monkeypatch, SWEEPS)
+    assert _verdict_digest(verdicts) == VERDICT_PINS[2**31 - 1] == VERDICT_PINS[V.SIEVE_PRIME]
 
 
 @pytest.mark.parametrize("prime", (2, 3, 5, 7))
@@ -1115,7 +1131,7 @@ def test_unlucky_prime_triggers():
     stray[max(stray)] = (stray[max(stray)] + 1) % 3
     with pytest.raises(UnluckyPrime):
         mod.coords(nu, stray, p=3)
-    # a stacked raising system of F(1,1,0,0) loses rank mod 3, never mod 2^31 - 1
+    # a stacked raising system of F(1,1,0,0) loses rank mod 3, never mod SIEVE_PRIME
     mod = fm.TensorModule((1, 1, 0, 0)).build_full()
     dropped = []
     for nu in sorted(set(mod.weights) - {mod.highest_weight}):
@@ -1186,7 +1202,8 @@ def test_lazy_sweep_modules_are_pinned():
         parts = [
             [[lam, [V.verma_element_to_obj(w) for w in vecs]] for lam, vecs in hits],
             [[nu, idxs] for nu, idxs in mod.spaces.items()],
-            [[[m, format_scalar(c)] for m, c in vec.items()] for vec in mod.vectors],
+            [[[fm.unpack(m), format_scalar(c)] for m, c in vec.items()]
+             for vec in mod.vectors],
             [[origin, [[k, format_scalar(c)] for k, c in trail], format_scalar(pc)]
              for origin, trail, pc in mod.prov],
         ]
@@ -1289,6 +1306,14 @@ def test_get_module_refuses_a_weight_that_is_not_four_ints(bad):
     V.get_module((1, 0, 0, 0))  # (True, 0, 0, 0) must not find this one
     with pytest.raises(ValueError, match="a weight is 4 integers"):
         V.get_module(bad)
+
+
+def test_search_and_modules_refuse_weights_beyond_the_exponent_slot():
+    # through TensorModule, before any weight space or table is built
+    for call in (lambda: V.get_module((0, 2**16, 0, 0)),
+                 lambda: V.singular_vectors((2**16, 0, 0, 0), 1)):
+        with pytest.raises(ValueError, match=r"below 2\^16 = 65536"):
+            call()
 
 
 def test_second_search_at_a_degree_rebuilds_no_table(monkeypatch):
