@@ -92,20 +92,15 @@ def build_parser() -> _Parser:
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--verify", action="store_true")
 
-    sp = sub.add_parser("compose", help="build a catalogued morphism chain")
-    sp.add_argument("--chain", required=True,
-                    choices=list(verma.CHAINS))
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--latex", action="store_true")
-
-    sp = sub.add_parser("dual", help="dual of a catalogued morphism chain")
-    sp.add_argument("--chain", required=True,
-                    choices=list(verma.CHAINS))
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--json", action="store_true")
+    for name, help_ in (("compose", "build a catalogued morphism chain"),
+                        ("dual", "dual of a catalogued morphism chain")):
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("--chain", required=True, choices=list(verma.CHAINS))
+        sp.add_argument("--m", type=int, default=0)
+        sp.add_argument("--n", type=int, default=0)
+        sp.add_argument("--json", action="store_true")
+        if name == "compose":
+            sp.add_argument("--latex", action="store_true")
 
     sp = sub.add_parser("verify", help="re-verify certificate files")
     sp.add_argument("files", nargs="+")
@@ -130,15 +125,9 @@ def cmd_omega(args) -> int:
 
 def cmd_dim_u(args) -> int:
     d = args.degree
-    layout = []
-    for k in range(d // 2 + 1):
-        npairs = d - 2 * k
-        if npairs > 10:
-            continue
-        from math import comb
-        layout.append({"dels": k, "pairs": npairs,
-                       "count": comb(k + 4, 4) * comb(10, npairs)})
-    total = uminus.pbw_dimension(d)
+    layout = [{"dels": k, "pairs": npairs, "count": count}
+              for k, npairs, count in uminus.pbw_layout(d)]
+    total = sum(row["count"] for row in layout)
     if args.json:
         print(json.dumps({"degree": d, "dimension": total, "layout": layout}))
     else:
@@ -289,24 +278,29 @@ def _morphism_report(phi, as_json: bool, latex: bool = False) -> bool:
     return ok
 
 
-def cmd_compose(args) -> int:
+def _chain(args):
+    """The catalogued chain that --chain, --m and --n name, or None after
+    printing why there is none."""
     try:
-        phi = verma.family_instance(args.chain, args.m, args.n)
+        return verma.family_instance(args.chain, args.m, args.n)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_compose(args) -> int:
+    phi = _chain(args)
+    if phi is None:
         return EXIT_USAGE
-    _morphism_report(phi, args.json, getattr(args, "latex", False))
+    _morphism_report(phi, args.json, args.latex)
     return EXIT_OK
 
 
 def cmd_dual(args) -> int:
-    try:
-        phi = verma.family_instance(args.chain, args.m, args.n)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    phi = _chain(args)
+    if phi is None:
         return EXIT_USAGE
-    psi = verma.dual_morphism(phi)
-    ok = _morphism_report(psi, args.json)
+    ok = _morphism_report(verma.dual_morphism(phi), args.json)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -48,6 +48,25 @@ def unpack(m: int) -> tuple:
     return _SLOTS.unpack(m.to_bytes(_SLOTS.size, "big"))
 
 
+# the bit offset of each variable's slot, by name: ("x", t) and ("x*", t) for
+# x_t and x*_t (t in 1..5), ("x", (i, j)) and ("x*", (i, j)) for x_ij and x*_ij
+_VAR_SHIFT = {(name, key): _SHIFT[base + k]
+              for name, base, keys in (("x", _V0, range(1, 6)), ("x", _W0, PAIRS),
+                                       ("x*", _WD0, PAIRS), ("x*", _VD0, range(1, 6)))
+              for k, key in enumerate(keys)}
+
+
+def derivative(m: int, var, times=None):
+    """d/d var of the tensor monomial m, times the variable `times` when
+    given (variables named as in _VAR_SHIFT): (monomial, the exponent of var
+    in m), or None when var does not occur in m."""
+    shift = _VAR_SHIFT[var]
+    e = m >> shift & _MASK
+    if not e:
+        return None
+    return m - (1 << shift) + (0 if times is None else 1 << _VAR_SHIFT[times]), e
+
+
 def check_module_weight(lam) -> tuple:
     """lam as a weight tuple, or ValueError unless it is 4 ints, dominant, and
     has every entry below 2^16, so that no exponent of F(lam) overflows its

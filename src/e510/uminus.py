@@ -16,6 +16,7 @@ the L0-adjoint action live here.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -162,10 +163,7 @@ def pbw_monomials(d: int) -> list[tuple]:
     """All PBW monomials of degree d, in the canonical order: number of del
     factors ascending, then del-multidegree lex, then pair tuple lex."""
     out = []
-    for k in range(d // 2 + 1):
-        npairs = d - 2 * k
-        if npairs > len(PAIRS):
-            continue
+    for k, npairs, _count in pbw_layout(d):
         dels = sorted(rep_monomial((T, ()))[0]
                       for T in itertools.combinations_with_replacement(range(1, 6), k))
         for d5 in dels:
@@ -174,9 +172,15 @@ def pbw_monomials(d: int) -> list[tuple]:
     return out
 
 
+def pbw_layout(d: int) -> list[tuple]:
+    """(k, n, count) per nonempty block of pbw_monomials(d), k ascending: the
+    count monomials with k del factors and n = d - 2k pair factors."""
+    return [(k, n, math.comb(k + 4, 4) * math.comb(len(PAIRS), n))
+            for k in range(d // 2 + 1) if (n := d - 2 * k) <= len(PAIRS)]
+
+
 def pbw_dimension(d: int) -> int:
-    from math import comb
-    return sum(comb(k + 4, 4) * comb(10, d - 2 * k) for k in range(d // 2 + 1))
+    return sum(count for _k, _n, count in pbw_layout(d))
 
 
 # ---------------------------------------------------------------------------

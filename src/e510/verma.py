@@ -20,7 +20,9 @@ tensor action and the same forward reduction (pivots are 1, so nothing is
 divided), and the stacked raising solver factored by RowReducer(p).  All
 but the solver are the rational data reduced mod p: coordinates mod p are
 the rational ones reduced because the whole basis of the space they are
-taken in is reduced first.  Only survivors, lifted again over Q, build the
+taken in is reduced first.  The PBW side is shared: both passes read the one
+int table per degree of _degree_tables, and add_into reduces a coefficient
+mod p as it scales by it.  Only survivors, lifted again over Q, build the
 rational solver, action tables and z-term images; the Q pass alone produces
 and verifies the vectors.
 
@@ -33,11 +35,10 @@ already imposed, so the span of the constraints is the reduction of the
 rational span, and reduction mod p cannot raise a rank: a constraint rank mod
 p that reaches the number L of leading monomials proves the candidate dead
 over Q.  Where p cannot decide, UnluckyPrime sends the candidate to the Q
-pass: to_fp meets a denominator divisible by p in a basis vector (the PBW
-coefficients of the L_0 and L_1 actions are ints, reduced mod p once per
-degree in the tables _transitions and _zterm_records); an F_p coordinate
-computation leaves a residual; or the F_p rank of a stacked system falls
-short of the dimension of its weight space.
+pass: fp_basis meets a denominator divisible by p in a basis vector (the
+PBW coefficients of the L_0 and L_1 actions are ints, so they raise
+nothing); an F_p coordinate computation leaves a residual; or the F_p rank
+of a stacked system falls short of the dimension of its weight space.
 
 The sieve builds the lazy module through the same ensure_weight calls as the
 exact lifting, in the same order (each weight space, then its raising
@@ -51,19 +52,20 @@ and degree-4 box-1 sweeps.
 
 The L_1 condition x_5 d45 . w = 0 gives z-term rows at the depth of the
 weight each term lands in.  The lifting records the terms (PBW monomial, PBW
-coefficient, x_5 d_t op) of each monomial, with its lifted components, under
-that depth as they arise (_zterm_records groups them by depth once),
-and expands a depth's records into rows only when it flushes that depth, so
-a candidate killed earlier never multiplies out the terms of the depths it
-does not reach.  The rows, their order and every rank check are those of
-expanding each term at once.  Deferring changes no sieve verdict, because
-nothing deferred can raise UnluckyPrime: the PBW coefficients are ints, and
-the expansion reads only basis vectors of the
-weight space nu the components live in (vector, and _zimage through it),
-whose reduction mod p fp_basis made when solver(nu) built the action mod p
-(at depth 0 the one highest weight vector, a monomial with coefficient 1);
-glact_vector over F_p divides nothing.  Nor does it build a weight space, so
-the lazy F-basis numbering is unchanged.
+coefficient) of each monomial that share an x_5 d_t op, with the op and the
+monomial's lifted components, under that depth as they arise
+(_degree_tables groups them by op, hence by depth, once), and expands a
+depth's records into rows only when it flushes that depth, so a candidate
+killed earlier never multiplies out the terms of the depths it does not
+reach.  The rows, their order and every rank check are those of expanding
+each term at once.  Deferring changes no sieve verdict, because nothing
+deferred can raise UnluckyPrime: the PBW coefficients are ints, and the
+expansion reads only basis vectors of the weight space nu the components
+live in (vector, and _zimage through it), whose reduction mod p fp_basis
+made when solver(nu) built the action mod p (at depth 0 the one highest
+weight vector, a monomial with coefficient 1); glact_vector over F_p divides
+nothing.  Nor does it build a weight space, so the lazy F-basis numbering is
+unchanged.
 
 The morphism checks (check_morphism, verify_degree_equations) run in ints.
 Their conditions are linear and homogeneous in Phi, so with D > 0 the lcm of
@@ -94,8 +96,7 @@ from functools import lru_cache, partial
 
 from . import fmodules, sl5, uminus
 from .fmodules import TensorModule, glact_vector, gen_shift
-from .fmodules import _MASK, _PAIR_POS, _SHIFT, _V0, _VD0, _W0
-from .linalg import RowReducer, UnluckyPrime, add_into, format_scalar, parse_scalar, to_fp
+from .linalg import RowReducer, UnluckyPrime, add_into, format_scalar, parse_scalar
 
 ZDEL = uminus.ZERO_DEL
 
@@ -327,60 +328,47 @@ def singular_vectors(mu, d: int, module: TensorModule | None = None):
         raise ValueError(f"degree must be an integer >= 1, got {d!r}")
     mu = sl5.check_weight(mu)
     mod = module if module is not None else TensorModule(mu)
-    groups = _weight_groups(d)
+    tables = _degree_tables(d)
     out = []
-    for lam in _candidates(mu, groups):
-        vecs = _lift_singular(mod, d, lam, groups)
+    for lam in _candidates(mu, tables[0]):
+        vecs = _lift_singular(mod, d, lam, tables)
         if vecs:
             out.append((lam, vecs))
     return out
 
 
 @lru_cache(maxsize=8)
-def _weight_groups(d: int) -> dict:
-    """The PBW monomials of degree d grouped by weight: weight -> [monomial],
-    each list in the order of uminus.pbw_monomials.  Made once per degree and
-    shared by every search of that degree: callers only read it."""
+def _degree_tables(d: int) -> tuple:
+    """The search's data on the degree-d PBW monomials, in ints, shared by
+    the sieve and the exact pass of every search of degree d (callers only
+    read it): (groups, trans, zrecords).
+
+    groups maps each weight to its monomials in uminus.pbw_monomials order.
+    trans[i][m2][m] is the coefficient of m2 in x_i d_{i+1} . m, the sources
+    m of each m2 in groups order.  zrecords maps m to the terms of
+    x_5 d45 . m (_odd_action(5, (4, 5), m)) grouped by op, as (op, shift,
+    ((monomial, coefficient), ...)) with shift the weight shift
+    gen_shift(*op) of the F part (None when op is None); the groups land at
+    distinct depths (x_5 d/dx_t moves the F part 5 - t levels down, and
+    t <= 3), so each depth receives the terms of a monomial in _odd_action
+    order.  Built from the uncached actions, so the memos of act_l0 and
+    act_odd keep only what those ask for."""
     groups: dict = {}
     for m in uminus.pbw_monomials(d):
         groups.setdefault(uminus.monomial_weight(m), []).append(m)
-    return groups
-
-
-@lru_cache(maxsize=8)
-def _transitions(d: int, p: int | None) -> dict:
-    """The adjoint actions of the raisings on the degree-d PBW monomials,
-    over Q (p None) or F_p: table[i][m2][m] is the coefficient of m2 in
-    x_i d_{i+1} . m, the sources m of each m2 in _weight_groups(d) order.
-    Shared by every candidate of every search of degree d."""
-    table: dict = {i: {} for i in range(1, 5)}
-    for ms in _weight_groups(d).values():
+    trans: dict = {i: {} for i in range(1, 5)}
+    zrecords = {}
+    for ms in groups.values():
         for m in ms:
             for i in range(1, 5):
-                for m2, c in _l0_mono(i, i + 1, m):
-                    table[i].setdefault(m2, {})[m] = c if p is None else to_fp(c, p)
-    return table
-
-
-@lru_cache(maxsize=8)
-def _zterm_records(d: int, p: int | None) -> dict:
-    """x_5 d45 on the degree-d PBW monomials, over Q (p None) or F_p, grouped
-    for the lifting: m -> ((shift, terms), ...) with terms the (monomial,
-    coefficient, op) of _odd_action(5, (4, 5), m) that share op, the
-    coefficients reduced mod p, and shift the weight shift gen_shift(*op) of
-    the F part (None when op is None).  The groups land at distinct depths
-    (x_5 d/dx_t moves the F part 5 - t levels down, and t <= 3), so each
-    depth receives the terms of a monomial in _odd_action order.  Shared by
-    every candidate of every search of degree d."""
-    table = {}
-    for ms in _weight_groups(d).values():
-        for m in ms:
-            groups: dict = {}
-            for m2, c, op in _odd_action(5, (4, 5), m):
-                groups.setdefault(op, []).append((m2, c if p is None else to_fp(c, p), op))
-            table[m] = tuple((None if op is None else gen_shift(*op), tuple(terms))
-                             for op, terms in groups.items())
-    return table
+                for m2, c in uminus.l0_adjoint(i, i + 1, {m: 1}).items():
+                    trans[i].setdefault(m2, {})[m] = c
+            by_op: dict = {}
+            for m2, c, op in _odd_action.__wrapped__(5, (4, 5), m):
+                by_op.setdefault(op, []).append((m2, c))
+            zrecords[m] = tuple((op, None if op is None else gen_shift(*op), tuple(terms))
+                                for op, terms in by_op.items())
+    return groups, trans, zrecords
 
 
 def _candidates(mu, groups) -> list:
@@ -421,14 +409,16 @@ def _sieve(lift) -> str:
         return "unlucky"
 
 
-def _lift_singular(mod, d, lam, groups):
+def _lift_singular(mod, d, lam, tables):
     """Basis of the degree-d singular vectors of weight lam in M(mu) by
     leading-term lifting: one lifting loop, run over F_p as a sieve and then
-    over Q for the survivors (see the module docstring).  groups is
-    _weight_groups(d).  The z-terms of x_5 d45 are recorded per depth and
-    expanded into constraint rows only when the lifting flushes that depth
-    (the module docstring says why that is safe), and each vector is
-    re-verified by the full is_singular check."""
+    over Q for the survivors (see the module docstring), both reading the
+    int tables = _degree_tables(d); over F_p, add_into reduces each table
+    coefficient as it scales a form.  The z-terms of x_5 d45 are recorded
+    per depth and expanded into constraint rows only when the lifting
+    flushes that depth (the module docstring says why that is safe), and
+    each vector is re-verified by the full is_singular check."""
+    groups, trans, zrecords = tables
     mu = mod.highest_weight
     depths = mod.cache("depth")
 
@@ -450,31 +440,27 @@ def _lift_singular(mod, d, lam, groups):
             levels.setdefault(dm, {})[nu] = sorted(ms)
     if 0 not in levels:
         return []
-    leading = levels[0][mu]
+    leading = levels.pop(0)[mu]
     L = len(leading)
+    top = max(levels, default=0)
 
     def lift(p):
         """(V, constraints) over Q (p None) or F_p, or None once dead."""
         solver, vector, zimage = _lifting_inputs(mod, p)
-        # trans[i][m_target][m_source] = coeff; V holds only monomials of
-        # levels, so the sources outside it contribute nothing
-        trans = _transitions(d, p)
-        zrecords = _zterm_records(d, p)
-
         constraints = RowReducer(p)
         V: dict = {}           # monomial -> {fidx -> {ci -> scalar}}
-        zterms: dict = {}      # depth -> [(terms, comps)]
+        zterms: dict = {}      # depth -> [(op, terms, comps)]
 
         def add_z_terms(m, nu, depth, comps):
-            for shift, terms in zrecords[m]:
+            for op, shift, terms in zrecords[m]:
                 tau_depth = depth if shift is None else nu_depth(sl5.wadd(nu, shift))
                 if tau_depth is not None:
-                    zterms.setdefault(tau_depth, []).append((terms, comps))
+                    zterms.setdefault(tau_depth, []).append((op, terms, comps))
 
         def flush_z(depth) -> bool:
             rows: dict = {}    # (monomial, ambient mono) -> {ci -> scalar}
-            for terms, comps in zterms.pop(depth, ()):
-                for m2, c2, op in terms:
+            for op, terms, comps in zterms.pop(depth, ()):
+                for m2, c2 in terms:
                     for fidx, form in comps.items():
                         vec = vector(fidx) if op is None else zimage(op, fidx)
                         for amb, ac in vec.items():
@@ -483,7 +469,7 @@ def _lift_singular(mod, d, lam, groups):
                 constraints.insert(row)
                 if constraints.rank >= L:
                     return True
-            return constraints.rank >= L
+            return False
 
         def combine(comb, b) -> dict:
             form: dict = {}
@@ -494,43 +480,42 @@ def _lift_singular(mod, d, lam, groups):
             return form
 
         one = Q(1) if p is None else 1
-        for depth in range(max(levels) + 1):
-            if depth == 0:
-                for ci, m in enumerate(leading):
-                    hw_space = mod.ensure_weight(mu)
-                    V[m] = {hw_space[0]: {ci: one}}
-                    add_z_terms(m, mu, 0, V[m])
-            else:
-                for nu, ms in sorted(levels.get(depth, {}).items()):
-                    solve_combs, zero_combs = solver(nu)
-                    for m in ms:
-                        b: dict = {}
-                        for i in range(1, 5):
-                            for u, tcoef in trans[i].get(m, {}).items():
-                                for fidx, form in V.get(u, {}).items():
-                                    acc = b.setdefault((i, fidx), {})
-                                    add_into(acc, form, -tcoef, p)
-                        comps: dict = {}
-                        for col, comb in solve_combs.items():
-                            form = combine(comb, b)
-                            if form:
-                                comps[col] = form
-                        for comb in zero_combs:
-                            form = combine(comb, b)
-                            if form:
-                                constraints.insert(form)
-                        if comps:
-                            V[m] = comps
-                            add_z_terms(m, nu, depth, comps)
-                        if constraints.rank >= L:
-                            return None
+        hw = mod.ensure_weight(mu)[0]
+        for ci, m in enumerate(leading):
+            V[m] = {hw: {ci: one}}
+            add_z_terms(m, mu, 0, V[m])
+        # every rank check returns at once, so rank < L at each flush; the
+        # z-terms of the deepest level land up to 4 levels below it
+        depth = 0
+        while depth <= top or zterms:
+            for nu, ms in sorted(levels.get(depth, {}).items()):
+                solve_combs, zero_combs = solver(nu)
+                for m in ms:
+                    # trans[i][m_target][m_source] = coeff; V holds only
+                    # monomials of levels, so other sources contribute nothing
+                    b: dict = {}
+                    for i in range(1, 5):
+                        for u, tcoef in trans[i].get(m, {}).items():
+                            for fidx, form in V.get(u, {}).items():
+                                acc = b.setdefault((i, fidx), {})
+                                add_into(acc, form, -tcoef, p)
+                    comps: dict = {}
+                    for col, comb in solve_combs.items():
+                        form = combine(comb, b)
+                        if form:
+                            comps[col] = form
+                    for comb in zero_combs:
+                        form = combine(comb, b)
+                        if form:
+                            constraints.insert(form)
+                    if comps:
+                        V[m] = comps
+                        add_z_terms(m, nu, depth, comps)
+                    if constraints.rank >= L:
+                        return None
             if flush_z(depth):
                 return None
-        for depth in sorted(zterms):
-            if flush_z(depth):
-                return None
-        if constraints.rank >= L:
-            return None
+            depth += 1
         return V, constraints
 
     lifted = None if _sieve(lift) == "dead" else lift(None)
@@ -625,15 +610,13 @@ def get_module(lam) -> TensorModule:
 
 def clear_caches() -> None:
     """Empty the process-wide caches: the L_0 and L_1 action tables on PBW
-    monomials, the search's per-degree tables (monomials by weight, raising
-    transitions, z-term records), the L_1 spanning set, the
+    monomials, the search's per-degree tables (_degree_tables), the L_1
+    spanning set, the
     fully built modules of get_module, and uminus's omega basis and
     normal-ordering table.  Results do not depend on them."""
     _l0_mono.cache_clear()
     _odd_action.cache_clear()
-    _transitions.cache_clear()
-    _weight_groups.cache_clear()
-    _zterm_records.cache_clear()
+    _degree_tables.cache_clear()
     l1_basis.cache_clear()
     _module_cache.clear()
     uminus.omega_basis.cache_clear()
@@ -820,14 +803,12 @@ def _clear_denominators(table: dict) -> dict:
             for key, cols in table.items()}
 
 
-def _gen_on_theta(phi: MorphismData, r: int, s: int, coeffs: dict | None = None):
+def _gen_on_theta(phi: MorphismData, r: int, s: int, coeffs: dict):
     """x_r d/dx_s . (D Phi) as a morphism-shaped coefficient dict in ints
     (zero iff Phi is invariant): sum [x, m] (x) theta_m + m (x) (A_W theta_m
-    - theta_m A_V).  coeffs is D Phi, _clear_denominators(phi.coeffs),
-    computed when not given.  Row k of A_V is minus column k of the action
-    on the source's dual(), the negated transpose."""
-    if coeffs is None:
-        coeffs = _clear_denominators(phi.coeffs)
+    - theta_m A_V).  coeffs is D Phi, _clear_denominators(phi.coeffs).  Row
+    k of A_V is minus column k of the action on the source's dual(), the
+    negated transpose."""
     A_W = phi.target.action(r, s)
     A_V_dual = phi.source.dual().action(r, s)
     out: dict = {}
@@ -1349,11 +1330,8 @@ def nabla_A(m: int, n: int) -> MorphismData:
     """M(m, n+1, 0, 0) -> M(m, n, 0, 0), associated to
     sum_{i<j} d_ij (x) d/dx_ij."""
     def theta(i, j, mono):
-        shift = _SHIFT[_W0 + _PAIR_POS[(i, j)]]
-        e = mono >> shift & _MASK
-        if not e:
-            return {}
-        return {mono - (1 << shift): Q(e)}
+        got = fmodules.derivative(mono, ("x", (i, j)))
+        return {} if got is None else {got[0]: Q(got[1])}
     return _formula_morphism((m, n + 1, 0, 0), (m, n, 0, 0), theta)
 
 
@@ -1363,12 +1341,10 @@ def nabla_B(m: int, n: int) -> MorphismData:
     def theta(i, j, mono):
         out: dict = {}
         for star, dx in ((i, j), (j, i)):
-            shift = _SHIFT[_V0 + dx - 1]
-            e = mono >> shift & _MASK
-            if e:
-                nm = mono - (1 << shift) + (1 << _SHIFT[_VD0 + star - 1])
-                sign = 1 if star == i else -1
-                add_into(out, {nm: Q(sign * e)})
+            got = fmodules.derivative(mono, ("x", dx), ("x*", star))
+            if got:
+                nm, e = got
+                add_into(out, {nm: Q(e if star == i else -e)})
         return out
     return _formula_morphism((m + 1, 0, 0, n), (m, 0, 0, n + 1), theta)
 

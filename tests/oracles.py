@@ -260,6 +260,33 @@ def fp_view(mod, p, solver, zimage):
     return fp_solver, fp_vector, fp_zimage
 
 
+def degree_tables(d):
+    """(groups, trans, zrecords) as verma._degree_tables(d) lays them out,
+    rebuilt straight from uminus.l0_adjoint and the cached
+    verma._odd_action, one generator at a time: the raisings x_i d_{i+1}
+    over the monomials in group order, and x_5 d45 with its terms regrouped
+    by op after the fact."""
+    from e510 import uminus, verma
+
+    groups = {}
+    for m in uminus.pbw_monomials(d):
+        groups.setdefault(uminus.monomial_weight(m), []).append(m)
+    monos = [m for ms in groups.values() for m in ms]
+    trans = {i: {} for i in range(1, 5)}
+    for i in range(1, 5):
+        for m in monos:
+            for m2, c in uminus.l0_adjoint(i, i + 1, {m: 1}).items():
+                trans[i].setdefault(m2, {})[m] = c
+    zrecords = {}
+    for m in monos:
+        terms = verma._odd_action(5, (4, 5), m)
+        ops = list(dict.fromkeys(op for _m2, _c, op in terms))
+        zrecords[m] = tuple((op, None if op is None else gen_shift(*op),
+                             tuple((m2, c) for m2, c, o in terms if o == op))
+                            for op in ops)
+    return groups, trans, zrecords
+
+
 def glact_monomial(r, s, m):
     """x_r d/dx_s on a tensor monomial by the slot loop the table-driven
     fmodules.glact_monomial replaced: the reference for its terms, their

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from e510 import cli
+from e510 import cli, uminus
 
 
 def run(argv, capsys):
@@ -47,6 +47,17 @@ def test_dim_u(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["dimension"] == 50
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_dim_u_counts_the_pbw_monomials(capsys, d):
+    code, out, _ = run(["dim-u", "--degree", str(d), "--json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["dimension"] == len(uminus.pbw_monomials(d))
+    assert data["dimension"] == sum(row["count"] for row in data["layout"])
+    assert [row["dels"] for row in data["layout"]] == sorted(
+        {sum(m[0]) for m in uminus.pbw_monomials(d)})
 
 
 def test_irrep(capsys):

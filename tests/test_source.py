@@ -80,3 +80,22 @@ def test_degree_equations_are_decided_hw_column_first():
     # skip the one-column decision or read a diagnostic it did not name
     for d in (1, 2, 3):
         assert _referrers(f"_equations_deg{d}") == {"verma.py:verify_degree_equations"}
+
+
+def test_only_fmodules_reads_its_private_names():
+    # the packed monomial layout (slot shifts, masks, slot ranges) stays
+    # inside fmodules: other modules go through its public functions, so a
+    # change of layout edits fmodules alone
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "fmodules.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fmodules"):
+                found += [f"{path.name}:{node.lineno}:{a.name}"
+                          for a in node.names if a.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in ("fmodules", "fm")):
+                found.append(f"{path.name}:{node.lineno}:{node.attr}")
+    assert found == []

@@ -472,8 +472,9 @@ def test_gen_on_theta_matches_fraction_reference():
     corpus += oracles.hw_controls((1, 1, 0, 0), 1, 1)
     for phi in corpus:
         ratios = set()
+        coeffs = V._clear_denominators(phi.coeffs)
         for r, s in _GENERATORS:
-            got = V._gen_on_theta(phi, r, s)
+            got = V._gen_on_theta(phi, r, s, coeffs)
             want = oracles.gen_on_theta(phi, r, s)
             assert _pattern(got) == _pattern(want), (phi.tag, r, s)
             for m, cols in want.items():
@@ -555,7 +556,7 @@ def test_checks_decide_invariance_once(monkeypatch):
     calls = []
     real = V._gen_on_theta
 
-    def counted(phi, r, s, coeffs=None):
+    def counted(phi, r, s, coeffs):
         calls.append((r, s))
         return real(phi, r, s, coeffs)
 
@@ -649,7 +650,7 @@ def test_gen_on_theta_commutator_law(which, perm, bump, rng):
     start = _int_morphism(bad, V._clear_denominators(bad.coeffs))
 
     def act(psi, a, b):
-        return _int_morphism(psi, V._gen_on_theta(psi, a, b))
+        return _int_morphism(psi, V._gen_on_theta(psi, a, b, V._clear_denominators(psi.coeffs)))
 
     want = act(start, r, t).coeffs
     got: dict = {}
@@ -1281,7 +1282,7 @@ def test_clear_caches_empties_every_global_cache():
     V.clear_caches()
     assert V._l0_mono.cache_info().currsize == 0
     assert V._odd_action.cache_info().currsize == 0
-    assert V._transitions.cache_info().currsize == 0
+    assert V._degree_tables.cache_info().currsize == 0
     # every memoized function of these namespaces, so a forgotten one fails
     memoized = {(ns.__name__, name): obj.cache_info().currsize
                 for ns in (V, um, sl5, fm) for name, obj in vars(ns).items()
@@ -1317,8 +1318,8 @@ def test_search_and_modules_refuse_weights_beyond_the_exponent_slot():
 
 
 def test_second_search_at_a_degree_rebuilds_no_table(monkeypatch):
-    # the per-degree tables (weight groups, raising transitions, z-term
-    # records) are made by the first search of a degree and only read after
+    # the per-degree table (weight groups, raising transitions, z-term
+    # records) is made by the first search of a degree and only read after
     calls = collections.Counter()
     real = um.pbw_monomials
 
@@ -1330,13 +1331,44 @@ def test_second_search_at_a_degree_rebuilds_no_table(monkeypatch):
     V.clear_caches()
     first = V.singular_vectors((0, 0, 1, 1), 2)
     assert calls[2] >= 1
-    builds = {f: getattr(V, f).cache_info().misses
-              for f in ("_transitions", "_weight_groups", "_zterm_records")}
+    builds = {f: getattr(V, f).cache_info().misses for f in ("_degree_tables",)}
     calls.clear()
     second = V.singular_vectors((1, 0, 0, 1), 2)
     assert first and second  # both searches lift a hit over Q too
     assert calls[2] == 0
     assert {f: getattr(V, f).cache_info().misses for f in builds} == builds
+
+
+def test_search_without_a_hit_leaves_the_action_memos_empty():
+    # the per-degree table is built from the uncached actions, so only
+    # act_l0, act_odd and _gen_on_theta fill _l0_mono and _odd_action
+    V.clear_caches()
+    assert V.singular_vectors((1, 0, 0, 0), 2) == []
+    assert V._degree_tables.cache_info().currsize == 1
+    assert V._l0_mono.cache_info().currsize == 0
+    assert V._odd_action.cache_info().currsize == 0
+
+
+def _ordered(x):
+    """x with every dict replaced by its list of items, so that == also
+    compares the orders the lifting iterates in."""
+    if isinstance(x, dict):
+        return [(k, _ordered(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [_ordered(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_degree_tables_match_the_cached_actions(d):
+    tables = V._degree_tables(d)
+    want = oracles.degree_tables(d)
+    assert _ordered(tables) == _ordered(want)
+    groups, trans, zrecords = tables
+    assert all(type(c) is int for t in trans.values() for src in t.values()
+               for c in src.values())
+    assert all(type(c) is int for recs in zrecords.values()
+               for _op, _shift, terms in recs for _m2, c in terms)
 
 
 def test_exact_pass_alone_finds_the_sieved_hits(monkeypatch):
