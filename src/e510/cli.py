@@ -178,10 +178,13 @@ def _write_certs(rows, out_dir, d):
 
 def _emit_certs(rows, args, d, report: bool) -> bool:
     """Write the certificates of rows under --out and, with --verify, re-read
-    and re-verify each; False on the first verification failure."""
+    and re-verify each; False on the first verification failure.  Under
+    --json the "wrote" and "verified" lines go to stderr, so that stdout is
+    the one JSON document."""
+    log = sys.stderr if args.json else sys.stdout
     paths = _write_certs(rows, args.out, d) if args.out else []
     for path in paths:
-        print(f"wrote {path}")
+        print(f"wrote {path}", file=log)
     if not args.verify:
         return True
     for path in paths:
@@ -191,7 +194,7 @@ def _emit_certs(rows, args, d, report: bool) -> bool:
             print(f"VERIFY FAIL {path}: {diag}", file=sys.stderr)
             return False
     if report and paths:
-        print(f"verified {len(paths)} certificate(s)")
+        print(f"verified {len(paths)} certificate(s)", file=log)
     return True
 
 

@@ -129,29 +129,36 @@ _MOVES = {(r, s): _moves(r, s) for r in range(1, 6) for s in range(1, 6)}
 
 
 def glact_monomial(r: int, s: int, m: int) -> dict:
-    """Derivation action of x_r d/dx_s on a tensor monomial (r = s allowed),
-    read off the precomputed moves.  Coefficients are plain ints (exponents
-    times signs); for r != s every move gives its own monomial, and for
-    r = s every move gives m itself, so terms cancel only then.  A move
-    raises one exponent by 1, which stays below 2^16 inside F(lam)."""
-    if r == s:
-        c = sum(sign * (m >> shift & _MASK) for shift, _delta, sign in _MOVES[r, s])
-        return {m: c} if c else {}
-    out = {}
-    for shift, delta, sign in _MOVES[r, s]:
-        e = m >> shift & _MASK
-        if e:
-            out[m + delta] = sign * e
-    return out
+    """Derivation action of x_r d/dx_s on a tensor monomial (r = s allowed):
+    glact_vector of m alone, with plain int coefficients."""
+    return glact_vector(r, s, {m: 1})
 
 
 def glact_vector(r: int, s: int, vec: dict, *, p: int | None = None) -> dict:
-    """x_r d/dx_s on a sparse ambient vector; each term is coefficient times
-    an int, so Fraction coefficients in give Fraction coefficients out.  With
-    a modulus p the vector and its image are over F_p."""
+    """x_r d/dx_s on a sparse ambient vector (r = s allowed: every move then
+    gives m itself): each move whose source exponent e in a monomial m of
+    coefficient c is not 0 adds c * sign * e at m + delta, summed in place
+    with add_into's semantics and key order.  Int coefficients stay ints and
+    Fractions give Fractions; with a modulus p the vector and its image are
+    over F_p.  A move raises one exponent by 1, which stays below 2^16
+    inside F(lam)."""
     out: dict = {}
     for m, c in vec.items():
-        add_into(out, glact_monomial(r, s, m), c, p)
+        if p is not None:
+            c %= p
+        if not c:
+            continue
+        for shift, delta, sign in _MOVES[r, s]:
+            e = m >> shift & _MASK
+            if e:
+                k = m + delta
+                v = out.get(k, 0) + c * (sign * e)
+                if p is not None:
+                    v %= p
+                if v:
+                    out[k] = v
+                else:
+                    out.pop(k, None)
     return out
 
 

@@ -79,12 +79,13 @@ def exact_div(a, b):
     return as_int(a / b)
 
 
-def add_into(acc: dict, other: dict, scale: Q = Q(1), p: int | None = None) -> None:
-    """acc += scale * other for sparse dicts, dropping zeros.  A new entry is
-    scale * v itself, with no zero added, so ints times an int scale stay
-    ints (exact, and much cheaper than Fractions); a Fraction anywhere gives
-    a Fraction.  With a modulus p the arithmetic is in F_p: values are ints
-    in range(p), scale an int."""
+def add_into(acc: dict, other: dict, scale=1, p: int | None = None) -> None:
+    """acc += scale * other for sparse dicts, dropping zeros: a key whose sum
+    is 0 is removed, and comes back at the end of acc if a later sum revives
+    it.  A new entry is scale * v itself, with no zero added, so ints times
+    an int scale (the default 1) stay ints (exact, and much cheaper than
+    Fractions); a Fraction anywhere gives a Fraction.  With a modulus p the
+    arithmetic is in F_p: values are ints in range(p), scale an int."""
     if p is None:
         if not scale:
             return

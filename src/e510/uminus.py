@@ -179,10 +179,6 @@ def pbw_layout(d: int) -> list[tuple]:
             for k in range(d // 2 + 1) if (n := d - 2 * k) <= len(PAIRS)]
 
 
-def pbw_dimension(d: int) -> int:
-    return sum(count for _k, _n, count in pbw_layout(d))
-
-
 # ---------------------------------------------------------------------------
 # SIF subsets, crossing numbers, contractions, omega
 

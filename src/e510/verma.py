@@ -12,6 +12,14 @@ block-triangular elimination of the usual linear system {raisings = 0,
 x5 d45 = 0} on each weight subspace; every returned vector is re-verified
 directly, including against a full spanning set of L_1.
 
+The re-verification (is_singular, and the checks a certificate records) runs
+in ints: it acts on D w, D > 0 the lcm of the denominators of w, and the
+conditions are linear and homogeneous in w, so D w passes exactly when w
+does.  The 40 elements of the L_1 spanning set are int combinations of 50
+generators x_p d_A, and each generator acts on D w once (l1_images); x_5 d45
+is one of them.  The actions act_l0 and act_odd sum their terms into one
+dict in place, with add_into's semantics and key order.
+
 Almost every candidate lam has no singular vector, so the lifting runs first
 over F_p (p = SIEVE_PRIME = 2^30 - 35, plain ints) as a sieve, on F_p data of
 its own: the basis vectors reduced mod p once (their denominators are at most
@@ -119,7 +127,7 @@ class VermaElement:
         return VermaElement(self.module, self.degree,
                             {k: c * v for k, v in self.terms.items()} if c else {})
 
-    def plus(self, other: "VermaElement", scale: Q = Q(1)) -> "VermaElement":
+    def plus(self, other: "VermaElement", scale=1) -> "VermaElement":
         out = dict(self.terms)
         add_into(out, other.terms, scale)
         return VermaElement(self.module, self.degree, out)
@@ -138,15 +146,27 @@ def _l0_mono(r: int, s: int, m: tuple):
 
 def act_l0(r: int, s: int, w: VermaElement) -> VermaElement:
     """Action of x_r d/dx_s on a Verma element: adjoint on the U part plus
-    the module action on the F part."""
+    the module action on the F part, summed into one dict in place with
+    add_into's semantics, key order included (see _accumulate)."""
     mod = w.module
+    cols = mod.action(r, s)
     out: dict = {}
     for (m, idx), c in w.terms.items():
         for m2, c2 in _l0_mono(r, s, m):
-            add_into(out, {(m2, idx): c * c2})
-        for idx2, c2 in mod.apply_gen(r, s, {idx: c}).items():
-            add_into(out, {(m, idx2): c2})
+            _accumulate(out, (m2, idx), c * c2)
+        for idx2, c2 in cols[idx].items():
+            _accumulate(out, (m, idx2), c * c2)
     return VermaElement(mod, w.degree, out)
+
+
+def _accumulate(out: dict, key, value) -> None:
+    """out[key] += value as add_into(out, {key: value}) does it: a sum of 0
+    removes the key, and a key that comes back goes to the end."""
+    got = out.get(key, 0) + value
+    if got:
+        out[key] = got
+    else:
+        out.pop(key, None)
 
 
 @lru_cache(maxsize=None)
@@ -192,17 +212,18 @@ def _odd_action(p: int, A: tuple, m: tuple):
 
 
 def act_odd(p: int, A: tuple, w: VermaElement) -> VermaElement:
-    """Action of x_p d_A in L_1 on a Verma element (degree drops by 1)."""
+    """Action of x_p d_A in L_1 on a Verma element (degree drops by 1),
+    summed in place like act_l0."""
     mod = w.module
     out: dict = {}
     for (m, idx), c in w.terms.items():
         for m2, c2, op in _odd_action(p, A, m):
             cc = c * c2
             if op is None:
-                add_into(out, {(m2, idx): cc})
+                _accumulate(out, (m2, idx), cc)
             else:
-                for idx2, c3 in mod.apply_gen(op[0], op[1], {idx: cc}).items():
-                    add_into(out, {(m2, idx2): c3})
+                for idx2, c3 in mod.action(*op)[idx].items():
+                    _accumulate(out, (m2, idx2), cc * c3)
     return VermaElement(mod, w.degree - 1, out)
 
 
@@ -211,18 +232,11 @@ def act_x5d45(w: VermaElement) -> VermaElement:
     return act_odd(5, (4, 5), w)
 
 
-def act_l1_combination(elem: dict, w: VermaElement) -> VermaElement:
-    """Action of a closed combination sum c_{p,A} x_p d_A in L_1."""
-    out: dict = {}
-    for (p, A), c in elem.items():
-        add_into(out, act_odd(p, A, w.scaled(c)).terms)
-    return VermaElement(w.module, w.degree - 1, out)
-
-
 @lru_cache(maxsize=1)
 def l1_basis() -> list[dict]:
     """A spanning set of L_1 as the closure of x_5 d45 under the raising
-    operators, echelonized; 40 elements, each a dict (p, pair) -> Q.
+    operators, echelonized; 40 elements, each a dict (p, pair) -> int (the
+    closure starts at 1 and the raisings move letters with signs +-1).
     Memoized and shared: callers only read it."""
     def raise_elem(i, elem):
         out: dict = {}
@@ -240,7 +254,7 @@ def l1_basis() -> list[dict]:
 
     basis: list[dict] = []
     red = RowReducer()
-    queue = [{(5, (4, 5)): Q(1)}]
+    queue = [{(5, (4, 5)): 1}]
     while queue:
         elem = queue.pop(0)
         if red.insert(elem):
@@ -261,17 +275,42 @@ def leading_term(w: VermaElement) -> VermaElement:
     return VermaElement(mod, w.degree, terms)
 
 
+def _int_multiple(w: VermaElement) -> VermaElement:
+    """D w in ints, D > 0 the lcm of the denominators of w's coefficients."""
+    D = math.lcm(*(c.denominator for c in w.terms.values()))
+    return VermaElement(w.module, w.degree, {k: c.numerator * (D // c.denominator)
+                                             for k, c in w.terms.items()})
+
+
 def is_singular(w: VermaElement, full_l1: bool = True) -> bool:
+    """Whether the raisings x_i d_{i+1} (i = 1..4) and x_5 d45 kill w, and
+    with full_l1 also every element of l1_basis() (see l1_images).  Decided
+    on D w in ints (_int_multiple): the conditions are linear and homogeneous
+    in w, so with D > 0 they hold for D w exactly when they hold for w."""
+    w = _int_multiple(w)
     for i in range(1, 5):
         if not act_l0(i, i + 1, w).is_zero():
             return False
-    if not act_x5d45(w).is_zero():
-        return False
-    if full_l1:
-        for elem in l1_basis():
-            if not act_l1_combination(elem, w).is_zero():
-                return False
-    return True
+    low = act_x5d45(w)
+    return low.is_zero() and not (full_l1 and any(l1_images(w, low)))
+
+
+def l1_images(w: VermaElement, low: VermaElement):
+    """The terms of e . w for the elements e of the spanning set l1_basis()
+    in order, one at a time, given low = act_x5d45(w); not any(...) of them
+    is the L_1 check, which stops at the first element that does not kill w.
+    Each of the 50 generators x_p d_A the 40 elements use acts on w at most
+    once (x_5 d45 through low), and e . w is the int combination of those
+    images."""
+    images = {(5, (4, 5)): low.terms}
+    for elem in l1_basis():
+        out: dict = {}
+        for g, c in elem.items():
+            img = images.get(g)
+            if img is None:
+                img = images[g] = act_odd(*g, w).terms
+            add_into(out, img, c)
+        yield out
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +729,7 @@ def apply_morphism(phi: MorphismData, u: dict, vcoords: dict, *,
             continue
         prod = products.get(m)
         if prod is None:
-            prod = products[m] = uminus.u_mul(u, {m: Q(1)})
+            prod = products[m] = uminus.u_mul(u, {m: 1})
         for m2, c2 in prod.items():
             for idx, cf in fv.items():
                 add_into(out, {(m2, idx): c2 * cf})
@@ -709,7 +748,7 @@ def compose(phi2: MorphismData, phi1: MorphismData) -> MorphismData:
         for m, cols in phi1.coeffs.items():
             col = cols.get(n)
             if col:
-                img = apply_morphism(phi2, {m: Q(1)}, col,
+                img = apply_morphism(phi2, {m: 1}, col,
                                      products=products.setdefault(m, {}))
                 add_into(acc, img.terms)
         images.append(acc)
@@ -787,7 +826,7 @@ def dual_morphism(phi: MorphismData) -> MorphismData:
         for n, col in theta.items():
             for q, v in col.items():
                 tstar.setdefault(q, {})[n] = v
-    coeffs = _expand_omega(phi.degree, tstars, lambda rep: Q((-1) ** len(rep[0])))
+    coeffs = _expand_omega(phi.degree, tstars, lambda rep: (-1) ** len(rep[0]))
     tag = "conjectural" if phi.degree >= 4 else ""
     return MorphismData(phi.degree, sl5.dual_weight(phi.mu),
                         sl5.dual_weight(phi.lam), src, tgt, coeffs, tag)
@@ -1186,11 +1225,11 @@ def _certificate_checks(lam, d: int, w: VermaElement) -> dict:
     built only once the first three hold, with check=False, as check=True
     would apply the raisings and x_5 d45 again; "equations" is False when
     they do not hold and above degree 3, which has none."""
-    checks = {
-        "l0_highest": all(act_l0(i, i + 1, w).is_zero() for i in range(1, 5)),
-        "x5d45": act_x5d45(w).is_zero(),
-        "full_l1": all(act_l1_combination(e, w).is_zero() for e in l1_basis()),
-    }
+    wi = _int_multiple(w)  # as in is_singular
+    l0_highest = all(act_l0(i, i + 1, wi).is_zero() for i in range(1, 5))
+    low = act_x5d45(wi)
+    checks = {"l0_highest": l0_highest, "x5d45": low.is_zero(),
+              "full_l1": not any(l1_images(wi, low))}
     checks["equations"] = all(checks.values()) and d <= 3 and \
         verify_degree_equations(morphism_from_singular(w, lam, check=False))[0]
     return checks
@@ -1331,7 +1370,7 @@ def nabla_A(m: int, n: int) -> MorphismData:
     sum_{i<j} d_ij (x) d/dx_ij."""
     def theta(i, j, mono):
         got = fmodules.derivative(mono, ("x", (i, j)))
-        return {} if got is None else {got[0]: Q(got[1])}
+        return {} if got is None else {got[0]: got[1]}
     return _formula_morphism((m, n + 1, 0, 0), (m, n, 0, 0), theta)
 
 
@@ -1344,7 +1383,7 @@ def nabla_B(m: int, n: int) -> MorphismData:
             got = fmodules.derivative(mono, ("x", dx), ("x*", star))
             if got:
                 nm, e = got
-                add_into(out, {nm: Q(e if star == i else -e)})
+                add_into(out, {nm: e if star == i else -e})
         return out
     return _formula_morphism((m + 1, 0, 0, n), (m, 0, 0, n + 1), theta)
 

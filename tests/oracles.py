@@ -2,8 +2,11 @@
 
 The oracles are deliberately written from first principles (hand
 elimination, enumeration, classical formulas) and never call the code paths
-they are used to check.  The helpers (omega_basis_check, uelement_from_obj,
-hw_controls) build test inputs and structural checks from the library.
+they are used to check.  The references keep the forms that faster library
+code replaced (Fraction and add_into loops, slot loops), to pin the rewrites
+value for value and in order.  The helpers (omega_basis_check,
+pbw_dimension, uelement_from_obj, hw_controls) build test inputs and
+structural checks from the library.
 """
 
 from fractions import Fraction as Q
@@ -221,6 +224,82 @@ def equivariance_failure(phi):
     return None
 
 
+def act_l0(r, s, w):
+    """x_r d/dx_s on a Verma element by one add_into per term, through a
+    one-entry dict and module.apply_gen: the reference for verma.act_l0,
+    its terms and their order, with Fraction coefficients (add_into's
+    Fraction(1) scale here)."""
+    from e510 import verma
+
+    mod = w.module
+    out = {}
+    for (m, idx), c in w.terms.items():
+        for m2, c2 in verma._l0_mono(r, s, m):
+            add_into(out, {(m2, idx): c * c2})
+        for idx2, c2 in mod.apply_gen(r, s, {idx: c}).items():
+            add_into(out, {(m, idx2): c2})
+    return verma.VermaElement(mod, w.degree, out)
+
+
+def act_odd(p, A, w):
+    """x_p d_A in L_1 on a Verma element, built like act_l0 above: the
+    reference for verma.act_odd."""
+    from e510 import verma
+
+    mod = w.module
+    out = {}
+    for (m, idx), c in w.terms.items():
+        for m2, c2, op in verma._odd_action(p, A, m):
+            cc = c * c2
+            if op is None:
+                add_into(out, {(m2, idx): cc})
+            else:
+                for idx2, c3 in mod.apply_gen(op[0], op[1], {idx: cc}).items():
+                    add_into(out, {(m2, idx2): c3})
+    return verma.VermaElement(mod, w.degree - 1, out)
+
+
+def act_l1_combination(elem, w):
+    """sum c_{p,A} x_p d_A in L_1 on a Verma element as one act_odd above
+    per generator, each on the Fraction copy w.scaled(c): the reference for
+    the images verma.l1_images sums from one int image per generator."""
+    from e510 import verma
+
+    out = {}
+    for (p, A), c in elem.items():
+        add_into(out, act_odd(p, A, w.scaled(Q(c))).terms)
+    return verma.VermaElement(w.module, w.degree - 1, out)
+
+
+def is_singular(w, full_l1=True):
+    """The singular check on w itself in Fractions: the raisings and x_5 d45
+    by act_l0/act_odd above and the 40 elements of verma.l1_basis() by
+    act_l1_combination (60 act_odd calls), the reference for
+    verma.is_singular."""
+    from e510 import verma
+
+    if any(act_l0(i, i + 1, w).terms for i in range(1, 5)):
+        return False
+    if act_odd(5, (4, 5), w).terms:
+        return False
+    return not full_l1 or not any(act_l1_combination(e, w).terms
+                                  for e in verma.l1_basis())
+
+
+def glact_vector(r, s, vec, p=None):
+    """x_r d/dx_s on a sparse vector of packed tensor monomials, one
+    add_into (the reference one below) per monomial of the slot loop's
+    image (glact_monomial below): the reference for fmodules.glact_vector,
+    its terms and their order, over Q and (with p) F_p."""
+    from e510 import fmodules
+
+    out = {}
+    for m, c in vec.items():
+        img = glact_monomial(r, s, fmodules.unpack(m))
+        add_into(out, {fmodules.pack(k): v for k, v in img.items()}, c, p)
+    return out
+
+
 def fp_view(mod, p, solver, zimage):
     """The search's F_p inputs (solver, vector, zimage) as the first F_p
     sieve made them: each converted once from its rational original
@@ -289,8 +368,8 @@ def degree_tables(d):
 
 def glact_monomial(r, s, m):
     """x_r d/dx_s on a tensor monomial by the slot loop the table-driven
-    fmodules.glact_monomial replaced: the reference for its terms, their
-    order and their int coefficients."""
+    moves of fmodules replaced: the reference for fmodules.glact_monomial,
+    its terms, their order and their int coefficients."""
     from e510.uminus import PAIRS
 
     pair_pos = {p: k for k, p in enumerate(PAIRS)}
@@ -442,6 +521,13 @@ def hw_controls(mu, d, count):
     return out
 
 
+def pbw_dimension(d: int) -> int:
+    """dim (U_-)_d: the sum of the block sizes of uminus.pbw_layout(d)."""
+    from e510.uminus import pbw_layout
+
+    return sum(count for _k, _n, count in pbw_layout(d))
+
+
 def omega_basis_check(d: int) -> bool:
     """Verify square-invertibility of the change of basis.
 
@@ -450,7 +536,7 @@ def omega_basis_check(d: int) -> bool:
     del factors, which proves invertibility; both facts are checked here, as
     is the dimension formula.
     """
-    from e510.uminus import omega_basis, pbw_dimension, pbw_monomials, rep_monomial
+    from e510.uminus import omega_basis, pbw_monomials, rep_monomial
 
     reps, cols = omega_basis(d)
     if len(reps) != pbw_dimension(d):

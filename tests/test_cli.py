@@ -204,6 +204,24 @@ def test_verify_rejects_zero_vector(tamper, tmp_path, capsys):
     assert code == 3 and "FAIL: malformed certificate" in out
 
 
+def test_json_stdout_is_one_document_with_certificates(tmp_path, capsys):
+    # under --json the "wrote" and "verified" lines go to stderr
+    out_dir = tmp_path / "certs"
+    code, out, err = run(["classify", "--degree", "2", "--max-entry", "2", "--json",
+                          "--out", str(out_dir)], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["rows"]) == 6 and data["anomalies"] == 0
+    paths = sorted(out_dir.glob("*.json"))
+    assert len(paths) == 6
+    assert sorted(err.splitlines()) == [f"wrote {p}" for p in paths]
+    code, out, err = run(["singular", "--mu", "0,0,1,0", "--degree", "1", "--json",
+                          "--out", str(tmp_path / "one"), "--verify"], capsys)
+    assert code == 0
+    assert json.loads(out)["hits"] == 1
+    assert err.splitlines()[-1] == "verified 1 certificate(s)"
+
+
 def test_classify_small(capsys):
     code, out, _ = run(["classify", "--degree", "1", "--max-entry", "0",
                         "--json"], capsys)

@@ -364,6 +364,44 @@ def test_glact_vector_matches_fraction_reference(r, s, vec):
     assert all(type(c) is Q for c in got.values())
 
 
+_int_vectors = st.dictionaries(_monomials, st.integers(-3, 3).filter(bool), max_size=6)
+
+
+@pytest.mark.parametrize("p", [None, 5, 2**30 - 35])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.one_of(_vectors, _int_vectors))
+def test_glact_vector_matches_the_add_into_reference(p, r, s, vec):
+    # the same terms in the same order, and of the same types, as one
+    # add_into per monomial, r = s included; over F_p the coefficients are
+    # unreduced ints (negative, or 0 mod p, at times)
+    if p is not None:
+        vec = {m: c.numerator for m, c in vec.items()}
+    packed = {fm.pack(m): c for m, c in vec.items()}
+    got = fm.glact_vector(r, s, packed, p=p)
+    want = oracles.glact_vector(r, s, packed, p)
+    assert list(got.items()) == list(want.items())
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
+def test_glact_vector_drops_a_cancelled_term_and_appends_it_when_it_returns():
+    # under x_1 d/dx_2 the first three monomials all reach x_1 x_13 x*_2,
+    # with coefficients 1, 1 and -1: it cancels after the second, and comes
+    # back after the fourth monomial's terms; the last one is the r = s case
+    k = mono(x1=1, w13=1, W12=0, d2=1)
+    vec = {mono(x2=1, w13=1, d2=1): 1, mono(x1=1, w23=1, d2=1): -1,
+           mono(x2=1, w23=1): 1, mono(x1=1, w13=1, d1=1): 1}
+    for p in (None, 7):
+        got = fm.glact_vector(1, 2, vec, p=p)
+        want = oracles.glact_vector(1, 2, vec, p)
+        assert list(got.items()) == list(want.items())
+        assert list(got)[-1] == k and len(got) == 3
+        diag = {mono(x1=2, d1=1): 3, mono(x1=1, d1=1): 2, mono(x2=1): 5}
+        got = fm.glact_vector(1, 1, diag, p=p)
+        assert list(got.items()) == list(oracles.glact_vector(1, 1, diag, p).items())
+        # x_1 d/dx_1 counts x_1 minus x*_1: 2 - 1 on the first, 1 - 1 = 0 on the second
+        assert list(got) == [mono(x1=2, d1=1)]
+
+
 def _stored_scalars(mod):
     """Every scalar a module stores: basis vectors, provenance trail
     coefficients and pivots, and the rational action columns."""

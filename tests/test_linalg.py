@@ -258,3 +258,19 @@ def test_add_into_over_q_matches_its_loop_definition(acc, other, scale):
     add_into(got, other, scale)
     assert got == want
     assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_keys, st.integers(-9, 9)), st.dictionaries(_keys, st.integers(-9, 9)))
+def test_add_into_default_scale_keeps_ints_int(acc, other):
+    # the default scale is the int 1: int data stays int, with no Fraction
+    # and no float, and sums and order are those of the loop definition
+    want = dict(acc)
+    oracles.add_into(want, other, 1)
+    got = dict(acc)
+    add_into(got, other)
+    assert list(got.items()) == list(want.items())
+    assert all(type(v) is int for v in got.values())
+    halves = {k: Q(v, 2) for k, v in other.items()}
+    add_into(got, halves)
+    assert all(type(v) in (int, Q) for v in got.values())

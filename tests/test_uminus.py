@@ -235,8 +235,8 @@ def test_omega_basis_dimensions():
     assert len(um.omega_basis(1)[0]) == 10
     assert len(um.omega_basis(2)[0]) == 50
     assert len(um.omega_basis(3)[0]) == 170
-    assert um.pbw_dimension(2) == 50
-    assert um.pbw_dimension(3) == 170
+    assert oracles.pbw_dimension(2) == 50
+    assert oracles.pbw_dimension(3) == 170
 
 
 def test_omega_basis_degree_one_is_pbw():

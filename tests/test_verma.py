@@ -825,13 +825,13 @@ def test_certificate_round_trip():
 def test_verify_certificate_runs_each_check_once(monkeypatch):
     # verify_certificate reads the singular verdict from the checks it re-runs
     # and builds the morphism for the equations unchecked, so beyond what the
-    # search applies, x_5 d45 and the L_1 spanning set act on the stored
-    # vector once each
+    # search applies, x_5 d45 and the L_1 spanning set (one l1_images) act
+    # on the stored vector once each
     mu = (1, 1, 0, 0)
     (lam, vecs), = V.singular_vectors(mu, 1)
     cert = V.make_certificate(mu, lam, 1, vecs[0], V.label_family(mu, lam, 1, vecs))
     calls = []
-    for name in ("act_x5d45", "act_l1_combination", "morphism_from_singular"):
+    for name in ("act_x5d45", "l1_images", "morphism_from_singular"):
         def counted(*args, real=getattr(V, name), name=name, **kwargs):
             calls.append((name, kwargs.get("check")))
             return real(*args, **kwargs)
@@ -841,7 +841,7 @@ def test_verify_certificate_runs_each_check_once(monkeypatch):
     calls.clear()
     assert V.verify_certificate(cert) == (True, "ok")
     assert collections.Counter(calls) - search == collections.Counter(
-        {("act_x5d45", None): 1, ("act_l1_combination", None): 40,
+        {("act_x5d45", None): 1, ("l1_images", None): 1,
          ("morphism_from_singular", False): 1})
 
 
@@ -1379,3 +1379,89 @@ def test_exact_pass_alone_finds_the_sieved_hits(monkeypatch):
     verdicts, exact = _sieve_run(monkeypatch, SWEEP_D2)
     assert verdicts and {v for _, v in verdicts} == {"unlucky"}
     assert _objs(exact) == _objs(sieved)
+
+
+# -- the hit check in ints -----------------------------------------------------
+
+@cache
+def _sweep_d2_vectors():
+    """The vectors of the degree-2 sweep's six hits, on their search modules."""
+    return tuple(w for mu, d in SWEEP_D2 for _lam, vecs in V.singular_vectors(mu, d)
+                 for w in vecs)
+
+
+def _perturbed(w, key, q):
+    """w with q added to its coefficient at key (dropped if that gives 0)."""
+    terms = dict(w.terms)
+    terms[key] += q
+    if not terms[key]:
+        del terms[key]
+    return V.VermaElement(w.module, w.degree, terms)
+
+
+def _draw_element(data, q):
+    """A sweep hit, a Fraction multiple of one, or one with a coefficient
+    perturbed, and whether it is singular by construction (None: unknown)."""
+    w = data.draw(st.sampled_from(_sweep_d2_vectors()))
+    kind = data.draw(st.sampled_from(["hit", "multiple", "perturbed"]))
+    if kind == "hit":
+        return w, True
+    if kind == "multiple":
+        return w.scaled(q), True
+    # the hits span lines, so a hit with several terms loses singularity
+    return _perturbed(w, data.draw(st.sampled_from(sorted(w.terms))), q), \
+        None if len(w.terms) == 1 else False
+
+
+def test_l1_basis_has_int_coefficients_over_50_generators():
+    basis = V.l1_basis()
+    assert all(type(c) is int for e in basis for c in e.values())
+    assert len({g for e in basis for g in e}) == 50
+    assert basis[0] == {(5, (4, 5)): 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _RATIONALS)
+def test_integer_singular_check_agrees_with_the_fraction_oracle(data, q):
+    # is_singular runs on D w in ints with one image per L_1 generator; the
+    # oracle runs on w in Fractions, with 60 act_odd calls on scaled copies
+    w, singular = _draw_element(data, q)
+    want = oracles.is_singular(w)
+    assert V.is_singular(w) == want
+    assert V.is_singular(w, full_l1=False) == oracles.is_singular(w, full_l1=False)
+    if singular is not None:
+        assert want == singular
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), _RATIONALS)
+def test_l1_images_are_the_fraction_combinations_scaled(data, q):
+    # each of the 40 images is D times the Fraction one: the same terms in the
+    # same order, from one act_odd per generator instead of one per term
+    w, _ = _draw_element(data, q)
+    wi = V._int_multiple(w)
+    assert all(type(c) is int for c in wi.terms.values())
+    D = Q(next(iter(wi.terms.values()))) / next(iter(w.terms.values()))
+    assert D.denominator == 1 and D > 0
+    got = list(V.l1_images(wi, V.act_x5d45(wi)))
+    want = [oracles.act_l1_combination(e, w).terms for e in V.l1_basis()]
+    assert [list(t.items()) for t in got] == \
+        [[(k, D * c) for k, c in t.items()] for t in want]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), _RATIONALS)
+def test_actions_match_the_add_into_reference(data, q):
+    # in-place accumulation keeps add_into's order: a cancelled key goes, and
+    # comes back at the end; the hits make every raising cancel in full
+    w, _ = _draw_element(data, q)
+    for r, s in itertools.product(range(1, 6), repeat=2):
+        got = V.act_l0(r, s, w)
+        want = oracles.act_l0(r, s, w)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got.degree == want.degree
+    for g in sorted({g for e in V.l1_basis() for g in e}):
+        got = V.act_odd(*g, w)
+        want = oracles.act_odd(*g, w)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got.degree == want.degree
