@@ -128,12 +128,6 @@ def _moves(r: int, s: int) -> tuple:
 _MOVES = {(r, s): _moves(r, s) for r in range(1, 6) for s in range(1, 6)}
 
 
-def glact_monomial(r: int, s: int, m: int) -> dict:
-    """Derivation action of x_r d/dx_s on a tensor monomial (r = s allowed):
-    glact_vector of m alone, with plain int coefficients."""
-    return glact_vector(r, s, {m: 1})
-
-
 def glact_vector(r: int, s: int, vec: dict, *, p: int | None = None) -> dict:
     """x_r d/dx_s on a sparse ambient vector (r = s allowed: every move then
     gives m itself): each move whose source exponent e in a monomial m of
@@ -232,10 +226,6 @@ class _ActingModule:
         if got is None:
             got = views[r, s] = ActionColumns(self, r, s)
         return got
-
-    def apply_gen(self, r: int, s: int, coords: dict) -> dict:
-        """x_r d/dx_s applied to a coordinate vector (indices may mix weights)."""
-        return self.action(r, s).apply(coords, {})
 
 
 class TensorModule(_ActingModule):

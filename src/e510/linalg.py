@@ -6,10 +6,11 @@ with deterministic pivoting, and there is no tolerance anywhere.  No `/`
 sees two ints, so no float can arise (`exact_div` divides; the pivot of
 `RowReducer` is a Fraction).  Vectors and matrix rows are sparse dicts
 key -> scalar with no explicit zeros, and `RowReducer` is the one
-Gauss-Jordan eliminator.  `add_into` and `RowReducer` also work over a
-prime field F_p when given a modulus p: values are then plain ints in
-range(p), and `to_fp` maps a p-integral rational into F_p; `add_into` also
-takes unreduced and negative ints there, and reduces every sum it stores.
+Gauss-Jordan eliminator; `add_term` adds one term, `add_into` a whole
+vector.  `add_into` and `RowReducer` also work over a prime field F_p when
+given a modulus p: values are then plain ints in range(p), and `to_fp` maps
+a p-integral rational into F_p; `add_into` also takes unreduced and
+negative ints there, and reduces every sum it stores.
 `UnluckyPrime` is raised where F_p cannot stand in for Q because p divides
 a denominator of the rational computation.
 """
@@ -106,6 +107,17 @@ def add_into(acc: dict, other: dict, scale=1, p: int | None = None) -> None:
                 acc[k] = s
             else:
                 acc.pop(k, None)  # k may be absent: v can be 0 mod p
+
+
+def add_term(acc: dict, key, value) -> None:
+    """acc[key] += value over Q, as add_into(acc, {key: value}) does it but
+    with no one-entry dict: a sum of 0 removes the key, and a key that comes
+    back goes to the end."""
+    got = acc.get(key, 0) + value
+    if got:
+        acc[key] = got
+    else:
+        acc.pop(key, None)
 
 
 def null_space(rows, ncols: int) -> list[dict]:

@@ -21,7 +21,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 from . import sl5
-from .linalg import add_into, format_scalar
+from .linalg import add_into, add_term, format_scalar
 
 # canonical pairs in lexicographic order
 PAIRS: tuple[tuple[int, int], ...] = tuple(
@@ -136,8 +136,7 @@ def u_mul(a: dict, b: dict) -> dict:
         for (d5b, psb), cb in b.items():
             d5 = del_add(d5a, d5b)
             for (d5w, psw), cw in _order_word(psa + psb).items():
-                m = (del_add(d5, d5w), psw)
-                add_into(out, {m: ca * cb * cw})
+                add_term(out, (del_add(d5, d5w), psw), ca * cb * cw)
     return out
 
 
@@ -239,8 +238,7 @@ def omega(I: tuple) -> dict:
         matched = {pos for p in S for pos in p}
         rest = tuple(I[pos] for pos in range(d) if pos + 1 not in matched)
         for (d5w, psw), c in normal_form(rest).items():
-            m = (del_add(d5, d5w), psw)
-            add_into(out, {m: coeff * c})
+            add_term(out, (del_add(d5, d5w), psw), coeff * c)
     return out
 
 
@@ -301,7 +299,7 @@ def l0_adjoint(s: int, r: int, u: dict) -> dict:
             nd = list(d5)
             nd[s - 1] -= 1
             nd[r - 1] += 1
-            add_into(out, {(tuple(nd), ps): -e}, c)
+            add_term(out, (tuple(nd), ps), -e * c)
         for pos, (i, j) in enumerate(ps):
             if i == r:
                 letter = (s, j)
@@ -344,10 +342,7 @@ def omega_basis(d: int):
     """
     reps = []
     cols = []
-    for k in range(d // 2 + 1):
-        npairs = d - 2 * k
-        if npairs > len(PAIRS):
-            continue
+    for k, npairs, _count in pbw_layout(d):
         omegas = [(I, omega(I)) for I in itertools.combinations(PAIRS, npairs)]
         for T in itertools.combinations_with_replacement(range(1, 6), k):
             d5 = rep_monomial((T, ()))[0]

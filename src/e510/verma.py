@@ -12,13 +12,16 @@ block-triangular elimination of the usual linear system {raisings = 0,
 x5 d45 = 0} on each weight subspace; every returned vector is re-verified
 directly, including against a full spanning set of L_1.
 
-The re-verification (is_singular, and the checks a certificate records) runs
-in ints: it acts on D w, D > 0 the lcm of the denominators of w, and the
-conditions are linear and homogeneous in w, so D w passes exactly when w
-does.  The 40 elements of the L_1 spanning set are int combinations of 50
-generators x_p d_A, and each generator acts on D w once (l1_images); x_5 d45
-is one of them.  The actions act_l0 and act_odd sum their terms into one
-dict in place, with add_into's semantics and key order.
+The re-verification runs in ints: it acts on D w, D > 0 the lcm of the
+denominators of w, and the conditions are linear and homogeneous in w, so
+D w passes exactly when w does.  _singular_checks applies the conditions,
+raisings, then x_5 d45, then L_1, lazily: is_singular stops at the first
+that fails and a certificate records all three.  The order is kept because
+acting reads action columns, which build weight spaces of a lazy module and
+so fix its F-basis numbering.  The 40 elements of the L_1 spanning set are
+int combinations of 50 generators x_p d_A, and each generator acts on D w
+once (l1_images); x_5 d45 is one of them.  The actions act_l0 and act_odd
+sum their terms into one dict in place with add_term.
 
 Almost every candidate lam has no singular vector, so the lifting runs first
 over F_p (p = SIEVE_PRIME = 2^30 - 35, plain ints) as a sieve, on F_p data of
@@ -54,9 +57,10 @@ targets), so the lazy F-basis, whose indices certificates record, is
 numbered as without it, unless the constraint rank mod p falls short of the
 rank over Q: then the sieve may lift deeper than Q would, build more weight
 spaces and renumber the basis.  Results stay correct even then, but
-certificates may change; this is seen at p = 2 and not known for
-p = 2^30 - 35 or 2^31 - 1, which meet no UnluckyPrime on the degree-2 box-2
-and degree-4 box-1 sweeps.
+certificates may change.  This is seen at p = 2; at p = 2^30 - 35 and
+2^31 - 1, which meet no UnluckyPrime on the degree-2 box-2 and degree-4
+box-1 sweeps, each of the 837 candidates the sieve kills there dies after
+as many stacked solves as the exact lifting makes (a test counts them).
 
 The L_1 condition x_5 d45 . w = 0 gives z-term rows at the depth of the
 weight each term lands in.  The lifting records the terms (PBW monomial, PBW
@@ -78,20 +82,21 @@ unchanged.
 The morphism checks (check_morphism, verify_degree_equations) run in ints.
 Their conditions are linear and homogeneous in Phi, so with D > 0 the lcm of
 the denominators of Phi's coefficients, x . (D Phi) = D (x . Phi) vanishes
-exactly when x . Phi does; likewise the theta blocks are scaled by a positive
-integer and each degree equation is multiplied by 4.  Scaling by a positive
-integer keeps zero-ness, so verdicts and diagnostics are those of rational
-arithmetic.  Invariance is decided on the 5 root vectors x_i d_{i+1}
-(i = 1..4) and x_5 d_1, which generate sl5, once per Phi: the first check
-keeps the verdict on the MorphismData for the other; a failing Phi is
-reported at the first failing generator of all 20 x_r d/dx_s in order.  Both
-actions are read through the column views apply_gen uses (action(r, s)): the
-target's, and the source's rows as the columns of its dual(), with the sign
-flipped.  The degree equations of an invariant Phi are decided on the highest
-weight column v of F(lam): there they hold every coefficient of
-x_5 d_45 Phi(v), n+ kills Phi(v), and L_1 = U(n+) . x_5 d_45, so they make
-Phi a morphism, which satisfies them on every column.  Only a Phi that fails
-at v is evaluated on all columns, to name its first failing equation.
+exactly when x . Phi does; likewise the theta blocks are scaled by a
+positive integer and each degree equation is multiplied by 2 (degree 1) or
+4.  Scaling by a positive integer keeps zero-ness, so verdicts and
+diagnostics are those of rational arithmetic.  Invariance is decided on the
+5 root vectors x_i d_{i+1} (i = 1..4) and x_5 d_1, which generate sl5, once
+per Phi: the first check keeps the verdict on the MorphismData for the
+other; a failing Phi is reported at the first failing generator of all 20
+x_r d/dx_s in order.  Both actions are read through the column views
+action(r, s): the target's, and the source's rows as the columns of its
+dual(), with the sign flipped.  The degree equations of an invariant Phi
+are decided on the highest weight column v of F(lam): there they hold every
+coefficient of x_5 d_45 Phi(v), n+ kills Phi(v), and L_1 = U(n+) . x_5 d_45,
+so they make Phi a morphism, which satisfies them on every column.  Only a
+Phi that fails at v is evaluated on all columns, to name its first failing
+equation.
 """
 
 from __future__ import annotations
@@ -104,7 +109,7 @@ from functools import lru_cache, partial
 
 from . import fmodules, sl5, uminus
 from .fmodules import TensorModule, glact_vector, gen_shift
-from .linalg import RowReducer, UnluckyPrime, add_into, format_scalar, parse_scalar
+from .linalg import RowReducer, UnluckyPrime, add_into, add_term, format_scalar, parse_scalar
 
 ZDEL = uminus.ZERO_DEL
 
@@ -147,26 +152,16 @@ def _l0_mono(r: int, s: int, m: tuple):
 def act_l0(r: int, s: int, w: VermaElement) -> VermaElement:
     """Action of x_r d/dx_s on a Verma element: adjoint on the U part plus
     the module action on the F part, summed into one dict in place with
-    add_into's semantics, key order included (see _accumulate)."""
+    add_term."""
     mod = w.module
     cols = mod.action(r, s)
     out: dict = {}
     for (m, idx), c in w.terms.items():
         for m2, c2 in _l0_mono(r, s, m):
-            _accumulate(out, (m2, idx), c * c2)
+            add_term(out, (m2, idx), c * c2)
         for idx2, c2 in cols[idx].items():
-            _accumulate(out, (m, idx2), c * c2)
+            add_term(out, (m, idx2), c * c2)
     return VermaElement(mod, w.degree, out)
-
-
-def _accumulate(out: dict, key, value) -> None:
-    """out[key] += value as add_into(out, {key: value}) does it: a sum of 0
-    removes the key, and a key that comes back goes to the end."""
-    got = out.get(key, 0) + value
-    if got:
-        out[key] = got
-    else:
-        out.pop(key, None)
 
 
 @lru_cache(maxsize=None)
@@ -220,10 +215,10 @@ def act_odd(p: int, A: tuple, w: VermaElement) -> VermaElement:
         for m2, c2, op in _odd_action(p, A, m):
             cc = c * c2
             if op is None:
-                _accumulate(out, (m2, idx), cc)
+                add_term(out, (m2, idx), cc)
             else:
                 for idx2, c3 in mod.action(*op)[idx].items():
-                    _accumulate(out, (m2, idx2), cc * c3)
+                    add_term(out, (m2, idx2), cc * c3)
     return VermaElement(mod, w.degree - 1, out)
 
 
@@ -242,14 +237,14 @@ def l1_basis() -> list[dict]:
         out: dict = {}
         for (p, (a, b)), c in elem.items():
             if p == i + 1:
-                add_into(out, {(i, (a, b)): c})
+                add_term(out, (i, (a, b)), c)
             for pos, letter in ((0, a), (1, b)):
                 if letter != i + 1:
                     continue
                 raw = (i, b) if pos == 0 else (a, i)
                 sgn, cp = uminus.canon_pair(raw)
                 if sgn:
-                    add_into(out, {(p, cp): sgn * c})
+                    add_term(out, (p, cp), sgn * c)
         return out
 
     basis: list[dict] = []
@@ -282,17 +277,25 @@ def _int_multiple(w: VermaElement) -> VermaElement:
                                              for k, c in w.terms.items()})
 
 
-def is_singular(w: VermaElement, full_l1: bool = True) -> bool:
-    """Whether the raisings x_i d_{i+1} (i = 1..4) and x_5 d45 kill w, and
-    with full_l1 also every element of l1_basis() (see l1_images).  Decided
-    on D w in ints (_int_multiple): the conditions are linear and homogeneous
-    in w, so with D > 0 they hold for D w exactly when they hold for w."""
+def _singular_checks(w: VermaElement):
+    """The singular conditions on w as (name, verdict) pairs, each computed
+    only when asked for: "l0_highest" (the raisings x_i d_{i+1}, i = 1..4,
+    kill w), "x5d45" and "full_l1" (every element of l1_basis() kills w, see
+    l1_images), in this order, which fixes the weight spaces a lazy module
+    builds.  Decided on D w in ints (_int_multiple): the conditions are
+    linear and homogeneous in w, so with D > 0 they hold for D w exactly
+    when they hold for w."""
     w = _int_multiple(w)
-    for i in range(1, 5):
-        if not act_l0(i, i + 1, w).is_zero():
-            return False
+    yield "l0_highest", all(act_l0(i, i + 1, w).is_zero() for i in range(1, 5))
     low = act_x5d45(w)
-    return low.is_zero() and not (full_l1 and any(l1_images(w, low)))
+    yield "x5d45", low.is_zero()
+    yield "full_l1", not any(l1_images(w, low))
+
+
+def is_singular(w: VermaElement) -> bool:
+    """Whether the raisings, x_5 d45 and all of L_1 kill w; stops at the
+    first check of _singular_checks that fails."""
+    return all(ok for _name, ok in _singular_checks(w))
 
 
 def l1_images(w: VermaElement, low: VermaElement):
@@ -687,12 +690,13 @@ def morphism_from_singular(w: VermaElement, lam, check: bool = True) -> Morphism
     """The morphism M(lam) -> M(mu) with Phi(hw) = w, extended equivariantly
     along the lowering provenance of the freshly built F(lam).
 
-    With check=False the singular conditions are not enforced; any highest
-    weight vector w then yields an L0-invariant Phi that is generally not a
-    morphism (used to build negative controls)."""
+    With check=True (the default) w must pass is_singular.  With
+    check=False the singular conditions are not enforced, for a w already
+    verified or to build negative controls: any highest weight vector w
+    then yields an L0-invariant Phi that is generally not a morphism."""
     lam = tuple(lam)
     mod_mu = w.module
-    if check and not is_singular(w, full_l1=False):
+    if check and not is_singular(w):
         raise ValueError("not singular")
     wt = w.weight()
     if wt != lam:
@@ -732,7 +736,7 @@ def apply_morphism(phi: MorphismData, u: dict, vcoords: dict, *,
             prod = products[m] = uminus.u_mul(u, {m: 1})
         for m2, c2 in prod.items():
             for idx, cf in fv.items():
-                add_into(out, {(m2, idx): c2 * cf})
+                add_term(out, (m2, idx), c2 * cf)
     deg = phi.degree + (uminus.degree(next(iter(u))) if u else 0)
     return VermaElement(phi.target, deg, out)
 
@@ -923,9 +927,10 @@ def check_morphism(phi: MorphismData):
 # -- degree-specific equation checks ----------------------------------------
 #
 # The equations run in ints: the theta table is scaled by a positive integer
-# (_theta_table) and the degree-2 and degree-3 equations are multiplied by 4,
-# which clears their halves and quarters.  Every equation is linear and
-# homogeneous in theta, so neither scaling changes which ones vanish.
+# (_theta_table), the degree-1 equations are multiplied by 2 and the degree-2
+# and degree-3 equations by 4, which clears their halves and quarters.  Every
+# equation is linear and homogeneous in theta, so neither scaling changes
+# which ones vanish.
 
 def _theta_lookup(table: dict, T: tuple, I: tuple):
     """theta^T_I for arbitrary index tuples, extended by sign equivariance."""
@@ -973,6 +978,18 @@ def _theta_shuffle(table, T: tuple, I: tuple, p: int, gamma: int):
             theta, sign = _theta_lookup(table, T, I[:l] + ((a, gamma),) + I[l + 1:])
             _mat_add(acc, theta, -sign)
     return acc
+
+
+def _x_theta(acc: dict, phi: MorphismData, table, T: tuple, I: tuple,
+             p: int, gamma: int, k: int) -> None:
+    """acc += k (2 A - S), the x_p d/d gamma term of theta^T_I as every
+    equation here weighs it: A the target's action on theta^T_I, S its index
+    shuffles (_theta_shuffle), empty where no letter of T or I is gamma or
+    p."""
+    _mat_add(acc, _theta_shuffle(table, T, I, p, gamma), -k)
+    theta, sign = _theta_lookup(table, T, I)
+    if theta:
+        _mat_add(acc, _mat_apply(phi, p, gamma, theta), 2 * k * sign)
 
 
 def _cyclic(a, b, c):
@@ -1023,9 +1040,7 @@ def _equations_deg1(phi: MorphismData, table: dict):
             a, b, c = trip
             acc: dict = {}
             for al, be, ga in _cyclic(a, b, c):
-                theta, sign = _theta_lookup(table, (), ((al, be),))
-                if theta:
-                    _mat_add(acc, _mat_apply(phi, p, ga, theta), sign)
+                _x_theta(acc, phi, table, (), ((al, be),), p, ga, 1)
             if any(col for col in acc.values()):
                 return False, f"degree-1 equation fails at p={p}, (a,b,c)={trip}"
     return True, "ok"
@@ -1046,12 +1061,7 @@ def _equations_deg2(phi: MorphismData, table: dict):
                 theta, sign = _theta_lookup(table, (p,), ())
                 _mat_add(acc, theta, -4 * qsign * sign)
             for al, be, ga in _cyclic(a, b, c):
-                I = ((al, be), K)
-                sh = _theta_shuffle(table, (), I, p, ga)
-                _mat_add(acc, sh, -2 * eps)
-                theta, sign = _theta_lookup(table, (), I)
-                if theta:
-                    _mat_add(acc, _mat_apply(phi, p, ga, theta), 4 * eps * sign)
+                _x_theta(acc, phi, table, (), ((al, be), K), p, ga, 2 * eps)
             if any(col for col in acc.values()):
                 return False, f"degree-2 equation fails at Q=({p},{q}), K={K}"
     return True, "ok"
@@ -1070,12 +1080,8 @@ def _equations_deg3(phi: MorphismData, table: dict):
             # (6): eps * sum_cyc x_p d gamma . theta^q_{alpha beta} - 1/2 theta_{ab,bc,ca}
             acc6: dict = {}
             for al, be, ga in _cyclic(a, b, c):
-                th, sg = _theta_lookup(table, (p,), ((al, be),))
-                if th:
-                    _mat_add(acc5, _mat_apply(phi, p, ga, th), 4 * sg)
-                th, sg = _theta_lookup(table, (q,), ((al, be),))
-                if th:
-                    _mat_add(acc6, _mat_apply(phi, p, ga, th), 4 * eps * sg)
+                _x_theta(acc5, phi, table, (p,), ((al, be),), p, ga, 2)
+                _x_theta(acc6, phi, table, (q,), ((al, be),), p, ga, 2 * eps)
             th, sg = _theta_lookup(table, (), ((a, b), (b, c), (c, a)))
             _mat_add(acc6, th, -2 * sg)
             if any(col for col in acc5.values()):
@@ -1090,11 +1096,7 @@ def _equations_deg3(phi: MorphismData, table: dict):
                 th, sg = _theta_lookup(table, (), ((aa, cc), (cc, bb), (bb, q)))
                 _mat_add(acc4, th, sg)
                 for al, be, ga in _cyclic(aa, bb, cc):
-                    sh = _theta_shuffle(table, (aa,), ((al, be),), p, ga)
-                    _mat_add(acc4, sh, -2 * eps)
-                    th, sg = _theta_lookup(table, (aa,), ((al, be),))
-                    if th:
-                        _mat_add(acc4, _mat_apply(phi, p, ga, th), 4 * eps * sg)
+                    _x_theta(acc4, phi, table, (aa,), ((al, be),), p, ga, 2 * eps)
                 if any(col for col in acc4.values()):
                     return False, f"degree-3 equation (4) fails at Q=({p},{q}), a={aa}"
             # (3): coefficients of the omega_{H,L} basis, H < L canonical;
@@ -1114,12 +1116,7 @@ def _equations_deg3(phi: MorphismData, table: dict):
                         th, sg = _theta_lookup(table, (p,), (Lp,))
                         _mat_add(acc3, th, -4 * qsign * sg)
                     for al, be, ga in _cyclic(a, b, c):
-                        I = ((al, be), H, Lp)
-                        sh = _theta_shuffle(table, (), I, p, ga)
-                        _mat_add(acc3, sh, -2 * eps)
-                        th, sg = _theta_lookup(table, (), I)
-                        if th:
-                            _mat_add(acc3, _mat_apply(phi, p, ga, th), 4 * eps * sg)
+                        _x_theta(acc3, phi, table, (), ((al, be), H, Lp), p, ga, 2 * eps)
                     if any(col for col in acc3.values()):
                         return False, (f"degree-3 equation (3) fails at Q=({p},{q}), "
                                        f"H={H}, L={Lp}")
@@ -1220,16 +1217,11 @@ def verma_element_from_obj(module, degree: int, obj) -> VermaElement:
 
 def _certificate_checks(lam, d: int, w: VermaElement) -> dict:
     """The checks a certificate records for its vector w, each run once: the
-    L_0 raisings, x_5 d45, the L_1 spanning set (the three of is_singular)
-    and the degree equations of the morphism w defines.  That morphism is
-    built only once the first three hold, with check=False, as check=True
-    would apply the raisings and x_5 d45 again; "equations" is False when
-    they do not hold and above degree 3, which has none."""
-    wi = _int_multiple(w)  # as in is_singular
-    l0_highest = all(act_l0(i, i + 1, wi).is_zero() for i in range(1, 5))
-    low = act_x5d45(wi)
-    checks = {"l0_highest": l0_highest, "x5d45": low.is_zero(),
-              "full_l1": not any(l1_images(wi, low))}
+    three of _singular_checks and the degree equations of the morphism w
+    defines.  That morphism is built only once the first three hold, with
+    check=False, as check=True would run them again; "equations" is False
+    when they do not hold and above degree 3, which has none."""
+    checks = dict(_singular_checks(w))
     checks["equations"] = all(checks.values()) and d <= 3 and \
         verify_degree_equations(morphism_from_singular(w, lam, check=False))[0]
     return checks
@@ -1383,7 +1375,7 @@ def nabla_B(m: int, n: int) -> MorphismData:
             got = fmodules.derivative(mono, ("x", dx), ("x*", star))
             if got:
                 nm, e = got
-                add_into(out, {nm: e if star == i else -e})
+                add_term(out, nm, e if star == i else -e)
         return out
     return _formula_morphism((m + 1, 0, 0, n), (m, 0, 0, n + 1), theta)
 
@@ -1396,7 +1388,8 @@ def nabla_C(m: int, n: int) -> MorphismData:
     res = singular_vectors(mu, 1, module=mod)
     for lam, vecs in res:
         if lam == (0, 0, m, n):
-            return morphism_from_singular(vecs[0], lam)
+            # the search has just verified the vector in full
+            return morphism_from_singular(vecs[0], lam, check=False)
     raise ArithmeticError(f"no nabla_C singular vector in M({mu})")
 
 

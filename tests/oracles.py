@@ -197,7 +197,7 @@ def gen_on_theta(phi, r, s):
                 _axpy(tgt.setdefault(n, {}), col, c2)
         tgt = out.setdefault(m, {})
         for k, col in cols.items():
-            img = phi.target.apply_gen(r, s, col)
+            img = phi.target.action(r, s).apply(col, {})
             _axpy(tgt.setdefault(k, {}), img, Q(1))
             # (theta A_V) column n picks up A_V[k, n] theta_col[k]
             nu_n = sl5.wsub(src.weight_of(k), shift)
@@ -226,7 +226,8 @@ def equivariance_failure(phi):
 
 def act_l0(r, s, w):
     """x_r d/dx_s on a Verma element by one add_into per term, through a
-    one-entry dict and module.apply_gen: the reference for verma.act_l0,
+    one-entry dict and the module's action columns applied to a one-entry
+    coordinate vector: the reference for verma.act_l0,
     its terms and their order, with Fraction coefficients (add_into's
     Fraction(1) scale here)."""
     from e510 import verma
@@ -236,7 +237,7 @@ def act_l0(r, s, w):
     for (m, idx), c in w.terms.items():
         for m2, c2 in verma._l0_mono(r, s, m):
             add_into(out, {(m2, idx): c * c2})
-        for idx2, c2 in mod.apply_gen(r, s, {idx: c}).items():
+        for idx2, c2 in mod.action(r, s).apply({idx: c}, {}).items():
             add_into(out, {(m, idx2): c2})
     return verma.VermaElement(mod, w.degree, out)
 
@@ -254,7 +255,7 @@ def act_odd(p, A, w):
             if op is None:
                 add_into(out, {(m2, idx): cc})
             else:
-                for idx2, c3 in mod.apply_gen(op[0], op[1], {idx: cc}).items():
+                for idx2, c3 in mod.action(op[0], op[1]).apply({idx: cc}, {}).items():
                     add_into(out, {(m2, idx2): c3})
     return verma.VermaElement(mod, w.degree - 1, out)
 
@@ -368,8 +369,8 @@ def degree_tables(d):
 
 def glact_monomial(r, s, m):
     """x_r d/dx_s on a tensor monomial by the slot loop the table-driven
-    moves of fmodules replaced: the reference for fmodules.glact_monomial,
-    its terms, their order and their int coefficients."""
+    moves of fmodules replaced: the reference for fmodules.glact_vector on
+    one monomial, its terms, their order and their int coefficients."""
     from e510.uminus import PAIRS
 
     pair_pos = {p: k for k, p in enumerate(PAIRS)}

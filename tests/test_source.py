@@ -99,3 +99,26 @@ def test_only_fmodules_reads_its_private_names():
                   and node.value.id in ("fmodules", "fm")):
                 found.append(f"{path.name}:{node.lineno}:{node.attr}")
     assert found == []
+
+
+def test_singular_conditions_and_the_equation_term_are_written_once():
+    # _singular_checks alone applies the L_1 spanning set, in the order that
+    # fixes a lazy module's numbering, and _x_theta alone writes the
+    # x_p d/d gamma . theta term of the degree equations
+    assert _referrers("l1_images") == {"verma.py:_singular_checks"}
+    for name in ("_theta_shuffle", "_mat_apply"):
+        assert _referrers(name) == {"verma.py:_x_theta"}
+
+
+def test_single_terms_are_added_by_add_term():
+    # one term goes into a sparse vector through linalg.add_term: no private
+    # copy of it, and no one-entry dict built per term for add_into
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.FunctionDef) and node.name == "_accumulate"
+             or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "add_into"
+             and len(node.args) > 1 and isinstance(node.args[1], ast.Dict)
+             and len(node.args[1].keys) == 1]
+    assert _referrers("_accumulate") == set()
+    assert found == []

@@ -899,7 +899,7 @@ def test_is_singular_builds_l1_basis_once():
     V.l1_basis.cache_clear()
     (_lam, vecs), = V.singular_vectors((0, 0, 0, 1), 1)
     for _ in range(3):
-        assert V.is_singular(vecs[0], full_l1=True)
+        assert V.is_singular(vecs[0])
     assert V.l1_basis.cache_info().misses == 1
 
 
@@ -909,7 +909,7 @@ def test_search_reverification_runs_under_optimize():
         "import sys\n"
         "from e510 import verma\n"
         "assert sys.flags.optimize\n"  # stripped: must not stop the check below
-        "verma.is_singular = lambda w, full_l1=True: False\n"
+        "verma.is_singular = lambda w: False\n"
         "try:\n"
         "    verma.singular_vectors((0, 1, 0, 0), 1)\n"
         "except ArithmeticError as exc:\n"
@@ -1094,6 +1094,59 @@ def test_sieve_verdicts_at_small_primes_are_pinned(monkeypatch, prime):
     assert _verdict_digest(verdicts) == VERDICT_PINS[prime]
 
 
+def _death_counts(monkeypatch, searches):
+    """[(sieve, exact)] for each candidate the sieve kills on the searches:
+    the _stacked_solver calls its lifting mod SIEVE_PRIME makes, and those of
+    the exact lifting of the same candidate, run with the sieve skipped on a
+    throwaway module per mu so that the search's own module is built as
+    usual.  The calls fix which weight spaces a lifting builds, in order."""
+    real_solver, real_sieve = V._stacked_solver, V._sieve
+    calls, verdicts, skip = collections.Counter(), [], []
+
+    def solver(mod, nu, *, p=None):
+        calls[p] += 1
+        return real_solver(mod, nu, p=p)
+
+    def sieve(lift):
+        verdicts.append("unlucky" if skip else real_sieve(lift))
+        return verdicts[-1]
+
+    monkeypatch.setattr(V, "_stacked_solver", solver)
+    monkeypatch.setattr(V, "_sieve", sieve)
+    counts = []
+    for mu, d in searches:
+        mod, spare = fm.TensorModule(mu), fm.TensorModule(mu)
+        tables = V._degree_tables(d)
+        for lam in V._candidates(mu, tables[0]):
+            calls.clear()
+            verdicts.clear()
+            V._lift_singular(mod, d, lam, tables)
+            if verdicts != ["dead"]:
+                continue
+            sieved = calls[V.SIEVE_PRIME]
+            calls.clear()
+            skip.append(True)
+            assert V._lift_singular(spare, d, lam, tables) == []
+            skip.clear()
+            counts.append((sieved, calls[None]))
+    monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize("prime,dead,deeper", (
+    (V.SIEVE_PRIME, 575 + 262, 0), (2**31 - 1, 575 + 262, 0), (2, 521, 54)))
+def test_sieve_kills_where_the_exact_lifting_dies(monkeypatch, prime, dead, deeper):
+    # a candidate the sieve kills builds the weight spaces of its first
+    # stacked solves; at the large primes it dies after as many as the exact
+    # lifting makes, so the lazy F-basis numbering is that of the Q pass
+    # alone, while at p = 2 a lost rank makes some candidates lift deeper
+    monkeypatch.setattr(V, "SIEVE_PRIME", prime)
+    counts = _death_counts(monkeypatch, SWEEPS)
+    assert len(counts) == dead
+    assert all(sieved >= exact for sieved, exact in counts)
+    assert sum(sieved > exact for sieved, exact in counts) == deeper
+
+
 def test_sieve_builds_zterm_images_only_for_flushed_depths():
     # a candidate's z-term images are made when the lifting flushes their
     # depth, so the sieve makes none for the depths of the candidates it
@@ -1250,7 +1303,7 @@ def test_derived_state_sits_in_one_store():
         assert V.check_morphism(f)[0] and V.verify_degree_equations(f)[0]
     # psi's checks read phi.target's own views, not its dual's, so act on
     # the dual to fill its store
-    psi.source.apply_gen(2, 1, {psi.source.hw_index: 1})
+    psi.source.action(2, 1).apply({psi.source.hw_index: 1}, {})
     mod = phi.target
     assert psi.source.base is mod and psi.target.base is phi.source
     assert set(vars(mod)) == {"weight", "vectors", "weights", "prov", "spaces", "pivots",
@@ -1428,7 +1481,9 @@ def test_integer_singular_check_agrees_with_the_fraction_oracle(data, q):
     w, singular = _draw_element(data, q)
     want = oracles.is_singular(w)
     assert V.is_singular(w) == want
-    assert V.is_singular(w, full_l1=False) == oracles.is_singular(w, full_l1=False)
+    checks = dict(V._singular_checks(w))
+    assert (checks["l0_highest"] and checks["x5d45"]) == oracles.is_singular(w, full_l1=False)
+    assert all(checks.values()) == want
     if singular is not None:
         assert want == singular
 
