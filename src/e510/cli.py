@@ -38,11 +38,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_weight(text: str) -> tuple:
+    """The 4 integers a,b,c,d of text; ValueError naming text otherwise."""
     parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"weight must be a,b,c,d: {text!r}")
-    w = tuple(int(p) for p in parts)
-    return w
+    if len(parts) == 4:
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError:
+            pass
+    raise ValueError(f"weight must be 4 integers a,b,c,d: {text!r}")
 
 
 def parse_tuple(text: str) -> tuple:
@@ -229,6 +232,11 @@ def _classify_table(rows):
 
 def cmd_classify(args) -> int:
     d, box = args.degree, args.max_entry
+    try:  # before the box is enumerated: its largest weight has every entry box
+        fmodules.check_module_weight((box,) * 4)
+    except ValueError as exc:
+        print(f"error: --max-entry: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     mus = sl5.dominant_weights_in_box(box)
     workers = min(args.threads, len(mus), os.cpu_count() or 1)
     if workers > 1:

@@ -22,7 +22,7 @@ import struct
 import weakref
 
 from . import sl5
-from .linalg import UnluckyPrime, add_into, as_int, exact_div, to_fp
+from .linalg import UnluckyPrime, add_into, add_term, as_int, exact_div, to_fp
 from .uminus import PAIRS
 
 N_GEN = 30
@@ -252,10 +252,14 @@ class TensorModule(_ActingModule):
         self._derived: dict = {}
 
     # Its derived caches, over Q and over F_p: "act" (r, s, weight) -> action
-    # columns, "actions" (r, s) -> their ActionColumns view (Q only), "bases"
-    # weight -> the basis reduced mod p (F_p only), and from the singular
-    # search "stack" weight -> factored raising maps, "zterm" (x_5 d_t op,
-    # index) -> ambient image and "depth" weight -> depth below the top (Q only);
+    # columns (over F_p only for r + 1 != s), "actions" (r, s) -> their
+    # ActionColumns view (Q only), "bases" weight -> the basis reduced mod p
+    # (F_p only), "lower" (i, idx) -> what ensure_weight found for the
+    # lowering x_{i+1} d/dx_i . v_idx, the index of the vector it became or
+    # its [(index, coordinate)] when it was in the span (Q only), "raising" j -> idx ->
+    # the coordinates of x_j d/dx_{j+1} . v_idx that _raising reads from
+    # "lower" (Q only), and from the singular search "stack" weight ->
+    # factored raising maps and "zterm" (x_5 d_t op, index) -> ambient image;
     # "dual" None -> its DualModule (see dual()).
 
     # -- construction -----------------------------------------------------
@@ -280,10 +284,10 @@ class TensorModule(_ActingModule):
                 parents.append((i, idx))
         self.spaces.setdefault(nu, [])
         self.pivots.setdefault(nu, {})
+        lower = self.cache("lower")
         for i, idx in parents:
             img = glact_vector(i + 1, i, self.vectors[idx])
-            if img:
-                self._insert(nu, img, (i, idx))
+            lower[i, idx] = self._insert(nu, img, (i, idx)) if img else ()
         return self.spaces[nu]
 
     def vector(self, idx: int, *, p: int | None = None) -> dict:
@@ -328,9 +332,11 @@ class TensorModule(_ActingModule):
         return residual, trail
 
     def _insert(self, nu, vec, origin):
+        """Add vec to the weight space nu unless it lies in the span: the new
+        index, or the [(index, coordinate)] of vec in the span."""
         residual, trail = self._reduce(nu, vec)
         if not residual:
-            return None
+            return trail
         mkey = min(residual)
         pc = as_int(residual[mkey])
         if pc == 1 or pc == -1:
@@ -404,8 +410,19 @@ class TensorModule(_ActingModule):
 
     def act_entries(self, r: int, s: int, nu, *, p: int | None = None) -> dict:
         """Column map idx -> {idx': scalar} of x_r d/dx_s on the weight space
-        nu, or with a modulus p the same map over F_p, computed from the basis
-        vectors mod p.  Both build the same weight spaces in the same order."""
+        nu, or with a modulus p the same map over F_p.  Both build the same
+        weight spaces in the same order: the target's, then nu's.
+
+        A raising x_j d/dx_{j+1} is read from the lowering record
+        (_raising), and over F_p those rational columns are reduced mod p.
+        They are the columns the basis mod p gives, with the same
+        UnluckyPrime triggers: fp_basis(nu, p) for a non-empty nu, and
+        fp_basis(target, p) once a column is not 0 mod p.  Coordinates in a
+        p-integral basis with pivots 1 are p-integral, so no residual is left
+        mod p; a target basis that is not p-integral keeps the ambient path,
+        which raises exactly when an image is not 0 mod p.  Every other
+        generator, and every F_p column there, is computed from the basis
+        vectors (mod p) and reduced in the target's basis."""
         key = (r, s, tuple(nu))
         cache = self.cache("act", p)
         got = cache.get(key)
@@ -413,12 +430,97 @@ class TensorModule(_ActingModule):
             return got
         target = sl5.wadd(nu, gen_shift(r, s))
         self.ensure_weight(target)
+        idxs = self.ensure_weight(nu)
+        if s == r + 1 and (p is None or self._p_integral(target, p)):
+            cols = self._raising(r, key[2]) if idxs else {}
+            if p is None:
+                cache[key] = cols
+                return cols
+            if idxs:
+                self.fp_basis(nu, p)
+            cols = {idx: {k: v for k, c in col.items() if (v := to_fp(c, p))}
+                    for idx, col in cols.items()}
+            if any(cols.values()):
+                self.fp_basis(target, p)
+            # not cached: _stacked_solver keeps the factorisation
+            return cols
         cols = {}
-        for idx in self.ensure_weight(nu):
+        for idx in idxs:
             img = glact_vector(r, s, self.vector(idx, p=p), p=p)
             cols[idx] = self.coords(target, img, p=p) if img else {}
         cache[key] = cols
         return cols
+
+    def _p_integral(self, nu, p: int) -> bool:
+        """Whether fp_basis(nu, p) exists, found without making it."""
+        return nu in self.cache("bases", p) or all(
+            type(c) is int or c.denominator % p
+            for idx in self.spaces[nu] for c in self.vectors[idx].values())
+
+    def _raising(self, j: int, nu) -> dict:
+        """idx -> coordinates of x_j d/dx_{j+1} . v_idx for every idx of the
+        built weight space nu, each an int where integral, keys in ascending
+        target pivot monomial (the order coords gives).
+
+        F(lam) is built by lowering from v_0, which E_j = x_j d/dx_{j+1}
+        kills, and a vector n made from F_i = x_{i+1} d/dx_i . v_par with
+        trail [(k, c_k)] and pivot coefficient pc is (F_i v_par - sum c_k
+        v_k) / pc.  Since [E_j, F_i] = delta_ij H_i,
+
+            E_j v_n = (F_i E_j v_par + delta_ij <wt(par), alpha_i^v> v_par
+                       - sum c_k E_j v_k) / pc,
+
+        and F_i on a basis vector t is what ensure_weight recorded in "lower"
+        (read back from prov when it became a new vector, recomputed through
+        coords when the record went with a pickle round trip).  Every space
+        read here was built before nu: the target of E_j v_n is a parent of
+        wt(n), and the lowering into it was recorded when it was built.  So
+        this builds nothing and leaves self.spaces as it is.  The columns are
+        memoized per index in "raising", and the vectors a column needs
+        (parents and trail, all of lower index) are computed first, in index
+        order, with no recursion."""
+        memo = self.cache("raising").setdefault(j, {})
+        lower = self.cache("lower")
+        prov = self.prov
+        need = {n for n in self.spaces[nu] if n not in memo}
+        stack = list(need)
+        while stack:
+            origin, trail, _pc = prov[stack.pop()]
+            if origin is not None:
+                for k in (origin[1], *[k for k, _c in trail]):
+                    if k not in need and k not in memo:
+                        need.add(k)
+                        stack.append(k)
+        for n in sorted(need):
+            origin, trail, pc = prov[n]
+            col: dict = {}
+            if origin is not None:
+                i, par = origin
+                acc: dict = {}
+                for t, c in memo[par].items():
+                    low = lower.get((i, t))
+                    if low is None:
+                        img = glact_vector(i + 1, i, self.vectors[t])
+                        low = lower[i, t] = list(self.coords(
+                            sl5.wsub(self.weights[t], sl5.SIMPLE_ROOTS[i - 1]), img).items()) \
+                            if img else ()
+                    if type(low) is int:
+                        _o, terms, low_pc = prov[low]
+                        add_term(acc, low, c * low_pc)
+                    else:
+                        terms = low
+                    for k, ck in terms:
+                        add_term(acc, k, c * ck)
+                if i == j:
+                    add_term(acc, par, self.weights[par][i - 1])
+                for k, ck in trail:
+                    add_into(acc, memo[k], -ck)
+                if acc:
+                    piv = self.pivots[sl5.wadd(self.weights[n], sl5.SIMPLE_ROOTS[j - 1])]
+                    col = {k: v if pc == 1 and type(v) is int else exact_div(v, pc)
+                           for m in sorted(piv) if (v := acc.get(k := piv[m]))}
+            memo[n] = col
+        return {n: memo[n] for n in self.spaces[nu]}
 
 
 class DualModule(_ActingModule):

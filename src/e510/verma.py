@@ -26,16 +26,22 @@ sum their terms into one dict in place with add_term.
 Almost every candidate lam has no singular vector, so the lifting runs first
 over F_p (p = SIEVE_PRIME = 2^30 - 35, plain ints) as a sieve, on F_p data of
 its own: the basis vectors reduced mod p once (their denominators are at most
-2), the action columns and z-term images computed from those by the integer
-tensor action and the same forward reduction (pivots are 1, so nothing is
+2), the raising columns reduced mod p, the z-term images computed from the
+basis mod p by the integer tensor action (pivots are 1, so nothing is
 divided), and the stacked raising solver factored by RowReducer(p).  All
 but the solver are the rational data reduced mod p: coordinates mod p are
 the rational ones reduced because the whole basis of the space they are
-taken in is reduced first.  The PBW side is shared: both passes read the one
-int table per degree of _degree_tables, and add_into reduces a coefficient
-mod p as it scales by it.  Only survivors, lifted again over Q, build the
-rational solver, action tables and z-term images; the Q pass alone produces
-and verifies the vectors.
+taken in is reduced first.  The raising columns come from the module's
+lowering record (TensorModule.act_entries): F(mu) is built by lowering, so
+[E_j, F_i] = delta_ij H_i gives them from the coordinates of the lowering
+images, with no ambient vector acted on.  The PBW side is shared: both
+passes read the one int table per degree of _degree_tables, and add_into
+reduces a coefficient mod p as it scales by it.  Each candidate's levels
+come from _level_plan(d, lam - mu), made once per degree and lam - mu and
+shared by every mu: nu = lam - w lies at depth sum(root_coefficients(w -
+(lam - mu))) below mu.  Only survivors, lifted again over Q, build the
+rational solver and z-term images; the Q pass alone produces and verifies
+the vectors.
 
 The sieve is sound while every stacked raising system A has full column rank
 mod p.  The left kernel of A mod p then has the dimension of the rational
@@ -63,7 +69,9 @@ box-1 sweeps, each of the 837 candidates the sieve kills there dies after
 as many stacked solves as the exact lifting makes (a test counts them).
 
 The L_1 condition x_5 d45 . w = 0 gives z-term rows at the depth of the
-weight each term lands in.  The lifting records the terms (PBW monomial, PBW
+weight each term lands in: that of its monomial when the F part is not
+acted on, and 5 - t levels below it under x_5 d/dx_t, which only lowers
+(t <= 3).  The lifting records the terms (PBW monomial, PBW
 coefficient) of each monomial that share an x_5 d_t op, with the op and the
 monomial's lifted components, under that depth as they arise
 (_degree_tables groups them by op, hence by depth, once), and expands a
@@ -108,7 +116,7 @@ from fractions import Fraction as Q
 from functools import lru_cache, partial
 
 from . import fmodules, sl5, uminus
-from .fmodules import TensorModule, glact_vector, gen_shift
+from .fmodules import TensorModule, glact_vector
 from .linalg import RowReducer, UnluckyPrime, add_into, add_term, format_scalar, parse_scalar
 
 ZDEL = uminus.ZERO_DEL
@@ -388,13 +396,14 @@ def _degree_tables(d: int) -> tuple:
     groups maps each weight to its monomials in uminus.pbw_monomials order.
     trans[i][m2][m] is the coefficient of m2 in x_i d_{i+1} . m, the sources
     m of each m2 in groups order.  zrecords maps m to the terms of
-    x_5 d45 . m (_odd_action(5, (4, 5), m)) grouped by op, as (op, shift,
-    ((monomial, coefficient), ...)) with shift the weight shift
-    gen_shift(*op) of the F part (None when op is None); the groups land at
-    distinct depths (x_5 d/dx_t moves the F part 5 - t levels down, and
-    t <= 3), so each depth receives the terms of a monomial in _odd_action
-    order.  Built from the uncached actions, so the memos of act_l0 and
-    act_odd keep only what those ask for."""
+    x_5 d45 . m (_odd_action(5, (4, 5), m)) grouped by op, as (op, drop,
+    ((monomial, coefficient), ...)) with drop the number of levels the op
+    moves the F part down: 0 when op is None, and 5 - t for op = (5, t),
+    whose weight shift eps_5 - eps_t is minus the sum of the simple roots
+    alpha_t .. alpha_4.  t <= 3, so the groups land at distinct depths and
+    each depth receives the terms of a monomial in _odd_action order.  Built
+    from the uncached actions, so the memos of act_l0 and act_odd keep only
+    what those ask for."""
     groups: dict = {}
     for m in uminus.pbw_monomials(d):
         groups.setdefault(uminus.monomial_weight(m), []).append(m)
@@ -408,9 +417,30 @@ def _degree_tables(d: int) -> tuple:
             by_op: dict = {}
             for m2, c, op in _odd_action.__wrapped__(5, (4, 5), m):
                 by_op.setdefault(op, []).append((m2, c))
-            zrecords[m] = tuple((op, None if op is None else gen_shift(*op), tuple(terms))
+            zrecords[m] = tuple((op, 0 if op is None else 5 - op[1], tuple(terms))
                                 for op, terms in by_op.items())
     return groups, trans, zrecords
+
+
+@lru_cache(maxsize=128)
+def _level_plan(d: int, delta) -> dict:
+    """The levels a degree-d search lifts a candidate lam through, for
+    delta = lam - mu, shared by every mu: depth -> [(nu - mu, the sorted
+    monomials of weight lam - nu)], sorted.  The weight nu = lam - w of a
+    group w lies below mu at depth sum(root_coefficients(w - delta)) when
+    those coefficients are integers >= 0, and outside the weights of F(mu)
+    otherwise.  w -> lam - w is injective, so each nu has one group, and
+    depth 0 holds only nu = mu.  Callers only read it.  A sweep meets few
+    deltas (35 on the degree-2 box-2 sweep, 59 at degree 7 box 1), and a
+    degree-11 plan holds about 12 kB, hence the bound."""
+    plan: dict = {}
+    for w, ms in _degree_tables(d)[0].items():
+        ks = sl5.root_coefficients(sl5.wsub(w, delta))
+        if ks is not None and min(ks) >= 0:
+            plan.setdefault(sum(ks), []).append((sl5.wsub(delta, w), tuple(sorted(ms))))
+    for entries in plan.values():
+        entries.sort()
+    return plan
 
 
 def _candidates(mu, groups) -> list:
@@ -460,31 +490,14 @@ def _lift_singular(mod, d, lam, tables):
     per depth and expanded into constraint rows only when the lifting
     flushes that depth (the module docstring says why that is safe), and
     each vector is re-verified by the full is_singular check."""
-    groups, trans, zrecords = tables
+    _groups, trans, zrecords = tables
     mu = mod.highest_weight
-    depths = mod.cache("depth")
-
-    def nu_depth(nu):
-        """sum(dominated_depth(nu, mu)), or None; memoized on the module."""
-        got = depths.get(nu, -1)
-        if got == -1:
-            ks = sl5.dominated_depth(nu, mu)
-            got = depths[nu] = None if ks is None else sum(ks)
-        return got
-
-    # depth -> {nu -> the sorted monomials of weight lam - nu}: w -> lam - w is
-    # injective, so each nu has one group, and depth 0 holds only nu = mu
-    levels: dict[int, dict] = {}
-    for w, ms in groups.items():
-        nu = sl5.wsub(lam, w)
-        dm = nu_depth(nu)
-        if dm is not None:
-            levels.setdefault(dm, {})[nu] = sorted(ms)
-    if 0 not in levels:
+    plan = _level_plan(d, sl5.wsub(lam, mu))
+    if 0 not in plan:
         return []
-    leading = levels.pop(0)[mu]
+    leading = plan[0][0][1]
     L = len(leading)
-    top = max(levels, default=0)
+    top = max(plan)
 
     def lift(p):
         """(V, constraints) over Q (p None) or F_p, or None once dead."""
@@ -493,11 +506,9 @@ def _lift_singular(mod, d, lam, tables):
         V: dict = {}           # monomial -> {fidx -> {ci -> scalar}}
         zterms: dict = {}      # depth -> [(op, terms, comps)]
 
-        def add_z_terms(m, nu, depth, comps):
-            for op, shift, terms in zrecords[m]:
-                tau_depth = depth if shift is None else nu_depth(sl5.wadd(nu, shift))
-                if tau_depth is not None:
-                    zterms.setdefault(tau_depth, []).append((op, terms, comps))
+        def add_z_terms(m, depth, comps):
+            for op, drop, terms in zrecords[m]:
+                zterms.setdefault(depth + drop, []).append((op, terms, comps))
 
         def flush_z(depth) -> bool:
             rows: dict = {}    # (monomial, ambient mono) -> {ci -> scalar}
@@ -525,12 +536,16 @@ def _lift_singular(mod, d, lam, tables):
         hw = mod.ensure_weight(mu)[0]
         for ci, m in enumerate(leading):
             V[m] = {hw: {ci: one}}
-            add_z_terms(m, mu, 0, V[m])
+            add_z_terms(m, 0, V[m])
         # every rank check returns at once, so rank < L at each flush; the
         # z-terms of the deepest level land up to 4 levels below it
         depth = 0
-        while depth <= top or zterms:
-            for nu, ms in sorted(levels.get(depth, {}).items()):
+        while not flush_z(depth):
+            depth += 1
+            if depth > top and not zterms:
+                return V, constraints
+            for off, ms in plan.get(depth, ()):
+                nu = sl5.wadd(mu, off)
                 solve_combs, zero_combs = solver(nu)
                 for m in ms:
                     # trans[i][m_target][m_source] = coeff; V holds only
@@ -552,13 +567,10 @@ def _lift_singular(mod, d, lam, tables):
                             constraints.insert(form)
                     if comps:
                         V[m] = comps
-                        add_z_terms(m, nu, depth, comps)
+                        add_z_terms(m, depth, comps)
                     if constraints.rank >= L:
                         return None
-            if flush_z(depth):
-                return None
-            depth += 1
-        return V, constraints
+        return None
 
     lifted = None if _sieve(lift) == "dead" else lift(None)
     if lifted is None:
@@ -652,13 +664,14 @@ def get_module(lam) -> TensorModule:
 
 def clear_caches() -> None:
     """Empty the process-wide caches: the L_0 and L_1 action tables on PBW
-    monomials, the search's per-degree tables (_degree_tables), the L_1
-    spanning set, the
-    fully built modules of get_module, and uminus's omega basis and
-    normal-ordering table.  Results do not depend on them."""
+    monomials, the search's per-degree tables (_degree_tables) and level
+    plans (_level_plan), the L_1 spanning set, the fully built modules of
+    get_module, and uminus's omega basis and normal-ordering table.  Results
+    do not depend on them."""
     _l0_mono.cache_clear()
     _odd_action.cache_clear()
     _degree_tables.cache_clear()
+    _level_plan.cache_clear()
     l1_basis.cache_clear()
     _module_cache.clear()
     uminus.omega_basis.cache_clear()

@@ -301,6 +301,22 @@ def glact_vector(r, s, vec, p=None):
     return out
 
 
+def raising_columns(mod, i, nu, p=None):
+    """mod.act_entries(i, i + 1, nu, p=p) as the ambient loop computed it:
+    the target's weight space built, then nu's, each basis vector (reduced
+    mod p when p is given) acted on by x_i d/dx_{i+1} in the tensor space
+    (glact_vector above) and its image reduced in the target's basis."""
+    from e510 import fmodules, sl5
+
+    target = sl5.wadd(nu, fmodules.gen_shift(i, i + 1))
+    mod.ensure_weight(target)
+    cols = {}
+    for idx in mod.ensure_weight(nu):
+        img = glact_vector(i, i + 1, mod.vector(idx, p=p), p)
+        cols[idx] = mod.coords(target, img, p=p) if img else {}
+    return cols
+
+
 def fp_view(mod, p, solver, zimage):
     """The search's F_p inputs (solver, vector, zimage) as the first F_p
     sieve made them: each converted once from its rational original
@@ -361,7 +377,10 @@ def degree_tables(d):
     for m in monos:
         terms = verma._odd_action(5, (4, 5), m)
         ops = list(dict.fromkeys(op for _m2, _c, op in terms))
-        zrecords[m] = tuple((op, None if op is None else gen_shift(*op),
+        # the levels op moves the F part down: the root coefficients of
+        # minus its weight shift, summed
+        zrecords[m] = tuple((op, 0 if op is None else sum(root_coefficients(
+                                 wsub((0, 0, 0, 0), gen_shift(*op)))),
                              tuple((m2, c) for m2, c, o in terms if o == op))
                             for op in ops)
     return groups, trans, zrecords

@@ -186,6 +186,30 @@ def test_weights_beyond_the_exponent_slot_are_usage_errors(tmp_path, capsys):
     assert err.startswith(f"error: {path}: {limit}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("box", ["65536", "70000"])
+def test_classify_refuses_a_box_beyond_the_exponent_slot(box, capsys, monkeypatch):
+    # refused up front, before the (box + 1)^4 weights of the box are listed
+    def enumerate_box(max_entry):
+        raise AssertionError("the box was enumerated")
+
+    monkeypatch.setattr(cli.sl5, "dominant_weights_in_box", enumerate_box)
+    code, out, err = run(["classify", "--degree", "1", "--max-entry", box], capsys)
+    assert code == 1 and out == ""
+    assert err == (f"error: --max-entry: weight entries must be below 2^16 = 65536, "
+                   f"the limit of a tensor exponent: {(int(box),) * 4}\n")
+
+
+@pytest.mark.parametrize("argv", [["singular", "--mu", "a,b,c,d"],
+                                  ["singular", "--mu", "1,0,0"],
+                                  ["singular", "--mu", "1,0,0,0,0"],
+                                  ["irrep", "--lambda", "1,x,0,0"],
+                                  ["irrep", "--lambda", "1.5,0,0,0"]])
+def test_a_weight_that_is_not_four_integers_is_named(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: weight must be 4 integers a,b,c,d: {argv[2]!r}\n"
+
+
 @pytest.mark.parametrize("tamper", ["zero", "empty"])
 def test_verify_rejects_zero_vector(tamper, tmp_path, capsys):
     out_dir = str(tmp_path / "certs")

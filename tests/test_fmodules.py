@@ -537,3 +537,102 @@ def test_modules_refuse_a_weight_beyond_the_exponent_slot(make):
         with pytest.raises(ValueError, match=r"below 2\^16 = 65536"):
             make(lam)
     assert fm.TensorModule((2**16 - 1, 0, 0, 0)).ensure_weight((2**16 - 1, 0, 0, 0)) == [0]
+
+
+# -- raising columns from the lowering record --------------------------------
+
+def _typed(cols):
+    """Column maps as lists, so that == also compares key order and types."""
+    return [(idx, [(k, type(v), v) for k, v in col.items()]) for idx, col in cols.items()]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return _typed(fn(*args, **kwargs))
+    except fm.UnluckyPrime:
+        return "unlucky"
+
+
+def _searched(mu, d):
+    from e510 import verma
+
+    mod = fm.TensorModule(mu)
+    verma.singular_vectors(mu, d, module=mod)
+    return mod
+
+
+RAISING_MODULES = {"full": [(1, 1, 0, 0), (0, 0, 1, 2), (2, 0, 0, 1), (1, 0, 1, 1)],
+                   "lazy": [((0, 0, 1, 1), 2), ((1, 0, 0, 1), 2), ((0, 0, 0, 1), 4)]}
+
+
+@pytest.mark.parametrize("kind, spec", [(k, s) for k, specs in RAISING_MODULES.items()
+                                        for s in specs])
+def test_raising_columns_match_the_ambient_loop(kind, spec):
+    # over Q and over F_p: the same values, int/Fraction types and key order
+    # (or the same UnluckyPrime) as acting on the ambient vectors, on the
+    # module as built and on a pickled copy, whose lowering record is gone;
+    # the copy also reduces the same bases mod p as the ambient loop does on
+    # a second copy, and builds the same (above-top) spaces
+    from e510 import verma
+
+    mod = fm.build_irreducible(spec) if kind == "full" else _searched(*spec)
+    weights = list(mod.spaces)
+    for p in (None, verma.SIEVE_PRIME, 2, 3):
+        ref, own = (pickle.loads(pickle.dumps(mod)) for _ in range(2))
+        for nu in weights:
+            for i in range(1, 5):
+                want = _outcome(oracles.raising_columns, ref, i, nu, p)
+                assert _outcome(own.act_entries, i, i + 1, nu, p=p) == want
+                assert set(own.cache("bases", p)) == set(ref.cache("bases", p))
+                assert _outcome(mod.act_entries, i, i + 1, nu, p=p) == want
+        assert list(own.spaces) == list(ref.spaces)
+        assert list(own.spaces)[:len(weights)] == weights
+
+
+def test_raising_columns_build_spaces_as_the_ambient_loop_did():
+    # on fresh lazy modules, act_entries builds the weight spaces the
+    # ambient loop built, in the same order, over Q and over F_p
+    from e510 import verma
+
+    weights = list(_searched((0, 0, 1, 1), 2).spaces)
+    for p in (None, verma.SIEVE_PRIME):
+        ref, own = fm.TensorModule((0, 0, 1, 1)), fm.TensorModule((0, 0, 1, 1))
+        for nu in reversed(weights):
+            for i in (4, 1, 3, 2):
+                assert _outcome(own.act_entries, i, i + 1, nu, p=p) == \
+                    _outcome(oracles.raising_columns, ref, i, nu, p)
+                assert list(own.spaces) == list(ref.spaces)
+                assert own.vectors == ref.vectors and own.prov == ref.prov
+
+
+def test_raising_reads_only_built_spaces():
+    # _raising builds nothing: with its memo and the lowering record gone
+    # (a pickled copy), every column of every built space leaves the list of
+    # spaces, in order, as it was
+    mod = pickle.loads(pickle.dumps(_searched((0, 0, 1, 1), 2)))
+    spaces = list(mod.spaces)
+    for nu in spaces:
+        if mod.spaces[nu]:
+            for j in range(1, 5):
+                mod._raising(j, nu)
+                assert list(mod.spaces) == spaces
+    assert mod.cache("raising") and mod.cache("lower")
+
+
+def test_search_makes_no_ambient_raising(monkeypatch):
+    # the raisings of the search and of its singular check come from the
+    # lowering record: x_i d/dx_{i+1} never acts on an ambient vector
+    from e510 import verma
+
+    calls = []
+
+    def record(real):
+        def glact_vector(r, s, vec, *, p=None):
+            calls.append((r, s))
+            return real(r, s, vec, p=p)
+        return glact_vector
+
+    monkeypatch.setattr(fm, "glact_vector", record(fm.glact_vector))
+    monkeypatch.setattr(verma, "glact_vector", record(verma.glact_vector))
+    assert verma.singular_vectors((0, 0, 1, 0), 2)
+    assert calls and not [rs for rs in calls if rs[1] == rs[0] + 1]

@@ -122,3 +122,28 @@ def test_single_terms_are_added_by_add_term():
              and len(node.args[1].keys) == 1]
     assert _referrers("_accumulate") == set()
     assert found == []
+
+
+def _function(path_name, name):
+    tree = ast.parse((SRC / path_name).read_text(), path_name)
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_raising_columns_come_from_the_lowering_record():
+    # verma acts on ambient vectors only for the z-term images; in fmodules
+    # only _raising, reached through act_entries, computes raising columns
+    # and touches their "raising" memo, and it never builds a weight space
+    assert {r for r in _referrers("glact_vector") if r.startswith("verma.py")} == \
+        {"verma.py:_zimage"}
+    assert _referrers("_raising") == {"fmodules.py:act_entries"}
+    memo = [f"{path.name}:{node.lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Constant) and node.value == "raising"]
+    raising = _function("fmodules.py", "_raising")
+    inside = [node for node in ast.walk(raising)
+              if isinstance(node, ast.Constant) and node.value == "raising"]
+    assert memo and len(memo) == len(inside)
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(raising)}
+    assert "ensure_weight" not in names

@@ -1265,14 +1265,30 @@ def test_lazy_sweep_modules_are_pinned():
     assert h.hexdigest() == "22976dfd59af7205b8b2d51fb18c4d161331e15930ccb6197ed59615a48e6142"
 
 
-def test_depth_memo_matches_dominated_depth():
-    mu = (0, 0, 1, 1)
-    mod = fm.TensorModule(mu)
-    V.singular_vectors(mu, 2, module=mod)
-    assert mod.cache("depth")
-    for nu, depth in mod.cache("depth").items():
-        ks = sl5.dominated_depth(nu, mu)
-        assert depth == (None if ks is None else sum(ks))
+def test_level_plan_matches_dominated_depth():
+    # for every candidate of both sweeps, the plan of lam - mu holds each
+    # weight nu = lam - w below mu at its dominated depth, with the sorted
+    # monomials of w, and every z-term record of those monomials lands its
+    # drop of levels below them, where dominated_depth puts its weight
+    for mu, d in SWEEPS:
+        groups, _trans, zrecords = V._degree_tables(d)
+        for lam in V._candidates(mu, groups):
+            want: dict = {}
+            for w, ms in groups.items():
+                nu = sl5.wsub(lam, w)
+                ks = sl5.dominated_depth(nu, mu)
+                if ks is not None:
+                    want.setdefault(sum(ks), []).append((sl5.wsub(nu, mu), tuple(sorted(ms))))
+            plan = V._level_plan(d, sl5.wsub(lam, mu))
+            assert plan == {depth: sorted(entries) for depth, entries in want.items()}
+            assert [off for off, _ms in plan.get(0, [])] in ([], [(0, 0, 0, 0)])
+            for depth, entries in plan.items():
+                for off, ms in entries:
+                    nu = sl5.wadd(mu, off)
+                    for m in ms:
+                        for op, drop, _terms in zrecords[m]:
+                            tau = nu if op is None else sl5.wadd(nu, fm.gen_shift(*op))
+                            assert sum(sl5.dominated_depth(tau, mu)) == depth + drop
 
 
 def test_pickled_module_drops_caches_and_keeps_certificates():
@@ -1308,7 +1324,8 @@ def test_derived_state_sits_in_one_store():
     assert psi.source.base is mod and psi.target.base is phi.source
     assert set(vars(mod)) == {"weight", "vectors", "weights", "prov", "spaces", "pivots",
                               "_full", "_derived"}
-    assert {"act", "actions", "stack", "zterm", "depth"} <= {n for n, p in mod._derived}
+    assert {"act", "actions", "stack", "zterm", "lower", "raising"} <= \
+        {n for n, p in mod._derived}
     assert ("dual", None) in mod._derived
     assert {("stack", V.SIEVE_PRIME), ("bases", V.SIEVE_PRIME)} <= set(mod._derived)
     for dual in (psi.source, psi.target):
@@ -1336,6 +1353,8 @@ def test_clear_caches_empties_every_global_cache():
     assert V._l0_mono.cache_info().currsize == 0
     assert V._odd_action.cache_info().currsize == 0
     assert V._degree_tables.cache_info().currsize == 0
+    assert V._level_plan.cache_info().currsize == 0
+    assert V._level_plan.cache_info().maxsize is not None
     # every memoized function of these namespaces, so a forgotten one fails
     memoized = {(ns.__name__, name): obj.cache_info().currsize
                 for ns in (V, um, sl5, fm) for name, obj in vars(ns).items()
@@ -1421,7 +1440,7 @@ def test_degree_tables_match_the_cached_actions(d):
     assert all(type(c) is int for t in trans.values() for src in t.values()
                for c in src.values())
     assert all(type(c) is int for recs in zrecords.values()
-               for _op, _shift, terms in recs for _m2, c in terms)
+               for _op, _drop, terms in recs for _m2, c in terms)
 
 
 def test_exact_pass_alone_finds_the_sieved_hits(monkeypatch):
