@@ -22,7 +22,7 @@ import struct
 import weakref
 
 from . import sl5
-from .linalg import UnluckyPrime, add_into, add_term, as_int, exact_div, to_fp
+from .linalg import RowReducer, UnluckyPrime, add_into, add_term, as_int, exact_div, to_fp
 from .uminus import PAIRS
 
 N_GEN = 30
@@ -227,6 +227,29 @@ class _ActingModule:
             got = views[r, s] = ActionColumns(self, r, s)
         return got
 
+    def _eliminated_frame(self) -> list:
+        """A lowering frame of the fully built module found by greedy
+        elimination (see TensorModule.lowering_frame): the weight spaces below
+        the top in order of depth, then weight, and in each the columns of
+        x_{i+1} d/dx_i . b_p for its parents p (i = 1..4, p in index order)
+        that raise the rank, until they span the space."""
+        top = self.highest_weight
+        spaces: dict = {}
+        for n in range(self.dim):
+            spaces.setdefault(self.weight_of(n), []).append(n)
+        frame = []
+        for _depth, nu in sorted((sum(sl5.dominated_depth(nu, top)), nu)
+                                 for nu in spaces if nu != top):
+            span = RowReducer()
+            for i in range(1, 5):
+                cols = self.action(i + 1, i)
+                for p in spaces.get(sl5.wadd(nu, sl5.SIMPLE_ROOTS[i - 1]), ()):
+                    if span.rank < len(spaces[nu]) and span.insert(cols[p]):
+                        frame.append(((i, p), cols[p]))
+            if span.rank < len(spaces[nu]):
+                raise ArithmeticError(f"the lowerings into weight {nu} do not span it")
+        return frame
+
 
 class TensorModule(_ActingModule):
     """F(a,b,c,d) with lazily built weight spaces.
@@ -401,6 +424,17 @@ class TensorModule(_ActingModule):
     def weight_of(self, idx: int):
         return self.weights[idx]
 
+    def lowering_frame(self) -> list:
+        """The lowering frame of the fully built module: pairs ((i, p),
+        coords), one per basis vector below the top, with coords the
+        coordinates {n: a_n} of x_{i+1} d/dx_i . b_p = sum a_n b_n, whose
+        images span each weight space below the top.  It is the lowering
+        each vector was made from (prov): F_i v_p = pc v_n + sum c_k v_k."""
+        if not self._full:
+            raise ValueError("module not fully built")
+        return [(origin, {n: pc, **dict(trail)})
+                for n, (origin, trail, pc) in enumerate(self.prov) if origin is not None]
+
     def dual(self) -> DualModule:
         """The one DualModule of this fully built module, kept in the store."""
         duals = self.cache("dual")
@@ -526,7 +560,9 @@ class TensorModule(_ActingModule):
 class DualModule(_ActingModule):
     """Abstract dual of a fully built module: generators act by negated
     transpose; the reported highest weight is the dual weight.  Made once per
-    module by base.dual(); base and dual refer to each other."""
+    module by base.dual(); base and dual refer to each other.  Its derived
+    caches are "act" and "actions", as for a TensorModule, and "frame" None
+    -> its lowering frame."""
 
     def __init__(self, base):
         base_dim = base.dim  # requires full build
@@ -556,6 +592,15 @@ class DualModule(_ActingModule):
     def dual(self) -> TensorModule:
         """The base, whose action is the negated transpose of this one's."""
         return self.base
+
+    def lowering_frame(self) -> list:
+        """The lowering frame ((i, p), coords) of TensorModule.lowering_frame,
+        found once by greedy elimination over this module's lowering columns
+        (coords is the column itself) and kept in the store."""
+        frames = self.cache("frame")
+        if None not in frames:
+            frames[None] = self._eliminated_frame()
+        return frames[None]
 
     def act_entries(self, r: int, s: int, nu) -> dict:
         """Column map of x_r d/dx_s on dual indices of dual weight nu:

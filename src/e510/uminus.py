@@ -268,20 +268,24 @@ def sign_character(g) -> int:
 def canonical_orbit_rep(I: tuple):
     """Canonical B_d-orbit representative of I: pairs normalized to i < j and
     the tuple sorted; returns (sign, rep) or (0, None) when omega_I = 0
-    (repeated pair up to bar)."""
+    (repeated pair up to bar).  The sign is -1 per reversed pair and per swap
+    of the insertion sort."""
     sign = 1
-    canon = []
-    for p in I:
-        s, cp = canon_pair(p)
-        if s == 0:
+    rep: list = []
+    for i, j in I:
+        if i == j:
             return 0, None
-        sign *= s
-        canon.append(cp)
-    if len(set(canon)) < len(canon):
-        return 0, None
-    rep = tuple(sorted(canon))
-    sign *= sl5.perm_sign(sorted(range(len(canon)), key=lambda i: canon[i]))
-    return sign, rep
+        if i > j:
+            i, j = j, i
+            sign = -sign
+        k = len(rep)
+        while k and rep[k - 1] > (i, j):
+            k -= 1
+            sign = -sign
+        if k and rep[k - 1] == (i, j):
+            return 0, None
+        rep.insert(k, (i, j))
+    return sign, tuple(rep)
 
 
 # ---------------------------------------------------------------------------

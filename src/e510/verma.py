@@ -93,14 +93,23 @@ the denominators of Phi's coefficients, x . (D Phi) = D (x . Phi) vanishes
 exactly when x . Phi does; likewise the theta blocks are scaled by a
 positive integer and each degree equation is multiplied by 2 (degree 1) or
 4.  Scaling by a positive integer keeps zero-ness, so verdicts and
-diagnostics are those of rational arithmetic.  Invariance is decided on the
-5 root vectors x_i d_{i+1} (i = 1..4) and x_5 d_1, which generate sl5, once
-per Phi: the first check keeps the verdict on the MorphismData for the
-other; a failing Phi is reported at the first failing generator of all 20
-x_r d/dx_s in order.  Both actions are read through the column views
-action(r, s): the target's, and the source's rows as the columns of its
-dual(), with the sign flipped.  The degree equations of an invariant Phi
-are decided on the highest weight column v of F(lam): there they hold every
+diagnostics are those of rational arithmetic.  Invariance is decided once
+per Phi, and the first check keeps the verdict on the MorphismData for the
+other.  It rests on a frame lemma: Phi is L_0-invariant exactly when (i)
+every term of Phi(b_hw) has weight lam, (ii) the raisings x_i d_{i+1} (i =
+1..4) kill Phi(b_hw), and (iii) Phi(F_i b_p) = F_i Phi(b_p), F_i = x_{i+1}
+d_i, for the pairs (i, p) of a lowering frame of the source, whose images
+span each weight space below the top.  (i) and (ii) give an L_0-map psi
+with psi(b_hw) = Phi(b_hw), and (iii) makes Phi = psi by induction on
+depth.  The frame of a TensorModule is its provenance, and a DualModule
+finds one once by elimination.  x_1 d_2 is applied to every column first;
+then the frame decides, and only a Phi that fails it is scanned through the
+other 19 x_r d/dx_s, so a failing Phi is reported at the first failing
+generator of all 20 in order.  The actions are read through the column views
+action(r, s): the target's, and for a generator on the source its rows, as
+the columns of its dual(), with the sign flipped.  The degree equations of
+an invariant Phi are decided on the highest weight column v of F(lam):
+there they hold every
 coefficient of x_5 d_45 Phi(v), n+ kills Phi(v), and L_1 = U(n+) . x_5 d_45,
 so they make Phi a morphism, which satisfies them on every column.  Only a
 Phi that fails at v is evaluated on all columns, to name its first failing
@@ -883,47 +892,75 @@ def _gen_on_theta(phi: MorphismData, r: int, s: int, coeffs: dict):
             for m, cols in out.items() if any(cols.values())}
 
 
-# The 20 generators x_r d/dx_s (r != s) in diagnostic order, and the 5 root
-# vectors x_i d_{i+1} (i = 1..4) and x_5 d_1 in the same order.  The first
-# four generate n+, and the lowest root vector x_5 d_1 generates the
-# irreducible adjoint module under n+ (sl5 = U(n+) . E_51), so the five
-# generate sl5.  No four root vectors do: a root and its negative are not
-# both sums of four independent roots.
+# The 20 generators x_r d/dx_s (r != s) in diagnostic order.  Invariance is
+# decided on a lowering frame of the source (the frame lemma): Phi from
+# F(lam) is L_0-invariant exactly when (i) every term of Phi(b_hw) has weight
+# lam, (ii) the raisings x_i d_{i+1} (i = 1..4) kill Phi(b_hw), and (iii)
+# Phi(F_i b_p) = F_i Phi(b_p), F_i = x_{i+1} d_i, for each pair (i, p) of a
+# lowering frame, lowerings whose images span each weight space below the
+# top.  (i) and (ii) make Phi(b_hw) a highest weight vector of weight lam in
+# the finite-dimensional sl5-module M(mu)_d, so there is an L_0-map psi with
+# psi(b_hw) = Phi(b_hw); psi commutes with every F_i, so by (iii) Phi and psi
+# agree on each frame image, hence by induction on depth on every b_n.
 _ORDER = tuple((r, s) for r in range(1, 6) for s in range(1, 6) if r != s)
-_SIMPLE = tuple((r, s) for r, s in _ORDER if s == r % 5 + 1)
+
+
+def _frame_holds(phi: MorphismData, coeffs: dict) -> bool:
+    """Whether D Phi (coeffs, _clear_denominators(phi.coeffs)) meets (i)-(iii)
+    of the frame lemma (see _ORDER) but the x_1 d_2 part of (ii), which the
+    caller has applied to every column."""
+    columns: dict = {}  # n -> D Phi(b_n) as terms (monomial, target index) -> c
+    for m, cols in coeffs.items():
+        for n, col in cols.items():
+            terms = columns.setdefault(n, {})
+            for idx, c in col.items():
+                if c:
+                    terms[m, idx] = c
+    tgt = phi.target
+    top = VermaElement(tgt, phi.degree, columns.get(phi.source.hw_index, {}))
+    if any(sl5.wadd(uminus.monomial_weight(m), tgt.weight_of(idx)) != phi.lam
+           for m, idx in top.terms):
+        return False
+    if any(act_l0(i, i + 1, top).terms for i in range(2, 5)):
+        return False
+    for (i, p), coords in phi.source.lowering_frame():
+        out = act_l0(i + 1, i, VermaElement(tgt, phi.degree, columns.get(p, {}))).terms
+        for n, a in coords.items():
+            add_into(out, columns.get(n, {}), -a)
+        if out:
+            return False
+    return True
 
 
 def _equivariance_failure(phi: MorphismData):
     """The first (r, s, monomial) at which x_r d/dx_s . Phi is not zero, over
-    the 20 generators of L_0 in order, or None when Phi is invariant: the
+    the 20 generators of L_0 in _ORDER, or None when Phi is invariant: the
     verdict kept in phi.l0_failure, decided on the first call.
 
-    x -> x . Phi is a representation of sl5, so the x that kill Phi form a
-    subalgebra; the 5 root vectors of _SIMPLE generate sl5, so Phi is
-    invariant exactly when they kill it, and only they are applied to an
-    invariant Phi.  When one fails, the generators before it in _ORDER are
-    scanned, reusing the images already computed, for the first failure of
-    the 20."""
+    The scan applies x_1 d_2 to every column, then decides the rest of
+    invariance by the frame lemma (_frame_holds).  Only when the frame fails
+    does it go on through the other 19 generators to name the first failing
+    one; it raises ArithmeticError if none does, which the lemma rules out."""
     if phi.l0_failure is _UNDECIDED:
         coeffs = _clear_denominators(phi.coeffs)
-        images = {}
-        for g in _SIMPLE:
-            images[g] = _gen_on_theta(phi, *g, coeffs)
-            if images[g]:
+        for g in _ORDER:
+            if g == _ORDER[1] and _frame_holds(phi, coeffs):
+                failure = None
                 break
-        phi.l0_failure = None
-        if any(images.values()):
-            for g in _ORDER:
-                bad = images[g] if g in images else _gen_on_theta(phi, *g, coeffs)
-                if bad:
-                    phi.l0_failure = (*g, next(iter(bad)))
-                    break
+            bad = _gen_on_theta(phi, *g, coeffs)
+            if bad:
+                failure = (*g, next(iter(bad)))
+                break
+        else:
+            raise ArithmeticError("the lowering frame fails but the 20 generators of "
+                                  "L_0 kill Phi")
+        phi.l0_failure = failure
     return phi.l0_failure
 
 
 def check_morphism(phi: MorphismData):
-    """Morphism conditions: (a) L_0 . Phi = 0, decided on the 5 root vectors
-    of _SIMPLE, and (b) x5 d45 annihilates Phi(hw).  Returns (ok,
+    """Morphism conditions: (a) L_0 . Phi = 0, decided on a lowering frame of
+    the source, and (b) x5 d45 annihilates Phi(hw).  Returns (ok,
     diagnostics); a failure of (a) names the first failing generator of the
     20 x_r d/dx_s in order.  The invariance verdict is kept on phi, so
     verify_degree_equations on the same Phi does not decide it again."""

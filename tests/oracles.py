@@ -213,8 +213,8 @@ def equivariance_failure(phi):
     """The first (r, s, monomial) at which gen_on_theta(phi, r, s) is not
     zero, over all 20 generators x_r d/dx_s (r != s) in order, r then s, or
     None: the reference for verma._equivariance_failure, which decides
-    invariance on the 5 root vectors of verma._SIMPLE and keeps the verdict
-    on Phi."""
+    invariance on a lowering frame of the source and keeps the verdict on
+    Phi."""
     for r in range(1, 6):
         for s in range(1, 6):
             if r != s:
@@ -222,6 +222,23 @@ def equivariance_failure(phi):
                 if bad:
                     return r, s, next(iter(bad))
     return None
+
+
+def canonical_orbit_rep(I):
+    """(sign, rep) of uminus.canonical_orbit_rep by sorting: each pair
+    normalized to i < j, (0, None) for a pair (i, i) or a repeated pair, and
+    the sign of the permutation that sorts the normalized pairs."""
+    sign = 1
+    canon = []
+    for i, j in I:
+        if i == j:
+            return 0, None
+        sign *= 1 if i < j else -1
+        canon.append((min(i, j), max(i, j)))
+    if len(set(canon)) < len(canon):
+        return 0, None
+    order = sorted(range(len(canon)), key=lambda k: canon[k])
+    return sign * perm_sign_by_inversions(order), tuple(sorted(canon))
 
 
 def act_l0(r, s, w):

@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import e510
 
@@ -72,6 +75,36 @@ def test_invariance_passes_go_through_the_kept_verdict():
                                                    "verma.py:verify_degree_equations"}
     assert _referrers("l0_failure") == {"verma.py:MorphismData",
                                         "verma.py:_equivariance_failure"}
+
+
+def test_invariance_is_decided_on_the_lowering_frame():
+    # _equivariance_failure alone runs the frame check, which alone reads a
+    # source's lowering frame; a DualModule finds its frame by elimination
+    # once, and a TensorModule reads it from prov
+    assert _referrers("_frame_holds") == {"verma.py:_equivariance_failure"}
+    assert _referrers("lowering_frame") == {"verma.py:_frame_holds"}
+    assert _referrers("_eliminated_frame") == {"fmodules.py:lowering_frame"}
+    assert _referrers("_SIMPLE") == set()
+
+
+def test_frame_disagreement_raises_under_optimize():
+    # with asserts stripped (-O), a frame check that fails while the 20
+    # generators of L_0 kill Phi still raises ArithmeticError
+    prog = ("import sys\n"
+            "from e510 import verma\n"
+            "assert sys.flags.optimize\n"  # stripped: must not stop the check
+            "verma._frame_holds = lambda phi, coeffs: False\n"
+            "try:\n"
+            "    verma.check_morphism(verma.nabla_A(1, 0))\n"
+            "except ArithmeticError as exc:\n"
+            "    print('raised:', exc)\n"
+            "else:\n"
+            "    sys.exit('no error raised')\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", prog], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: the lowering frame fails")
 
 
 def test_degree_equations_are_decided_hw_column_first():

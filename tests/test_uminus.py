@@ -155,6 +155,27 @@ def test_omega_vanishing_on_repeats():
     assert um.omega(((3, 4), (1, 2), (4, 3))) == {}
 
 
+def test_canonical_orbit_rep_equals_the_sorting_reference():
+    # every index tuple of length <= 3 over the 25 ordered pairs, (i, i)
+    # included: the insertion sort gives the reference's sign and rep
+    pairs = list(itertools.product(range(1, 6), repeat=2))
+    tuples = [I for d in range(4) for I in itertools.product(pairs, repeat=d)]
+    assert len(tuples) == 16276
+    for I in tuples:
+        assert um.canonical_orbit_rep(I) == oracles.canonical_orbit_rep(I), I
+    assert um.canonical_orbit_rep(((2, 1), (1, 3))) == (-1, ((1, 2), (1, 3)))
+    assert um.canonical_orbit_rep(((3, 4), (1, 2), (4, 3))) == (0, None)
+
+
+def test_canonical_orbit_rep_is_the_omega_sign():
+    # omega_I = sign * omega_rep, and omega_I = 0 exactly when the sign is 0
+    pairs = list(itertools.product(range(1, 6), repeat=2))
+    for I in random.Random(5).sample(list(itertools.product(pairs, repeat=3)), 200):
+        sign, rep = um.canonical_orbit_rep(I)
+        want = u_scale(um.omega(rep), Q(sign)) if sign else {}
+        assert um.omega(I) == want, I
+
+
 def test_bd_act_examples():
     I = ((1, 2), (3, 4))
     ident = ((1, 2), (1, 1))

@@ -486,9 +486,9 @@ def test_gen_on_theta_matches_fraction_reference():
 
 
 def test_equivariance_failure_matches_the_ordered_scan():
-    # the verdict comes from the 5 root vectors of V._SIMPLE, the diagnostic
+    # the verdict comes from x_1 d_2 and the lowering frame, the diagnostic
     # is the first failing generator of all 20 in order: some controls fail
-    # first at x_1d3 or x_1d4, before any of the 5 but x_1d2 fails
+    # first at x_1d3 or x_1d4, right after the frame check
     corpus = []
     for chain, m, n in _CHAINS:
         phi = V.family_instance(chain, m, n)
@@ -505,39 +505,126 @@ def test_equivariance_failure_matches_the_ordered_scan():
     assert {(1, 3), (1, 4)} <= firsts
 
 
-def _lie_closure_dim(gens):
-    """Dimension of the Lie algebra generated by the 5x5 matrix units E_rs,
-    (r, s) in gens: each layer brackets every generator with the new elements
-    of the one before, until no bracket is new."""
-    def unit(r, s):
-        return {(r, s): 1}
-
-    def bracket(a, b):
-        # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
-        out: dict = {}
-        for (i, j), x in a.items():
-            for (k, l), y in b.items():
-                if j == k:
-                    out[i, l] = out.get((i, l), 0) + x * y
-                if l == i:
-                    out[k, j] = out.get((k, j), 0) - x * y
-        return out
-
-    span = RowReducer()
-    layer = [unit(*g) for g in gens if span.insert(unit(*g))]
-    while layer:
-        layer = [z for z in (bracket(unit(*g), y) for g in gens for y in layer)
-                 if span.insert(z)]
-    return span.rank
+# frame sources: F(lam) of dimension 5 to 280, with multiplicities up to 8
+_FRAME_WEIGHTS = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1),
+                  (2, 0, 1, 0), (1, 1, 1, 0)]
 
 
-def test_five_root_vectors_generate_sl5():
-    # invariance is decided on _SIMPLE alone: E12, E23, E34, E45 and E51
-    # generate all 24 dimensions of sl5, and no 4 of them do
-    assert V._SIMPLE == ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1))
-    assert _lie_closure_dim(V._SIMPLE) == 24
-    for four in itertools.combinations(V._SIMPLE, 4):
-        assert _lie_closure_dim(four) < 24
+def _lowering_coords(mod, i, p):
+    """Coordinates of x_{i+1} d/dx_i . b_p in mod's basis, from its action."""
+    return {n: c for n, c in mod.action(i + 1, i)[p].items() if c}
+
+
+@pytest.mark.parametrize("lam", _FRAME_WEIGHTS)
+def test_tensor_frame_is_the_prov_origins(lam):
+    # a built module's frame is what it was built from: one pair per vector
+    # below the top, (i, p) its prov origin and coords that lowering's
+    # coordinates (pc at the new vector, the trail at earlier ones); greedy
+    # elimination over the lowering columns finds the same pairs in order
+    mod = V.get_module(lam)
+    frame = mod.lowering_frame()
+    assert [pair for pair, _ in frame] == [origin for origin, _, _ in mod.prov[1:]]
+    for n, ((i, p), coords) in enumerate(frame, start=1):
+        assert coords == _lowering_coords(mod, i, p)
+        assert coords[n] == mod.prov[n][2] and max(coords) == n
+    assert [pair for pair, _ in mod._eliminated_frame()] == [pair for pair, _ in frame]
+    with pytest.raises(ValueError, match="not fully built"):
+        fm.TensorModule(lam).lowering_frame()
+
+
+def _depth(mod, nu):
+    return sum(sl5.dominated_depth(nu, mod.highest_weight))
+
+
+@pytest.mark.parametrize("lam", _FRAME_WEIGHTS)
+def test_dual_frame_spans_each_weight_space(lam):
+    # the dual's frame: columns of its own lowerings, from the weight space
+    # just above, in order of depth, as many in each weight space below the
+    # top as its dimension and independent there; kept in the store
+    dual = V.get_module(lam).dual()
+    frame = dual.lowering_frame()
+    assert dual.lowering_frame() is frame and len(frame) == dual.dim - 1
+    spans: dict = {}
+    depths = []
+    for (i, p), coords in frame:
+        assert coords == _lowering_coords(dual, i, p)
+        nu = sl5.wsub(dual.weight_of(p), sl5.SIMPLE_ROOTS[i - 1])
+        assert {dual.weight_of(n) for n in coords} == {nu}
+        assert spans.setdefault(nu, RowReducer()).insert(coords)
+        depths.append(_depth(dual, nu))
+    assert depths == sorted(depths) and depths[0] == 1
+    by_weight = collections.Counter(dual.weight_of(n) for n in range(dual.dim))
+    assert {nu: span.rank for nu, span in spans.items()} == \
+        {nu: k for nu, k in by_weight.items() if nu != dual.highest_weight}
+
+
+def _extended(phi, scaled):
+    """phi's highest weight image extended along the source's prov, as
+    morphism_from_singular does, but with the image of vector `scaled` taken
+    twice: every frame relation then holds except the one that made it."""
+    src = phi.source
+    images = [phi.hw_image()] + [None] * (src.dim - 1)
+    for n in range(1, src.dim):
+        (i, p), trail, pc = src.prov[n]
+        img = V.act_l0(i + 1, i, images[p])
+        for k, c in trail:
+            img = img.plus(images[k], -c)
+        images[n] = img.scaled(Q(2 if n == scaled else 1) / pc)
+    return V.MorphismData(phi.degree, phi.lam, phi.mu, src, phi.target,
+                          V._coeffs(img.terms for img in images))
+
+
+@pytest.mark.parametrize("chain,m,n", [("A", 1, 0), ("B", 0, 1), ("C", 0, 1), ("CA", 0, 0)])
+def test_frame_check_reads_every_frame_pair(chain, m, n):
+    # breaking the one frame relation that made vector n (its image doubled,
+    # the rest extended from it) fails the frame check, for every n; the
+    # first few of them get the reference's verdict too
+    phi = V.family_instance(chain, m, n)
+    assert V._frame_holds(phi, V._clear_denominators(phi.coeffs))
+    for k in range(1, phi.source.dim):
+        bad = _extended(phi, k)
+        assert not V._frame_holds(bad, V._clear_denominators(bad.coeffs)), k
+        if k <= 3:
+            got = V._equivariance_failure(bad)
+            assert got is not None and got == oracles.equivariance_failure(bad), k
+
+
+def _on_trivial_source(mu, pair, idx):
+    """Phi: F(0,0,0,0) -> M(mu)_1 with Phi(b_0) = d_pair (x) b_idx: an empty
+    frame, so only (i) and (ii) of the frame lemma can reject it."""
+    return V.MorphismData(1, (0, 0, 0, 0), mu, V.get_module((0, 0, 0, 0)), V.get_module(mu),
+                          {(ZD, (pair,)): {0: {idx: Q(1)}}}, tag=f"d{pair}")
+
+
+def test_frame_lemma_targeted_controls():
+    # x_1 d_2 kills both and the trivial source has an empty frame: d12 (x) b_0
+    # is a highest weight vector of weight (0,1,0,0), not lam = 0, so only
+    # (i) rejects it; d34 (x) b_2 in M(0,0,1,0) has weight 0 but x_2 d_3 does
+    # not kill it, so only (ii) does.  Both get the reference's diagnostic.
+    assert V.get_module((0, 0, 0, 0)).lowering_frame() == []
+    wrong_weight = _on_trivial_source((0, 0, 0, 0), (1, 2), 0)
+    not_highest = _on_trivial_source((0, 0, 1, 0), (3, 4), 2)
+    assert wrong_weight.hw_image().weight() == (0, 1, 0, 0)
+    assert not_highest.hw_image().weight() == (0, 0, 0, 0)
+    for bad, want in ((wrong_weight, (3, 1, (ZD, ((2, 3),)))),
+                      (not_highest, (1, 3, (ZD, ((1, 4),))))):
+        coeffs = V._clear_denominators(bad.coeffs)
+        assert not V._gen_on_theta(bad, 1, 2, coeffs)
+        assert not V._frame_holds(bad, coeffs)
+        assert oracles.equivariance_failure(bad) == want
+        r, s, mono = want
+        assert V.check_morphism(bad) == \
+            (False, f"L0 equivariance fails at x_{r}d{s}, monomial {um.format_monomial(mono)}")
+        assert V.verify_degree_equations(bad) == \
+            (False, f"precheck: L0 equivariance fails at x_{r}d{s}")
+
+
+def test_frame_and_generators_disagreeing_raises(monkeypatch):
+    # the lemma makes a failing frame check a failing generator; were it not
+    # so, the scan raises rather than call Phi invariant or name nothing
+    monkeypatch.setattr(V, "_frame_holds", lambda phi, coeffs: False)
+    with pytest.raises(ArithmeticError, match="lowering frame"):
+        V.check_morphism(_unchecked(V.nabla_A(1, 0)))
 
 
 def _unchecked(phi):
@@ -546,27 +633,32 @@ def _unchecked(phi):
 
 
 def test_checks_decide_invariance_once(monkeypatch):
-    # the first check keeps the verdict on Phi: an invariant Phi costs the 5
-    # generators of _SIMPLE once for both checks, and a failing one costs the
-    # second check nothing
+    # the first check keeps the verdict on Phi: an invariant Phi costs one
+    # x_1 d_2 pass and one frame check for both checks, and a failing one
+    # costs the second check nothing
     A = V.nabla_A(1, 0)
     invariant = [A, V.family_instance("CA"), V.family_instance("CBA"), V.dual_morphism(A)]
     assert [phi.degree for phi in invariant] == [1, 2, 3, 1]
     control = V.perturbed_controls(V.family_instance("BA", 1), 1, seed=7)[0]
     calls = []
-    real = V._gen_on_theta
+    real, real_frame = V._gen_on_theta, V._frame_holds
 
     def counted(phi, r, s, coeffs):
         calls.append((r, s))
         return real(phi, r, s, coeffs)
 
+    def counted_frame(phi, coeffs):
+        calls.append("frame")
+        return real_frame(phi, coeffs)
+
     monkeypatch.setattr(V, "_gen_on_theta", counted)
+    monkeypatch.setattr(V, "_frame_holds", counted_frame)
     for phi in invariant:
         calls.clear()
         checked = _unchecked(phi)
         assert V.check_morphism(checked) == (True, "ok")
         assert V.verify_degree_equations(checked) == (True, "ok")
-        assert calls == [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
+        assert calls == [(1, 2), "frame"]
         assert checked == _unchecked(phi) and repr(checked) == repr(_unchecked(phi))
     checked = _unchecked(control)
     assert not V.check_morphism(checked)[0]
@@ -638,8 +730,8 @@ def _int_morphism(phi, coeffs):
        st.randoms(use_true_random=False))
 def test_gen_on_theta_commutator_law(which, perm, bump, rng):
     # x -> x . Phi is a representation of L_0: [x_r d_s, x_s d_t] = x_r d_t
-    # acts as the commutator of the two actions, which is why invariance
-    # under the 5 root vectors of V._SIMPLE is invariance under all 20
+    # acts as the commutator of the two actions, so the generators that kill
+    # Phi form a subalgebra
     phi = (_small_morphisms() + _small_duals())[which]
     r, s, t = perm[:3]
     bad = _scaled(phi, 1)
@@ -678,14 +770,14 @@ def test_checks_leave_lazy_target_as_reference(mu, d):
     before = list(phi.target.spaces)
     assert V.check_morphism(phi) == (True, "ok")
     assert V.verify_degree_equations(phi) == (True, "ok")
-    assert list(phi.target.spaces) != before  # the checks did build spaces
+    assert list(phi.target.spaces) == before  # the checks built no space
     # the rational path: all 20 generators and x5 d45, then the precheck of
     # verify_degree_equations (its equations, decided on the highest weight
     # column, read only target indices of that column's theta blocks,
-    # combinations of the Phi columns already read).  The checks
-    # decide invariance once, on the 5 root vectors of V._SIMPLE, so they look
-    # up fewer weights outside the module; those spaces are empty and number
-    # nothing
+    # combinations of the Phi columns already read).  The checks decide
+    # invariance once, on x_1 d_2 and the source's lowering frame, so they
+    # look up fewer weights outside the module; those spaces are empty and
+    # number nothing
     def generators():
         for r, s in _GENERATORS:
             assert not oracles.gen_on_theta(ref, r, s)
