@@ -22,7 +22,7 @@ import struct
 import weakref
 
 from . import sl5
-from .linalg import RowReducer, UnluckyPrime, add_into, add_term, as_int, exact_div, to_fp
+from .linalg import RowReducer, add_into, add_term, as_int, exact_div, to_fp
 from .uminus import PAIRS
 
 N_GEN = 30
@@ -274,16 +274,16 @@ class TensorModule(_ActingModule):
         self._full = False
         self._derived: dict = {}
 
-    # Its derived caches, over Q and over F_p: "act" (r, s, weight) -> action
-    # columns (over F_p only for r + 1 != s), "actions" (r, s) -> their
-    # ActionColumns view (Q only), "bases" weight -> the basis reduced mod p
-    # (F_p only), "lower" (i, idx) -> what ensure_weight found for the
-    # lowering x_{i+1} d/dx_i . v_idx, the index of the vector it became or
-    # its [(index, coordinate)] when it was in the span (Q only), "raising" j -> idx ->
-    # the coordinates of x_j d/dx_{j+1} . v_idx that _raising reads from
-    # "lower" (Q only), and from the singular search "stack" weight ->
-    # factored raising maps and "zterm" (x_5 d_t op, index) -> ambient image;
-    # "dual" None -> its DualModule (see dual()).
+    # Its derived caches, over Q only unless said: "act" (r, s, weight) ->
+    # action columns, "actions" (r, s) -> their ActionColumns view, "bases"
+    # weight -> the basis reduced mod p (F_p only), "lower" (i, idx) -> what
+    # ensure_weight found for the lowering x_{i+1} d/dx_i . v_idx, the index
+    # of the vector it became or its [(index, coordinate)] when it was in the
+    # span, "raising" j -> idx -> the coordinates of x_j d/dx_{j+1} . v_idx
+    # that _raising reads from "lower", and from the singular search, over Q
+    # and over F_p, "stack" weight -> factored raising maps and "zterm"
+    # (x_5 d_t op, index) -> ambient image; "dual" None -> its DualModule
+    # (see dual()).
 
     # -- construction -----------------------------------------------------
 
@@ -323,8 +323,7 @@ class TensorModule(_ActingModule):
     def fp_basis(self, nu, p: int) -> dict:
         """The basis of the built weight space nu reduced mod p, index ->
         vector, made once and cached.  Raises UnluckyPrime unless every
-        vector is p-integral: only then are coordinates mod p the rational
-        ones reduced."""
+        vector is p-integral."""
         bases = self.cache("bases", p)
         got = bases.get(nu)
         if got is None:
@@ -333,17 +332,15 @@ class TensorModule(_ActingModule):
                                for idx in self.spaces[nu]}
         return got
 
-    def _reduce(self, nu, vec, *, p: int | None = None):
+    def _reduce(self, nu, vec):
         """Reduce an ambient vector by the basis of the weight space nu, least
         monomial first, until the least monomial is no basis vector's pivot.
         Returns (residual, trail), trail being the [(index, coefficient)]
         subtracted, each coefficient an int where integral; the residual is
-        empty when vec lies in the space.  With a modulus p, vec and the basis
-        are over F_p; pivots are 1 there too, so nothing is divided."""
+        empty when vec lies in the space."""
         residual = dict(vec)
         trail = []
         piv = self.pivots.get(nu, {})
-        basis = self.vectors if p is None else self.fp_basis(nu, p)
         while residual:
             mkey = min(residual)
             hit = piv.get(mkey)
@@ -351,7 +348,7 @@ class TensorModule(_ActingModule):
                 break
             c = as_int(residual[mkey])
             trail.append((hit, c))
-            add_into(residual, basis[hit], -c, p)
+            add_into(residual, self.vectors[hit], -c)
         return residual, trail
 
     def _insert(self, nu, vec, origin):
@@ -374,13 +371,11 @@ class TensorModule(_ActingModule):
         self.prov.append((origin, trail, pc))
         return n
 
-    def coords(self, nu, vec, *, p: int | None = None) -> dict:
-        """Coordinates of an ambient vector lying in the weight space nu (over
-        F_p with a modulus p, where a residual raises UnluckyPrime)."""
-        residual, trail = self._reduce(tuple(nu), vec, p=p)
+    def coords(self, nu, vec) -> dict:
+        """Coordinates of an ambient vector lying in the weight space nu."""
+        residual, trail = self._reduce(tuple(nu), vec)
         if residual:
-            error = ArithmeticError if p is None else UnluckyPrime
-            raise error(f"vector not inside weight space {nu}")
+            raise ArithmeticError(f"vector not inside weight space {nu}")
         return dict(trail)
 
     def build_full(self):
@@ -442,54 +437,29 @@ class TensorModule(_ActingModule):
             duals[None] = DualModule(self)
         return duals[None]
 
-    def act_entries(self, r: int, s: int, nu, *, p: int | None = None) -> dict:
+    def act_entries(self, r: int, s: int, nu) -> dict:
         """Column map idx -> {idx': scalar} of x_r d/dx_s on the weight space
-        nu, or with a modulus p the same map over F_p.  Both build the same
-        weight spaces in the same order: the target's, then nu's.
-
-        A raising x_j d/dx_{j+1} is read from the lowering record
-        (_raising), and over F_p those rational columns are reduced mod p.
-        They are the columns the basis mod p gives, with the same
-        UnluckyPrime triggers: fp_basis(nu, p) for a non-empty nu, and
-        fp_basis(target, p) once a column is not 0 mod p.  Coordinates in a
-        p-integral basis with pivots 1 are p-integral, so no residual is left
-        mod p; a target basis that is not p-integral keeps the ambient path,
-        which raises exactly when an image is not 0 mod p.  Every other
-        generator, and every F_p column there, is computed from the basis
-        vectors (mod p) and reduced in the target's basis."""
+        nu, over Q; it builds the target's weight space, then nu's.  A
+        raising x_j d/dx_{j+1} is read from the lowering record (_raising);
+        every other generator acts on the basis vectors, and each image is
+        reduced in the target's basis."""
         key = (r, s, tuple(nu))
-        cache = self.cache("act", p)
+        cache = self.cache("act")
         got = cache.get(key)
         if got is not None:
             return got
         target = sl5.wadd(nu, gen_shift(r, s))
         self.ensure_weight(target)
         idxs = self.ensure_weight(nu)
-        if s == r + 1 and (p is None or self._p_integral(target, p)):
-            cols = self._raising(r, key[2]) if idxs else {}
-            if p is None:
-                cache[key] = cols
-                return cols
-            if idxs:
-                self.fp_basis(nu, p)
-            cols = {idx: {k: v for k, c in col.items() if (v := to_fp(c, p))}
-                    for idx, col in cols.items()}
-            if any(cols.values()):
-                self.fp_basis(target, p)
-            # not cached: _stacked_solver keeps the factorisation
-            return cols
-        cols = {}
-        for idx in idxs:
-            img = glact_vector(r, s, self.vector(idx, p=p), p=p)
-            cols[idx] = self.coords(target, img, p=p) if img else {}
+        if s == r + 1:
+            cols = self._raising(r, key[2])
+        else:
+            cols = {}
+            for idx in idxs:
+                img = glact_vector(r, s, self.vectors[idx])
+                cols[idx] = self.coords(target, img) if img else {}
         cache[key] = cols
         return cols
-
-    def _p_integral(self, nu, p: int) -> bool:
-        """Whether fp_basis(nu, p) exists, found without making it."""
-        return nu in self.cache("bases", p) or all(
-            type(c) is int or c.denominator % p
-            for idx in self.spaces[nu] for c in self.vectors[idx].values())
 
     def _raising(self, j: int, nu) -> dict:
         """idx -> coordinates of x_j d/dx_{j+1} . v_idx for every idx of the

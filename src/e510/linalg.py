@@ -51,8 +51,11 @@ def format_scalar(x: Q) -> str:
 
 class UnluckyPrime(ZeroDivisionError):
     """p divides a denominator of the rational computation being reduced mod
-    p, so its F_p image does not exist: seen as a rational that is not
-    p-integral, a rank that drops mod p, or a residual left mod p."""
+    p, so its F_p image does not exist: a rank drops mod p, or a rational is
+    not p-integral.  The sieve checks the basis of a weight space whose
+    raising columns it reads, their coordinates, and their target's basis
+    once a column is not 0 mod p; with every column 0 the target basis is
+    not needed, as A mod p is still the reduction of a p-integral A."""
 
 
 def to_fp(x, p: int) -> int:

@@ -29,17 +29,16 @@ its own: the basis vectors reduced mod p once (their denominators are at most
 2), the raising columns reduced mod p, the z-term images computed from the
 basis mod p by the integer tensor action (pivots are 1, so nothing is
 divided), and the stacked raising solver factored by RowReducer(p).  All
-but the solver are the rational data reduced mod p: coordinates mod p are
-the rational ones reduced because the whole basis of the space they are
-taken in is reduced first.  The raising columns come from the module's
-lowering record (TensorModule.act_entries): F(mu) is built by lowering, so
-[E_j, F_i] = delta_ij H_i gives them from the coordinates of the lowering
-images, with no ambient vector acted on.  The PBW side is shared: both
-passes read the one int table per degree of _degree_tables, and add_into
-reduces a coefficient mod p as it scales by it.  Each candidate's levels
-come from _level_plan(d, lam - mu), made once per degree and lam - mu and
-shared by every mu: nu = lam - w lies at depth sum(root_coefficients(w -
-(lam - mu))) below mu.  Only survivors, lifted again over Q, build the
+but the solver are the rational data reduced mod p: _raising_columns
+reduces the module's rational raising columns, which come from its lowering
+record (TensorModule.act_entries): F(mu) is built by lowering, so [E_j, F_i]
+= delta_ij H_i gives them from the coordinates of the lowering images, with
+no ambient vector acted on.  The PBW side is shared: both passes read the
+one int table per degree of _degree_tables, and add_into reduces a
+coefficient mod p as it scales by it.  Each candidate's levels come from
+_level_plan(d, lam - mu), made once per degree and lam - mu and shared by
+every mu: nu = lam - w lies at depth sum(root_coefficients(w - (lam - mu)))
+below mu.  Only survivors, lifted again over Q, build the
 rational solver and z-term images; the Q pass alone produces and verifies
 the vectors.
 
@@ -52,10 +51,13 @@ already imposed, so the span of the constraints is the reduction of the
 rational span, and reduction mod p cannot raise a rank: a constraint rank mod
 p that reaches the number L of leading monomials proves the candidate dead
 over Q.  Where p cannot decide, UnluckyPrime sends the candidate to the Q
-pass: fp_basis meets a denominator divisible by p in a basis vector (the
-PBW coefficients of the L_0 and L_1 actions are ints, so they raise
-nothing); an F_p coordinate computation leaves a residual; or the F_p rank
-of a stacked system falls short of the dimension of its weight space.
+pass (the int PBW coefficients raise nothing): p divides a denominator in
+the basis of a weight space whose raising columns are read, in one of their
+coordinates, or in their target's basis once a column is not 0 mod p
+(_raising_columns); or a stacked system's F_p rank falls short of the
+dimension of its weight space.  With every column 0 mod p the target's
+basis is not needed: the argument asks only that A mod p be the reduction of
+a p-integral A.
 
 The sieve builds the lazy module through the same ensure_weight calls as the
 exact lifting, in the same order (each weight space, then its raising
@@ -126,7 +128,7 @@ from functools import lru_cache, partial
 
 from . import fmodules, sl5, uminus
 from .fmodules import TensorModule, glact_vector
-from .linalg import RowReducer, UnluckyPrime, add_into, add_term, format_scalar, parse_scalar
+from .linalg import RowReducer, UnluckyPrime, add_into, add_term, format_scalar, parse_scalar, to_fp
 
 ZDEL = uminus.ZERO_DEL
 
@@ -360,7 +362,7 @@ def _stacked_solver(mod: TensorModule, nu, *, p: int | None = None):
         target = sl5.wadd(nu, sl5.SIMPLE_ROOTS[i - 1])
         for tidx in mod.ensure_weight(target):
             rows[(i, tidx)] = {}
-        entries = mod.act_entries(i, i + 1, nu, p=p)
+        entries = _raising_columns(mod, i, nu, p)
         for col in cols:
             for tidx, val in entries[col].items():
                 rows[(i, tidx)][col] = val
@@ -373,6 +375,23 @@ def _stacked_solver(mod: TensorModule, nu, *, p: int | None = None):
         raise error(f"raising maps not injective on weight space {nu}")
     got = cache[nu] = ({pc: red.combs[pc] for pc in sorted(red.pivots)}, red.relations)
     return got
+
+
+def _raising_columns(mod: TensorModule, i: int, nu, p: int | None) -> dict:
+    """mod.act_entries(i, i + 1, nu), or with a modulus p those rational
+    columns reduced mod p, raising UnluckyPrime from fp_basis(nu, p) for a
+    non-empty nu, then to_fp, then fp_basis(target, p) once a column is not
+    0 mod p (see the module docstring)."""
+    cols = mod.act_entries(i, i + 1, nu)
+    if p is None:
+        return cols
+    if cols:
+        mod.fp_basis(nu, p)
+    cols = {idx: {k: v for k, c in col.items() if (v := to_fp(c, p))}
+            for idx, col in cols.items()}
+    if any(cols.values()):
+        mod.fp_basis(sl5.wadd(nu, sl5.SIMPLE_ROOTS[i - 1]), p)
+    return cols
 
 
 def singular_vectors(mu, d: int, module: TensorModule | None = None):
@@ -1118,58 +1137,61 @@ def _equations_deg2(phi: MorphismData, table: dict):
 
 
 def _equations_deg3(phi: MorphismData, table: dict):
-    """The degree-3 equations (3)-(6), each multiplied by 4."""
+    """The degree-3 equations (3)-(6), each multiplied by 4, at each Q =
+    (p, q) on one orientation (a, b, c) of the other letters.  (a, c, b)
+    adds nothing: its cyclic terms reverse each pair of I, under which
+    _x_theta is odd, and flip eps, so its (5) is minus this one; in its (6)
+    the flips cancel and theta_{ac,cb,ba} = theta_{ab,bc,ca} (three reversed
+    pairs, one odd reordering); its (4) at a letter is this (4) there with
+    the other two letters swapped, whose theta terms trade places; and (3)
+    does not depend on the orientation."""
     pairs1 = list(uminus.PAIRS)
     for p, q in itertools.permutations(range(1, 6), 2):
-        rest = [x for x in range(1, 6) if x not in (p, q)]
-        for ori in (tuple(rest), (rest[0], rest[2], rest[1])):
-            a, b, c = ori
-            eps = _perm_eps(p, q, a, b, c)
-            # (5): sum_cyc x_p d gamma . theta^p_{alpha beta} = 0
-            acc5: dict = {}
-            # (6): eps * sum_cyc x_p d gamma . theta^q_{alpha beta} - 1/2 theta_{ab,bc,ca}
-            acc6: dict = {}
-            for al, be, ga in _cyclic(a, b, c):
-                _x_theta(acc5, phi, table, (p,), ((al, be),), p, ga, 2)
-                _x_theta(acc6, phi, table, (q,), ((al, be),), p, ga, 2 * eps)
-            th, sg = _theta_lookup(table, (), ((a, b), (b, c), (c, a)))
-            _mat_add(acc6, th, -2 * sg)
-            if any(col for col in acc5.values()):
-                return False, f"degree-3 equation (5) fails at Q=({p},{q})"
-            if any(col for col in acc6.values()):
-                return False, f"degree-3 equation (6) fails at Q=({p},{q})"
-            # (4): for each choice of the distinguished letter a
-            for aa, bb, cc in _cyclic(a, b, c):
-                acc4: dict = {}
-                th, sg = _theta_lookup(table, (), ((aa, bb), (bb, cc), (cc, q)))
-                _mat_add(acc4, th, sg)
-                th, sg = _theta_lookup(table, (), ((aa, cc), (cc, bb), (bb, q)))
-                _mat_add(acc4, th, sg)
-                for al, be, ga in _cyclic(aa, bb, cc):
-                    _x_theta(acc4, phi, table, (aa,), ((al, be),), p, ga, 2 * eps)
-                if any(col for col in acc4.values()):
-                    return False, f"degree-3 equation (4) fails at Q=({p},{q}), a={aa}"
-            # (3): coefficients of the omega_{H,L} basis, H < L canonical;
-            # theta^p terms appear on the orbits containing the Q pair, with
-            # the orientation and slot-swap signs of omega_{., Q}.
-            if ori != tuple(rest):
-                continue  # the (H, L) equations do not depend on orientation choice
-            qsign, qc = uminus.canon_pair((p, q))
-            for hi in range(len(pairs1)):
-                for li in range(hi + 1, len(pairs1)):
-                    H, Lp = pairs1[hi], pairs1[li]
-                    acc3: dict = {}
-                    if Lp == qc:
-                        th, sg = _theta_lookup(table, (p,), (H,))
-                        _mat_add(acc3, th, 4 * qsign * sg)
-                    if H == qc:
-                        th, sg = _theta_lookup(table, (p,), (Lp,))
-                        _mat_add(acc3, th, -4 * qsign * sg)
-                    for al, be, ga in _cyclic(a, b, c):
-                        _x_theta(acc3, phi, table, (), ((al, be), H, Lp), p, ga, 2 * eps)
-                    if any(col for col in acc3.values()):
-                        return False, (f"degree-3 equation (3) fails at Q=({p},{q}), "
-                                       f"H={H}, L={Lp}")
+        a, b, c = [x for x in range(1, 6) if x not in (p, q)]
+        eps = _perm_eps(p, q, a, b, c)
+        # (5): sum_cyc x_p d gamma . theta^p_{alpha beta} = 0
+        acc5: dict = {}
+        # (6): eps * sum_cyc x_p d gamma . theta^q_{alpha beta} - 1/2 theta_{ab,bc,ca}
+        acc6: dict = {}
+        for al, be, ga in _cyclic(a, b, c):
+            _x_theta(acc5, phi, table, (p,), ((al, be),), p, ga, 2)
+            _x_theta(acc6, phi, table, (q,), ((al, be),), p, ga, 2 * eps)
+        th, sg = _theta_lookup(table, (), ((a, b), (b, c), (c, a)))
+        _mat_add(acc6, th, -2 * sg)
+        if any(col for col in acc5.values()):
+            return False, f"degree-3 equation (5) fails at Q=({p},{q})"
+        if any(col for col in acc6.values()):
+            return False, f"degree-3 equation (6) fails at Q=({p},{q})"
+        # (4): for each choice of the distinguished letter a
+        for aa, bb, cc in _cyclic(a, b, c):
+            acc4: dict = {}
+            th, sg = _theta_lookup(table, (), ((aa, bb), (bb, cc), (cc, q)))
+            _mat_add(acc4, th, sg)
+            th, sg = _theta_lookup(table, (), ((aa, cc), (cc, bb), (bb, q)))
+            _mat_add(acc4, th, sg)
+            for al, be, ga in _cyclic(aa, bb, cc):
+                _x_theta(acc4, phi, table, (aa,), ((al, be),), p, ga, 2 * eps)
+            if any(col for col in acc4.values()):
+                return False, f"degree-3 equation (4) fails at Q=({p},{q}), a={aa}"
+        # (3): coefficients of the omega_{H,L} basis, H < L canonical;
+        # theta^p terms appear on the orbits containing the Q pair, with
+        # the orientation and slot-swap signs of omega_{., Q}.
+        qsign, qc = uminus.canon_pair((p, q))
+        for hi in range(len(pairs1)):
+            for li in range(hi + 1, len(pairs1)):
+                H, Lp = pairs1[hi], pairs1[li]
+                acc3: dict = {}
+                if Lp == qc:
+                    th, sg = _theta_lookup(table, (p,), (H,))
+                    _mat_add(acc3, th, 4 * qsign * sg)
+                if H == qc:
+                    th, sg = _theta_lookup(table, (p,), (Lp,))
+                    _mat_add(acc3, th, -4 * qsign * sg)
+                for al, be, ga in _cyclic(a, b, c):
+                    _x_theta(acc3, phi, table, (), ((al, be), H, Lp), p, ga, 2 * eps)
+                if any(col for col in acc3.values()):
+                    return False, (f"degree-3 equation (3) fails at Q=({p},{q}), "
+                                   f"H={H}, L={Lp}")
     return True, "ok"
 
 

@@ -224,6 +224,64 @@ def equivariance_failure(phi):
     return None
 
 
+def equations_deg3(phi, table):
+    """verma._equations_deg3 as it was written before it kept one
+    orientation: (5), (6) and (4) checked for both orientations (a, b, c) and
+    (a, c, b) of the letters outside Q = (p, q), (3) for the first only.
+    The reference that pins dropping the second orientation, verdict and
+    diagnostic."""
+    import itertools
+
+    from e510 import uminus
+    from e510.verma import _cyclic, _mat_add, _perm_eps, _theta_lookup, _x_theta
+
+    pairs1 = list(uminus.PAIRS)
+    for p, q in itertools.permutations(range(1, 6), 2):
+        rest = [x for x in range(1, 6) if x not in (p, q)]
+        for ori in (tuple(rest), (rest[0], rest[2], rest[1])):
+            a, b, c = ori
+            eps = _perm_eps(p, q, a, b, c)
+            acc5, acc6 = {}, {}
+            for al, be, ga in _cyclic(a, b, c):
+                _x_theta(acc5, phi, table, (p,), ((al, be),), p, ga, 2)
+                _x_theta(acc6, phi, table, (q,), ((al, be),), p, ga, 2 * eps)
+            th, sg = _theta_lookup(table, (), ((a, b), (b, c), (c, a)))
+            _mat_add(acc6, th, -2 * sg)
+            if any(col for col in acc5.values()):
+                return False, f"degree-3 equation (5) fails at Q=({p},{q})"
+            if any(col for col in acc6.values()):
+                return False, f"degree-3 equation (6) fails at Q=({p},{q})"
+            for aa, bb, cc in _cyclic(a, b, c):
+                acc4 = {}
+                th, sg = _theta_lookup(table, (), ((aa, bb), (bb, cc), (cc, q)))
+                _mat_add(acc4, th, sg)
+                th, sg = _theta_lookup(table, (), ((aa, cc), (cc, bb), (bb, q)))
+                _mat_add(acc4, th, sg)
+                for al, be, ga in _cyclic(aa, bb, cc):
+                    _x_theta(acc4, phi, table, (aa,), ((al, be),), p, ga, 2 * eps)
+                if any(col for col in acc4.values()):
+                    return False, f"degree-3 equation (4) fails at Q=({p},{q}), a={aa}"
+            if ori != tuple(rest):
+                continue
+            qsign, qc = uminus.canon_pair((p, q))
+            for hi in range(len(pairs1)):
+                for li in range(hi + 1, len(pairs1)):
+                    H, Lp = pairs1[hi], pairs1[li]
+                    acc3 = {}
+                    if Lp == qc:
+                        th, sg = _theta_lookup(table, (p,), (H,))
+                        _mat_add(acc3, th, 4 * qsign * sg)
+                    if H == qc:
+                        th, sg = _theta_lookup(table, (p,), (Lp,))
+                        _mat_add(acc3, th, -4 * qsign * sg)
+                    for al, be, ga in _cyclic(a, b, c):
+                        _x_theta(acc3, phi, table, (), ((al, be), H, Lp), p, ga, 2 * eps)
+                    if any(col for col in acc3.values()):
+                        return False, (f"degree-3 equation (3) fails at Q=({p},{q}), "
+                                       f"H={H}, L={Lp}")
+    return True, "ok"
+
+
 def canonical_orbit_rep(I):
     """(sign, rep) of uminus.canonical_orbit_rep by sorting: each pair
     normalized to i < j, (0, None) for a pair (i, i) or a repeated pair, and
@@ -319,10 +377,11 @@ def glact_vector(r, s, vec, p=None):
 
 
 def raising_columns(mod, i, nu, p=None):
-    """mod.act_entries(i, i + 1, nu, p=p) as the ambient loop computed it:
-    the target's weight space built, then nu's, each basis vector (reduced
-    mod p when p is given) acted on by x_i d/dx_{i+1} in the tensor space
-    (glact_vector above) and its image reduced in the target's basis."""
+    """The columns of x_i d/dx_{i+1} on the weight space nu as the ambient
+    loop computed them: the target's weight space built, then nu's, each
+    basis vector (reduced mod p when p is given) acted on in the tensor
+    space (glact_vector above) and its image reduced in the target's basis
+    (coords below)."""
     from e510 import fmodules, sl5
 
     target = sl5.wadd(nu, fmodules.gen_shift(i, i + 1))
@@ -330,8 +389,28 @@ def raising_columns(mod, i, nu, p=None):
     cols = {}
     for idx in mod.ensure_weight(nu):
         img = glact_vector(i, i + 1, mod.vector(idx, p=p), p)
-        cols[idx] = mod.coords(target, img, p=p) if img else {}
+        cols[idx] = coords(mod, target, img, p) if img else {}
     return cols
+
+
+def coords(mod, nu, vec, p=None):
+    """mod.coords(nu, vec), or with a modulus p the coordinates over F_p in
+    the basis reduced mod p (pivots are 1, so nothing is divided), least
+    monomial first; a residual left mod p raises UnluckyPrime."""
+    from e510.linalg import UnluckyPrime
+
+    if p is None:
+        return mod.coords(nu, vec)
+    residual, trail = dict(vec), []
+    piv, basis = mod.pivots.get(nu, {}), mod.fp_basis(nu, p)
+    while residual:
+        hit = piv.get(min(residual))
+        if hit is None:
+            raise UnluckyPrime(f"vector not inside weight space {nu}")
+        c = residual[min(residual)]
+        trail.append((hit, c))
+        add_into(residual, basis[hit], -c, p)
+    return dict(trail)
 
 
 def fp_view(mod, p, solver, zimage):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from e510 import fmodules as fm
 from e510 import sl5
+from e510.linalg import UnluckyPrime, to_fp
 
 
 def mono(**kw):
@@ -549,7 +550,7 @@ def _typed(cols):
 def _outcome(fn, *args, **kwargs):
     try:
         return _typed(fn(*args, **kwargs))
-    except fm.UnluckyPrime:
+    except UnluckyPrime:
         return "unlucky"
 
 
@@ -582,9 +583,9 @@ def test_raising_columns_match_the_ambient_loop(kind, spec):
         for nu in weights:
             for i in range(1, 5):
                 want = _outcome(oracles.raising_columns, ref, i, nu, p)
-                assert _outcome(own.act_entries, i, i + 1, nu, p=p) == want
+                assert _outcome(verma._raising_columns, own, i, nu, p) == want
                 assert set(own.cache("bases", p)) == set(ref.cache("bases", p))
-                assert _outcome(mod.act_entries, i, i + 1, nu, p=p) == want
+                assert _outcome(verma._raising_columns, mod, i, nu, p) == want
         assert list(own.spaces) == list(ref.spaces)
         assert list(own.spaces)[:len(weights)] == weights
 
@@ -599,10 +600,46 @@ def test_raising_columns_build_spaces_as_the_ambient_loop_did():
         ref, own = fm.TensorModule((0, 0, 1, 1)), fm.TensorModule((0, 0, 1, 1))
         for nu in reversed(weights):
             for i in (4, 1, 3, 2):
-                assert _outcome(own.act_entries, i, i + 1, nu, p=p) == \
+                assert _outcome(verma._raising_columns, own, i, nu, p) == \
                     _outcome(oracles.raising_columns, ref, i, nu, p)
                 assert list(own.spaces) == list(ref.spaces)
                 assert own.vectors == ref.vectors and own.prov == ref.prov
+
+
+# F_2 raisings x_i d/dx_{i+1} into a target whose basis is not 2-integral and
+# which every column misses mod 2: lam -> [(target, i)]
+_ZERO_INTO_UNLUCKY = {(1, 0, 0, 2): [((-1, 0, 0, 0), 1)],
+                      (0, 1, 0, 2): [((2, -1, 0, 0), 2), ((-1, -1, 1, 0), 1),
+                                     ((-1, 0, -1, 1), 1), ((-1, 0, 0, -1), 1)]}
+
+
+def test_fp_raising_columns_need_a_target_basis_only_for_a_nonzero_column():
+    # over F_2 the sieve's raising columns raise UnluckyPrime on all four
+    # raisings into weight (1, 0, 0, 0) of F(2,0,0,1), as the ambient loop
+    # does; but where every column into a target whose basis is not
+    # 2-integral is 0 mod 2, they are the rational columns reduced, while the
+    # ambient loop, which reduces that basis, raises
+    from e510 import verma
+
+    mod = fm.build_irreducible((2, 0, 0, 1))
+    for i in range(1, 5):
+        nu = sl5.wsub((1, 0, 0, 0), sl5.SIMPLE_ROOTS[i - 1])
+        assert mod.spaces[nu]
+        ref, own = (pickle.loads(pickle.dumps(mod)) for _ in range(2))
+        assert _outcome(oracles.raising_columns, ref, i, nu, 2) == "unlucky"
+        assert _outcome(verma._raising_columns, own, i, nu, 2) == "unlucky"
+    for lam, cases in _ZERO_INTO_UNLUCKY.items():
+        mod = fm.build_irreducible(lam)
+        for target, i in cases:
+            nu = sl5.wsub(target, sl5.SIMPLE_ROOTS[i - 1])
+            ref, own = (pickle.loads(pickle.dumps(mod)) for _ in range(2))
+            assert _outcome(oracles.raising_columns, ref, i, nu, 2) == "unlucky"
+            with pytest.raises(UnluckyPrime):
+                own.fp_basis(target, 2)
+            got = verma._raising_columns(own, i, nu, 2)
+            assert got == {idx: {k: v for k, c in col.items() if (v := to_fp(c, 2))}
+                           for idx, col in mod.act_entries(i, i + 1, nu).items()}
+            assert got and not any(got.values()) and any(mod.act_entries(i, i + 1, nu).values())
 
 
 def test_raising_reads_only_built_spaces():

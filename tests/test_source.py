@@ -180,3 +180,28 @@ def test_raising_columns_come_from_the_lowering_record():
     assert memo and len(memo) == len(inside)
     names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(raising)}
     assert "ensure_weight" not in names
+
+
+def _signatures(path_name, name):
+    """The parameter names of every def called name in the file, in order."""
+    tree = ast.parse((SRC / path_name).read_text(), path_name)
+    return [[a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+            + [a.arg for a in (node.args.vararg, node.args.kwarg) if a]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == name]
+
+
+def test_module_action_is_rational_and_fp_raising_is_reduced_in_one_place():
+    # both act_entries, coords and _reduce take no modulus, so F_p reaches a
+    # module only through fp_basis, vector and _zimage; _raising_columns
+    # alone reduces the raising columns mod p, for _stacked_solver alone
+    assert _signatures("fmodules.py", "act_entries") == [["self", "r", "s", "nu"]] * 2
+    for name in ("coords", "_reduce"):
+        assert _signatures("fmodules.py", name) == [["self", "nu", "vec"]]
+    assert _referrers("_p_integral") == set()
+    assert _referrers("_raising_columns") == {"verma.py:_stacked_solver"}
+    assert _signatures("verma.py", "_raising_columns") == [["mod", "i", "nu", "p"]]
+    # what perfbench/tracer.py patches or probes keeps its name and arguments
+    assert _signatures("verma.py", "_stacked_solver") == [["mod", "nu", "p"]]
+    assert "verma.py:_zimage" in _referrers("glact_vector")
+    assert _referrers("_act_cache") == {"fmodules.py:_ActingModule"}
