@@ -440,9 +440,10 @@ class TensorModule(_ActingModule):
     def act_entries(self, r: int, s: int, nu) -> dict:
         """Column map idx -> {idx': scalar} of x_r d/dx_s on the weight space
         nu, over Q; it builds the target's weight space, then nu's.  A
-        raising x_j d/dx_{j+1} is read from the lowering record (_raising);
-        every other generator acts on the basis vectors, and each image is
-        reduced in the target's basis."""
+        raising x_j d/dx_{j+1} (_raising) and a lowering x_{i+1} d/dx_i
+        (_lowering) are read from the lowering record; every other generator
+        acts on the basis vectors, and each image is reduced in the target's
+        basis."""
         key = (r, s, tuple(nu))
         cache = self.cache("act")
         got = cache.get(key)
@@ -453,6 +454,8 @@ class TensorModule(_ActingModule):
         idxs = self.ensure_weight(nu)
         if s == r + 1:
             cols = self._raising(r, key[2])
+        elif r == s + 1:
+            cols = {idx: dict(self._lowering(s, idx)) for idx in idxs}
         else:
             cols = {}
             for idx in idxs:
@@ -474,9 +477,8 @@ class TensorModule(_ActingModule):
             E_j v_n = (F_i E_j v_par + delta_ij <wt(par), alpha_i^v> v_par
                        - sum c_k E_j v_k) / pc,
 
-        and F_i on a basis vector t is what ensure_weight recorded in "lower"
-        (read back from prov when it became a new vector, recomputed through
-        coords when the record went with a pickle round trip).  Every space
+        and F_i on a basis vector t is read from the lowering record
+        (_lowering).  Every space
         read here was built before nu: the target of E_j v_n is a parent of
         wt(n), and the lowering into it was recorded when it was built.  So
         this builds nothing and leaves self.spaces as it is.  The columns are
@@ -484,7 +486,6 @@ class TensorModule(_ActingModule):
         (parents and trail, all of lower index) are computed first, in index
         order, with no recursion."""
         memo = self.cache("raising").setdefault(j, {})
-        lower = self.cache("lower")
         prov = self.prov
         need = {n for n in self.spaces[nu] if n not in memo}
         stack = list(need)
@@ -502,18 +503,7 @@ class TensorModule(_ActingModule):
                 i, par = origin
                 acc: dict = {}
                 for t, c in memo[par].items():
-                    low = lower.get((i, t))
-                    if low is None:
-                        img = glact_vector(i + 1, i, self.vectors[t])
-                        low = lower[i, t] = list(self.coords(
-                            sl5.wsub(self.weights[t], sl5.SIMPLE_ROOTS[i - 1]), img).items()) \
-                            if img else ()
-                    if type(low) is int:
-                        _o, terms, low_pc = prov[low]
-                        add_term(acc, low, c * low_pc)
-                    else:
-                        terms = low
-                    for k, ck in terms:
+                    for k, ck in self._lowering(i, t):
                         add_term(acc, k, c * ck)
                 if i == j:
                     add_term(acc, par, self.weights[par][i - 1])
@@ -525,6 +515,22 @@ class TensorModule(_ActingModule):
                            for m in sorted(piv) if (v := acc.get(k := piv[m]))}
             memo[n] = col
         return {n: memo[n] for n in self.spaces[nu]}
+
+    def _lowering(self, i: int, t: int):
+        """The coordinates [(k, c)] of x_{i+1} d/dx_i . v_t as coords gives
+        them, read from "lower" (with prov when the image became a vector),
+        or recomputed through coords when a pickle round trip lost them."""
+        lower = self.cache("lower")
+        low = lower.get((i, t))
+        if low is None:
+            img = glact_vector(i + 1, i, self.vectors[t])
+            low = lower[i, t] = list(self.coords(
+                sl5.wsub(self.weights[t], sl5.SIMPLE_ROOTS[i - 1]), img).items()) \
+                if img else ()
+        if type(low) is int:
+            _origin, trail, pc = self.prov[low]
+            return [*trail, (low, pc)]
+        return low
 
 
 class DualModule(_ActingModule):

@@ -104,14 +104,13 @@ d_i, for the pairs (i, p) of a lowering frame of the source, whose images
 span each weight space below the top.  (i) and (ii) give an L_0-map psi
 with psi(b_hw) = Phi(b_hw), and (iii) makes Phi = psi by induction on
 depth.  The frame of a TensorModule is its provenance, and a DualModule
-finds one once by elimination.  x_1 d_2 is applied to every column first;
-then the frame decides, and only a Phi that fails it is scanned through the
-other 19 x_r d/dx_s, so a failing Phi is reported at the first failing
-generator of all 20 in order.  The actions are read through the column views
-action(r, s): the target's, and for a generator on the source its rows, as
-the columns of its dual(), with the sign flipped.  The degree equations of
-an invariant Phi are decided on the highest weight column v of F(lam):
-there they hold every
+finds one once by elimination.  One operator, _gen_on_theta, applies a
+generator to one column, x_r d/dx_s . Phi(b_n) - Phi(x_r d/dx_s . b_n),
+given the source coordinates of x_r d/dx_s . b_n: none for a raising at
+b_hw, the frame's at a frame pair, and the source's action(r, s) when a Phi
+that fails the frame is scanned through all 20 x_r d/dx_s in order to name
+the first failing one.  The degree equations of an invariant Phi
+are decided on the highest weight column v of F(lam): there they hold every
 coefficient of x_5 d_45 Phi(v), n+ kills Phi(v), and L_1 = U(n+) . x_5 d_45,
 so they make Phi a morphism, which satisfies them on every column.  Only a
 Phi that fails at v is evaluated on all columns, to name its first failing
@@ -887,28 +886,29 @@ def _clear_denominators(table: dict) -> dict:
             for key, cols in table.items()}
 
 
-def _gen_on_theta(phi: MorphismData, r: int, s: int, coeffs: dict):
-    """x_r d/dx_s . (D Phi) as a morphism-shaped coefficient dict in ints
-    (zero iff Phi is invariant): sum [x, m] (x) theta_m + m (x) (A_W theta_m
-    - theta_m A_V).  coeffs is D Phi, _clear_denominators(phi.coeffs).  Row
-    k of A_V is minus column k of the action on the source's dual(), the
-    negated transpose."""
-    A_W = phi.target.action(r, s)
-    A_V_dual = phi.source.dual().action(r, s)
-    out: dict = {}
-    for m, cols in coeffs.items():
-        for m2, c2 in _l0_mono(r, s, m):
-            tgt = out.setdefault(m2, {})
-            for n, col in cols.items():
-                add_into(tgt.setdefault(n, {}), col, c2)
-        tgt = out.setdefault(m, {})
-        for k, col in cols.items():
-            A_W.apply(col, tgt.setdefault(k, {}))
-            # -(theta A_V) column n picks up -A_V[k, n] theta_col[k]
-            for n, c in A_V_dual[k].items():
-                add_into(tgt.setdefault(n, {}), col, c)
-    return {m: {n: col for n, col in cols.items() if col}
-            for m, cols in out.items() if any(cols.values())}
+def _int_columns(phi: MorphismData) -> dict:
+    """n -> D Phi(b_n) as terms (monomial, target index) -> int, D as in
+    _clear_denominators."""
+    columns: dict = {}
+    for m, cols in _clear_denominators(phi.coeffs).items():
+        for n, col in cols.items():
+            terms = columns.setdefault(n, {})
+            for idx, c in col.items():
+                if c:
+                    terms[m, idx] = c
+    return columns
+
+
+def _gen_on_theta(phi: MorphismData, columns: dict, r: int, s: int, n: int,
+                  coords: dict) -> dict:
+    """x_r d/dx_s . Phi(b_n) - Phi(x_r d/dx_s . b_n) on the integer columns
+    of D Phi (columns, _int_columns(phi)), as terms (monomial, target index)
+    -> scalar, given coords, the source coordinates of x_r d/dx_s . b_n.
+    Phi is L_0-invariant exactly when this is empty for every r, s and n."""
+    out = act_l0(r, s, VermaElement(phi.target, phi.degree, columns.get(n, {}))).terms
+    for k, a in coords.items():
+        add_into(out, columns.get(k, {}), -a)
+    return out
 
 
 # The 20 generators x_r d/dx_s (r != s) in diagnostic order.  Invariance is
@@ -924,31 +924,16 @@ def _gen_on_theta(phi: MorphismData, r: int, s: int, coeffs: dict):
 _ORDER = tuple((r, s) for r in range(1, 6) for s in range(1, 6) if r != s)
 
 
-def _frame_holds(phi: MorphismData, coeffs: dict) -> bool:
-    """Whether D Phi (coeffs, _clear_denominators(phi.coeffs)) meets (i)-(iii)
-    of the frame lemma (see _ORDER) but the x_1 d_2 part of (ii), which the
-    caller has applied to every column."""
-    columns: dict = {}  # n -> D Phi(b_n) as terms (monomial, target index) -> c
-    for m, cols in coeffs.items():
-        for n, col in cols.items():
-            terms = columns.setdefault(n, {})
-            for idx, c in col.items():
-                if c:
-                    terms[m, idx] = c
-    tgt = phi.target
-    top = VermaElement(tgt, phi.degree, columns.get(phi.source.hw_index, {}))
-    if any(sl5.wadd(uminus.monomial_weight(m), tgt.weight_of(idx)) != phi.lam
-           for m, idx in top.terms):
+def _frame_holds(phi: MorphismData, columns: dict) -> bool:
+    """Whether D Phi (columns, _int_columns(phi)) meets (i)-(iii) of the
+    frame lemma (see _ORDER)."""
+    hw = phi.source.hw_index
+    if any(sl5.wadd(uminus.monomial_weight(m), phi.target.weight_of(idx)) != phi.lam
+           for m, idx in columns.get(hw, {})):
         return False
-    if any(act_l0(i, i + 1, top).terms for i in range(2, 5)):
-        return False
-    for (i, p), coords in phi.source.lowering_frame():
-        out = act_l0(i + 1, i, VermaElement(tgt, phi.degree, columns.get(p, {}))).terms
-        for n, a in coords.items():
-            add_into(out, columns.get(n, {}), -a)
-        if out:
-            return False
-    return True
+    return not any(_gen_on_theta(phi, columns, i, i + 1, hw, {}) for i in range(1, 5)) \
+        and not any(_gen_on_theta(phi, columns, i + 1, i, p, coords)
+                    for (i, p), coords in phi.source.lowering_frame())
 
 
 def _equivariance_failure(phi: MorphismData):
@@ -956,23 +941,28 @@ def _equivariance_failure(phi: MorphismData):
     the 20 generators of L_0 in _ORDER, or None when Phi is invariant: the
     verdict kept in phi.l0_failure, decided on the first call.
 
-    The scan applies x_1 d_2 to every column, then decides the rest of
-    invariance by the frame lemma (_frame_holds).  Only when the frame fails
-    does it go on through the other 19 generators to name the first failing
-    one; it raises ArithmeticError if none does, which the lemma rules out."""
+    The frame lemma decides (_frame_holds).  A Phi that fails it is scanned
+    over every column with the source's action, and the monomial named is
+    the first failing one when Phi's monomials m are taken in turn, each
+    after those of [x_r d/dx_s, m].  The scan raises ArithmeticError if no
+    generator fails, which the lemma rules out."""
     if phi.l0_failure is _UNDECIDED:
-        coeffs = _clear_denominators(phi.coeffs)
-        for g in _ORDER:
-            if g == _ORDER[1] and _frame_holds(phi, coeffs):
-                failure = None
-                break
-            bad = _gen_on_theta(phi, *g, coeffs)
-            if bad:
-                failure = (*g, next(iter(bad)))
-                break
-        else:
-            raise ArithmeticError("the lowering frame fails but the 20 generators of "
-                                  "L_0 kill Phi")
+        columns = _int_columns(phi)
+        failure = None
+        if not _frame_holds(phi, columns):
+            src = phi.source
+            for r, s in _ORDER:
+                action = src.action(r, s)
+                bad = {m for n in range(src.dim)
+                       for m, _idx in _gen_on_theta(phi, columns, r, s, n, action[n])}
+                if bad:
+                    failure = (r, s, next(m2 for m in phi.coeffs
+                                          for m2 in [*(t for t, _c in _l0_mono(r, s, m)), m]
+                                          if m2 in bad))
+                    break
+            else:
+                raise ArithmeticError("the lowering frame fails but the 20 generators of "
+                                      "L_0 kill Phi")
         phi.l0_failure = failure
     return phi.l0_failure
 
@@ -981,8 +971,8 @@ def check_morphism(phi: MorphismData):
     """Morphism conditions: (a) L_0 . Phi = 0, decided on a lowering frame of
     the source, and (b) x5 d45 annihilates Phi(hw).  Returns (ok,
     diagnostics); a failure of (a) names the first failing generator of the
-    20 x_r d/dx_s in order.  The invariance verdict is kept on phi, so
-    verify_degree_equations on the same Phi does not decide it again."""
+    20 x_r d/dx_s in order.  (a) never builds the source's dual.  The
+    verdict is kept on phi, so verify_degree_equations does not redo it."""
     bad = _equivariance_failure(phi)
     if bad:
         r, s, mono = bad

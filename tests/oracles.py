@@ -378,17 +378,23 @@ def glact_vector(r, s, vec, p=None):
 
 def raising_columns(mod, i, nu, p=None):
     """The columns of x_i d/dx_{i+1} on the weight space nu as the ambient
-    loop computed them: the target's weight space built, then nu's, each
-    basis vector (reduced mod p when p is given) acted on in the tensor
-    space (glact_vector above) and its image reduced in the target's basis
+    loop computed them (ambient_columns)."""
+    return ambient_columns(mod, i, i + 1, nu, p)
+
+
+def ambient_columns(mod, r, s, nu, p=None):
+    """The columns of x_r d/dx_s on the weight space nu computed on ambient
+    vectors: the target's weight space built, then nu's, each basis vector
+    (reduced mod p when p is given) acted on in the tensor space
+    (glact_vector above) and its image reduced in the target's basis
     (coords below)."""
     from e510 import fmodules, sl5
 
-    target = sl5.wadd(nu, fmodules.gen_shift(i, i + 1))
+    target = sl5.wadd(nu, fmodules.gen_shift(r, s))
     mod.ensure_weight(target)
     cols = {}
     for idx in mod.ensure_weight(nu):
-        img = glact_vector(i, i + 1, mod.vector(idx, p=p), p)
+        img = glact_vector(r, s, mod.vector(idx, p=p), p)
         cols[idx] = coords(mod, target, img, p) if img else {}
     return cols
 

@@ -590,6 +590,24 @@ def test_raising_columns_match_the_ambient_loop(kind, spec):
         assert list(own.spaces)[:len(weights)] == weights
 
 
+@pytest.mark.parametrize("kind, spec", [(k, s) for k, specs in RAISING_MODULES.items()
+                                        for s in specs])
+def test_lowering_columns_match_the_ambient_loop(kind, spec):
+    # the same values, int/Fraction types and key order as acting on the
+    # ambient vectors, on the module as built and on a pickled copy, whose
+    # lowering record is gone; all three build the same spaces
+    mod = fm.build_irreducible(spec) if kind == "full" else _searched(*spec)
+    weights = list(mod.spaces)
+    ref, own = (pickle.loads(pickle.dumps(mod)) for _ in range(2))
+    for nu in weights:
+        for i in range(1, 5):
+            want = _outcome(oracles.ambient_columns, ref, i + 1, i, nu)
+            assert _outcome(own.act_entries, i + 1, i, nu) == want
+            assert _outcome(mod.act_entries, i + 1, i, nu) == want
+    assert list(own.spaces) == list(ref.spaces) == list(mod.spaces)
+    assert own.vectors == ref.vectors == mod.vectors
+
+
 def test_raising_columns_build_spaces_as_the_ambient_loop_did():
     # on fresh lazy modules, act_entries builds the weight spaces the
     # ambient loop built, in the same order, over Q and over F_p

@@ -67,10 +67,12 @@ def _referrers(name):
 
 
 def test_invariance_passes_go_through_the_kept_verdict():
-    # only _equivariance_failure applies generators to Phi, and it keeps its
-    # verdict on the MorphismData; only the two checks ask it, and nothing
-    # else reads or sets the verdict, so no invariance pass is run twice
-    assert _referrers("_gen_on_theta") == {"verma.py:_equivariance_failure"}
+    # only _equivariance_failure and its frame check apply generators to
+    # Phi, and it keeps its verdict on the MorphismData; only the two checks
+    # ask it, and nothing else reads or sets the verdict, so no invariance
+    # pass is run twice
+    assert _referrers("_gen_on_theta") == {"verma.py:_frame_holds",
+                                           "verma.py:_equivariance_failure"}
     assert _referrers("_equivariance_failure") == {"verma.py:check_morphism",
                                                    "verma.py:verify_degree_equations"}
     assert _referrers("l0_failure") == {"verma.py:MorphismData",
@@ -93,7 +95,7 @@ def test_frame_disagreement_raises_under_optimize():
     prog = ("import sys\n"
             "from e510 import verma\n"
             "assert sys.flags.optimize\n"  # stripped: must not stop the check
-            "verma._frame_holds = lambda phi, coeffs: False\n"
+            "verma._frame_holds = lambda phi, columns: False\n"
             "try:\n"
             "    verma.check_morphism(verma.nabla_A(1, 0))\n"
             "except ArithmeticError as exc:\n"
@@ -105,6 +107,16 @@ def test_frame_disagreement_raises_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: the lowering frame fails")
+
+
+def test_invariance_checks_never_mention_a_dual():
+    # the checks read the source's frame and action only: no name in them
+    # reaches a dual module
+    for name in ("_gen_on_theta", "_frame_holds", "_equivariance_failure",
+                 "check_morphism", "verify_degree_equations"):
+        names = {getattr(node, "id", getattr(node, "attr", ""))
+                 for node in ast.walk(_function("verma.py", name))}
+        assert not [n for n in names if "dual" in n], name
 
 
 def test_degree_equations_are_decided_hw_column_first():
@@ -180,6 +192,13 @@ def test_raising_columns_come_from_the_lowering_record():
     assert memo and len(memo) == len(inside)
     names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(raising)}
     assert "ensure_weight" not in names
+    # ensure_weight writes the lowering record and _lowering alone reads it,
+    # for the raising and the lowering columns of act_entries
+    assert _referrers("_lowering") == {"fmodules.py:_raising", "fmodules.py:act_entries"}
+    tree = ast.parse((SRC / "fmodules.py").read_text(), "fmodules.py")
+    assert {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and any(isinstance(c, ast.Constant) and c.value == "lower"
+                    for c in ast.walk(node))} == {"ensure_weight", "_lowering"}
 
 
 def _signatures(path_name, name):

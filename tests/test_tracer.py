@@ -22,6 +22,15 @@ def test_every_patched_name_is_owned_where_it_is_patched():
         assert attr in owner.__dict__, (owner, attr)
 
 
+def test_the_morphism_layer_keeps_its_traced_names():
+    # the tracer times the generator operator, both checks and both
+    # act_entries by these names, so each must stay in the patch table
+    patched = {(owner.__name__, attr) for owner, attr, *_ in tracer.patch_table(*MODULES)}
+    assert {("e510.verma", "_gen_on_theta"), ("e510.verma", "check_morphism"),
+            ("e510.verma", "verify_degree_equations"), ("TensorModule", "act_entries"),
+            ("DualModule", "act_entries")} <= patched
+
+
 def test_traced_search_and_checks_match_untraced(monkeypatch):
     def run():
         hits = [(lam, [V.verma_element_to_obj(w) for w in vecs])

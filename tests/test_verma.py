@@ -485,13 +485,15 @@ def test_hw_controls_equivariant():
 _GENERATORS = [(r, s) for r in range(1, 6) for s in range(1, 6) if r != s]
 
 
-def _pattern(bad):
-    return [(m, list(cols)) for m, cols in bad.items()]
+def _column(bad, n):
+    """Column n of a morphism-shaped dict as terms (monomial, index) -> value."""
+    return {(m, i): v for m, cols in bad.items() for i, v in cols.get(n, {}).items()}
 
 
 def test_gen_on_theta_matches_fraction_reference():
-    # the integer result is D * (the rational one) for one D > 0 per Phi: the
-    # same monomials and columns in the same order, every entry scaled by D
+    # the integer operator on each column is D * (that column of the
+    # rational x_r d_s . Phi) for one D > 0 per Phi: the same terms, every
+    # entry scaled by D
     corpus = []
     for chain, m, n in [("A", 1, 0), ("B", 0, 1), ("C", 0, 1), ("BA", 1, 0),
                         ("CB", 0, 0), ("CA", 0, 0), ("CBA", 0, 0)]:
@@ -503,30 +505,32 @@ def test_gen_on_theta_matches_fraction_reference():
     corpus += oracles.hw_controls((1, 1, 0, 0), 1, 1)
     for phi in corpus:
         ratios = set()
-        coeffs = V._clear_denominators(phi.coeffs)
+        columns = V._int_columns(phi)
         for r, s in _GENERATORS:
-            got = V._gen_on_theta(phi, r, s, coeffs)
             want = oracles.gen_on_theta(phi, r, s)
-            assert _pattern(got) == _pattern(want), (phi.tag, r, s)
-            for m, cols in want.items():
-                for n, col in cols.items():
-                    assert set(got[m][n]) == set(col)
-                    ratios.update(Q(got[m][n][i]) / v for i, v in col.items())
+            action = phi.source.action(r, s)
+            for n in range(phi.source.dim):
+                got = V._gen_on_theta(phi, columns, r, s, n, action[n])
+                col = _column(want, n)
+                assert set(got) == set(col), (phi.tag, r, s, n)
+                ratios.update(Q(got[k]) / v for k, v in col.items())
         assert len(ratios) <= 1
         assert all(q > 0 and q.denominator == 1 for q in ratios)
 
 
 def test_equivariance_failure_matches_the_ordered_scan():
-    # the verdict comes from x_1 d_2 and the lowering frame, the diagnostic
-    # is the first failing generator of all 20 in order: some controls fail
-    # first at x_1d3 or x_1d4, right after the frame check
+    # the verdict comes from the lowering frame, the diagnostic is the first
+    # failing generator of all 20 in order and its first failing monomial in
+    # the morphism-shaped order: some controls fail first at x_1d3 or x_1d4
     corpus = []
     for chain, m, n in _CHAINS:
         phi = V.family_instance(chain, m, n)
         corpus += [phi, V.dual_morphism(phi)]
-        corpus += V.perturbed_controls(phi, 6, seed=7)
-        corpus += V.equivariant_controls(phi, 3)
-    assert len(corpus) == 110
+        for seed in (0, 1, 7):
+            corpus += V.perturbed_controls(phi, 6, seed=seed)
+        for ctl in V.equivariant_controls(phi, 3):
+            corpus += [ctl, V.dual_morphism(ctl)]
+    assert len(corpus) == 272
     firsts = set()
     for phi in corpus:
         got = V._equivariance_failure(phi)
@@ -611,10 +615,10 @@ def test_frame_check_reads_every_frame_pair(chain, m, n):
     # the rest extended from it) fails the frame check, for every n; the
     # first few of them get the reference's verdict too
     phi = V.family_instance(chain, m, n)
-    assert V._frame_holds(phi, V._clear_denominators(phi.coeffs))
+    assert V._frame_holds(phi, V._int_columns(phi))
     for k in range(1, phi.source.dim):
         bad = _extended(phi, k)
-        assert not V._frame_holds(bad, V._clear_denominators(bad.coeffs)), k
+        assert not V._frame_holds(bad, V._int_columns(bad)), k
         if k <= 3:
             got = V._equivariance_failure(bad)
             assert got is not None and got == oracles.equivariance_failure(bad), k
@@ -639,9 +643,9 @@ def test_frame_lemma_targeted_controls():
     assert not_highest.hw_image().weight() == (0, 0, 0, 0)
     for bad, want in ((wrong_weight, (3, 1, (ZD, ((2, 3),)))),
                       (not_highest, (1, 3, (ZD, ((1, 4),))))):
-        coeffs = V._clear_denominators(bad.coeffs)
-        assert not V._gen_on_theta(bad, 1, 2, coeffs)
-        assert not V._frame_holds(bad, coeffs)
+        columns = V._int_columns(bad)
+        assert not V._gen_on_theta(bad, columns, 1, 2, bad.source.hw_index, {})
+        assert not V._frame_holds(bad, columns)
         assert oracles.equivariance_failure(bad) == want
         r, s, mono = want
         assert V.check_morphism(bad) == \
@@ -653,7 +657,7 @@ def test_frame_lemma_targeted_controls():
 def test_frame_and_generators_disagreeing_raises(monkeypatch):
     # the lemma makes a failing frame check a failing generator; were it not
     # so, the scan raises rather than call Phi invariant or name nothing
-    monkeypatch.setattr(V, "_frame_holds", lambda phi, coeffs: False)
+    monkeypatch.setattr(V, "_frame_holds", lambda phi, columns: False)
     with pytest.raises(ArithmeticError, match="lowering frame"):
         V.check_morphism(_unchecked(V.nabla_A(1, 0)))
 
@@ -665,8 +669,8 @@ def _unchecked(phi):
 
 def test_checks_decide_invariance_once(monkeypatch):
     # the first check keeps the verdict on Phi: an invariant Phi costs one
-    # x_1 d_2 pass and one frame check for both checks, and a failing one
-    # costs the second check nothing
+    # frame check for both checks (the raisings at b_hw, then one lowering
+    # per frame pair), and a failing one costs the second check nothing
     A = V.nabla_A(1, 0)
     invariant = [A, V.family_instance("CA"), V.family_instance("CBA"), V.dual_morphism(A)]
     assert [phi.degree for phi in invariant] == [1, 2, 3, 1]
@@ -674,13 +678,13 @@ def test_checks_decide_invariance_once(monkeypatch):
     calls = []
     real, real_frame = V._gen_on_theta, V._frame_holds
 
-    def counted(phi, r, s, coeffs):
+    def counted(phi, columns, r, s, n, coords):
         calls.append((r, s))
-        return real(phi, r, s, coeffs)
+        return real(phi, columns, r, s, n, coords)
 
-    def counted_frame(phi, coeffs):
+    def counted_frame(phi, columns):
         calls.append("frame")
-        return real_frame(phi, coeffs)
+        return real_frame(phi, columns)
 
     monkeypatch.setattr(V, "_gen_on_theta", counted)
     monkeypatch.setattr(V, "_frame_holds", counted_frame)
@@ -689,7 +693,8 @@ def test_checks_decide_invariance_once(monkeypatch):
         checked = _unchecked(phi)
         assert V.check_morphism(checked) == (True, "ok")
         assert V.verify_degree_equations(checked) == (True, "ok")
-        assert calls == [(1, 2), "frame"]
+        assert calls == ["frame", (1, 2), (2, 3), (3, 4), (4, 5)] + \
+            [(i + 1, i) for (i, _p), _coords in phi.source.lowering_frame()]
         assert checked == _unchecked(phi) and repr(checked) == repr(_unchecked(phi))
     checked = _unchecked(control)
     assert not V.check_morphism(checked)[0]
@@ -697,6 +702,53 @@ def test_checks_decide_invariance_once(monkeypatch):
     assert V.verify_degree_equations(checked)[0] is False
     assert len(calls) == before
     assert checked == _unchecked(control) and repr(checked) == repr(_unchecked(control))
+
+
+_SEVEN = [("A", 1, 0), ("B", 0, 1), ("C", 0, 1), ("BA", 1, 0), ("CB", 0, 0),
+          ("CA", 0, 0), ("CBA", 0, 0)]
+
+
+def test_valid_checks_build_no_dual_module():
+    # the checks read a TensorModule source's frame and action, not the
+    # action of its dual, so checking the chains makes no DualModule
+    V.clear_caches()
+    chains = [V.family_instance(*spec) for spec in _SEVEN]
+    for phi in chains:
+        assert V.check_morphism(phi) == (True, "ok")
+        assert V.verify_degree_equations(phi) == (True, "ok")
+    for phi in chains:
+        assert isinstance(phi.source, fm.TensorModule)
+        assert phi.source.cache("dual") == {} and phi.target.cache("dual") == {}
+
+
+def test_checks_read_lowerings_from_the_record(monkeypatch):
+    # once the modules are built, checking the chains and their duals lowers
+    # no ambient vector to read a column: every lowering column comes from
+    # the record (building a weight space still lowers its parents)
+    V.clear_caches()
+    chains = [V.family_instance(*spec) for spec in _SEVEN]
+    chains += [V.dual_morphism(phi) for phi in chains]
+    calls, building = [], [0]
+    real, real_ensure = fm.glact_vector, fm.TensorModule.ensure_weight
+
+    def counted(r, s, vec, **kwargs):
+        if not building[0]:
+            calls.append((r, s))
+        return real(r, s, vec, **kwargs)
+
+    def ensure_weight(mod, nu):
+        building[0] += 1
+        try:
+            return real_ensure(mod, nu)
+        finally:
+            building[0] -= 1
+
+    monkeypatch.setattr(fm, "glact_vector", counted)
+    monkeypatch.setattr(fm.TensorModule, "ensure_weight", ensure_weight)
+    for phi in chains:
+        assert V.check_morphism(phi) == (True, "ok")
+        assert V.verify_degree_equations(phi) == (True, "ok")
+    assert calls and not [(r, s) for r, s in calls if r == s + 1]
 
 
 def _scaled(phi, q):
@@ -773,7 +825,10 @@ def test_gen_on_theta_commutator_law(which, perm, bump, rng):
     start = _int_morphism(bad, V._clear_denominators(bad.coeffs))
 
     def act(psi, a, b):
-        return _int_morphism(psi, V._gen_on_theta(psi, a, b, V._clear_denominators(psi.coeffs)))
+        # x_a d_b . psi assembled from the columns of the one operator
+        columns, action = V._int_columns(psi), psi.source.action(a, b)
+        return _int_morphism(psi, V._coeffs(V._gen_on_theta(psi, columns, a, b, n, action[n])
+                                            for n in range(psi.source.dim)))
 
     want = act(start, r, t).coeffs
     got: dict = {}
@@ -1530,7 +1585,7 @@ def test_second_search_at_a_degree_rebuilds_no_table(monkeypatch):
 
 def test_search_without_a_hit_leaves_the_action_memos_empty():
     # the per-degree table is built from the uncached actions, so only
-    # act_l0, act_odd and _gen_on_theta fill _l0_mono and _odd_action
+    # act_l0, act_odd and _equivariance_failure fill _l0_mono and _odd_action
     V.clear_caches()
     assert V.singular_vectors((1, 0, 0, 0), 2) == []
     assert V._degree_tables.cache_info().currsize == 1
