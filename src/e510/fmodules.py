@@ -14,6 +14,8 @@ sit in 16-bit slots, slot 0 most significant, so the order of the ints is the
 lexicographic order of the exponent tuples (pack and unpack convert).
 Exponents of F(lam) never exceed max(lam), which TensorModule keeps below
 2^16.  Weight spaces are built lazily; a full build checks the Weyl dimension.
+Everything here is exact over Q and takes no modulus: the singular search's
+F_p sieve reduces the module data it reads itself (verma).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import struct
 import weakref
 
 from . import sl5
-from .linalg import RowReducer, add_into, add_term, as_int, exact_div, to_fp
+from .linalg import RowReducer, add_into, add_term, as_int, exact_div
 from .uminus import PAIRS
 
 N_GEN = 30
@@ -128,18 +130,15 @@ def _moves(r: int, s: int) -> tuple:
 _MOVES = {(r, s): _moves(r, s) for r in range(1, 6) for s in range(1, 6)}
 
 
-def glact_vector(r: int, s: int, vec: dict, *, p: int | None = None) -> dict:
+def glact_vector(r: int, s: int, vec: dict) -> dict:
     """x_r d/dx_s on a sparse ambient vector (r = s allowed: every move then
     gives m itself): each move whose source exponent e in a monomial m of
     coefficient c is not 0 adds c * sign * e at m + delta, summed in place
     with add_into's semantics and key order.  Int coefficients stay ints and
-    Fractions give Fractions; with a modulus p the vector and its image are
-    over F_p.  A move raises one exponent by 1, which stays below 2^16
-    inside F(lam)."""
+    Fractions give Fractions.  A move raises one exponent by 1, which stays
+    below 2^16 inside F(lam)."""
     out: dict = {}
     for m, c in vec.items():
-        if p is not None:
-            c %= p
         if not c:
             continue
         for shift, delta, sign in _MOVES[r, s]:
@@ -147,8 +146,6 @@ def glact_vector(r: int, s: int, vec: dict, *, p: int | None = None) -> dict:
             if e:
                 k = m + delta
                 v = out.get(k, 0) + c * (sign * e)
-                if p is not None:
-                    v %= p
                 if v:
                     out[k] = v
                 else:
@@ -193,16 +190,18 @@ class ActionColumns(dict):
 
 
 class _ActingModule:
-    """The sl5 action shared by TensorModule and DualModule, and the one
-    store of data derived from the basis.  self._derived maps (name, p) ->
-    dict, p None over Q and a prime over F_p; cache(name, p) is the only way
-    in.  The store is rebuilt on demand and not pickled."""
+    """The sl5 action over Q shared by TensorModule and DualModule, its
+    lowering frame, and the one store of data derived from the basis.
+    self._derived maps (name, variant) -> dict, variant None unless a caller
+    keeps several versions of one cache (verma keeps its F_p data under the
+    modulus); cache(name, variant) is the only way in.  The store is rebuilt
+    on demand and not pickled."""
 
-    def cache(self, name: str, p: int | None = None) -> dict:
-        """The derived cache `name` over Q, or its F_p counterpart."""
-        got = self._derived.get((name, p))
+    def cache(self, name: str, variant=None) -> dict:
+        """The derived cache `name`, or its version `variant`."""
+        got = self._derived.get((name, variant))
         if got is None:
-            got = self._derived[name, p] = {}
+            got = self._derived[name, variant] = {}
         return got
 
     # Read-only aliases, only for the cache probes of perfbench/tracer.py,
@@ -227,12 +226,20 @@ class _ActingModule:
             got = views[r, s] = ActionColumns(self, r, s)
         return got
 
-    def _eliminated_frame(self) -> list:
-        """A lowering frame of the fully built module found by greedy
-        elimination (see TensorModule.lowering_frame): the weight spaces below
-        the top in order of depth, then weight, and in each the columns of
-        x_{i+1} d/dx_i . b_p for its parents p (i = 1..4, p in index order)
-        that raise the rank, until they span the space."""
+    def lowering_frame(self) -> list:
+        """The lowering frame of the fully built module, found once by greedy
+        elimination and kept in the store as "frame": pairs ((i, p), coords),
+        one per basis vector below the top, with coords the column {n: a_n}
+        of x_{i+1} d/dx_i . b_p = sum a_n b_n.  The weight spaces below the
+        top are taken in order of depth, then weight, and in each the columns
+        for its parents p (i = 1..4, p in index order) that raise the rank,
+        until they span the space.  On a TensorModule the pairs are the
+        lowerings its vectors were made from (prov): building a weight space
+        inserts the same lowerings in the same order, and keeps one exactly
+        when it is independent of those before it."""
+        frames = self.cache("frame")
+        if None in frames:
+            return frames[None]
         top = self.highest_weight
         spaces: dict = {}
         for n in range(self.dim):
@@ -248,6 +255,7 @@ class _ActingModule:
                         frame.append(((i, p), cols[p]))
             if span.rank < len(spaces[nu]):
                 raise ArithmeticError(f"the lowerings into weight {nu} do not span it")
+        frames[None] = frame
         return frame
 
 
@@ -258,9 +266,18 @@ class TensorModule(_ActingModule):
     monomial has coefficient 1 and reduced against earlier vectors of the same
     weight space.  Provenance of each vector (which lowering of which parent
     created it, with the reduction trail) supports equivariant extension of
-    singular vectors to morphisms.  Every rational scalar stored (basis
-    vectors, provenance, action columns) is an int where integral and a
-    Fraction otherwise.
+    singular vectors to morphisms, and the lowering record (self.lower) gives
+    the raising and lowering columns.  Every rational scalar stored (basis
+    vectors, provenance, the record, action columns) is an int where
+    integral and a Fraction otherwise.
+
+    ensure_weight(nu) builds nu from its parents' spaces alone, in a fixed
+    order, and builds nothing else between its first and its last vector.
+    So, by induction on depth, the ordered basis of each weight space is the
+    same in every TensorModule of the same weight, whatever order its spaces
+    were built in, and the indices of a space are consecutive: the vector
+    at position k of a space is the same vector in each of them (reexpress
+    rests on this).
     """
 
     def __init__(self, lam):
@@ -271,19 +288,19 @@ class TensorModule(_ActingModule):
         self.prov: list = []
         self.spaces: dict[tuple, list[int]] = {}
         self.pivots: dict[tuple, dict] = {}
+        # (i, idx) -> what ensure_weight found for the lowering x_{i+1} d/dx_i
+        # . v_idx: the index of the vector it became, or its [(index,
+        # coordinate)] when it was in the span
+        self.lower: dict = {}
         self._full = False
         self._derived: dict = {}
 
-    # Its derived caches, over Q only unless said: "act" (r, s, weight) ->
-    # action columns, "actions" (r, s) -> their ActionColumns view, "bases"
-    # weight -> the basis reduced mod p (F_p only), "lower" (i, idx) -> what
-    # ensure_weight found for the lowering x_{i+1} d/dx_i . v_idx, the index
-    # of the vector it became or its [(index, coordinate)] when it was in the
-    # span, "raising" j -> idx -> the coordinates of x_j d/dx_{j+1} . v_idx
-    # that _raising reads from "lower", and from the singular search, over Q
-    # and over F_p, "stack" weight -> factored raising maps and "zterm"
-    # (x_5 d_t op, index) -> ambient image; "dual" None -> its DualModule
-    # (see dual()).
+    # Its derived caches: "act" (r, s, weight) -> action columns, "actions"
+    # (r, s) -> their ActionColumns view, "raising" j -> idx -> the
+    # coordinates of x_j d/dx_{j+1} . v_idx that _raising reads from the
+    # lowering record, "frame" None -> its lowering frame, "dual" None -> its
+    # DualModule (see dual()), and those verma keeps per modulus (None over
+    # Q) for the singular search: "stack", "zterm" and, over F_p, "bases".
 
     # -- construction -----------------------------------------------------
 
@@ -307,30 +324,10 @@ class TensorModule(_ActingModule):
                 parents.append((i, idx))
         self.spaces.setdefault(nu, [])
         self.pivots.setdefault(nu, {})
-        lower = self.cache("lower")
         for i, idx in parents:
             img = glact_vector(i + 1, i, self.vectors[idx])
-            lower[i, idx] = self._insert(nu, img, (i, idx)) if img else ()
+            self.lower[i, idx] = self._insert(nu, img, (i, idx)) if img else ()
         return self.spaces[nu]
-
-    def vector(self, idx: int, *, p: int | None = None) -> dict:
-        """Basis vector idx, or with a modulus p its image in F_p (see
-        fp_basis)."""
-        if p is None:
-            return self.vectors[idx]
-        return self.fp_basis(self.weights[idx], p)[idx]
-
-    def fp_basis(self, nu, p: int) -> dict:
-        """The basis of the built weight space nu reduced mod p, index ->
-        vector, made once and cached.  Raises UnluckyPrime unless every
-        vector is p-integral."""
-        bases = self.cache("bases", p)
-        got = bases.get(nu)
-        if got is None:
-            got = bases[nu] = {idx: {k: v for k, c in self.vectors[idx].items()
-                                     if (v := to_fp(c, p))}
-                               for idx in self.spaces[nu]}
-        return got
 
     def _reduce(self, nu, vec):
         """Reduce an ambient vector by the basis of the weight space nu, least
@@ -418,17 +415,6 @@ class TensorModule(_ActingModule):
 
     def weight_of(self, idx: int):
         return self.weights[idx]
-
-    def lowering_frame(self) -> list:
-        """The lowering frame of the fully built module: pairs ((i, p),
-        coords), one per basis vector below the top, with coords the
-        coordinates {n: a_n} of x_{i+1} d/dx_i . b_p = sum a_n b_n, whose
-        images span each weight space below the top.  It is the lowering
-        each vector was made from (prov): F_i v_p = pc v_n + sum c_k v_k."""
-        if not self._full:
-            raise ValueError("module not fully built")
-        return [(origin, {n: pc, **dict(trail)})
-                for n, (origin, trail, pc) in enumerate(self.prov) if origin is not None]
 
     def dual(self) -> DualModule:
         """The one DualModule of this fully built module, kept in the store."""
@@ -518,15 +504,11 @@ class TensorModule(_ActingModule):
 
     def _lowering(self, i: int, t: int):
         """The coordinates [(k, c)] of x_{i+1} d/dx_i . v_t as coords gives
-        them, read from "lower" (with prov when the image became a vector),
-        or recomputed through coords when a pickle round trip lost them."""
-        lower = self.cache("lower")
-        low = lower.get((i, t))
-        if low is None:
-            img = glact_vector(i + 1, i, self.vectors[t])
-            low = lower[i, t] = list(self.coords(
-                sl5.wsub(self.weights[t], sl5.SIMPLE_ROOTS[i - 1]), img).items()) \
-                if img else ()
+        them, read from the lowering record (with prov when the image became
+        a vector).  ensure_weight records the lowerings into every weight
+        space it builds from parents, so a lowering with no record lands
+        outside the weights of F(lam) and is 0."""
+        low = self.lower.get((i, t), ())
         if type(low) is int:
             _origin, trail, pc = self.prov[low]
             return [*trail, (low, pc)]
@@ -537,8 +519,7 @@ class DualModule(_ActingModule):
     """Abstract dual of a fully built module: generators act by negated
     transpose; the reported highest weight is the dual weight.  Made once per
     module by base.dual(); base and dual refer to each other.  Its derived
-    caches are "act" and "actions", as for a TensorModule, and "frame" None
-    -> its lowering frame."""
+    caches are "act", "actions" and "frame", as for a TensorModule."""
 
     def __init__(self, base):
         base_dim = base.dim  # requires full build
@@ -568,15 +549,6 @@ class DualModule(_ActingModule):
     def dual(self) -> TensorModule:
         """The base, whose action is the negated transpose of this one's."""
         return self.base
-
-    def lowering_frame(self) -> list:
-        """The lowering frame ((i, p), coords) of TensorModule.lowering_frame,
-        found once by greedy elimination over this module's lowering columns
-        (coords is the column itself) and kept in the store."""
-        frames = self.cache("frame")
-        if None not in frames:
-            frames[None] = self._eliminated_frame()
-        return frames[None]
 
     def act_entries(self, r: int, s: int, nu) -> dict:
         """Column map of x_r d/dx_s on dual indices of dual weight nu:

@@ -24,23 +24,23 @@ once (l1_images); x_5 d45 is one of them.  The actions act_l0 and act_odd
 sum their terms into one dict in place with add_term.
 
 Almost every candidate lam has no singular vector, so the lifting runs first
-over F_p (p = SIEVE_PRIME = 2^30 - 35, plain ints) as a sieve, on F_p data of
-its own: the basis vectors reduced mod p once (their denominators are at most
-2), the raising columns reduced mod p, the z-term images computed from the
-basis mod p by the integer tensor action (pivots are 1, so nothing is
-divided), and the stacked raising solver factored by RowReducer(p).  All
-but the solver are the rational data reduced mod p: _raising_columns
-reduces the module's rational raising columns, which come from its lowering
-record (TensorModule.act_entries): F(mu) is built by lowering, so [E_j, F_i]
-= delta_ij H_i gives them from the coordinates of the lowering images, with
-no ambient vector acted on.  The PBW side is shared: both passes read the
-one int table per degree of _degree_tables, and add_into reduces a
-coefficient mod p as it scales by it.  Each candidate's levels come from
-_level_plan(d, lam - mu), made once per degree and lam - mu and shared by
-every mu: nu = lam - w lies at depth sum(root_coefficients(w - (lam - mu)))
-below mu.  Only survivors, lifted again over Q, build the
-rational solver and z-term images; the Q pass alone produces and verifies
-the vectors.
+over F_p (p = SIEVE_PRIME = 2^30 - 35, plain ints) as a sieve.  fmodules
+works over Q only, and every reduction of module data mod p is made here,
+by _mod_p, next to the sieve: the basis vectors of a weight space reduced
+once (_fp_basis; their denominators are at most 2), the raising columns
+(_raising_columns) and the z-term images (_zimage), each the rational data
+reduced mod p; only the stacked raising solver is factored over F_p, by
+RowReducer(p).  The rational raising columns come from the module's
+lowering record (TensorModule.act_entries): F(mu) is built by lowering, so
+[E_j, F_i] = delta_ij H_i gives them from the coordinates of the lowering
+images, with no ambient vector acted on.  The PBW side is shared: both
+passes read the one int table per degree of _degree_tables, and add_into
+reduces a coefficient mod p as it scales by it.  Each candidate's levels
+come from _level_plan(d, lam - mu), made once per degree and lam - mu and
+shared by every mu: nu = lam - w lies at depth
+sum(root_coefficients(w - (lam - mu))) below mu.  Only survivors, lifted
+again over Q, build the rational solver and z-term images; the Q pass alone
+produces and verifies the vectors.
 
 The sieve is sound while every stacked raising system A has full column rank
 mod p.  The left kernel of A mod p then has the dimension of the rational
@@ -83,11 +83,11 @@ reach.  The rows, their order and every rank check are those of expanding
 each term at once.  Deferring changes no sieve verdict, because nothing
 deferred can raise UnluckyPrime: the PBW coefficients are ints, and the
 expansion reads only basis vectors of the weight space nu the components
-live in (vector, and _zimage through it), whose reduction mod p fp_basis
+live in, and their images under x_5 d_t, whose reduction mod p _fp_basis
 made when solver(nu) built the action mod p (at depth 0 the one highest
-weight vector, a monomial with coefficient 1); glact_vector over F_p divides
-nothing.  Nor does it build a weight space, so the lazy F-basis numbering is
-unchanged.
+weight vector, a monomial with coefficient 1); the tensor action has int
+coefficients, so the image of a p-integral vector is p-integral.  Nor does
+it build a weight space, so the lazy F-basis numbering is unchanged.
 
 The morphism checks (check_morphism, verify_degree_equations) run in ints.
 Their conditions are linear and homogeneous in Phi, so with D > 0 the lcm of
@@ -103,18 +103,18 @@ every term of Phi(b_hw) has weight lam, (ii) the raisings x_i d_{i+1} (i =
 d_i, for the pairs (i, p) of a lowering frame of the source, whose images
 span each weight space below the top.  (i) and (ii) give an L_0-map psi
 with psi(b_hw) = Phi(b_hw), and (iii) makes Phi = psi by induction on
-depth.  The frame of a TensorModule is its provenance, and a DualModule
-finds one once by elimination.  One operator, _gen_on_theta, applies a
-generator to one column, x_r d/dx_s . Phi(b_n) - Phi(x_r d/dx_s . b_n),
-given the source coordinates of x_r d/dx_s . b_n: none for a raising at
-b_hw, the frame's at a frame pair, and the source's action(r, s) when a Phi
-that fails the frame is scanned through all 20 x_r d/dx_s in order to name
-the first failing one.  The degree equations of an invariant Phi
-are decided on the highest weight column v of F(lam): there they hold every
-coefficient of x_5 d_45 Phi(v), n+ kills Phi(v), and L_1 = U(n+) . x_5 d_45,
-so they make Phi a morphism, which satisfies them on every column.  Only a
-Phi that fails at v is evaluated on all columns, to name its first failing
-equation.
+depth.  Every module finds its frame once by elimination over its lowering
+columns (on a TensorModule that gives its provenance).  One operator,
+_gen_on_theta, applies a generator to one column, x_r d/dx_s . Phi(b_n) -
+Phi(x_r d/dx_s . b_n), given the source coordinates of x_r d/dx_s . b_n:
+none for a raising at b_hw, the frame's at a frame pair, and the source's
+action(r, s) when a Phi that fails the frame is scanned through all 20
+x_r d/dx_s in order to name the first failing one.  The degree equations of
+an invariant Phi are decided on the highest weight column v of F(lam):
+there they hold every coefficient of x_5 d_45 Phi(v), n+ kills Phi(v), and
+L_1 = U(n+) . x_5 d_45, so they make Phi a morphism, which satisfies them on
+every column.  Only a Phi that fails at v is evaluated on all columns, to
+name its first failing equation.
 """
 
 from __future__ import annotations
@@ -378,19 +378,37 @@ def _stacked_solver(mod: TensorModule, nu, *, p: int | None = None):
 
 def _raising_columns(mod: TensorModule, i: int, nu, p: int | None) -> dict:
     """mod.act_entries(i, i + 1, nu), or with a modulus p those rational
-    columns reduced mod p, raising UnluckyPrime from fp_basis(nu, p) for a
-    non-empty nu, then to_fp, then fp_basis(target, p) once a column is not
-    0 mod p (see the module docstring)."""
+    columns reduced mod p, raising UnluckyPrime from _fp_basis(mod, nu, p)
+    for a non-empty nu, then from the reduction of the columns, then from
+    the target's _fp_basis once a column is not 0 mod p (see the module
+    docstring)."""
     cols = mod.act_entries(i, i + 1, nu)
     if p is None:
         return cols
     if cols:
-        mod.fp_basis(nu, p)
-    cols = {idx: {k: v for k, c in col.items() if (v := to_fp(c, p))}
-            for idx, col in cols.items()}
+        _fp_basis(mod, nu, p)
+    cols = {idx: _mod_p(col, p) for idx, col in cols.items()}
     if any(cols.values()):
-        mod.fp_basis(sl5.wadd(nu, sl5.SIMPLE_ROOTS[i - 1]), p)
+        _fp_basis(mod, sl5.wadd(nu, sl5.SIMPLE_ROOTS[i - 1]), p)
     return cols
+
+
+def _mod_p(vec: dict, p: int) -> dict:
+    """A sparse rational vector reduced mod p, without the entries that
+    vanish: the one reduction of module data mod p.  Raises UnluckyPrime
+    where p divides a denominator."""
+    return {k: v for k, c in vec.items() if (v := to_fp(c, p))}
+
+
+def _fp_basis(mod: TensorModule, nu, p: int) -> dict:
+    """The basis of the built weight space nu reduced mod p, index ->
+    vector, made once and kept in the module's "bases" store for p.  Raises
+    UnluckyPrime unless every vector is p-integral."""
+    bases = mod.cache("bases", p)
+    got = bases.get(nu)
+    if got is None:
+        got = bases[nu] = {idx: _mod_p(mod.vectors[idx], p) for idx in mod.spaces[nu]}
+    return got
 
 
 def singular_vectors(mu, d: int, module: TensorModule | None = None):
@@ -481,21 +499,24 @@ SIEVE_PRIME = 2**30 - 35
 
 
 def _zimage(mod: TensorModule, op, fidx, *, p: int | None = None):
-    """The ambient image x_5 d_t . v_fidx (over F_p with a modulus p), cached
-    on the module: shared by every candidate lam of a search."""
+    """The ambient image x_5 d_t . v_fidx over Q, or with a modulus p that
+    rational image reduced mod p, cached on the module per modulus: shared
+    by every candidate lam of a search."""
     key = (op, fidx)
     cache = mod.cache("zterm", p)
     img = cache.get(key)
     if img is None:
-        img = cache[key] = glact_vector(op[0], op[1], mod.vector(fidx, p=p), p=p)
+        img = glact_vector(op[0], op[1], mod.vectors[fidx])
+        img = cache[key] = img if p is None else _mod_p(img, p)
     return img
 
 
 def _lifting_inputs(mod: TensorModule, p: int | None):
     """(solver, vector, zimage): the module data the lifting reads, over Q
-    (p None) or F_p; see _stacked_solver, TensorModule.vector and _zimage."""
-    return (partial(_stacked_solver, mod, p=p), partial(mod.vector, p=p),
-            partial(_zimage, mod, p=p))
+    (p None) or F_p; see _stacked_solver, _fp_basis and _zimage."""
+    vector = mod.vectors.__getitem__ if p is None else \
+        (lambda fidx: _fp_basis(mod, mod.weights[fidx], p)[fidx])
+    return partial(_stacked_solver, mod, p=p), vector, partial(_zimage, mod, p=p)
 
 
 def _sieve(lift) -> str:
@@ -706,23 +727,23 @@ def clear_caches() -> None:
 
 
 def reexpress(w: VermaElement, module) -> VermaElement:
-    """The same element of M(mu) in the coordinates of another realization of
-    F(mu) (e.g. moving a search result onto the cached full module)."""
+    """The same element of M(mu) in the coordinates of another TensorModule
+    of weight mu (e.g. moving a search result onto the cached full module):
+    the vector at position k of a weight space is the same in both (see
+    TensorModule), so each index moves to its position in the other.  A
+    weight space that module has not built raises ArithmeticError."""
     if w.module is module:
         return w
     if tuple(w.module.highest_weight) != tuple(module.highest_weight):
         raise ValueError("module weight mismatch")
-    by_mono: dict = {}
-    for (m, idx), c in w.terms.items():
-        amb = by_mono.setdefault(m, {})
-        add_into(amb, w.module.vectors[idx], c)
+    src = w.module
     terms: dict = {}
-    for m, amb in by_mono.items():
-        if not amb:
-            continue
-        nu = fmodules.monomial_weight(next(iter(amb)))
-        for idx, c in module.coords(nu, amb).items():
-            terms[(m, idx)] = c
+    for (m, idx), c in w.terms.items():
+        nu = src.weights[idx]
+        space = module.spaces.get(nu)
+        if not space:
+            raise ArithmeticError(f"weight space {nu} is not built in the target")
+        terms[(m, space[idx - src.spaces[nu][0]])] = c
     return VermaElement(module, w.degree, terms)
 
 

@@ -366,7 +366,7 @@ def glact_vector(r, s, vec, p=None):
     """x_r d/dx_s on a sparse vector of packed tensor monomials, one
     add_into (the reference one below) per monomial of the slot loop's
     image (glact_monomial below): the reference for fmodules.glact_vector,
-    its terms and their order, over Q and (with p) F_p."""
+    its terms and their order, and (with p) the tensor action over F_p."""
     from e510 import fmodules
 
     out = {}
@@ -385,16 +385,18 @@ def raising_columns(mod, i, nu, p=None):
 def ambient_columns(mod, r, s, nu, p=None):
     """The columns of x_r d/dx_s on the weight space nu computed on ambient
     vectors: the target's weight space built, then nu's, each basis vector
-    (reduced mod p when p is given) acted on in the tensor space
-    (glact_vector above) and its image reduced in the target's basis
-    (coords below)."""
-    from e510 import fmodules, sl5
+    (with p, its reduction mod p by verma._fp_basis) acted on in the tensor
+    space (glact_vector above, over F_p with p) and its image reduced in
+    the target's basis (coords below)."""
+    from e510 import fmodules, sl5, verma
 
     target = sl5.wadd(nu, fmodules.gen_shift(r, s))
     mod.ensure_weight(target)
     cols = {}
     for idx in mod.ensure_weight(nu):
-        img = glact_vector(r, s, mod.vector(idx, p=p), p)
+        vec = mod.vectors[idx] if p is None else \
+            verma._fp_basis(mod, mod.weights[idx], p)[idx]
+        img = glact_vector(r, s, vec, p)
         cols[idx] = coords(mod, target, img, p) if img else {}
     return cols
 
@@ -403,12 +405,13 @@ def coords(mod, nu, vec, p=None):
     """mod.coords(nu, vec), or with a modulus p the coordinates over F_p in
     the basis reduced mod p (pivots are 1, so nothing is divided), least
     monomial first; a residual left mod p raises UnluckyPrime."""
+    from e510 import verma
     from e510.linalg import UnluckyPrime
 
     if p is None:
         return mod.coords(nu, vec)
     residual, trail = dict(vec), []
-    piv, basis = mod.pivots.get(nu, {}), mod.fp_basis(nu, p)
+    piv, basis = mod.pivots.get(nu, {}), verma._fp_basis(mod, nu, p)
     while residual:
         hit = piv.get(min(residual))
         if hit is None:

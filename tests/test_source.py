@@ -81,12 +81,17 @@ def test_invariance_passes_go_through_the_kept_verdict():
 
 def test_invariance_is_decided_on_the_lowering_frame():
     # _equivariance_failure alone runs the frame check, which alone reads a
-    # source's lowering frame; a DualModule finds its frame by elimination
-    # once, and a TensorModule reads it from prov
+    # source's lowering frame; every module finds its frame by elimination
+    # once, through the one lowering_frame both kinds of module share
     assert _referrers("_frame_holds") == {"verma.py:_equivariance_failure"}
     assert _referrers("lowering_frame") == {"verma.py:_frame_holds"}
-    assert _referrers("_eliminated_frame") == {"fmodules.py:lowering_frame"}
+    assert _referrers("_eliminated_frame") == set()
     assert _referrers("_SIMPLE") == set()
+    defs = [f"{path.name}:{node.lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.FunctionDef) and node.name == "lowering_frame"]
+    assert len(defs) == 1 and defs[0].startswith("fmodules.py")
 
 
 def test_frame_disagreement_raises_under_optimize():
@@ -192,13 +197,12 @@ def test_raising_columns_come_from_the_lowering_record():
     assert memo and len(memo) == len(inside)
     names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(raising)}
     assert "ensure_weight" not in names
-    # ensure_weight writes the lowering record and _lowering alone reads it,
-    # for the raising and the lowering columns of act_entries
+    # ensure_weight writes the lowering record, which is module state, and
+    # _lowering alone reads it, for the raising and the lowering columns of
+    # act_entries
     assert _referrers("_lowering") == {"fmodules.py:_raising", "fmodules.py:act_entries"}
-    tree = ast.parse((SRC / "fmodules.py").read_text(), "fmodules.py")
-    assert {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-            and any(isinstance(c, ast.Constant) and c.value == "lower"
-                    for c in ast.walk(node))} == {"ensure_weight", "_lowering"}
+    assert _referrers("lower") == {"fmodules.py:__init__", "fmodules.py:ensure_weight",
+                                   "fmodules.py:_lowering"}
 
 
 def _signatures(path_name, name):
@@ -211,9 +215,9 @@ def _signatures(path_name, name):
 
 
 def test_module_action_is_rational_and_fp_raising_is_reduced_in_one_place():
-    # both act_entries, coords and _reduce take no modulus, so F_p reaches a
-    # module only through fp_basis, vector and _zimage; _raising_columns
-    # alone reduces the raising columns mod p, for _stacked_solver alone
+    # both act_entries, coords and _reduce take no modulus (nor does any
+    # other def of fmodules: see the test below); _raising_columns alone
+    # reduces the raising columns mod p, for _stacked_solver alone
     assert _signatures("fmodules.py", "act_entries") == [["self", "r", "s", "nu"]] * 2
     for name in ("coords", "_reduce"):
         assert _signatures("fmodules.py", name) == [["self", "nu", "vec"]]
@@ -224,3 +228,50 @@ def test_module_action_is_rational_and_fp_raising_is_reduced_in_one_place():
     assert _signatures("verma.py", "_stacked_solver") == [["mod", "nu", "p"]]
     assert "verma.py:_zimage" in _referrers("glact_vector")
     assert _referrers("_act_cache") == {"fmodules.py:_ActingModule"}
+
+
+def test_fmodules_works_over_q_only():
+    # no def of fmodules takes a modulus, and fmodules never names the F_p
+    # reduction or its error: every reduction of module data mod p is
+    # verma's, next to the sieve
+    tree = ast.parse((SRC / "fmodules.py").read_text(), "fmodules.py")
+    params = {f"{getattr(node, 'name', 'lambda')}:{a.arg}" for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.Lambda))
+              for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    assert params and not [p for p in params if p.endswith(":p")]
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    names |= {getattr(node, "name", None) for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.alias))}
+    assert not names & {"to_fp", "UnluckyPrime", "fp_basis", "vector"}
+
+
+def test_module_data_is_reduced_mod_p_by_one_helper():
+    # _fp_basis reduces the basis, for the raising columns and the lifting's
+    # vectors only; _mod_p is the one reduction, of the basis, the raising
+    # columns and the z-term images, and the only caller of to_fp in verma
+    assert _referrers("_fp_basis") == {"verma.py:_raising_columns",
+                                       "verma.py:_lifting_inputs"}
+    assert _referrers("_mod_p") == {"verma.py:_fp_basis", "verma.py:_raising_columns",
+                                    "verma.py:_zimage"}
+    assert {r for r in _referrers("to_fp") if r.startswith("verma.py")} == {"verma.py:_mod_p"}
+
+
+def test_names_the_benchmark_tracer_reads_are_kept():
+    # perfbench/tracer.py patches verma.glact_vector as the z-term spans, so
+    # _zimage must keep calling it by that name, and its cache probes read
+    # _stack_cache and _act_cache off a module (a missing _stack_cache would
+    # read as an empty cache, not fail)
+    assert "verma.py:_zimage" in _referrers("glact_vector")
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tracer = ast.parse(path.read_text(), str(path))
+    probed = {node.attr for node in ast.walk(tracer)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "mod"}
+    probed |= {node.args[1].value for node in ast.walk(tracer)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+               and isinstance(node.args[1], ast.Constant)}
+    from e510 import fmodules
+
+    assert probed == {"_stack_cache", "_act_cache"}
+    for name in probed:
+        assert isinstance(getattr(fmodules._ActingModule, name), property), name

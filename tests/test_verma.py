@@ -554,15 +554,15 @@ def _lowering_coords(mod, i, p):
 def test_tensor_frame_is_the_prov_origins(lam):
     # a built module's frame is what it was built from: one pair per vector
     # below the top, (i, p) its prov origin and coords that lowering's
-    # coordinates (pc at the new vector, the trail at earlier ones); greedy
-    # elimination over the lowering columns finds the same pairs in order
+    # coordinates (pc at the new vector, the trail at earlier ones), though
+    # it is found by greedy elimination over the lowering columns
     mod = V.get_module(lam)
     frame = mod.lowering_frame()
+    assert mod.lowering_frame() is frame
     assert [pair for pair, _ in frame] == [origin for origin, _, _ in mod.prov[1:]]
     for n, ((i, p), coords) in enumerate(frame, start=1):
         assert coords == _lowering_coords(mod, i, p)
         assert coords[n] == mod.prov[n][2] and max(coords) == n
-    assert [pair for pair, _ in mod._eliminated_frame()] == [pair for pair, _ in frame]
     with pytest.raises(ValueError, match="not fully built"):
         fm.TensorModule(lam).lowering_frame()
 
@@ -1341,6 +1341,67 @@ def test_sieve_builds_zterm_images_only_for_flushed_depths():
     assert (made[2][1], made[4][1]) == (111, 4)
 
 
+def test_fp_zimage_is_the_rational_image_reduced():
+    # over F_p, _zimage is the rational image x_5 d_t . v_fidx reduced mod
+    # p: on the degree-2 sweep's modules, each image the sieve made is that,
+    # and also the tensor action over F_p on the basis vector reduced mod p
+    # (how the sieve once made it); made again with both caches emptied, it
+    # fills only its own cache, not the rational one
+    p = V.SIEVE_PRIME
+    made = 0
+    for mu, d in SWEEP_D2:
+        mod = fm.TensorModule(mu)
+        V.singular_vectors(mu, d, module=mod)
+        images = dict(mod.cache("zterm", p))
+        mod.cache("zterm", p).clear()
+        mod.cache("zterm").clear()
+        for (op, fidx), img in images.items():
+            want = {k: v for k, c in fm.glact_vector(*op, mod.vectors[fidx]).items()
+                    if (v := to_fp(c, p))}
+            reduced = {k: v for k, c in mod.vectors[fidx].items() if (v := to_fp(c, p))}
+            assert img == want == oracles.glact_vector(*op, reduced, p)
+            assert V._zimage(mod, op, fidx, p=p) == img
+            made += 1
+        assert mod.cache("zterm") == {} and mod.cache("zterm", p) == images
+    assert made >= 1000
+
+
+_ORDER_WEIGHTS = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1),
+                  (0, 0, 1, 1), (2, 0, 0, 1), (0, 0, 1, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_ORDER_WEIGHTS), st.randoms(use_true_random=False))
+def test_weight_spaces_do_not_depend_on_build_order(mu, rng):
+    # the lemma reexpress rests on (TensorModule): a module built by
+    # ensure_weight on a random set of weights in a random order holds in
+    # each space it built the basis of get_module(mu), in the same order and
+    # at consecutive indices; so reexpress moves an element onto the full
+    # module and back, and raises on a space the target has not built
+    full = V.get_module(mu)
+    weights = sorted(full.spaces)
+    mod = fm.TensorModule(mu)
+    for nu in rng.sample(weights, rng.randint(1, len(weights))):
+        mod.ensure_weight(nu)
+    for nu, idxs in mod.spaces.items():
+        assert [mod.vectors[n] for n in idxs] == \
+            [full.vectors[n] for n in full.spaces.get(nu, [])]
+        assert idxs == list(range(idxs[0], idxs[0] + len(idxs)) if idxs else [])
+    monos = um.pbw_monomials(1)
+    terms = {(rng.choice(monos), n): Q(rng.randint(1, 9), rng.randint(1, 3))
+             for n in rng.sample(range(len(mod.vectors)), min(4, len(mod.vectors)))}
+    w = V.VermaElement(mod, 1, terms)
+    onto = V.reexpress(w, full)
+    for (m, n), c in w.terms.items():
+        nu = mod.weights[n]
+        assert onto.terms[m, full.spaces[nu][mod.spaces[nu].index(n)]] == c
+    assert V.reexpress(onto, mod).terms == w.terms
+    unbuilt = [n for n in range(full.dim) if not mod.spaces.get(full.weight_of(n))]
+    if unbuilt:
+        with pytest.raises(ArithmeticError, match="not built"):
+            V.reexpress(V.VermaElement(full, 1, {(monos[0], unbuilt[0]): Q(1)}), mod)
+
+
 def test_forced_fallback_at_a_small_prime_keeps_the_vectors(monkeypatch):
     # a small prime may renumber the lazy basis: compare on get_module(mu)
     _, want = _sieve_run(monkeypatch, SWEEP_D2)
@@ -1356,7 +1417,7 @@ def test_unlucky_prime_triggers():
     (half,) = [i for i, v in enumerate(mod.vectors)
                if any(c.denominator == 2 for c in v.values())]
     with pytest.raises(UnluckyPrime):
-        mod.vector(half, p=2)
+        V._fp_basis(mod, mod.weights[half], 2)
     # a stacked raising system of F(1,1,0,0) loses rank mod 3, never mod SIEVE_PRIME
     mod = fm.TensorModule((1, 1, 0, 0)).build_full()
     dropped = []
@@ -1474,6 +1535,7 @@ def test_pickled_module_drops_caches_and_keeps_certificates():
     mod2 = back[0].vectors[0].module
     assert mod2._derived == {}
     assert mod2.vectors == mod.vectors and mod2.prov == mod.prov
+    assert mod2.lower == mod.lower
     for row, row2 in zip(rows, back):
         assert (row2.mu, row2.lam, row2.family) == (row.mu, row.lam, row.family)
         for w, w2 in zip(row.vectors, row2.vectors):
@@ -1495,8 +1557,8 @@ def test_derived_state_sits_in_one_store():
     mod = phi.target
     assert psi.source.base is mod and psi.target.base is phi.source
     assert set(vars(mod)) == {"weight", "vectors", "weights", "prov", "spaces", "pivots",
-                              "_full", "_derived"}
-    assert {"act", "actions", "stack", "zterm", "lower", "raising"} <= \
+                              "lower", "_full", "_derived"}
+    assert {"act", "actions", "stack", "zterm", "raising"} <= \
         {n for n, p in mod._derived}
     assert ("dual", None) in mod._derived
     assert {("stack", V.SIEVE_PRIME), ("bases", V.SIEVE_PRIME)} <= set(mod._derived)
