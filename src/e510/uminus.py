@@ -8,9 +8,10 @@ of canonical pairs (i, j), i < j, ordered lexicographically.  Elements are
 sparse dicts monomial -> rational, an int where integral and a Fraction
 otherwise: the structure constants of the relation are signs, so normal
 forms (and the L0-adjoint action on int elements) have int coefficients,
-while omega_I carries the halves of its contractions as Fractions.  The
-omega_I basis, the signed B_d action, the crossing-number combinatorics and
-the L0-adjoint action live here.
+while omega_I carries the halves of its contractions as Fractions; the
+morphism layer reads the omega basis and its inverse scaled to ints
+(omega_int_tables).  The omega_I basis, the signed B_d action, the
+crossing-number combinatorics and the L0-adjoint action live here.
 """
 
 from __future__ import annotations
@@ -357,6 +358,44 @@ def omega_basis(d: int):
                 reps.append((T, I))
                 cols.append(col)
     return reps, cols
+
+
+@lru_cache(maxsize=8)
+def omega_int_tables(d: int):
+    """The change of basis of omega_basis(d) and its inverse on ints:
+    (s, rows, t, cols), each of rows and cols a dict rep -> tuple of
+    (PBW monomial, int) in the order of omega_basis.  cols[rep] is t times
+    the expansion of del_T omega_I, and rows[rep] is s times the row of the
+    inverse, so that theta_rep = sum rows[rep][m] Phi_m / s; s and t are the
+    least positive ints that clear the halves (1 at d = 1, 2 at d = 2 and 3,
+    4 at d = 4).  The inverse comes by back-substitution on the
+    unitriangular structure: row i is the diagonal monomial of rep i minus c
+    times row j for each earlier column j that holds it with coefficient c,
+    taken in basis order through an index monomial -> columns, so the build
+    is O(nnz).  One result per degree is memoized and shared."""
+    reps, cols = omega_basis(d)
+    holders: dict = {}
+    for j, col in enumerate(cols):
+        for m, c in col.items():
+            holders.setdefault(m, []).append((j, c))
+    inv: list = []
+    for i, rep in enumerate(reps):
+        m0 = rep_monomial(rep)
+        row = {m0: Q(1)}
+        for j, c in holders[m0]:  # ascending, and column i holds m0 last
+            if j == i:
+                break
+            add_into(row, inv[j], -c)
+        inv.append(row)
+
+    def scaled(table):
+        k = math.lcm(*(c.denominator for vec in table for c in vec.values()))
+        return k, {rep: tuple((m, c.numerator * (k // c.denominator)) for m, c in vec.items())
+                   for rep, vec in zip(reps, table)}
+
+    s, rows = scaled(inv)
+    t, tcols = scaled(cols)
+    return s, rows, t, tcols
 
 
 def rep_monomial(rep) -> tuple:

@@ -89,13 +89,23 @@ weight vector, a monomial with coefficient 1); the tensor action has int
 coefficients, so the image of a p-integral vector is p-integral.  Nor does
 it build a weight space, so the lazy F-basis numbering is unchanged.
 
-The morphism checks (check_morphism, verify_degree_equations) run in ints.
-Their conditions are linear and homogeneous in Phi, so with D > 0 the lcm of
-the denominators of Phi's coefficients, x . (D Phi) = D (x . Phi) vanishes
-exactly when x . Phi does; likewise the theta blocks are scaled by a
-positive integer and each degree equation is multiplied by 2 (degree 1) or
-4.  Scaling by a positive integer keeps zero-ness, so verdicts and
-diagnostics are those of rational arithmetic.  Invariance is decided once
+The morphism layer runs in ints.  It reads Phi only through D Phi
+(_int_coeffs), D > 0 the lcm of the denominators of Phi's coefficients, and
+the change of basis to del_T omega_I through uminus.omega_int_tables: s
+times its inverse (the rows) and t times its columns.  The theta blocks are
+the rows applied to D Phi, so S theta is integral for S = s D; a dual or an
+equivariant control expands its S theta blocks on the t-scaled columns; a
+composite is formed from D1 Phi1 and D2 Phi2.  Each output entry is then
+divided once, by S, t S or D1 D2 (_divided, with exact_div), and so is an
+int where integral.  Every partial sum is the rational one times a positive
+integer, so it vanishes exactly when that does: add_into drops and revives
+the same keys, and every coefficient dict keeps its values and its key
+order at all three levels (monomial, source column, target index).  The
+checks (check_morphism, verify_degree_equations) never divide: their
+conditions are linear and homogeneous in Phi, so x . (D Phi) = D (x . Phi)
+vanishes exactly when x . Phi does; they read the S-scaled theta blocks,
+and each degree equation is multiplied by 2 (degree 1) or 4, so verdicts
+and diagnostics are those of rational arithmetic.  Invariance is decided once
 per Phi, and the first check keeps the verdict on the MorphismData for the
 other.  It rests on a frame lemma: Phi is L_0-invariant exactly when (i)
 every term of Phi(b_hw) has weight lam, (ii) the raisings x_i d_{i+1} (i =
@@ -127,7 +137,8 @@ from functools import lru_cache, partial
 
 from . import fmodules, sl5, uminus
 from .fmodules import TensorModule, glact_vector
-from .linalg import RowReducer, UnluckyPrime, add_into, add_term, format_scalar, parse_scalar, to_fp
+from .linalg import (RowReducer, UnluckyPrime, add_into, add_term, exact_div, format_scalar,
+                     parse_scalar, to_fp)
 
 ZDEL = uminus.ZERO_DEL
 
@@ -714,8 +725,9 @@ def clear_caches() -> None:
     """Empty the process-wide caches: the L_0 and L_1 action tables on PBW
     monomials, the search's per-degree tables (_degree_tables) and level
     plans (_level_plan), the L_1 spanning set, the fully built modules of
-    get_module, and uminus's omega basis and normal-ordering table.  Results
-    do not depend on them."""
+    get_module, and uminus's omega basis, its integer tables
+    (omega_int_tables) and normal-ordering table.  Results do not depend on
+    them."""
     _l0_mono.cache_clear()
     _odd_action.cache_clear()
     _degree_tables.cache_clear()
@@ -723,6 +735,7 @@ def clear_caches() -> None:
     l1_basis.cache_clear()
     _module_cache.clear()
     uminus.omega_basis.cache_clear()
+    uminus.omega_int_tables.cache_clear()
     uminus._order_cache.clear()
 
 
@@ -773,7 +786,8 @@ def morphism_from_singular(w: VermaElement, lam, check: bool = True) -> Morphism
         img = act_l0(i + 1, i, images[parent])
         for k, c in trail:
             img = img.plus(images[k], -c)
-        images[n] = img.scaled(Q(1) / pc)
+        images[n] = VermaElement(mod_mu, w.degree,
+                                 {key: exact_div(c, pc) for key, c in img.terms.items()})
     return MorphismData(w.degree, lam, mod_mu.highest_weight, src, mod_mu,
                         _coeffs(img.terms for img in images))
 
@@ -783,10 +797,16 @@ def apply_morphism(phi: MorphismData, u: dict, vcoords: dict, *,
     """phi(u (x) v) = u Phi(v) for a UElement u and coordinates v in F(lam).
     products, when given, memoizes the products u * m (m a PBW monomial of
     phi) for calls with this same u."""
-    if products is None:
-        products = {}
+    deg = phi.degree + (uminus.degree(next(iter(u))) if u else 0)
+    return VermaElement(phi.target, deg, _apply(phi.coeffs, u, vcoords,
+                                                 {} if products is None else products))
+
+
+def _apply(coeffs: dict, u: dict, vcoords: dict, products: dict) -> dict:
+    """The terms (monomial, target index) -> scalar of u Phi(v) for Phi's
+    coefficient table coeffs (see apply_morphism)."""
     out: dict = {}
-    for m, cols in phi.coeffs.items():
+    for m, cols in coeffs.items():
         fv: dict = {}
         for n, cn in vcoords.items():
             add_into(fv, cols.get(n, {}), cn)
@@ -798,68 +818,103 @@ def apply_morphism(phi: MorphismData, u: dict, vcoords: dict, *,
         for m2, c2 in prod.items():
             for idx, cf in fv.items():
                 add_term(out, (m2, idx), c2 * cf)
-    deg = phi.degree + (uminus.degree(next(iter(u))) if u else 0)
-    return VermaElement(phi.target, deg, out)
+    return out
 
 
 def compose(phi2: MorphismData, phi1: MorphismData) -> MorphismData:
-    """phi2 . phi1, of degree d1 + d2."""
+    """phi2 . phi1, of degree d1 + d2, computed on D1 Phi1 and D2 Phi2 in
+    ints (_int_coeffs) and divided by D1 D2 once per entry."""
     if phi1.mu != phi2.lam or phi1.target is not phi2.source:
         raise ValueError("weight mismatch in composition")
+    d1, table1 = _int_coeffs(phi1)
+    d2, table2 = _int_coeffs(phi2)
     images: list = []
     products: dict = {}  # m -> {m2 -> m * m2}: the U products, shared by columns
     for n in range(phi1.source.dim):
         acc: dict = {}
-        for m, cols in phi1.coeffs.items():
+        for m, cols in table1.items():
             col = cols.get(n)
             if col:
-                img = apply_morphism(phi2, {m: 1}, col,
-                                     products=products.setdefault(m, {}))
-                add_into(acc, img.terms)
-        images.append(acc)
+                add_into(acc, _apply(table2, {m: 1}, col, products.setdefault(m, {})))
+        images.append(_divided(acc, d1 * d2))
     return MorphismData(phi1.degree + phi2.degree, phi1.lam, phi2.mu,
                         phi1.source, phi2.target, _coeffs(images))
 
 
-def theta_decomposition(phi: MorphismData, column: int | None = None) -> dict:
-    """Coefficients of Phi on the del_T omega_I basis: rep -> column map.
+def _int_coeffs(phi: MorphismData, column: int | None = None) -> tuple:
+    """(D, D Phi's coefficient table in ints), D > 0 the lcm of the
+    denominators of its scalars; with column given, that source column alone
+    (monomials without it left out).  Keys keep Phi's order at every level.
+    When every scalar is an int the table is Phi's own, so callers only read
+    it.  The morphism layer reads Phi through this table and divides each
+    output entry once (see the module docstring)."""
+    coeffs = phi.coeffs
+    if column is not None:
+        coeffs = {m: {column: cols[column]} for m, cols in coeffs.items() if column in cols}
+    dens = {c.denominator for cols in coeffs.values() for col in cols.values()
+            for c in col.values() if type(c) is not int}
+    if not dens:
+        return 1, coeffs
+    D = math.lcm(*dens)
+    return D, {m: {n: {i: c.numerator * (D // c.denominator) for i, c in col.items()}
+                   for n, col in cols.items()}
+               for m, cols in coeffs.items()}
 
-    The basis is unitriangular by del count (uminus.omega_basis), so in its
-    order theta_rep is what is left of Phi at the diagonal monomial of rep,
-    and del_T omega_I (x) theta_rep is then peeled off the rest.  Each source
-    column is peeled on its own, so with column given only that column of
-    every theta_rep is computed."""
-    reps, cols = uminus.omega_basis(phi.degree)
-    rest = {m: {n: dict(col) for n, col in cs.items() if column in (None, n)}
-            for m, cs in phi.coeffs.items()}
+
+def _int_thetas(phi: MorphismData, column: int | None = None) -> tuple:
+    """(S, S times Phi's theta blocks in ints), S = s D > 0: the blocks
+    rep -> source column -> target index of theta_decomposition, each the
+    sum over the inverse row of rep (uminus.omega_int_tables, scaled by s)
+    of the columns of D Phi (_int_coeffs), without empty columns or blocks."""
+    D, table = _int_coeffs(phi, column)
+    s, rows, _t, _cols = uminus.omega_int_tables(phi.degree)
     out: dict = {}
-    for rep, col in zip(reps, cols):
-        m0 = uminus.rep_monomial(rep)
-        theta = {n: c for n, c in rest.pop(m0, {}).items() if c}
-        if not theta:
-            continue
-        out[rep] = theta
-        for mono, cf in col.items():
-            if mono != m0:
-                acc = rest.setdefault(mono, {})
-                for n, c in theta.items():
-                    add_into(acc.setdefault(n, {}), c, -cf)
-    return out
+    for rep, row in rows.items():
+        theta: dict = {}
+        for mono, cf in row:
+            for n, col in table.get(mono, {}).items():
+                add_into(theta.setdefault(n, {}), col, cf)
+        theta = {n: col for n, col in theta.items() if col}
+        if theta:
+            out[rep] = theta
+    return s * D, out
 
 
-def _expand_omega(degree: int, thetas: dict, factor) -> dict:
-    """sum over rep = (T, I) of factor(rep) del_T omega_I (x) thetas[rep] as
-    Phi coefficients, without empty columns or monomials."""
-    colmap = dict(zip(*uminus.omega_basis(degree)))
+def theta_decomposition(phi: MorphismData, column: int | None = None) -> dict:
+    """Coefficients of Phi on the del_T omega_I basis: rep -> column map,
+    each theta_rep the inverse row of rep applied to Phi's coefficients
+    (_int_thetas), reps in the order of uminus.omega_basis.  With column
+    given only that column of every theta_rep is computed."""
+    scale, thetas = _int_thetas(phi, column)
+    return {rep: {n: _divided(col, scale) for n, col in theta.items()}
+            for rep, theta in thetas.items()}
+
+
+def _expand_omega(degree: int, thetas: dict, factor, scale: int) -> dict:
+    """sum over rep = (T, I) of factor(rep) del_T omega_I (x) thetas[rep] /
+    scale as Phi coefficients, for int blocks thetas and int factors: the
+    sums run on the int columns t del_T omega_I (uminus.omega_int_tables)
+    and each entry is divided by t scale once.  No empty columns or
+    monomials are kept."""
+    _s, _rows, t, cols = uminus.omega_int_tables(degree)
     coeffs: dict = {}
     for rep, theta in thetas.items():
         f = factor(rep)
-        for mono, cf in colmap[rep].items():
+        for mono, cf in cols[rep]:
             for n, col in theta.items():
                 add_into(coeffs.setdefault(mono, {}).setdefault(n, {}), col, f * cf)
-    coeffs = {m: {n: col for n, col in cols.items() if col}
+    coeffs = {m: {n: _divided(col, t * scale) for n, col in cols.items() if col}
               for m, cols in coeffs.items()}
     return {m: cols for m, cols in coeffs.items() if cols}
+
+
+def _divided(vec: dict, scale: int) -> dict:
+    """vec with every value divided by scale > 0 (exact_div), in place: the
+    one division per output entry of the integer morphism layer."""
+    if scale != 1:
+        for k, c in vec.items():
+            vec[k] = exact_div(c, scale)
+    return vec
 
 
 def _onto_full_target(phi: MorphismData) -> MorphismData:
@@ -881,7 +936,7 @@ def dual_morphism(phi: MorphismData) -> MorphismData:
     tagged conjectural.  A lazily built target is first replaced by
     get_module(mu)."""
     phi = _onto_full_target(phi)
-    thetas = theta_decomposition(phi)
+    scale, thetas = _int_thetas(phi)
     src = phi.target.dual()
     tgt = phi.source.dual()
     # transpose: theta* column at w-index q collects theta[n][q] at n
@@ -891,27 +946,17 @@ def dual_morphism(phi: MorphismData) -> MorphismData:
         for n, col in theta.items():
             for q, v in col.items():
                 tstar.setdefault(q, {})[n] = v
-    coeffs = _expand_omega(phi.degree, tstars, lambda rep: (-1) ** len(rep[0]))
+    coeffs = _expand_omega(phi.degree, tstars, lambda rep: (-1) ** len(rep[0]), scale)
     tag = "conjectural" if phi.degree >= 4 else ""
     return MorphismData(phi.degree, sl5.dual_weight(phi.mu),
                         sl5.dual_weight(phi.lam), src, tgt, coeffs, tag)
 
 
-def _clear_denominators(table: dict) -> dict:
-    """D * table in ints for a three-level table key -> column -> index ->
-    scalar, D > 0 the lcm of the scalars' denominators."""
-    D = math.lcm(*(c.denominator for cols in table.values()
-                   for col in cols.values() for c in col.values()))
-    return {key: {n: {i: c.numerator * (D // c.denominator) for i, c in col.items()}
-                  for n, col in cols.items()}
-            for key, cols in table.items()}
-
-
 def _int_columns(phi: MorphismData) -> dict:
     """n -> D Phi(b_n) as terms (monomial, target index) -> int, D as in
-    _clear_denominators."""
+    _int_coeffs."""
     columns: dict = {}
-    for m, cols in _clear_denominators(phi.coeffs).items():
+    for m, cols in _int_coeffs(phi)[1].items():
         for n, col in cols.items():
             terms = columns.setdefault(n, {})
             for idx, c in col.items():
@@ -1109,8 +1154,8 @@ def verify_degree_equations(phi: MorphismData):
 
 def _theta_table(phi: MorphismData, column: int | None = None) -> dict:
     """The theta blocks keyed (T, I), at one source column when given,
-    scaled to ints by a positive integer (see _clear_denominators)."""
-    return _clear_denominators(theta_decomposition(phi, column))
+    scaled to ints by a positive integer (see _int_thetas)."""
+    return _int_thetas(phi, column)[1]
 
 
 def _equations_deg1(phi: MorphismData, table: dict):
@@ -1539,16 +1584,18 @@ def perturbed_controls(phi: MorphismData, count: int, seed: int = 0):
 def equivariant_controls(phi: MorphismData, count: int):
     """L0-equivariant non-morphisms built by rescaling isotypic blocks of the
     del_T omega_I decomposition; they pass the invariance precheck but break
-    the L1 condition whenever more than one block is populated."""
-    thetas = theta_decomposition(phi)
+    the L1 condition whenever more than one block is populated.  The blocks
+    are scaled to ints once (_int_thetas) and each control divides once."""
+    if count < 1:
+        return []
+    scale, thetas = _int_thetas(phi)
     ks = {len(rep[0]) for rep in thetas}
     if len(ks) < 2:
         return []
     out = []
     for j in range(count):
-        scale = Q(2 + j)
         coeffs = _expand_omega(phi.degree, thetas,
-                               lambda rep: scale if len(rep[0]) > 0 else Q(1))
+                               lambda rep: 2 + j if len(rep[0]) > 0 else 1, scale)
         out.append(MorphismData(phi.degree, phi.lam, phi.mu, phi.source,
                                 phi.target, coeffs, tag=f"scaled-{j}"))
     return out

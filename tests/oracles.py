@@ -565,9 +565,10 @@ def omega_basis_inverse(d: int):
 
 
 def theta_decomposition(phi):
-    """Phi's theta blocks by the explicit inverse change of basis, the
-    reference for verma.theta_decomposition, which peels them off by del
-    count: rep -> n -> column, in the order of the omega basis."""
+    """Phi's theta blocks by the explicit inverse change of basis in
+    Fractions, the reference for verma.theta_decomposition, which applies
+    the same rows scaled to ints (uminus.omega_int_tables): rep -> n ->
+    column, in the order of the omega basis."""
     reps, _cols, inv = omega_basis_inverse(phi.degree)
     out = {}
     for rep, row in zip(reps, inv):
@@ -579,6 +580,139 @@ def theta_decomposition(phi):
         if theta:
             out[rep] = theta
     return out
+
+
+# -- Fraction references of the morphism layer ---------------------------------
+# verma decomposes, transposes, expands and composes on integer-scaled tables
+# and divides each output entry once; these are the Fraction forms it
+# replaced, kept loop for loop, so that values and the order of keys at every
+# level (monomial, source column, target index) can be compared.
+
+def peeled_theta(phi, column=None):
+    """Phi's theta blocks peeled off by del count in Fractions: in the order
+    of the omega basis, theta_rep is what is left of Phi at the diagonal
+    monomial of rep, and del_T omega_I (x) theta_rep is peeled off the rest."""
+    from e510.linalg import add_into
+    from e510.uminus import omega_basis, rep_monomial
+
+    reps, cols = omega_basis(phi.degree)
+    rest = {m: {n: dict(col) for n, col in cs.items() if column in (None, n)}
+            for m, cs in phi.coeffs.items()}
+    out = {}
+    for rep, col in zip(reps, cols):
+        m0 = rep_monomial(rep)
+        theta = {n: c for n, c in rest.pop(m0, {}).items() if c}
+        if not theta:
+            continue
+        out[rep] = theta
+        for mono, cf in col.items():
+            if mono != m0:
+                acc = rest.setdefault(mono, {})
+                for n, c in theta.items():
+                    add_into(acc.setdefault(n, {}), c, -cf)
+    return out
+
+
+def theta_table(phi, column=None):
+    """peeled_theta scaled to ints by the lcm of its denominators: the theta
+    table the degree equations read, in its Fraction-first form."""
+    import math
+
+    thetas = peeled_theta(phi, column)
+    D = math.lcm(*(c.denominator for cols in thetas.values()
+                   for col in cols.values() for c in col.values()))
+    return {rep: {n: {i: c.numerator * (D // c.denominator) for i, c in col.items()}
+                  for n, col in cols.items()}
+            for rep, cols in thetas.items()}
+
+
+def expand_omega(degree, thetas, factor):
+    """sum over rep of factor(rep) del_T omega_I (x) thetas[rep] as Phi
+    coefficients in Fractions, without empty columns or monomials."""
+    from e510.linalg import add_into
+    from e510.uminus import omega_basis
+
+    colmap = dict(zip(*omega_basis(degree)))
+    coeffs = {}
+    for rep, theta in thetas.items():
+        f = factor(rep)
+        for mono, cf in colmap[rep].items():
+            for n, col in theta.items():
+                add_into(coeffs.setdefault(mono, {}).setdefault(n, {}), col, f * cf)
+    coeffs = {m: {n: col for n, col in cols.items() if col}
+              for m, cols in coeffs.items()}
+    return {m: cols for m, cols in coeffs.items() if cols}
+
+
+def dual_morphism(phi):
+    """verma.dual_morphism by peeled_theta, a transpose and expand_omega in
+    Fractions (a lazily built target first moved onto get_module(mu))."""
+    from e510 import sl5, verma
+
+    phi = verma._onto_full_target(phi)
+    tstars = {}
+    for rep, theta in peeled_theta(phi).items():
+        tstar = tstars[rep] = {}
+        for n, col in theta.items():
+            for q, v in col.items():
+                tstar.setdefault(q, {})[n] = v
+    coeffs = expand_omega(phi.degree, tstars, lambda rep: (-1) ** len(rep[0]))
+    return verma.MorphismData(phi.degree, sl5.dual_weight(phi.mu), sl5.dual_weight(phi.lam),
+                              phi.target.dual(), phi.source.dual(), coeffs,
+                              "conjectural" if phi.degree >= 4 else "")
+
+
+def compose(phi2, phi1):
+    """verma.compose in Fractions: each column of Phi1 is applied to, one
+    monomial m at a time, by u Phi2(v) with u = m, the U products shared."""
+    from e510 import uminus, verma
+    from e510.linalg import add_into, add_term
+
+    images = []
+    products = {}
+    for n in range(phi1.source.dim):
+        acc = {}
+        for m, cols in phi1.coeffs.items():
+            col = cols.get(n)
+            if not col:
+                continue
+            prods = products.setdefault(m, {})
+            img = {}
+            for m2, cols2 in phi2.coeffs.items():
+                fv = {}
+                for k, ck in col.items():
+                    add_into(fv, cols2.get(k, {}), ck)
+                if not fv:
+                    continue
+                prod = prods.get(m2)
+                if prod is None:
+                    prod = prods[m2] = uminus.u_mul({m: 1}, {m2: 1})
+                for m3, c3 in prod.items():
+                    for idx, cf in fv.items():
+                        add_term(img, (m3, idx), c3 * cf)
+            add_into(acc, img)
+        images.append(acc)
+    coeffs = {}
+    for n, terms in enumerate(images):
+        for (m, idx), c in terms.items():
+            coeffs.setdefault(m, {}).setdefault(n, {})[idx] = c
+    return verma.MorphismData(phi1.degree + phi2.degree, phi1.lam, phi2.mu,
+                              phi1.source, phi2.target, coeffs)
+
+
+def equivariant_controls(phi, count):
+    """verma.equivariant_controls in Fractions: the del blocks of
+    peeled_theta scaled by 2 + j for the j-th control."""
+    from e510 import verma
+
+    thetas = peeled_theta(phi)
+    if len({len(rep[0]) for rep in thetas}) < 2:
+        return []
+    return [verma.MorphismData(phi.degree, phi.lam, phi.mu, phi.source, phi.target,
+                               expand_omega(phi.degree, thetas,
+                                            lambda rep: Q(2 + j) if rep[0] else Q(1)),
+                               tag=f"scaled-{j}")
+            for j in range(count)]
 
 
 def dominant_candidates(mu, d):

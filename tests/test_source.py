@@ -275,3 +275,48 @@ def test_names_the_benchmark_tracer_reads_are_kept():
     assert probed == {"_stack_cache", "_act_cache"}
     for name in probed:
         assert isinstance(getattr(fmodules._ActingModule, name), property), name
+
+
+# the morphism layer that runs on integer-scaled tables, and the helpers it
+# runs through
+_INTEGER_LAYER = ("theta_decomposition", "_theta_table", "_int_columns", "dual_morphism",
+                  "compose", "equivariant_controls")
+_INTEGER_HELPERS = ("_int_thetas", "_expand_omega", "_apply", "_divided")
+
+
+def test_the_morphism_layer_reads_phi_through_one_integer_table():
+    # theta blocks, duals, compositions, equivariant controls and the checks'
+    # columns reach Phi's coefficients only through _int_coeffs (D Phi in
+    # ints), and neither they nor their helpers name a Fraction or divide
+    # with /: each output entry is divided once, by exact_div in _divided
+    for name in _INTEGER_LAYER + _INTEGER_HELPERS:
+        fn = _function("verma.py", name)
+        names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        attrs = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+        assert not names & {"Q", "Fraction", "_clear_denominators"}, name
+        assert "coeffs" not in attrs and "scaled" not in attrs, name
+        assert not [node for node in ast.walk(fn)
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)], name
+    assert _referrers("_int_coeffs") == {"verma.py:_int_thetas", "verma.py:_int_columns",
+                                         "verma.py:compose"}
+    assert _referrers("_int_thetas") == {"verma.py:theta_decomposition", "verma.py:_theta_table",
+                                         "verma.py:dual_morphism",
+                                         "verma.py:equivariant_controls"}
+    assert {r for r in _referrers("exact_div") if r.startswith("verma.py")} == \
+        {"verma.py:_divided", "verma.py:morphism_from_singular"}
+    # every function perfbench/tracer.py patches on a module of the library
+    # is still defined or imported there under that name
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    patched = {(node.elts[0].id, node.elts[1].value)
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Tuple) and len(node.elts) == 5
+               and isinstance(node.elts[0], ast.Name) and isinstance(node.elts[1], ast.Constant)}
+    assert {("verma", "theta_decomposition"), ("verma", "compose"),
+            ("verma", "dual_morphism"), ("uminus", "omega_basis")} <= patched
+    for owner, attr in patched:
+        if owner in ("sl5", "uminus", "linalg", "fmodules", "verma"):
+            tree = ast.parse((SRC / f"{owner}.py").read_text(), owner)
+            names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            names |= {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                      for alias in node.names}
+            assert attr in names, (owner, attr)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -284,8 +285,40 @@ def test_omega_basis_round_trip(data):
     thetas = {rep: data.draw(st.dictionaries(st.integers(0, 3), column, min_size=1, max_size=3))
               for rep in picked}
     phi = V.MorphismData(d, None, None, None, None,
-                         V._expand_omega(d, thetas, lambda rep: Q(1)))
+                         oracles.expand_omega(d, thetas, lambda rep: Q(1)))
     assert V.theta_decomposition(phi) == thetas
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_omega_int_tables_invert_the_basis(d, data):
+    # rows (s times the inverse change of basis) times cols (t times the
+    # omega columns) is s t times the identity; each row is s times the
+    # reference's back-substituted inverse row and each column t times
+    # omega_basis's, entry for entry and in order, in ints; s and t are the
+    # least positive ints that clear them
+    s, rows, t, cols = um.omega_int_tables(d)
+    reps, fcols, inv = oracles.omega_basis_inverse(d)
+    assert list(rows) == list(cols) == reps
+    assert (s, t) == {1: (1, 1), 2: (2, 2), 3: (2, 2), 4: (4, 4)}[d]
+    assert s == math.lcm(*(c.denominator for row in inv for c in row.values()))
+    assert t == math.lcm(*(c.denominator for col in fcols for c in col.values()))
+    holders: dict = {}
+    for j, rep in enumerate(reps):
+        for m, c in cols[rep]:
+            holders.setdefault(m, []).append((j, c))
+    picked = data.draw(st.lists(st.sampled_from(range(len(reps))), min_size=1, max_size=12,
+                                unique=True))
+    for i in picked:
+        rep = reps[i]
+        assert rows[rep] == tuple((m, s * c) for m, c in inv[i].items())
+        assert cols[rep] == tuple((m, t * c) for m, c in fcols[i].items())
+        assert all(type(c) is int for _m, c in rows[rep] + cols[rep])
+        product: dict = {}
+        for m, a in rows[rep]:
+            for j, b in holders[m]:
+                product[j] = product.get(j, 0) + a * b
+        assert {j: v for j, v in product.items() if v} == {i: s * t}
 
 
 def test_dominance_on_degree2_monomials():

@@ -348,6 +348,71 @@ def test_theta_decomposition_matches_inverse_oracle():
         assert _nested(got) == _nested(oracles.theta_decomposition(phi)), (phi.lam, phi.tag)
 
 
+def _verdicts(phi):
+    fresh = V.MorphismData(phi.degree, phi.lam, phi.mu, phi.source, phi.target,
+                           phi.coeffs, phi.tag)
+    return V.check_morphism(fresh), V.verify_degree_equations(fresh)
+
+
+def test_morphism_layer_matches_the_fraction_references(monkeypatch):
+    # the integer-scaled theta blocks, duals, compositions and equivariant
+    # controls equal their Fraction forms value for value, with the keys in
+    # the same order at all three levels (monomial, source column, target
+    # index), and both checks say the same of each; the degree equations
+    # read off the Fraction-first theta table say the same too.  The corpus:
+    # the 13 chains, 6 perturbed controls at each of seeds 0, 1 and 7, up to
+    # 3 equivariant controls per chain, and every chain's and control's dual
+    corpus, pairs = [], []
+    for chain, m, n in _CHAINS:
+        phi = V.family_instance(chain, m, n)
+        controls = V.equivariant_controls(phi, 3)
+        references = oracles.equivariant_controls(phi, 3)
+        assert len(controls) == len(references)
+        pairs += zip(controls, references)
+        for psi in [phi, *controls]:
+            dual = V.dual_morphism(psi)
+            pairs.append((dual, oracles.dual_morphism(psi)))
+            corpus += [psi, dual]
+        for seed in (0, 1, 7):
+            corpus += V.perturbed_controls(phi, 6, seed=seed)
+    assert len(corpus) == 272
+    A, B, C = V.nabla_A(1, 0), V.nabla_B(0, 0), V.nabla_C(0, 1)
+    for phi2, phi1 in [(B, A), (V.nabla_C(0, 0), V.nabla_A(0, 0)), (C, V.compose(B, A)),
+                       (V.compose(C, B), A)]:
+        pairs.append((V.compose(phi2, phi1), oracles.compose(phi2, phi1)))
+        duals = V.dual_morphism(phi1), V.dual_morphism(phi2)
+        pairs.append((V.compose(*duals), oracles.compose(*duals)))
+    for got, want in pairs:
+        assert _nested(got.coeffs) == _nested(want.coeffs), (got.lam, got.mu, got.tag)
+        assert all(type(c) is int for cols in got.coeffs.values() for col in cols.values()
+                   for c in col.values() if c.denominator == 1)
+        assert (got.degree, got.lam, got.mu, got.tag) == (want.degree, want.lam, want.mu, want.tag)
+        assert got.source is want.source and got.target is want.target
+        assert _verdicts(got) == _verdicts(want)
+    for phi in corpus:
+        for column in (None, phi.source.hw_index):
+            assert _nested(V.theta_decomposition(phi, column)) == \
+                _nested(oracles.peeled_theta(phi, column)), phi.tag
+    got = [_verdicts(phi) for phi in corpus]
+    monkeypatch.setattr(V, "_theta_table", oracles.theta_table)
+    assert [_verdicts(phi) for phi in corpus] == got
+    assert {diag.split(" fails")[0] for _check, (_ok, diag) in got} == {
+        "ok", "precheck: L0 equivariance", "degree-2 equation", "degree-3 equation (6)"}
+
+
+def test_extension_divides_once_and_no_control_decomposes_nothing(monkeypatch):
+    # morphism_from_singular divides each extended image by its pivot once,
+    # so every integral coefficient off the highest weight column is an int;
+    # asking for no equivariant control decomposes nothing
+    phi = V.nabla_C(0, 1)
+    values = [c for cols in phi.coeffs.values() for n, col in cols.items()
+              if n != phi.source.hw_index for c in col.values()]
+    assert any(c.denominator > 1 for c in values)
+    assert all(type(c) is int for c in values if c.denominator == 1)
+    monkeypatch.setattr(V, "_int_thetas", lambda *args: pytest.fail("decomposed"))
+    assert V.equivariant_controls(V.family_instance("CA"), 0) == []
+
+
 def test_theta_CA_relation():
     # theta_{12,45}(s) = 2 theta^3(s) for nabla_C nabla_A
     CA = V.family_instance("CA")
@@ -822,7 +887,7 @@ def test_gen_on_theta_commutator_law(which, perm, bump, rng):
     col = bad.coeffs[m].setdefault(rng.randrange(phi.source.dim), {})
     idx = rng.randrange(phi.target.dim)
     col[idx] = col.get(idx, 0) + bump
-    start = _int_morphism(bad, V._clear_denominators(bad.coeffs))
+    start = _int_morphism(bad, V._int_coeffs(bad)[1])
 
     def act(psi, a, b):
         # x_a d_b . psi assembled from the columns of the one operator
@@ -1583,6 +1648,7 @@ def test_clear_caches_empties_every_global_cache():
     V.get_module((0, 1, 0, 0))
     V.l1_basis()
     um.omega_basis(2)
+    um.omega_int_tables(2)
     V.clear_caches()
     assert V._l0_mono.cache_info().currsize == 0
     assert V._odd_action.cache_info().currsize == 0
@@ -1593,7 +1659,10 @@ def test_clear_caches_empties_every_global_cache():
     memoized = {(ns.__name__, name): obj.cache_info().currsize
                 for ns in (V, um, sl5, fm) for name, obj in vars(ns).items()
                 if hasattr(obj, "cache_info")}
-    assert {("e510.verma", "l1_basis"), ("e510.uminus", "omega_basis")} <= set(memoized)
+    assert {("e510.verma", "l1_basis"), ("e510.uminus", "omega_basis"),
+            ("e510.uminus", "omega_int_tables")} <= set(memoized)
+    # the integer omega tables are bounded like the basis they are made from
+    assert um.omega_int_tables.cache_info().maxsize == um.omega_basis.cache_info().maxsize == 8
     assert all(size == 0 for size in memoized.values()), memoized
     assert V._module_cache == {}
     assert um._order_cache == {}
