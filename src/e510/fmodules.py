@@ -300,7 +300,9 @@ class TensorModule(_ActingModule):
     # coordinates of x_j d/dx_{j+1} . v_idx that _raising reads from the
     # lowering record, "frame" None -> its lowering frame, "dual" None -> its
     # DualModule (see dual()), and those verma keeps per modulus (None over
-    # Q) for the singular search: "stack", "zterm" and, over F_p, "bases".
+    # Q) for the singular search: "stack", "zterm" (the coordinates of
+    # x_5 d_t . v_idx, from lowering_coords) and, over F_p, "bases" (whether
+    # a weight space's basis is p-integral).
 
     # -- construction -----------------------------------------------------
 
@@ -513,6 +515,30 @@ class TensorModule(_ActingModule):
             _origin, trail, pc = self.prov[low]
             return [*trail, (low, pc)]
         return low
+
+    def lowering_coords(self, r: int, s: int, idx: int) -> dict:
+        """The coordinates {k: c} of x_r d/dx_s . v_idx for r > s, read from
+        the lowering record, with no ambient vector acted on.  x_{s+1} d/dx_s
+        is the lowering F_s (_lowering), and for r > s + 1
+
+            x_r d_s v = F_{r-1} (x_{r-1} d_s v) - x_{r-1} d_s (F_{r-1} v),
+
+        since x_r d/dx_s = [F_{r-1}, x_{r-1} d/dx_s].  Every weight this
+        passes through lies between the target wt(v_idx) + eps_r - eps_s and
+        wt(v_idx), so once ensure_weight(target) has built the target, those
+        spaces are built and their lowerings recorded: this builds nothing.
+        Called with the target unbuilt, it reads an incomplete record, so
+        callers check mod.spaces first."""
+        if r == s + 1:
+            return dict(self._lowering(s, idx))
+        out: dict = {}
+        for k, c in self.lowering_coords(r - 1, s, idx).items():
+            for k2, c2 in self._lowering(r - 1, k):
+                add_term(out, k2, c * c2)
+        for k, c in self._lowering(r - 1, idx):
+            for k2, c2 in self.lowering_coords(r - 1, s, k).items():
+                add_term(out, k2, -c * c2)
+        return out
 
 
 class DualModule(_ActingModule):

@@ -26,11 +26,13 @@ sum their terms into one dict in place with add_term.
 Almost every candidate lam has no singular vector, so the lifting runs first
 over F_p (p = SIEVE_PRIME = 2^30 - 35, plain ints) as a sieve.  fmodules
 works over Q only, and every reduction of module data mod p is made here,
-by _mod_p, next to the sieve: the basis vectors of a weight space reduced
-once (_fp_basis; their denominators are at most 2), the raising columns
-(_raising_columns) and the z-term images (_zimage), each the rational data
-reduced mod p; only the stacked raising solver is factored over F_p, by
-RowReducer(p).  The rational raising columns come from the module's
+by _mod_p, next to the sieve: the raising columns (_raising_columns) and
+the z-term coordinates (_zimage), each the rational data reduced mod p;
+only the stacked raising solver is factored over F_p, by RowReducer(p).
+No basis vector is reduced: the module's "bases" store records for each
+weight space asked about whether its basis is p-integral (_integral_basis;
+denominators are at most 2), and _fp_basis raises UnluckyPrime from it.
+The rational raising columns come from the module's
 lowering record (TensorModule.act_entries): F(mu) is built by lowering, so
 [E_j, F_i] = delta_ij H_i gives them from the coordinates of the lowering
 images, with no ambient vector acted on.  The PBW side is shared: both
@@ -77,17 +79,28 @@ acted on, and 5 - t levels below it under x_5 d/dx_t, which only lowers
 coefficient) of each monomial that share an x_5 d_t op, with the op and the
 monomial's lifted components, under that depth as they arise
 (_degree_tables groups them by op, hence by depth, once), and expands a
-depth's records into rows only when it flushes that depth, so a candidate
-killed earlier never multiplies out the terms of the depths it does not
-reach.  The rows, their order and every rank check are those of expanding
-each term at once.  Deferring changes no sieve verdict, because nothing
-deferred can raise UnluckyPrime: the PBW coefficients are ints, and the
-expansion reads only basis vectors of the weight space nu the components
-live in, and their images under x_5 d_t, whose reduction mod p _fp_basis
-made when solver(nu) built the action mod p (at depth 0 the one highest
-weight vector, a monomial with coefficient 1); the tensor action has int
-coefficients, so the image of a p-integral vector is p-integral.  Nor does
-it build a weight space, so the lazy F-basis numbering is unchanged.
+depth's records into rows only when it flushes that depth (_flush_z), so a
+candidate killed earlier never multiplies out the terms of the depths it
+does not reach.  A row belongs to a PBW monomial m2 and a coordinate in
+the weight space W its F part lands in: fidx for an untouched v_fidx, and
+the coordinates of x_5 d_t . v_fidx from the lowering record
+(TensorModule.lowering_coords) when W is usable, that is built and, over
+F_p, with a p-integral basis; otherwise the image is expanded in ambient
+tensor monomials, as every term once was.  All terms of m2 land in one W,
+fixed by lam, and an untouched term means W was solved or is the top line,
+so the rows of an m2 in a flush are all coordinates or all ambient.  The
+basis of W is an injective change of coordinates, also mod p (unit pivots
+on distinct least monomials), and the image of a p-integral v_fidx under
+the int tensor action has p-integral coordinates in it.  So each flush
+spans the rows of the ambient expansion: its rank, its verdict and the
+final reduced echelon form and kernel are theirs.  Only coordinates are
+cached, so no ambient image is read once its W is built.  Deferring
+changes no sieve verdict, because nothing deferred can raise UnluckyPrime:
+the PBW coefficients are ints, and every v_fidx read was found p-integral
+when solver(nu) built the action mod p (at depth 0 it is the highest
+weight vector, a monomial with coefficient 1).  Nor does it build a weight
+space (lowering_coords reads only spaces between W and v_fidx), so the
+lazy F-basis numbering is unchanged.
 
 The morphism layer runs in ints.  It reads Phi only through D Phi
 (_int_coeffs), D > 0 the lcm of the denominators of Phi's coefficients, and
@@ -411,15 +424,23 @@ def _mod_p(vec: dict, p: int) -> dict:
     return {k: v for k, c in vec.items() if (v := to_fp(c, p))}
 
 
-def _fp_basis(mod: TensorModule, nu, p: int) -> dict:
-    """The basis of the built weight space nu reduced mod p, index ->
-    vector, made once and kept in the module's "bases" store for p.  Raises
-    UnluckyPrime unless every vector is p-integral."""
-    bases = mod.cache("bases", p)
-    got = bases.get(nu)
+def _integral_basis(mod: TensorModule, nu, p: int) -> bool:
+    """Whether every basis vector of the built weight space nu is
+    p-integral, decided once and kept in the module's "bases" store for p;
+    raises nothing."""
+    memo = mod.cache("bases", p)
+    got = memo.get(nu)
     if got is None:
-        got = bases[nu] = {idx: _mod_p(mod.vectors[idx], p) for idx in mod.spaces[nu]}
+        got = memo[nu] = all(c.denominator % p for idx in mod.spaces[nu]
+                             for c in mod.vectors[idx].values())
     return got
+
+
+def _fp_basis(mod: TensorModule, nu, p: int) -> None:
+    """Raise UnluckyPrime unless the basis of the built weight space nu is
+    p-integral (_integral_basis)."""
+    if not _integral_basis(mod, nu, p):
+        raise UnluckyPrime(f"{p} divides a denominator in the basis of weight space {nu}")
 
 
 def singular_vectors(mu, d: int, module: TensorModule | None = None):
@@ -510,24 +531,57 @@ SIEVE_PRIME = 2**30 - 35
 
 
 def _zimage(mod: TensorModule, op, fidx, *, p: int | None = None):
-    """The ambient image x_5 d_t . v_fidx over Q, or with a modulus p that
-    rational image reduced mod p, cached on the module per modulus: shared
-    by every candidate lam of a search."""
+    """x_5 d_t . v_fidx for op = (5, t), over Q or, with a modulus p,
+    reduced mod p: its coordinates in the target weight space
+    (TensorModule.lowering_coords) when that space is usable, and its
+    ambient image otherwise.  Usable means built over Q, and built with a
+    p-integral basis (_integral_basis) over F_p.  Only coordinates are
+    cached on the module per modulus, shared by every candidate lam of a
+    search, so an ambient image is never served once its target is built
+    (see the module docstring)."""
     key = (op, fidx)
     cache = mod.cache("zterm", p)
     img = cache.get(key)
-    if img is None:
-        img = glact_vector(op[0], op[1], mod.vectors[fidx])
+    if img is not None:
+        return img
+    target = sl5.wadd(mod.weights[fidx], fmodules.gen_shift(*op))
+    if target in mod.spaces and (p is None or _integral_basis(mod, target, p)):
+        img = mod.lowering_coords(*op, fidx)
         img = cache[key] = img if p is None else _mod_p(img, p)
-    return img
+        return img
+    img = glact_vector(*op, mod.vectors[fidx])
+    return img if p is None else _mod_p(img, p)
 
 
 def _lifting_inputs(mod: TensorModule, p: int | None):
-    """(solver, vector, zimage): the module data the lifting reads, over Q
-    (p None) or F_p; see _stacked_solver, _fp_basis and _zimage."""
-    vector = mod.vectors.__getitem__ if p is None else \
-        (lambda fidx: _fp_basis(mod, mod.weights[fidx], p)[fidx])
-    return partial(_stacked_solver, mod, p=p), vector, partial(_zimage, mod, p=p)
+    """(solver, zimage): the module data the lifting reads, over Q (p None)
+    or F_p; see _stacked_solver and _zimage."""
+    return partial(_stacked_solver, mod, p=p), partial(_zimage, mod, p=p)
+
+
+def _flush_z(entries, zimage, constraints: RowReducer, L: int, p: int | None) -> bool:
+    """Insert the z-term rows of one depth's records, entries = [(op,
+    terms, comps)], into constraints; True as soon as their rank reaches L.
+    A row is keyed (m2, k), k = fidx when op is None and each key of
+    zimage(op, fidx) otherwise (the module docstring says why its rank is
+    that of expanding every term in ambient monomials)."""
+    rows: dict = {}    # (monomial, coordinate or ambient monomial) -> {ci -> scalar}
+    for op, terms, comps in entries:
+        if op is None:
+            for m2, c2 in terms:
+                for fidx, form in comps.items():
+                    add_into(rows.setdefault((m2, fidx), {}), form, c2, p)
+            continue
+        for fidx, form in comps.items():
+            img = zimage(op, fidx)
+            for m2, c2 in terms:
+                for k, ac in img.items():
+                    add_into(rows.setdefault((m2, k), {}), form, c2 * ac, p)
+    for row in rows.values():
+        constraints.insert(row)
+        if constraints.rank >= L:
+            return True
+    return False
 
 
 def _sieve(lift) -> str:
@@ -560,7 +614,7 @@ def _lift_singular(mod, d, lam, tables):
 
     def lift(p):
         """(V, constraints) over Q (p None) or F_p, or None once dead."""
-        solver, vector, zimage = _lifting_inputs(mod, p)
+        solver, zimage = _lifting_inputs(mod, p)
         constraints = RowReducer(p)
         V: dict = {}           # monomial -> {fidx -> {ci -> scalar}}
         zterms: dict = {}      # depth -> [(op, terms, comps)]
@@ -568,20 +622,6 @@ def _lift_singular(mod, d, lam, tables):
         def add_z_terms(m, depth, comps):
             for op, drop, terms in zrecords[m]:
                 zterms.setdefault(depth + drop, []).append((op, terms, comps))
-
-        def flush_z(depth) -> bool:
-            rows: dict = {}    # (monomial, ambient mono) -> {ci -> scalar}
-            for op, terms, comps in zterms.pop(depth, ()):
-                for m2, c2 in terms:
-                    for fidx, form in comps.items():
-                        vec = vector(fidx) if op is None else zimage(op, fidx)
-                        for amb, ac in vec.items():
-                            add_into(rows.setdefault((m2, amb), {}), form, c2 * ac, p)
-            for row in rows.values():
-                constraints.insert(row)
-                if constraints.rank >= L:
-                    return True
-            return False
 
         def combine(comb, b) -> dict:
             form: dict = {}
@@ -599,7 +639,7 @@ def _lift_singular(mod, d, lam, tables):
         # every rank check returns at once, so rank < L at each flush; the
         # z-terms of the deepest level land up to 4 levels below it
         depth = 0
-        while not flush_z(depth):
+        while not _flush_z(zterms.pop(depth, ()), zimage, constraints, L, p):
             depth += 1
             if depth > top and not zterms:
                 return V, constraints

@@ -385,33 +385,44 @@ def raising_columns(mod, i, nu, p=None):
 def ambient_columns(mod, r, s, nu, p=None):
     """The columns of x_r d/dx_s on the weight space nu computed on ambient
     vectors: the target's weight space built, then nu's, each basis vector
-    (with p, its reduction mod p by verma._fp_basis) acted on in the tensor
+    (with p, its reduction mod p, fp_basis below) acted on in the tensor
     space (glact_vector above, over F_p with p) and its image reduced in
     the target's basis (coords below)."""
-    from e510 import fmodules, sl5, verma
+    from e510 import fmodules, sl5
 
     target = sl5.wadd(nu, fmodules.gen_shift(r, s))
     mod.ensure_weight(target)
     cols = {}
     for idx in mod.ensure_weight(nu):
-        vec = mod.vectors[idx] if p is None else \
-            verma._fp_basis(mod, mod.weights[idx], p)[idx]
+        vec = mod.vectors[idx] if p is None else fp_basis(mod, mod.weights[idx], p)[idx]
         img = glact_vector(r, s, vec, p)
         cols[idx] = coords(mod, target, img, p) if img else {}
     return cols
+
+
+def fp_basis(mod, nu, p):
+    """The basis of the built weight space nu reduced mod p, index ->
+    vector, raising UnluckyPrime where p divides a denominator.  It asks
+    verma._fp_basis first, so the module's "bases" store records the spaces
+    reduced here as the search records those it checks."""
+    from e510 import verma
+    from e510.linalg import to_fp
+
+    verma._fp_basis(mod, nu, p)
+    return {idx: {k: v for k, c in mod.vectors[idx].items() if (v := to_fp(c, p))}
+            for idx in mod.spaces[nu]}
 
 
 def coords(mod, nu, vec, p=None):
     """mod.coords(nu, vec), or with a modulus p the coordinates over F_p in
     the basis reduced mod p (pivots are 1, so nothing is divided), least
     monomial first; a residual left mod p raises UnluckyPrime."""
-    from e510 import verma
     from e510.linalg import UnluckyPrime
 
     if p is None:
         return mod.coords(nu, vec)
     residual, trail = dict(vec), []
-    piv, basis = mod.pivots.get(nu, {}), verma._fp_basis(mod, nu, p)
+    piv, basis = mod.pivots.get(nu, {}), fp_basis(mod, nu, p)
     while residual:
         hit = piv.get(min(residual))
         if hit is None:
@@ -423,11 +434,13 @@ def coords(mod, nu, vec, p=None):
 
 
 def fp_view(mod, p, solver, zimage):
-    """The search's F_p inputs (solver, vector, zimage) as the first F_p
-    sieve made them: each converted once from its rational original
-    (solver(mod, nu), mod.vectors[fidx], zimage(mod, op, fidx)) into F_p,
-    raising ZeroDivisionError where p divides a denominator."""
-    stack, vectors, zterms = {}, {}, {}
+    """The search's F_p inputs (solver, zimage) as the first F_p sieve made
+    them: each converted from its rational original (solver(mod, nu),
+    zimage(mod, op, fidx)) into F_p, raising ZeroDivisionError where p
+    divides a denominator.  A solver is converted once; a z-term image each
+    time, since the rational zimage gives ambient images for a target not
+    yet built and coordinates once it is."""
+    stack = {}
 
     def mod_p(c):
         c = Q(c)
@@ -446,19 +459,36 @@ def fp_view(mod, p, solver, zimage):
                                [fp(comb) for comb in zero_combs])
         return got
 
-    def fp_vector(fidx):
-        got = vectors.get(fidx)
-        if got is None:
-            got = vectors[fidx] = fp(mod.vectors[fidx])
-        return got
-
     def fp_zimage(op, fidx):
-        got = zterms.get((op, fidx))
-        if got is None:
-            got = zterms[op, fidx] = fp(zimage(mod, op, fidx))
-        return got
+        return fp(zimage(mod, op, fidx))
 
-    return fp_solver, fp_vector, fp_zimage
+    return fp_solver, fp_zimage
+
+
+def flush_z(mod, entries, constraints, L, p=None):
+    """verma._flush_z as it was before z-terms had module coordinates: every
+    term expanded in ambient tensor monomials, the basis vector v_fidx when
+    op is None and the tensor action x_5 d_t . v_fidx (glact_vector above)
+    otherwise, each reduced mod p with a modulus; rows keyed (monomial,
+    ambient monomial), inserted in order until the rank reaches L (True)."""
+    from e510.linalg import to_fp
+
+    def vector(fidx):
+        vec = mod.vectors[fidx]
+        return vec if p is None else {k: v for k, c in vec.items() if (v := to_fp(c, p))}
+
+    rows = {}
+    for op, terms, comps in entries:
+        for m2, c2 in terms:
+            for fidx, form in comps.items():
+                vec = vector(fidx) if op is None else glact_vector(*op, vector(fidx), p)
+                for amb, ac in vec.items():
+                    add_into(rows.setdefault((m2, amb), {}), form, c2 * ac, p)
+    for row in rows.values():
+        constraints.insert(row)
+        if constraints.rank >= L:
+            return True
+    return False
 
 
 def degree_tables(d):

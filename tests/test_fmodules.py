@@ -688,3 +688,32 @@ def test_search_makes_no_ambient_raising(monkeypatch):
     monkeypatch.setattr(verma, "glact_vector", record(verma.glact_vector))
     assert verma.singular_vectors((0, 0, 1, 0), 2)
     assert calls and not [rs for rs in calls if rs[1] == rs[0] + 1]
+
+
+_LOWERING_WEIGHTS = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (2, 0, 0, 1),
+                     (0, 0, 1, 2), (0, 0, 0, 2)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_LOWERING_WEIGHTS), st.randoms(use_true_random=False))
+def test_lowering_coords_are_the_ambient_coordinates(mu, rng):
+    # on a module built by ensure_weight on a random set of weights in a
+    # random order, x_r d/dx_s . v_idx (r > s) read from the lowering record
+    # is the coordinate vector of the ambient image in every built target,
+    # and reading it builds nothing
+    weights = sorted(fm.build_irreducible(mu).spaces)
+    mod = fm.TensorModule(mu)
+    for nu in rng.sample(weights, rng.randint(1, len(weights))):
+        mod.ensure_weight(nu)
+    spaces, size = list(mod.spaces), len(mod.vectors)
+    checked = 0
+    for idx, nu in enumerate(mod.weights):
+        for s, r in itertools.combinations(range(1, 6), 2):
+            target = sl5.wadd(nu, fm.gen_shift(r, s))
+            if target not in mod.spaces:
+                continue
+            img = fm.glact_vector(r, s, mod.vectors[idx])
+            assert mod.lowering_coords(r, s, idx) == (mod.coords(target, img) if img else {})
+            checked += 1
+    assert list(mod.spaces) == spaces and len(mod.vectors) == size
+    assert checked or not mod.vectors

@@ -199,8 +199,9 @@ def test_raising_columns_come_from_the_lowering_record():
     assert "ensure_weight" not in names
     # ensure_weight writes the lowering record, which is module state, and
     # _lowering alone reads it, for the raising and the lowering columns of
-    # act_entries
-    assert _referrers("_lowering") == {"fmodules.py:_raising", "fmodules.py:act_entries"}
+    # act_entries and for the search's z-term coordinates (lowering_coords)
+    assert _referrers("_lowering") == {"fmodules.py:_raising", "fmodules.py:act_entries",
+                                       "fmodules.py:lowering_coords"}
     assert _referrers("lower") == {"fmodules.py:__init__", "fmodules.py:ensure_weight",
                                    "fmodules.py:_lowering"}
 
@@ -246,14 +247,40 @@ def test_fmodules_works_over_q_only():
 
 
 def test_module_data_is_reduced_mod_p_by_one_helper():
-    # _fp_basis reduces the basis, for the raising columns and the lifting's
-    # vectors only; _mod_p is the one reduction, of the basis, the raising
-    # columns and the z-term images, and the only caller of to_fp in verma
-    assert _referrers("_fp_basis") == {"verma.py:_raising_columns",
-                                       "verma.py:_lifting_inputs"}
-    assert _referrers("_mod_p") == {"verma.py:_fp_basis", "verma.py:_raising_columns",
-                                    "verma.py:_zimage"}
+    # no basis vector is reduced mod p: the "bases" store only says whether
+    # a basis is p-integral (_integral_basis), _fp_basis raises from it for
+    # the raising columns, and _zimage reads it to choose coordinates; _mod_p
+    # is the one reduction, of the raising columns and the z-term images,
+    # and the only caller of to_fp in verma
+    assert _referrers("_integral_basis") == {"verma.py:_fp_basis", "verma.py:_zimage"}
+    assert _referrers("_fp_basis") == {"verma.py:_raising_columns"}
+    assert _referrers("_mod_p") == {"verma.py:_raising_columns", "verma.py:_zimage"}
     assert {r for r in _referrers("to_fp") if r.startswith("verma.py")} == {"verma.py:_mod_p"}
+
+
+def test_zterms_act_on_ambient_vectors_only_where_the_target_is_not_built():
+    # in verma, only _zimage's fallback calls glact_vector: its one call
+    # follows the test of its target space, whose branch returns the
+    # record's coordinates (lowering_coords); verma still imports it by
+    # name; the lifting reads module data through the solver and _zimage
+    # alone, and keeps its signature
+    zimage = _function("verma.py", "_zimage")
+    calls = [node for node in ast.walk(zimage) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "glact_vector"]
+    usable = next(node for node in zimage.body if isinstance(node, ast.If)
+                  and "spaces" in {getattr(n, "attr", None) for n in ast.walk(node.test)})
+    assert isinstance(usable.body[-1], ast.Return)
+    assert "lowering_coords" in {getattr(n, "attr", None) for n in ast.walk(usable)}
+    assert len(calls) == 1 and calls[0].lineno > usable.end_lineno
+    assert {r for r in _referrers("glact_vector") if r.startswith("verma.py")} == \
+        {"verma.py:_zimage"}
+    from e510 import fmodules, verma
+
+    assert verma.glact_vector is fmodules.glact_vector  # perfbench/tracer.py patches it
+    assert _referrers("lowering_coords") == {"fmodules.py:lowering_coords", "verma.py:_zimage"}
+    assert _referrers("_flush_z") == {"verma.py:lift"}
+    assert _signatures("verma.py", "_lift_singular") == [["mod", "d", "lam", "tables"]]
+    assert _signatures("verma.py", "_lifting_inputs") == [["mod", "p"]]
 
 
 def test_names_the_benchmark_tracer_reads_are_kept():

@@ -1,4 +1,5 @@
 import collections
+import copy
 import hashlib
 import itertools
 import json
@@ -1390,28 +1391,40 @@ def test_sieve_kills_where_the_exact_lifting_dies(monkeypatch, prime, dead, deep
     assert sum(sieved > exact for sieved, exact in counts) == deeper
 
 
-def test_sieve_builds_zterm_images_only_for_flushed_depths():
+def test_sieve_builds_zterm_images_only_for_flushed_depths(monkeypatch):
     # a candidate's z-term images are made when the lifting flushes their
     # depth, so the sieve makes none for the depths of the candidates it
-    # kills before they get there (accumulating every depth at once made
-    # 5,326 and 1,409 of them); the Q pass lifts only survivors, which flush
-    # every depth
-    made = {2: [0, 0], 4: [0, 0]}
+    # kills before they get there; the Q pass lifts only survivors, which
+    # flush every depth.  The module caches an image's coordinates per
+    # modulus; an image whose target space is not built yet is ambient,
+    # made each time and never cached (those are the only tensor actions
+    # the search's z-terms make)
+    made = {2: [0, 0, 0], 4: [0, 0, 0]}
+    real, d = V.glact_vector, None
+
+    def glact_vector(r, s, vec):
+        made[d][2] += 1
+        return real(r, s, vec)
+
+    monkeypatch.setattr(V, "glact_vector", glact_vector)
     for mu, d in SWEEPS:
         mod = fm.TensorModule(mu)
         V.singular_vectors(mu, d, module=mod)
         made[d][0] += len(mod.cache("zterm", V.SIEVE_PRIME))
         made[d][1] += len(mod.cache("zterm"))
-    assert made[2][0] <= 1341 and made[4][0] <= 275
-    assert (made[2][1], made[4][1]) == (111, 4)
+    assert made[2][0] <= 1048 and made[4][0] <= 268
+    assert (made[2][1], made[4][1]) == (41, 1)
+    assert (made[2][2], made[4][2]) == (381, 20)
 
 
 def test_fp_zimage_is_the_rational_image_reduced():
-    # over F_p, _zimage is the rational image x_5 d_t . v_fidx reduced mod
-    # p: on the degree-2 sweep's modules, each image the sieve made is that,
-    # and also the tensor action over F_p on the basis vector reduced mod p
-    # (how the sieve once made it); made again with both caches emptied, it
-    # fills only its own cache, not the rational one
+    # over F_p, a cached _zimage is the rational coordinate image of
+    # x_5 d_t . v_fidx reduced mod p: on the degree-2 sweep's modules, each
+    # image the sieve made is the record's coordinates reduced, the
+    # coordinates of the ambient image reduced, and the coordinates over F_p
+    # of the tensor action over F_p on the basis vector reduced mod p; made
+    # again with both caches emptied, it fills only its own cache, not the
+    # rational one, and builds no weight space
     p = V.SIEVE_PRIME
     made = 0
     for mu, d in SWEEP_D2:
@@ -1420,15 +1433,97 @@ def test_fp_zimage_is_the_rational_image_reduced():
         images = dict(mod.cache("zterm", p))
         mod.cache("zterm", p).clear()
         mod.cache("zterm").clear()
+        spaces = list(mod.spaces)
         for (op, fidx), img in images.items():
-            want = {k: v for k, c in fm.glact_vector(*op, mod.vectors[fidx]).items()
-                    if (v := to_fp(c, p))}
+            target = sl5.wadd(mod.weights[fidx], fm.gen_shift(*op))
+            ambient = fm.glact_vector(*op, mod.vectors[fidx])
+            rational = mod.coords(target, ambient) if ambient else {}
+            assert mod.lowering_coords(*op, fidx) == rational
+            want = {k: v for k, c in rational.items() if (v := to_fp(c, p))}
             reduced = {k: v for k, c in mod.vectors[fidx].items() if (v := to_fp(c, p))}
-            assert img == want == oracles.glact_vector(*op, reduced, p)
+            image = oracles.glact_vector(*op, reduced, p)
+            assert img == want == (oracles.coords(mod, target, image, p) if image else {})
             assert V._zimage(mod, op, fidx, p=p) == img
             made += 1
         assert mod.cache("zterm") == {} and mod.cache("zterm", p) == images
+        assert list(mod.spaces) == spaces
     assert made >= 1000
+
+
+def test_fp_zimage_is_ambient_into_a_target_that_is_not_p_integral():
+    # a built target whose basis has a denominator p is not usable over
+    # F_p: the image is the ambient one reduced mod p, made each time and not
+    # cached, while over Q (and at a prime that divides no denominator) the
+    # same image is the target's coordinates, cached
+    mod = fm.build_irreducible((2, 0, 0, 1))
+    cases = []
+    for fidx, nu in enumerate(mod.weights):
+        for t in (1, 2, 3):
+            target = sl5.wadd(nu, fm.gen_shift(5, t))
+            if mod.spaces.get(target) and not V._integral_basis(mod, target, 2) \
+                    and V._integral_basis(mod, nu, 2):
+                cases.append(((5, t), fidx, target))
+    assert cases
+    for op, fidx, target in cases:
+        reduced = {k: v for k, c in mod.vectors[fidx].items() if (v := to_fp(c, 2))}
+        assert V._zimage(mod, op, fidx, p=2) == oracles.glact_vector(*op, reduced, 2)
+        assert (op, fidx) not in mod.cache("zterm", 2)
+        for p in (None, V.SIEVE_PRIME):
+            img = V._zimage(mod, op, fidx, p=p)
+            assert mod.cache("zterm", p)[op, fidx] is img
+            assert set(img) <= set(mod.spaces[target])
+
+
+def test_bases_store_is_a_p_integrality_memo():
+    # "bases" maps each weight space the sieve asked about to whether its
+    # basis is p-integral, and _fp_basis raises UnluckyPrime exactly when
+    # it is not
+    mod = fm.build_irreducible((2, 0, 0, 1))
+    for p in (2, 3, V.SIEVE_PRIME):
+        for nu, idxs in mod.spaces.items():
+            integral = all(Q(c).denominator % p for n in idxs for c in mod.vectors[n].values())
+            assert V._integral_basis(mod, nu, p) is integral
+            if integral:
+                V._fp_basis(mod, nu, p)
+            else:
+                with pytest.raises(UnluckyPrime):
+                    V._fp_basis(mod, nu, p)
+        assert set(mod.cache("bases", p)) == set(mod.spaces)
+        assert set(mod.cache("bases", p).values()) <= {True, False}
+    assert not all(mod.cache("bases", 2).values())
+    assert all(mod.cache("bases", V.SIEVE_PRIME).values())
+
+
+@pytest.mark.parametrize("prime", (V.SIEVE_PRIME, 2))
+def test_flushes_match_the_ambient_expansion(monkeypatch, prime):
+    # every flush of both sweeps, in the sieve at prime and in the Q pass of
+    # each candidate the sieve does not kill, gives the verdict and the
+    # constraint rank of expanding every z-term in ambient monomials
+    # (oracles.flush_z) from the same constraints, and when it does not kill,
+    # the same reduced echelon form, so the same row space
+    monkeypatch.setattr(V, "SIEVE_PRIME", prime)
+    real_flush, real_lift = V._flush_z, V._lift_singular
+    current, seen = [], collections.Counter()
+
+    def lift_singular(mod, d, lam, tables):
+        current.append(mod)
+        return real_lift(mod, d, lam, tables)
+
+    def flush(entries, zimage, constraints, L, p):
+        ref = copy.deepcopy(constraints)
+        want = oracles.flush_z(current[-1], entries, ref, L, p)
+        got = real_flush(entries, zimage, constraints, L, p)
+        assert (got, constraints.rank) == (want, ref.rank)
+        if not got:
+            assert constraints.pivots == ref.pivots
+        seen[p, got] += 1
+        return got
+
+    monkeypatch.setattr(V, "_lift_singular", lift_singular)
+    monkeypatch.setattr(V, "_flush_z", flush)
+    hits = [lam for mu, d in SWEEPS for lam, _vecs in V.singular_vectors(mu, d)]
+    assert len(hits) == 8
+    assert seen[prime, True] and seen[prime, False] and seen[None, False]
 
 
 _ORDER_WEIGHTS = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1),
