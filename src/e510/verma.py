@@ -711,7 +711,9 @@ _UNDECIDED = object()
 class MorphismData:
     """Degree-d element of (U_-)_d (x) Hom(F(lam), F(mu)) defining a linear
     map M(lam) -> M(mu); coeffs maps each PBW monomial to a column map
-    {source index -> {target index -> Q}}.  coeffs is fixed once built: the
+    {source index -> {target index -> Q}}.  Source and target are fully
+    built modules (get_module) or their duals, so morphisms compose and
+    dualize as they come.  coeffs is fixed once built: the
     first check keeps Phi's L_0-invariance verdict in l0_failure for the
     next (see _equivariance_failure)."""
 
@@ -725,8 +727,7 @@ class MorphismData:
     l0_failure: object = field(default=_UNDECIDED, init=False, repr=False, compare=False)
 
     def is_zero(self) -> bool:
-        return all(not col for cols in self.coeffs.values() for col in cols.values()) \
-            if self.coeffs else True
+        return all(not col for cols in self.coeffs.values() for col in cols.values())
 
     def column(self, n: int) -> VermaElement:
         """Phi(b_n) as an element of M(mu)."""
@@ -781,10 +782,11 @@ def clear_caches() -> None:
 
 def reexpress(w: VermaElement, module) -> VermaElement:
     """The same element of M(mu) in the coordinates of another TensorModule
-    of weight mu (e.g. moving a search result onto the cached full module):
-    the vector at position k of a weight space is the same in both (see
-    TensorModule), so each index moves to its position in the other.  A
-    weight space that module has not built raises ArithmeticError."""
+    of weight mu: the vector at position k of a weight space is the same in
+    both (see TensorModule), so each index moves to its position in the
+    other.  w itself when it already lies on module.  morphism_from_singular
+    moves a search vector onto get_module(mu) with it; a weight space that
+    module has not built raises ArithmeticError."""
     if w.module is module:
         return w
     if tuple(w.module.highest_weight) != tuple(module.highest_weight):
@@ -801,20 +803,24 @@ def reexpress(w: VermaElement, module) -> VermaElement:
 
 
 def morphism_from_singular(w: VermaElement, lam, check: bool = True) -> MorphismData:
-    """The morphism M(lam) -> M(mu) with Phi(hw) = w, extended equivariantly
-    along the lowering provenance of the freshly built F(lam).
+    """The morphism get_module(lam) -> get_module(mu) with Phi(hw) = w,
+    extended equivariantly along the lowering provenance of F(lam).  w may
+    lie on any TensorModule of weight mu, such as a search's lazy one: it is
+    checked there, then moved onto get_module(mu) by reexpress, which leaves
+    the module it came from as it was.
 
     With check=True (the default) w must pass is_singular.  With
     check=False the singular conditions are not enforced, for a w already
     verified or to build negative controls: any highest weight vector w
     then yields an L0-invariant Phi that is generally not a morphism."""
     lam = tuple(lam)
-    mod_mu = w.module
     if check and not is_singular(w):
         raise ValueError("not singular")
     wt = w.weight()
     if wt != lam:
         raise ValueError(f"weight mismatch: vector has weight {wt}, not {lam}")
+    mod_mu = get_module(w.module.highest_weight)
+    w = reexpress(w, mod_mu)
     src = get_module(lam)
     images: list = [None] * src.dim
     images[src.hw_index] = w
@@ -832,19 +838,16 @@ def morphism_from_singular(w: VermaElement, lam, check: bool = True) -> Morphism
                         _coeffs(img.terms for img in images))
 
 
-def apply_morphism(phi: MorphismData, u: dict, vcoords: dict, *,
-                   products: dict | None = None) -> VermaElement:
-    """phi(u (x) v) = u Phi(v) for a UElement u and coordinates v in F(lam).
-    products, when given, memoizes the products u * m (m a PBW monomial of
-    phi) for calls with this same u."""
+def apply_morphism(phi: MorphismData, u: dict, vcoords: dict) -> VermaElement:
+    """phi(u (x) v) = u Phi(v) for a UElement u and coordinates v in F(lam)."""
     deg = phi.degree + (uminus.degree(next(iter(u))) if u else 0)
-    return VermaElement(phi.target, deg, _apply(phi.coeffs, u, vcoords,
-                                                 {} if products is None else products))
+    return VermaElement(phi.target, deg, _apply(phi.coeffs, u, vcoords, {}))
 
 
 def _apply(coeffs: dict, u: dict, vcoords: dict, products: dict) -> dict:
     """The terms (monomial, target index) -> scalar of u Phi(v) for Phi's
-    coefficient table coeffs (see apply_morphism)."""
+    coefficient table coeffs (see apply_morphism); products memoizes the
+    products u * m (m a monomial of coeffs) across calls with this same u."""
     out: dict = {}
     for m, cols in coeffs.items():
         fv: dict = {}
@@ -957,25 +960,12 @@ def _divided(vec: dict, scale: int) -> dict:
     return vec
 
 
-def _onto_full_target(phi: MorphismData) -> MorphismData:
-    """phi with its images re-expressed on get_module(mu) when its target is
-    a lazily built TensorModule (whose dual cannot be formed); phi itself
-    otherwise."""
-    if not isinstance(phi.target, TensorModule) or phi.target._full:
-        return phi
-    full = get_module(phi.mu)
-    coeffs = _coeffs(reexpress(phi.column(n), full).terms for n in range(phi.source.dim))
-    return MorphismData(phi.degree, phi.lam, phi.mu, phi.source, full, coeffs, phi.tag)
-
-
 def dual_morphism(phi: MorphismData) -> MorphismData:
     """The dual map M(mu*) -> M(lam*): decompose as sum del_T omega_I (x)
     theta, transpose each theta into the modules' one dual() each (so duals
     of a chain compose) and weight the block with k = len(T) del factors by
     (-1)^k.  Proven for degree <= 3; higher degrees are built identically but
-    tagged conjectural.  A lazily built target is first replaced by
-    get_module(mu)."""
-    phi = _onto_full_target(phi)
+    tagged conjectural."""
     scale, thetas = _int_thetas(phi)
     src = phi.target.dual()
     tgt = phi.source.dual()

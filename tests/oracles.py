@@ -676,10 +676,9 @@ def expand_omega(degree, thetas, factor):
 
 def dual_morphism(phi):
     """verma.dual_morphism by peeled_theta, a transpose and expand_omega in
-    Fractions (a lazily built target first moved onto get_module(mu))."""
+    Fractions."""
     from e510 import sl5, verma
 
-    phi = verma._onto_full_target(phi)
     tstars = {}
     for rep, theta in peeled_theta(phi).items():
         tstar = tstars[rep] = {}

@@ -331,19 +331,45 @@ def test_the_morphism_layer_reads_phi_through_one_integer_table():
                                          "verma.py:equivariant_controls"}
     assert {r for r in _referrers("exact_div") if r.startswith("verma.py")} == \
         {"verma.py:_divided", "verma.py:morphism_from_singular"}
-    # every function perfbench/tracer.py patches on a module of the library
-    # is still defined or imported there under that name
+
+
+def test_morphisms_map_between_fully_built_modules_only():
+    # morphism_from_singular moves a search vector onto get_module(mu)
+    # through reexpress, its one caller in verma, so every morphism maps
+    # between fully built modules or their duals: no copy onto the full
+    # module is left, and verma never asks whether a module is fully built
+    # nor which kind of module it holds
+    tree = ast.parse((SRC / "verma.py").read_text(), "verma.py")
+    assert "_onto_full_target" not in {node.name for node in ast.walk(tree)
+                                       if isinstance(node, ast.FunctionDef)}
+    assert _referrers("_onto_full_target") == set()
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "_full"
+             or isinstance(node, ast.Constant) and node.value == "_full"
+             or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+             and {"TensorModule", "DualModule"} & {getattr(n, "id", getattr(n, "attr", None))
+                                                   for arg in node.args[1:]
+                                                   for n in ast.walk(arg)}]
+    assert found == []
+    assert {r for r in _referrers("reexpress") if r.startswith("verma.py")} == \
+        {"verma.py:morphism_from_singular"}
+    # every function perfbench/tracer.py patches on a module of the library,
+    # or on a class of one, is still defined or imported there by that name
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    patched = {(node.elts[0].id, node.elts[1].value)
+    patched = {(ast.unparse(node.elts[0]), node.elts[1].value)
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
                if isinstance(node, ast.Tuple) and len(node.elts) == 5
-               and isinstance(node.elts[0], ast.Name) and isinstance(node.elts[1], ast.Constant)}
+               and isinstance(node.elts[1], ast.Constant)}
     assert {("verma", "theta_decomposition"), ("verma", "compose"),
-            ("verma", "dual_morphism"), ("uminus", "omega_basis")} <= patched
+            ("verma", "dual_morphism"), ("verma", "morphism_from_singular"),
+            ("uminus", "omega_basis"), ("fmodules.DualModule", "act_entries")} <= patched
     for owner, attr in patched:
-        if owner in ("sl5", "uminus", "linalg", "fmodules", "verma"):
-            tree = ast.parse((SRC / f"{owner}.py").read_text(), owner)
-            names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-            names |= {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
-                      for alias in node.names}
-            assert attr in names, (owner, attr)
+        module, _, cls = owner.partition(".")
+        body = ast.parse((SRC / f"{module}.py").read_text(), module).body
+        if cls:
+            body = next(node for node in body if isinstance(node, ast.ClassDef)
+                        and node.name == cls).body
+        names = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+        names |= {alias.name for node in body if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert attr in names, (owner, attr)

@@ -148,6 +148,31 @@ def test_highest_weight_space_matches_klimyk():
             assert len(hw) == klimyk_multiplicity(mu, weights, lam), (mu, d, lam)
 
 
+_CHARACTER_CASES = [((0, 0, 0, 3), 4), ((0, 0, 1, 0), 5), ((0, 0, 0, 2), 7),
+                    ((0, 0, 0, 1), 11)]
+
+
+@pytest.mark.parametrize("mu,d", _CHARACTER_CASES,
+                         ids=["".join(map(str, mu)) + f"-d{d}" for mu, d in _CHARACTER_CASES])
+def test_lifting_without_zterms_finds_the_klimyk_multiplicity(mu, d, monkeypatch):
+    # with the z-term records emptied the lifting imposes the raisings
+    # alone, so at every candidate lam its kernel is the space of highest
+    # weight vectors of weight lam in M(mu)_d, whose dimension is the
+    # Racah-Klimyk multiplicity of F(lam) in F(mu) (x) U(L_-)_d; the
+    # singular vectors the search finds there are at most that many
+    weights = [um.monomial_weight(m) for m in um.pbw_monomials(d)]
+    hits = {lam: len(vecs) for lam, vecs in V.singular_vectors(mu, d)}
+    groups, trans, zrecords = V._degree_tables(d)
+    tables = (groups, trans, {m: () for m in zrecords})
+    monkeypatch.setattr(V, "is_singular", lambda w: True)
+    mod = fm.TensorModule(mu)
+    for lam in V._candidates(mu, groups):
+        want = klimyk_multiplicity(mu, weights, lam)
+        assert len(V._lift_singular(mod, d, lam, tables)) == want, lam
+        assert hits.pop(lam, 0) <= want, lam
+    assert not hits
+
+
 _COMPLETENESS_CASES = [
     *((mu, d) for mu in [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (2, 0, 0, 1),
                          (0, 0, 1, 1)] for d in (1, 2)),
@@ -910,38 +935,39 @@ def test_gen_on_theta_commutator_law(which, perm, bump, rng):
                                   ((2, 0, 0, 1), 2), ((0, 0, 1, 1), 3)],
                          ids=["0010-d2", "0001-d1", "0012-d2", "2001-d2", "0011-d3"])
 def test_checks_leave_lazy_target_as_reference(mu, d):
-    # morphism_from_singular keeps the search's lazy module as its target,
-    # whose F-basis numbering certificates record; the checks must build the
-    # weight spaces the rational path builds, in the same order
-    def fresh():
-        (lam, vecs), = V.singular_vectors(mu, d)
-        return V.morphism_from_singular(vecs[0], lam)
-
-    phi, ref = fresh(), fresh()
-    assert not phi.target._full and phi.target is not ref.target
-    before = list(phi.target.spaces)
+    # a search vector's morphism maps into get_module(mu); the search's lazy
+    # module, whose F-basis numbering certificates record, stays the
+    # reference for w: building the morphism and both checks build no weight
+    # space there, and its image of the highest weight vector is w
+    (lam, vecs), = V.singular_vectors(mu, d)
+    w = vecs[0]
+    mod = w.module
+    assert not mod._full
+    before = list(mod.spaces)
+    phi = V.morphism_from_singular(w, lam, check=False)
+    assert phi.target is V.get_module(mu) and phi.source is V.get_module(lam)
     assert V.check_morphism(phi) == (True, "ok")
     assert V.verify_degree_equations(phi) == (True, "ok")
-    assert list(phi.target.spaces) == before  # the checks built no space
-    # the rational path: all 20 generators and x5 d45, then the precheck of
-    # verify_degree_equations (its equations, decided on the highest weight
-    # column, read only target indices of that column's theta blocks,
-    # combinations of the Phi columns already read).  The checks decide
-    # invariance once, on x_1 d_2 and the source's lowering frame, so they
-    # look up fewer weights outside the module; those spaces are empty and
-    # number nothing
-    def generators():
-        for r, s in _GENERATORS:
-            assert not oracles.gen_on_theta(ref, r, s)
+    assert list(mod.spaces) == before
+    assert V.reexpress(phi.hw_image(), mod).terms == w.terms
 
-    def numbered(mod):
-        return [(nu, idxs) for nu, idxs in mod.spaces.items() if idxs]
 
-    generators()
-    assert V.act_x5d45(ref.hw_image()).is_zero()
-    generators()
-    assert phi.target.vectors == ref.target.vectors
-    assert numbered(phi.target) == numbered(ref.target)
+def test_a_search_morphism_composes_and_makes_controls():
+    # the morphism of a search vector maps between fully built modules, so
+    # it composes with a catalogued one (nabla_B . nabla_A found by the
+    # search) and its perturbed controls are formed and rejected
+    lam = (1, 1, 0, 0)
+    (w,) = dict(V.singular_vectors((1, 0, 0, 0), 1))[lam]
+    phi = V.morphism_from_singular(w, lam)
+    BA = V.compose(V.nabla_B(0, 0), phi)
+    assert BA.coeffs == V.family_instance("BA", m=1).coeffs
+    assert V.check_morphism(BA) == (True, "ok")
+    assert V.verify_degree_equations(BA) == (True, "ok")
+    controls = V.perturbed_controls(phi, 3, seed=5)
+    assert len(controls) == 3
+    for bad in controls:
+        assert not V.check_morphism(bad)[0], bad.tag
+        assert not V.verify_degree_equations(bad)[0], bad.tag
 
 
 @pytest.mark.parametrize("chain,m,n", [("BA", 1, 1), ("CB", 1, 0), ("CA", 1, 0),
@@ -1006,7 +1032,8 @@ def test_dual_of_a_composite_composes_the_duals(chain, factors, sign):
 
 
 def test_dual_of_a_raw_search_morphism():
-    # the search's module is lazy: the dual re-expresses onto get_module(mu)
+    # the search's module is lazy; the morphism maps into get_module(mu), so
+    # its dual is that of the morphism of the re-expressed vector
     mu, lam = (0, 0, 0, 1), (1, 0, 0, 0)
     (v,) = dict(V.singular_vectors(mu, 1))[lam]
     assert not v.module._full
