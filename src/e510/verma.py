@@ -40,9 +40,10 @@ passes read the one int table per degree of _degree_tables, and add_into
 reduces a coefficient mod p as it scales by it.  Each candidate's levels
 come from _level_plan(d, lam - mu), made once per degree and lam - mu and
 shared by every mu: nu = lam - w lies at depth
-sum(root_coefficients(w - (lam - mu))) below mu.  Only survivors, lifted
-again over Q, build the rational solver and z-term images; the Q pass alone
-produces and verifies the vectors.
+sum(root_coefficients(w - (lam - mu))) below mu.  _lift lifts a candidate
+over either field into a record (_Lifting).  Only survivors mod p and the
+candidates p cannot decide, lifted again over Q, build the rational solver
+and z-term images; the Q lifting alone produces and verifies the vectors.
 
 The sieve is sound while every stacked raising system A has full column rank
 mod p.  The left kernel of A mod p then has the dimension of the rational
@@ -70,7 +71,7 @@ spaces and renumber the basis.  Results stay correct even then, but
 certificates may change.  This is seen at p = 2; at p = 2^30 - 35 and
 2^31 - 1, which meet no UnluckyPrime on the degree-2 box-2 and degree-4
 box-1 sweeps, each of the 837 candidates the sieve kills there dies after
-as many stacked solves as the exact lifting makes (a test counts them).
+as many stacked solves as the exact lifting makes (a test pins them).
 
 The L_1 condition x_5 d45 . w = 0 gives z-term rows at the depth of the
 weight each term lands in: that of its monomial when the F part is not
@@ -449,12 +450,15 @@ def singular_vectors(mu, d: int, module: TensorModule | None = None):
     Returns a list of (lam, [VermaElement]) sorted by lam; each basis vector
     is exactly verified (L0 raisings, x5 d45, and a full L_1 spanning set)
     and normalized so the lexicographically least leading monomial has
-    coefficient 1.
+    coefficient 1.  A given module is the F(mu) the search builds on; one
+    of another highest weight raises ValueError.
     """
     if type(d) is not int or d < 1:
         raise ValueError(f"degree must be an integer >= 1, got {d!r}")
     mu = sl5.check_weight(mu)
     mod = module if module is not None else TensorModule(mu)
+    if mod.highest_weight != mu:
+        raise ValueError(f"the module has highest weight {mod.highest_weight}, not {mu}")
     tables = _degree_tables(d)
     out = []
     for lam in _candidates(mu, tables[0]):
@@ -553,12 +557,6 @@ def _zimage(mod: TensorModule, op, fidx, *, p: int | None = None):
     return img if p is None else _mod_p(img, p)
 
 
-def _lifting_inputs(mod: TensorModule, p: int | None):
-    """(solver, zimage): the module data the lifting reads, over Q (p None)
-    or F_p; see _stacked_solver and _zimage."""
-    return partial(_stacked_solver, mod, p=p), partial(_zimage, mod, p=p)
-
-
 def _flush_z(entries, zimage, constraints: RowReducer, L: int, p: int | None) -> bool:
     """Insert the z-term rows of one depth's records, entries = [(op,
     terms, comps)], into constraints; True as soon as their rank reaches L.
@@ -584,102 +582,104 @@ def _flush_z(entries, zimage, constraints: RowReducer, L: int, p: int | None) ->
     return False
 
 
-def _sieve(lift) -> str:
-    """The sieve's verdict on one candidate: "dead" when its lifting mod
-    SIEVE_PRIME proves it dead, "alive" when it survives, and "unlucky" when
-    the prime cannot decide (UnluckyPrime: see the module docstring)."""
-    try:
-        return "alive" if lift(SIEVE_PRIME) is not None else "dead"
-    except ZeroDivisionError:
-        return "unlucky"
+@dataclass
+class _Lifting:
+    """A candidate's lifting (_lift): its components V, monomial -> {fidx ->
+    {ci -> scalar}}, the constraints on the leading coefficients ci, the
+    stacked solves made (a dead candidate's death count), and whether it died."""
+    V: dict
+    constraints: RowReducer
+    solves: int
+    dead: bool
+
+
+def _combine(comb: dict, b: dict, p: int | None) -> dict:
+    """One component or constraint of a monomial: sum of cf * b[rk] over comb."""
+    form: dict = {}
+    for rk, cf in comb.items():
+        if bf := b.get(rk):
+            add_into(form, bf, cf, p)
+    return form
+
+
+def _lift(mod: TensorModule, plan: dict, tables: tuple, p: int | None) -> _Lifting:
+    """The lifting of the candidate with levels plan = _level_plan(d, lam -
+    mu) over Q (p None) or F_p, from the int tables = _degree_tables(d).
+    Each depth's z-terms of x_5 d45 become rows only when it is flushed (see
+    the module docstring).  Dead at the first rank check that reaches the
+    number L of leading monomials; over F_p it may raise UnluckyPrime."""
+    _groups, trans, zrecords = tables
+    mu = mod.highest_weight
+    leading = plan[0][0][1]
+    L, top = len(leading), max(plan)
+    zimage = partial(_zimage, mod, p=p)
+    constraints = RowReducer(p)
+    V: dict = {}
+    zterms: dict = {}      # depth -> [(op, terms, comps)]
+    solves = 0
+    one = Q(1) if p is None else 1
+    hw = mod.ensure_weight(mu)[0]
+    for ci, m in enumerate(leading):
+        V[m] = {hw: {ci: one}}
+        for op, drop, terms in zrecords[m]:
+            zterms.setdefault(drop, []).append((op, terms, V[m]))
+    # every rank check returns at once, so rank < L at each flush; the
+    # z-terms of the deepest level land up to 4 levels below it
+    depth = 0
+    while not _flush_z(zterms.pop(depth, ()), zimage, constraints, L, p):
+        depth += 1
+        if depth > top and not zterms:
+            return _Lifting(V, constraints, solves, False)
+        for off, ms in plan.get(depth, ()):
+            solve_combs, zero_combs = _stacked_solver(mod, sl5.wadd(mu, off), p=p)
+            solves += 1
+            for m in ms:
+                # trans[i][m_target][m_source] = coeff; V holds only
+                # monomials of levels, so other sources contribute nothing
+                b: dict = {}
+                for i in range(1, 5):
+                    for u, tcoef in trans[i].get(m, {}).items():
+                        for fidx, form in V.get(u, {}).items():
+                            add_into(b.setdefault((i, fidx), {}), form, -tcoef, p)
+                comps: dict = {}
+                for col, comb in solve_combs.items():
+                    if form := _combine(comb, b, p):
+                        comps[col] = form
+                for comb in zero_combs:
+                    if form := _combine(comb, b, p):
+                        constraints.insert(form)
+                if comps:
+                    V[m] = comps
+                    for op, drop, terms in zrecords[m]:
+                        zterms.setdefault(depth + drop, []).append((op, terms, comps))
+                if constraints.rank >= L:
+                    return _Lifting(V, constraints, solves, True)
+    return _Lifting(V, constraints, solves, True)
 
 
 def _lift_singular(mod, d, lam, tables):
     """Basis of the degree-d singular vectors of weight lam in M(mu) by
-    leading-term lifting: one lifting loop, run over F_p as a sieve and then
-    over Q for the survivors (see the module docstring), both reading the
-    int tables = _degree_tables(d); over F_p, add_into reduces each table
-    coefficient as it scales a form.  The z-terms of x_5 d45 are recorded
-    per depth and expanded into constraint rows only when the lifting
-    flushes that depth (the module docstring says why that is safe), and
-    each vector is re-verified by the full is_singular check."""
-    _groups, trans, zrecords = tables
+    leading-term lifting (_lift): mod SIEVE_PRIME first, as a sieve, and
+    over Q unless that lifting dies, also when the prime cannot decide
+    (UnluckyPrime; see the module docstring).  The vectors come from the
+    kernel of the Q lifting's constraints, each re-verified by the full
+    is_singular check."""
     mu = mod.highest_weight
     plan = _level_plan(d, sl5.wsub(lam, mu))
     if 0 not in plan:
         return []
-    leading = plan[0][0][1]
-    L = len(leading)
-    top = max(plan)
-
-    def lift(p):
-        """(V, constraints) over Q (p None) or F_p, or None once dead."""
-        solver, zimage = _lifting_inputs(mod, p)
-        constraints = RowReducer(p)
-        V: dict = {}           # monomial -> {fidx -> {ci -> scalar}}
-        zterms: dict = {}      # depth -> [(op, terms, comps)]
-
-        def add_z_terms(m, depth, comps):
-            for op, drop, terms in zrecords[m]:
-                zterms.setdefault(depth + drop, []).append((op, terms, comps))
-
-        def combine(comb, b) -> dict:
-            form: dict = {}
-            for rk, cf in comb.items():
-                bf = b.get(rk)
-                if bf:
-                    add_into(form, bf, cf, p)
-            return form
-
-        one = Q(1) if p is None else 1
-        hw = mod.ensure_weight(mu)[0]
-        for ci, m in enumerate(leading):
-            V[m] = {hw: {ci: one}}
-            add_z_terms(m, 0, V[m])
-        # every rank check returns at once, so rank < L at each flush; the
-        # z-terms of the deepest level land up to 4 levels below it
-        depth = 0
-        while not _flush_z(zterms.pop(depth, ()), zimage, constraints, L, p):
-            depth += 1
-            if depth > top and not zterms:
-                return V, constraints
-            for off, ms in plan.get(depth, ()):
-                nu = sl5.wadd(mu, off)
-                solve_combs, zero_combs = solver(nu)
-                for m in ms:
-                    # trans[i][m_target][m_source] = coeff; V holds only
-                    # monomials of levels, so other sources contribute nothing
-                    b: dict = {}
-                    for i in range(1, 5):
-                        for u, tcoef in trans[i].get(m, {}).items():
-                            for fidx, form in V.get(u, {}).items():
-                                acc = b.setdefault((i, fidx), {})
-                                add_into(acc, form, -tcoef, p)
-                    comps: dict = {}
-                    for col, comb in solve_combs.items():
-                        form = combine(comb, b)
-                        if form:
-                            comps[col] = form
-                    for comb in zero_combs:
-                        form = combine(comb, b)
-                        if form:
-                            constraints.insert(form)
-                    if comps:
-                        V[m] = comps
-                        add_z_terms(m, depth, comps)
-                    if constraints.rank >= L:
-                        return None
-        return None
-
-    lifted = None if _sieve(lift) == "dead" else lift(None)
-    if lifted is None:
+    try:
+        if _lift(mod, plan, tables, SIEVE_PRIME).dead:
+            return []
+    except UnluckyPrime:
+        pass
+    lifted = _lift(mod, plan, tables, None)
+    if lifted.dead:
         return []
-    V, constraints = lifted
-    kernel = constraints.kernel(list(range(L)))
     vecs = []
-    for kv in kernel:
+    for kv in lifted.constraints.kernel(list(range(len(plan[0][0][1])))):
         terms: dict = {}
-        for m, comps in V.items():
+        for m, comps in lifted.V.items():
             for fidx, form in comps.items():
                 val = sum((cf * kv.get(ci, Q(0)) for ci, cf in form.items()), Q(0))
                 if val:

@@ -436,16 +436,18 @@ def coords(mod, nu, vec, p=None):
 def fp_view(mod, p, solver, zimage):
     """The search's F_p inputs (solver, zimage) as the first F_p sieve made
     them: each converted from its rational original (solver(mod, nu),
-    zimage(mod, op, fidx)) into F_p, raising ZeroDivisionError where p
-    divides a denominator.  A solver is converted once; a z-term image each
-    time, since the rational zimage gives ambient images for a target not
-    yet built and coordinates once it is."""
+    zimage(mod, op, fidx)) into F_p, raising UnluckyPrime where p divides
+    a denominator.  A solver is converted once; a z-term image each time,
+    since the rational zimage gives ambient images for a target not yet
+    built and coordinates once it is."""
+    from e510.linalg import UnluckyPrime
+
     stack = {}
 
     def mod_p(c):
         c = Q(c)
         if c.denominator % p == 0:
-            raise ZeroDivisionError(f"{p} divides the denominator of {c}")
+            raise UnluckyPrime(f"{p} divides the denominator of {c}")
         return c.numerator * pow(c.denominator, -1, p) % p
 
     def fp(form):

@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -263,6 +265,24 @@ def test_classify_deterministic(capsys):
                           "--json"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_classify_does_not_depend_on_the_hash_seed(tmp_path):
+    # str and tuple hashes change with PYTHONHASHSEED; the degree-2 box-2
+    # sweep's stdout and its six certificates must not
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("0", "987654"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "e510.cli", "classify", "--degree", "2", "--max-entry", "2",
+             "--json", "--out", "certs"], cwd=cwd, capture_output=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, {f.name: f.read_bytes() for f in (cwd / "certs").iterdir()}))
+    assert len(runs[0][1]) == 6
+    assert runs[0] == runs[1]
 
 
 def test_classify_thread_count_invariant(capsys):

@@ -262,8 +262,7 @@ def test_zterms_act_on_ambient_vectors_only_where_the_target_is_not_built():
     # in verma, only _zimage's fallback calls glact_vector: its one call
     # follows the test of its target space, whose branch returns the
     # record's coordinates (lowering_coords); verma still imports it by
-    # name; the lifting reads module data through the solver and _zimage
-    # alone, and keeps its signature
+    # name
     zimage = _function("verma.py", "_zimage")
     calls = [node for node in ast.walk(zimage) if isinstance(node, ast.Call)
              and getattr(node.func, "id", None) == "glact_vector"]
@@ -278,9 +277,28 @@ def test_zterms_act_on_ambient_vectors_only_where_the_target_is_not_built():
 
     assert verma.glact_vector is fmodules.glact_vector  # perfbench/tracer.py patches it
     assert _referrers("lowering_coords") == {"fmodules.py:lowering_coords", "verma.py:_zimage"}
-    assert _referrers("_flush_z") == {"verma.py:lift"}
+
+
+def test_the_lifting_is_one_module_level_function():
+    # _lift lifts a candidate over Q and F_p alike and returns a record: no
+    # closure, string verdict (_sieve) or pair of partials (_lifting_inputs)
+    # stands between it and its caller, and it alone flushes z-terms.
+    # _lift_singular keeps the signature perfbench/tracer.py patches, and
+    # every _stacked_solver call passes p by keyword, since the tracer's
+    # cache probe unpacks (mod, nu) from the positional arguments
+    tree = ast.parse((SRC / "verma.py").read_text(), "verma.py")
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_sieve", "_lifting_inputs", "lift"}
+    assert "_lift" in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert _referrers("_lift") == {"verma.py:_lift_singular"}
+    assert _referrers("_flush_z") == {"verma.py:_lift"}
+    assert _signatures("verma.py", "_lift") == [["mod", "plan", "tables", "p"]]
     assert _signatures("verma.py", "_lift_singular") == [["mod", "d", "lam", "tables"]]
-    assert _signatures("verma.py", "_lifting_inputs") == [["mod", "p"]]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_stacked_solver"]
+    assert calls and all(len(call.args) == 2 and [k.arg for k in call.keywords] == ["p"]
+                         for call in calls)
 
 
 def test_names_the_benchmark_tracer_reads_are_kept():

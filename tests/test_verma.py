@@ -1227,12 +1227,25 @@ def test_label_family_above_degree_three_is_exploratory():
 
 # -- the F_p sieve of the search ----------------------------------------------
 
+def _skip_sieve(monkeypatch):
+    """Make every lifting mod p raise UnluckyPrime, so that each candidate
+    is lifted over Q alone."""
+    real = V._lift
+
+    def lift(mod, plan, tables, p):
+        if p is not None:
+            raise UnluckyPrime("sieve skipped")
+        return real(mod, plan, tables, p)
+
+    monkeypatch.setattr(V, "_lift", lift)
+
+
 def _sweep_d2_hits(monkeypatch, prime=None):
     """(mu, lam, dim) of every degree-2 hit over the weights of box 2 with
     entry sum <= 4; exact only (every candidate lifted over Q) when prime is
     None, else sieved mod prime.  Checks every vector on the way."""
     if prime is None:
-        monkeypatch.setattr(V, "_sieve", lambda lift: "unlucky")
+        _skip_sieve(monkeypatch)
     else:
         monkeypatch.setattr(V, "SIEVE_PRIME", prime)
     hits = []
@@ -1249,16 +1262,17 @@ def _sweep_d2_hits(monkeypatch, prime=None):
 def test_sieve_at_tiny_primes_keeps_the_exact_hits(monkeypatch):
     exact = _sweep_d2_hits(monkeypatch)
     assert len(exact) == 6
-    real, unlucky = V._sieve, []
+    real, unlucky = V._lift, []
 
-    def counting(lift):
-        verdict = real(lift)
-        if verdict == "unlucky":
-            unlucky.append(V.SIEVE_PRIME)
-        return verdict
+    def counting(mod, plan, tables, p):
+        try:
+            return real(mod, plan, tables, p)
+        except UnluckyPrime:
+            unlucky.append(p)
+            raise
 
     for p in (2, 3, 5, 7):
-        monkeypatch.setattr(V, "_sieve", counting)
+        monkeypatch.setattr(V, "_lift", counting)
         assert _sweep_d2_hits(monkeypatch, p) == exact, p
     # basis-vector halves (p = 2) and stacked raising systems that lose rank
     # mod 3 send those candidates to the Q fallback
@@ -1269,40 +1283,62 @@ SWEEP_D2 = [(mu, 2) for mu in sl5.dominant_weights_in_box(2) if sum(mu) <= 4]
 SWEEPS = SWEEP_D2 + [(mu, 4) for mu in sl5.dominant_weights_in_box(1)]
 
 
+def _sieved(monkeypatch, current):
+    """Patch _lift to record the sieve's lifting of each candidate: returns
+    the list it appends (current[-1], record) to, the record None when the
+    prime cannot decide (UnluckyPrime)."""
+    real, sieved = V._lift, []
+
+    def lift(mod, plan, tables, p):
+        if p is None:
+            return real(mod, plan, tables, p)
+        sieved.append((current[-1], None))
+        got = real(mod, plan, tables, p)
+        sieved[-1] = (current[-1], got)
+        return got
+
+    monkeypatch.setattr(V, "_lift", lift)
+    return sieved
+
+
+def _verdict(record) -> str:
+    return "unlucky" if record is None else "dead" if record.dead else "alive"
+
+
 def _sieve_run(monkeypatch, searches, oracle=False):
     """Run the searches; returns [((mu, d, lam), verdict)] of the sieve on
     every candidate with a leading term, and the hits as (mu, d, lam, vecs).
     With oracle set the sieve reads oracles.fp_view (its F_p inputs
     converted from the rational solver, basis and z-term images)."""
-    real_lift, real_sieve = V._lift_singular, V._sieve
-    current, verdicts = [], []
+    real_lift = V._lift_singular
+    current = []
 
     def lift_singular(mod, d, lam, *args, **kwargs):
         current.append((mod.highest_weight, d, lam))
         return real_lift(mod, d, lam, *args, **kwargs)
 
-    def sieve(lift):
-        verdict = real_sieve(lift)
-        verdicts.append((current[-1], verdict))
-        return verdict
-
     monkeypatch.setattr(V, "_lift_singular", lift_singular)
-    monkeypatch.setattr(V, "_sieve", sieve)
+    sieved = _sieved(monkeypatch, current)
     if oracle:
-        real_inputs, views = V._lifting_inputs, {}
+        real_solver, real_zimage, views = V._stacked_solver, V._zimage, {}
 
-        def inputs(mod, p):
-            if p is None:
-                return real_inputs(mod, None)
+        def view(mod, p):
             if (mod, p) not in views:
-                views[mod, p] = oracles.fp_view(mod, p, V._stacked_solver, V._zimage)
+                views[mod, p] = oracles.fp_view(mod, p, real_solver, real_zimage)
             return views[mod, p]
 
-        monkeypatch.setattr(V, "_lifting_inputs", inputs)
+        def solver(mod, nu, *, p=None):
+            return real_solver(mod, nu) if p is None else view(mod, p)[0](nu)
+
+        def zimage(mod, op, fidx, *, p=None):
+            return real_zimage(mod, op, fidx) if p is None else view(mod, p)[1](op, fidx)
+
+        monkeypatch.setattr(V, "_stacked_solver", solver)
+        monkeypatch.setattr(V, "_zimage", zimage)
     hits = [(mu, d, lam, vecs)
             for mu, d in searches for lam, vecs in V.singular_vectors(mu, d)]
     monkeypatch.undo()
-    return verdicts, hits
+    return [(c, _verdict(rec)) for c, rec in sieved], hits
 
 
 def _objs(hits, onto_full=False):
@@ -1366,42 +1402,40 @@ def test_sieve_verdicts_at_small_primes_are_pinned(monkeypatch, prime):
 
 
 def _death_counts(monkeypatch, searches):
-    """[(sieve, exact)] for each candidate the sieve kills on the searches:
-    the _stacked_solver calls its lifting mod SIEVE_PRIME makes, and those of
-    the exact lifting of the same candidate, run with the sieve skipped on a
-    throwaway module per mu so that the search's own module is built as
-    usual.  The calls fix which weight spaces a lifting builds, in order."""
-    real_solver, real_sieve = V._stacked_solver, V._sieve
-    calls, verdicts, skip = collections.Counter(), [], []
-
-    def solver(mod, nu, *, p=None):
-        calls[p] += 1
-        return real_solver(mod, nu, p=p)
-
-    def sieve(lift):
-        verdicts.append("unlucky" if skip else real_sieve(lift))
-        return verdicts[-1]
-
-    monkeypatch.setattr(V, "_stacked_solver", solver)
-    monkeypatch.setattr(V, "_sieve", sieve)
+    """[((mu, d, lam), sieve, exact)] for each candidate the sieve kills on
+    the searches: the stacked solves of its lifting mod SIEVE_PRIME and of
+    the exact lifting of the same candidate, read from their _lift records;
+    the exact one is made on a throwaway module per mu so that the search's
+    own module is built as usual.  The solves fix which weight spaces a
+    lifting builds, in order."""
+    current = []
+    sieved = _sieved(monkeypatch, current)
     counts = []
     for mu, d in searches:
         mod, spare = fm.TensorModule(mu), fm.TensorModule(mu)
         tables = V._degree_tables(d)
         for lam in V._candidates(mu, tables[0]):
-            calls.clear()
-            verdicts.clear()
+            current.append((mu, d, lam))
+            sieved.clear()
             V._lift_singular(mod, d, lam, tables)
-            if verdicts != ["dead"]:
+            if not sieved or _verdict(sieved[0][1]) != "dead":
                 continue
-            sieved = calls[V.SIEVE_PRIME]
-            calls.clear()
-            skip.append(True)
-            assert V._lift_singular(spare, d, lam, tables) == []
-            skip.clear()
-            counts.append((sieved, calls[None]))
+            exact = V._lift(spare, V._level_plan(d, sl5.wsub(lam, mu)), tables, None)
+            assert exact.dead
+            counts.append(((mu, d, lam), sieved[0][1].solves, exact.solves))
     monkeypatch.undo()
     return counts
+
+
+# SHA-256 of the ordered [((mu, d, lam), solves)] of every candidate the
+# sieve kills on both sweeps, solves being its death count (_Lifting.solves),
+# per modulus: at both large primes 837 kills after 5,945 solves in all, 206
+# of them after none, and at p = 2 521 kills after 2,549 solves
+DEATH_PINS = {
+    2: "e3bb4503c4626d32ae3a842b090d634179d84efc0532fa3a24b856f5f1ce5dad",
+    2**30 - 35: "58e1e658e5522b9d288a2833911ba32c2e5cfb5bebdb20f9a19be37964514f13",
+    2**31 - 1: "58e1e658e5522b9d288a2833911ba32c2e5cfb5bebdb20f9a19be37964514f13",
+}
 
 
 @pytest.mark.parametrize("prime,dead,deeper", (
@@ -1414,8 +1448,9 @@ def test_sieve_kills_where_the_exact_lifting_dies(monkeypatch, prime, dead, deep
     monkeypatch.setattr(V, "SIEVE_PRIME", prime)
     counts = _death_counts(monkeypatch, SWEEPS)
     assert len(counts) == dead
-    assert all(sieved >= exact for sieved, exact in counts)
-    assert sum(sieved > exact for sieved, exact in counts) == deeper
+    assert all(sieved >= exact for _, sieved, exact in counts)
+    assert sum(sieved > exact for _, sieved, exact in counts) == deeper
+    assert _verdict_digest([(c, sieved) for c, sieved, _ in counts]) == DEATH_PINS[prime]
 
 
 def test_sieve_builds_zterm_images_only_for_flushed_depths(monkeypatch):
@@ -1617,6 +1652,22 @@ def test_unlucky_prime_triggers():
     assert len(dropped) == 1
 
 
+def test_a_division_by_zero_in_the_sieve_is_not_an_unlucky_prime(monkeypatch):
+    # only UnluckyPrime sends a candidate to the Q lifting: any other
+    # ZeroDivisionError on the F_p path is a fault, and it propagates
+    real = V._zimage
+
+    def zimage(mod, op, fidx, *, p=None):
+        if p is not None:
+            raise ZeroDivisionError("division by zero")
+        return real(mod, op, fidx, p=p)
+
+    monkeypatch.setattr(V, "_zimage", zimage)
+    with pytest.raises(ZeroDivisionError) as raised:
+        V.singular_vectors((0, 0, 0, 1), 2)
+    assert type(raised.value) is ZeroDivisionError
+
+
 def test_fp_solver_is_the_rational_solver_mod_p():
     p = V.SIEVE_PRIME
     mod = fm.TensorModule((1, 1, 0, 0)).build_full()
@@ -1799,6 +1850,16 @@ def test_search_refuses_bad_weights_and_degrees(mu, d):
         V.singular_vectors(mu, d)
 
 
+def test_search_refuses_a_module_of_another_highest_weight():
+    # M(0,0,0,1) has a degree-1 hit at (1,0,0,0), which a search lifting
+    # through F(1,0,0,0) would miss without a word
+    assert [lam for lam, _vecs in V.singular_vectors((0, 0, 0, 1), 1)] == [(1, 0, 0, 0)]
+    for module in (V.get_module((1, 0, 0, 0)), fm.TensorModule((0, 0, 1, 0))):
+        with pytest.raises(ValueError, match=r"highest weight \(\d, \d, \d, \d\), not"):
+            V.singular_vectors((0, 0, 0, 1), 1, module=module)
+    assert V.singular_vectors((0, 0, 0, 1), 1, module=fm.TensorModule((0, 0, 0, 1)))
+
+
 @pytest.mark.parametrize("bad", [(1, 0, 0, 0, 0), (1, 0, 0), (True, 0, 0, 0)])
 def test_get_module_refuses_a_weight_that_is_not_four_ints(bad):
     V.get_module((1, 0, 0, 0))  # (True, 0, 0, 0) must not find this one
@@ -1872,7 +1933,7 @@ def test_exact_pass_alone_finds_the_sieved_hits(monkeypatch):
     # every candidate of the degree-2 sweep lifted over Q, with no F_p table
     # read: the sieve changes neither the hits nor their vectors
     _, sieved = _sieve_run(monkeypatch, SWEEP_D2)
-    monkeypatch.setattr(V, "_sieve", lambda lift: "unlucky")
+    _skip_sieve(monkeypatch)
     verdicts, exact = _sieve_run(monkeypatch, SWEEP_D2)
     assert verdicts and {v for _, v in verdicts} == {"unlucky"}
     assert _objs(exact) == _objs(sieved)
