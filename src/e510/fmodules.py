@@ -326,8 +326,14 @@ class TensorModule(_ActingModule):
                 parents.append((i, idx))
         self.spaces.setdefault(nu, [])
         self.pivots.setdefault(nu, {})
+        # nu is a weight of F(lam) exactly when its dominant conjugate is
+        # dominated by lam (Humphreys, Lie Algebras, 21.3); otherwise every
+        # lowering into nu is 0, and none is made.  Most nu with no parent
+        # vector are not weights, and need no test
+        weight = bool(parents) and sl5.dominated_depth(
+            sl5.dominant_conjugate(nu), self.weight) is not None
         for i, idx in parents:
-            img = glact_vector(i + 1, i, self.vectors[idx])
+            img = glact_vector(i + 1, i, self.vectors[idx]) if weight else None
             self.lower[i, idx] = self._insert(nu, img, (i, idx)) if img else ()
         return self.spaces[nu]
 

@@ -104,6 +104,13 @@ def dominated_depth(lam: Weight, mu: Weight):
     return ks
 
 
+def dominant_conjugate(lam: Weight) -> Weight:
+    """The dominant weight in the Weyl group orbit of lam: S5 permutes its
+    gl5 coordinates, so sort them in descending order."""
+    a, b, c, d = lam
+    return from_gl(sorted((a + b + c + d, b + c + d, c + d, d, 0), reverse=True))
+
+
 def weyl_dimension(lam: Weight) -> int:
     """Dimension of the irreducible sl5-module of highest weight lam."""
     if not is_dominant(lam):

@@ -94,7 +94,14 @@ basis of W is an injective change of coordinates, also mod p (unit pivots
 on distinct least monomials), and the image of a p-integral v_fidx under
 the int tensor action has p-integral coordinates in it.  So each flush
 spans the rows of the ambient expansion: its rank, its verdict and the
-final reduced echelon form and kernel are theirs.  Only coordinates are
+final reduced echelon form and kernel are theirs.  A flush builds the rows
+of one m2 at a time and inserts them before it builds the next m2's, so it
+stops at the row that brings the rank to L without building the rows of the
+m2s after it.  The order of the rows is free: the rank after all of a
+flush's rows, so every verdict and death count, does not depend on it, nor
+does the reduced echelon form a surviving lifting ends with (unique for the
+order of its keys), whose kernel gives the vectors; and each row still sums
+its terms in the order of the records.  Only coordinates are
 cached, so no ambient image is read once its W is built.  Deferring
 changes no sieve verdict, because nothing deferred can raise UnluckyPrime:
 the PBW coefficients are ints, and every v_fidx read was found p-integral
@@ -475,32 +482,34 @@ def _degree_tables(d: int) -> tuple:
     read it): (groups, trans, zrecords).
 
     groups maps each weight to its monomials in uminus.pbw_monomials order.
-    trans[i][m2][m] is the coefficient of m2 in x_i d_{i+1} . m, the sources
-    m of each m2 in groups order.  zrecords maps m to the terms of
-    x_5 d45 . m (_odd_action(5, (4, 5), m)) grouped by op, as (op, drop,
-    ((monomial, coefficient), ...)) with drop the number of levels the op
-    moves the F part down: 0 when op is None, and 5 - t for op = (5, t),
-    whose weight shift eps_5 - eps_t is minus the sum of the simple roots
-    alpha_t .. alpha_4.  t <= 3, so the groups land at distinct depths and
-    each depth receives the terms of a monomial in _odd_action order.  Built
-    from the uncached actions, so the memos of act_l0 and act_odd keep only
-    what those ask for."""
+    trans maps each monomial m2 to its sources in the layout _lift reads,
+    one tuple ((i, m, -c), ...) with c the coefficient of m2 in
+    x_i d_{i+1} . m, the sources m in groups order and i ascending for each
+    m; the sign is that of moving the raisings to the right-hand side.
+    zrecords maps m to the terms of x_5 d45 . m (_odd_action(5, (4, 5), m))
+    grouped by op, as (op, drop, ((monomial, coefficient), ...)) with drop
+    the number of levels the op moves the F part down: 0 when op is None,
+    and 5 - t for op = (5, t), whose weight shift eps_5 - eps_t is minus
+    the sum of the simple roots alpha_t .. alpha_4.  t <= 3, so the groups
+    land at distinct depths and each depth receives the terms of a monomial
+    in _odd_action order.  Built from the uncached actions, so the memos of
+    act_l0 and act_odd keep only what those ask for."""
     groups: dict = {}
     for m in uminus.pbw_monomials(d):
         groups.setdefault(uminus.monomial_weight(m), []).append(m)
-    trans: dict = {i: {} for i in range(1, 5)}
+    trans: dict = {m: [] for ms in groups.values() for m in ms}
     zrecords = {}
     for ms in groups.values():
         for m in ms:
             for i in range(1, 5):
                 for m2, c in uminus.l0_adjoint(i, i + 1, {m: 1}).items():
-                    trans[i].setdefault(m2, {})[m] = c
+                    trans[m2].append((i, m, -c))
             by_op: dict = {}
             for m2, c, op in _odd_action.__wrapped__(5, (4, 5), m):
                 by_op.setdefault(op, []).append((m2, c))
             zrecords[m] = tuple((op, 0 if op is None else 5 - op[1], tuple(terms))
                                 for op, terms in by_op.items())
-    return groups, trans, zrecords
+    return groups, {m: tuple(srcs) for m, srcs in trans.items()}, zrecords
 
 
 @lru_cache(maxsize=128)
@@ -562,23 +571,29 @@ def _flush_z(entries, zimage, constraints: RowReducer, L: int, p: int | None) ->
     terms, comps)], into constraints; True as soon as their rank reaches L.
     A row is keyed (m2, k), k = fidx when op is None and each key of
     zimage(op, fidx) otherwise (the module docstring says why its rank is
-    that of expanding every term in ambient monomials)."""
-    rows: dict = {}    # (monomial, coordinate or ambient monomial) -> {ci -> scalar}
+    that of expanding every term in ambient monomials).  The terms are
+    grouped by m2, in order of first appearance, and the rows of one m2 are
+    built and inserted before the next m2's are built, so a flush that
+    kills builds no row of an m2 after the one it dies on (the module
+    docstring says why the order of the rows is free)."""
+    by_m2: dict = {}    # monomial -> [(op, coefficient, comps)]
     for op, terms, comps in entries:
-        if op is None:
-            for m2, c2 in terms:
+        for m2, c2 in terms:
+            by_m2.setdefault(m2, []).append((op, c2, comps))
+    for records in by_m2.values():
+        rows: dict = {}    # coordinate or ambient monomial -> {ci -> scalar}
+        for op, c2, comps in records:
+            if op is None:
                 for fidx, form in comps.items():
-                    add_into(rows.setdefault((m2, fidx), {}), form, c2, p)
-            continue
-        for fidx, form in comps.items():
-            img = zimage(op, fidx)
-            for m2, c2 in terms:
-                for k, ac in img.items():
-                    add_into(rows.setdefault((m2, k), {}), form, c2 * ac, p)
-    for row in rows.values():
-        constraints.insert(row)
-        if constraints.rank >= L:
-            return True
+                    add_into(rows.setdefault(fidx, {}), form, c2, p)
+                continue
+            for fidx, form in comps.items():
+                for k, ac in zimage(op, fidx).items():
+                    add_into(rows.setdefault(k, {}), form, c2 * ac, p)
+        for row in rows.values():
+            constraints.insert(row)
+            if constraints.rank >= L:
+                return True
     return False
 
 
@@ -605,8 +620,10 @@ def _combine(comb: dict, b: dict, p: int | None) -> dict:
 def _lift(mod: TensorModule, plan: dict, tables: tuple, p: int | None) -> _Lifting:
     """The lifting of the candidate with levels plan = _level_plan(d, lam -
     mu) over Q (p None) or F_p, from the int tables = _degree_tables(d).
-    Each depth's z-terms of x_5 d45 become rows only when it is flushed (see
-    the module docstring).  Dead at the first rank check that reaches the
+    The right-hand side b of a monomial m reads its one tuple of sources
+    trans[m].  Each depth's z-terms of x_5 d45 become rows only when it is
+    flushed, one PBW monomial at a time (_flush_z; see the module
+    docstring).  Dead at the first rank check that reaches the
     number L of leading monomials; over F_p it may raise UnluckyPrime."""
     _groups, trans, zrecords = tables
     mu = mod.highest_weight
@@ -634,13 +651,13 @@ def _lift(mod: TensorModule, plan: dict, tables: tuple, p: int | None) -> _Lifti
             solve_combs, zero_combs = _stacked_solver(mod, sl5.wadd(mu, off), p=p)
             solves += 1
             for m in ms:
-                # trans[i][m_target][m_source] = coeff; V holds only
-                # monomials of levels, so other sources contribute nothing
+                # V holds only monomials of levels, so other sources
+                # contribute nothing
                 b: dict = {}
-                for i in range(1, 5):
-                    for u, tcoef in trans[i].get(m, {}).items():
-                        for fidx, form in V.get(u, {}).items():
-                            add_into(b.setdefault((i, fidx), {}), form, -tcoef, p)
+                for i, u, c in trans[m]:
+                    if lifted := V.get(u):
+                        for fidx, form in lifted.items():
+                            add_into(b.setdefault((i, fidx), {}), form, c, p)
                 comps: dict = {}
                 for col, comb in solve_combs.items():
                     if form := _combine(comb, b, p):

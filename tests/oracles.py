@@ -497,19 +497,24 @@ def degree_tables(d):
     """(groups, trans, zrecords) as verma._degree_tables(d) lays them out,
     rebuilt straight from uminus.l0_adjoint and the cached
     verma._odd_action, one generator at a time: the raisings x_i d_{i+1}
-    over the monomials in group order, and x_5 d45 with its terms regrouped
-    by op after the fact."""
+    over the monomials in group order, each target's sources sorted into
+    group order, then i, after the fact, and x_5 d45 with its terms
+    regrouped by op after the fact."""
     from e510 import uminus, verma
 
     groups = {}
     for m in uminus.pbw_monomials(d):
         groups.setdefault(uminus.monomial_weight(m), []).append(m)
     monos = [m for ms in groups.values() for m in ms]
-    trans = {i: {} for i in range(1, 5)}
+    position = {m: k for k, m in enumerate(monos)}
+    sources = {}
     for i in range(1, 5):
         for m in monos:
             for m2, c in uminus.l0_adjoint(i, i + 1, {m: 1}).items():
-                trans[i].setdefault(m2, {})[m] = c
+                sources.setdefault(m2, []).append((position[m], i, m, -c))
+    # (position, i) is unique per target, so sorting never compares monomials
+    trans = {m2: tuple((i, m, c) for _k, i, m, c in sorted(sources.get(m2, ())))
+             for m2 in monos}
     zrecords = {}
     for m in monos:
         terms = verma._odd_action(5, (4, 5), m)

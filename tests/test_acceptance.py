@@ -225,6 +225,38 @@ def test_criterion_10_duality(catalogue):
            "double dual is the identity up to scalar")
 
 
+def _top_line(w):
+    """The terms of w on the top weight line of its F part, which is
+    one-dimensional, as a map PBW monomial -> coefficient."""
+    lead = V.leading_term(w).terms
+    assert len({idx for _m, idx in lead}) == 1
+    return {m: c for (m, _idx), c in lead.items()}
+
+
+def test_duality_pairs_the_hits_of_each_sweep(sweep1, sweep2, sweep3, catalogue):
+    # the dual of a morphism M(lam) -> M(mu) is M(mu*) -> M(lam*), so a hit
+    # mu -> lam whose lam* lies in the box has a partner hit lam* -> mu* of
+    # the same dimension; and the dual's image of the highest weight vector
+    # has the top line of the partner's search vector, up to one nonzero
+    # scalar.  The dual's target is a DualModule, not the search's module,
+    # so both top lines are read as maps monomial -> coefficient
+    sweeps = {1: (sweep1, 2), 2: (sweep2, 2), 3: (sweep3, 1)}
+    hits = {(d, r.mu, r.lam): r for d, ((rows, _dt), _box) in sweeps.items() for r in rows}
+    pairs = 0
+    for row, phi in catalogue:
+        mu_star, lam_star = sl5.dual_weight(row.mu), sl5.dual_weight(row.lam)
+        if max(lam_star) > sweeps[phi.degree][1]:
+            continue
+        partner = hits[phi.degree, lam_star, mu_star]
+        assert partner.dimension == row.dimension == 1
+        got = _top_line(V.morphism_leading_term(V.dual_morphism(phi)))
+        want = _top_line(partner.vectors[0])
+        assert got and got.keys() == want.keys(), (row.mu, row.lam)
+        assert len({Q(got[m]) / want[m] for m in got}) == 1, (row.mu, row.lam)
+        pairs += 1
+    assert pairs == 22
+
+
 def test_criterion_11_check_equivalence(catalogue):
     t0 = time.time()
     for row, phi in catalogue:

@@ -557,6 +557,48 @@ def _searched(mu, d):
     return mod
 
 
+def test_ensure_weight_lowers_only_into_weights_of_the_module(monkeypatch):
+    # nu is a weight of F(lam) exactly when its dominant conjugate is
+    # dominated by lam (Humphreys 21.3): on the lazy modules of the degree-2
+    # box-2 (entry sum <= 4) and degree-4 box-1 sweeps the test agrees with
+    # the emptiness of every weight space built, and ensure_weight makes no
+    # lowering into a dominated weight that fails it, while it still builds
+    # that weight's parents and records their lowerings there as 0
+    real_ensure, real_glact = fm.TensorModule.ensure_weight, fm.glact_vector
+    building, lowered = [], []
+
+    def ensure_weight(self, nu):
+        building.append((self.weight, tuple(nu)))
+        try:
+            return real_ensure(self, nu)
+        finally:
+            building.pop()
+
+    def glact_vector(r, s, vec):
+        if building:
+            lowered.append(building[-1])
+        return real_glact(r, s, vec)
+
+    monkeypatch.setattr(fm.TensorModule, "ensure_weight", ensure_weight)
+    monkeypatch.setattr(fm, "glact_vector", glact_vector)
+    sweeps = [(mu, 2) for mu in sl5.dominant_weights_in_box(2) if sum(mu) <= 4]
+    sweeps += [(mu, 4) for mu in sl5.dominant_weights_in_box(1)]
+    skipped = 0
+    for mu, d in sweeps:
+        mod = _searched(mu, d)
+        for nu, idxs in mod.spaces.items():
+            weight = sl5.dominated_depth(sl5.dominant_conjugate(nu), mu) is not None
+            assert bool(idxs) == weight, (mu, nu)
+            if not weight and sl5.dominated_depth(nu, mu) is not None:
+                skipped += 1
+                parents = [(i, idx) for i in range(1, 5)
+                           for idx in mod.spaces[sl5.wadd(nu, sl5.SIMPLE_ROOTS[i - 1])]]
+                assert all(mod.lower[pair] == () for pair in parents)
+    assert lowered and all(sl5.dominated_depth(sl5.dominant_conjugate(nu), lam) is not None
+                           for lam, nu in lowered)
+    assert skipped == 1903
+
+
 RAISING_MODULES = {"full": [(1, 1, 0, 0), (0, 0, 1, 2), (2, 0, 0, 1), (1, 0, 1, 1)],
                    "lazy": [((0, 0, 1, 1), 2), ((1, 0, 0, 1), 2), ((0, 0, 0, 1), 4)]}
 

@@ -40,6 +40,19 @@ _steps = st.tuples(*[st.integers(0, 3)] * 4)
 
 
 @settings(max_examples=200, deadline=None)
+@given(_weights)
+def test_dominant_conjugate_is_reached_by_simple_reflections(lam):
+    # s_i lam = lam - lam_i alpha_i: reflecting in a simple root with a
+    # negative coordinate until none is left reaches the dominant weight of
+    # the Weyl orbit of lam
+    nu = lam
+    while (i := next((i for i in range(4) if nu[i] < 0), None)) is not None:
+        nu = _raise_by(nu, [-nu[i] if t == i else 0 for t in range(4)])
+    assert sl5.dominant_conjugate(lam) == nu
+    assert sl5.dominant_conjugate(nu) == nu
+
+
+@settings(max_examples=200, deadline=None)
 @given(_weights, _steps, _steps, st.tuples(*[st.integers(-3, 3)] * 4))
 def test_dominance_partial_order_random(a, up1, up2, ks):
     # a <= b <= c built by nonnegative root steps: reflexive, antisymmetric

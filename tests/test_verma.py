@@ -1453,6 +1453,91 @@ def test_sieve_kills_where_the_exact_lifting_dies(monkeypatch, prime, dead, deep
     assert _verdict_digest([(c, sieved) for c, sieved, _ in counts]) == DEATH_PINS[prime]
 
 
+def _m2_groups(entries) -> list:
+    """A depth's z-term records, entries = [(op, terms, comps)], split into
+    one record per term and grouped by the term's PBW monomial m2 in order
+    of first appearance: [(m2, [(op, ((m2, c2),), comps)])], the groups
+    _flush_z builds and inserts one at a time, each in record order."""
+    groups: dict = {}
+    for op, terms, comps in entries:
+        for m2, c2 in terms:
+            groups.setdefault(m2, []).append((op, ((m2, c2),), comps))
+    return list(groups.items())
+
+
+def test_flush_verdicts_do_not_depend_on_the_order_of_its_rows(monkeypatch):
+    # the rank after all of a flush's rows does not depend on their order,
+    # so a lifting whose every flush takes its m2 groups in reverse order
+    # keeps every sieve verdict and death count pinned for both sweeps, at
+    # SIEVE_PRIME and at p = 2, and the Q pass, whose kernel comes from the
+    # unique reduced echelon form, finds the same vectors
+    real, flushed = V._flush_z, collections.Counter()
+
+    def reversed_flush(entries, zimage, constraints, L, p):
+        groups = _m2_groups(entries)
+        flushed[p, len(groups) > 1] += 1
+        return real([rec for _m2, recs in reversed(groups) for rec in recs],
+                    zimage, constraints, L, p)
+
+    def run(prime, helper, searches):
+        monkeypatch.setattr(V, "SIEVE_PRIME", prime)
+        monkeypatch.setattr(V, "_flush_z", reversed_flush)
+        return helper(monkeypatch, searches)
+
+    _, hits = _sieve_run(monkeypatch, SWEEPS)
+    verdicts, reversed_hits = run(V.SIEVE_PRIME, _sieve_run, SWEEPS)
+    assert _verdict_digest(verdicts) == VERDICT_PINS[V.SIEVE_PRIME]
+    assert _objs(reversed_hits) == _objs(hits)
+    verdicts, _ = run(2, _sieve_run, SWEEP_D2)
+    assert _verdict_digest(verdicts) == VERDICT_PINS[2]
+    for prime in (V.SIEVE_PRIME, 2):
+        counts = run(prime, _death_counts, SWEEPS)
+        assert _verdict_digest([(c, sieved) for c, sieved, _ in counts]) == DEATH_PINS[prime]
+    assert flushed[V.SIEVE_PRIME, True] and flushed[2, True] and flushed[None, True]
+
+
+def test_a_killing_flush_builds_no_row_of_a_later_monomial(monkeypatch):
+    # _flush_z builds the rows of one m2 group and inserts them before it
+    # reads the records of the next: in every flush of both sweeps, sieve
+    # and Q pass, a flush that kills has read the records of exactly the
+    # groups up to the first whose rows bring the rank to L (found by
+    # flushing the groups one by one into a copy of the constraints), and
+    # one that does not kill has read them all
+    real, skipped = V._flush_z, collections.Counter()
+
+    class Watched(dict):
+        """A record's comps, logging its m2 whenever its items are read."""
+
+        def __init__(self, comps, m2, log):
+            super().__init__(comps)
+            self.m2, self.log = m2, log
+
+        def items(self):
+            self.log.append(self.m2)
+            return super().items()
+
+    def flush(entries, zimage, constraints, L, p):
+        groups = _m2_groups(entries)
+        ref, need = copy.deepcopy(constraints), len(groups)
+        for k, (_m2, recs) in enumerate(groups):
+            if real(recs, zimage, ref, L, p):
+                need = k + 1
+                break
+        log = []
+        watched = [(op, terms, Watched(comps, m2, log))
+                   for m2, recs in groups for op, terms, comps in recs]
+        got = real(watched, zimage, constraints, L, p)
+        assert got == (ref.rank >= L)
+        assert list(dict.fromkeys(log)) == [m2 for m2, _recs in groups[:need]]
+        skipped[p, got] += len(groups) - need
+        return got
+
+    monkeypatch.setattr(V, "_flush_z", flush)
+    for mu, d in SWEEPS:
+        V.singular_vectors(mu, d)
+    assert skipped[V.SIEVE_PRIME, True]
+
+
 def test_sieve_builds_zterm_images_only_for_flushed_depths(monkeypatch):
     # a candidate's z-term images are made when the lifting flushes their
     # depth, so the sieve makes none for the depths of the candidates it
@@ -1460,7 +1545,10 @@ def test_sieve_builds_zterm_images_only_for_flushed_depths(monkeypatch):
     # flush every depth.  The module caches an image's coordinates per
     # modulus; an image whose target space is not built yet is ambient,
     # made each time and never cached (those are the only tensor actions
-    # the search's z-terms make)
+    # the search's z-terms make).  A flush builds and inserts the rows of one
+    # PBW monomial at a time and stops at the row that kills, so a killing
+    # flush makes no image for the monomials after the one it dies on: 381
+    # and 20 ambient images when every row of a flush was built first
     made = {2: [0, 0, 0], 4: [0, 0, 0]}
     real, d = V.glact_vector, None
 
@@ -1476,7 +1564,7 @@ def test_sieve_builds_zterm_images_only_for_flushed_depths(monkeypatch):
         made[d][1] += len(mod.cache("zterm"))
     assert made[2][0] <= 1048 and made[4][0] <= 268
     assert (made[2][1], made[4][1]) == (41, 1)
-    assert (made[2][2], made[4][2]) == (381, 20)
+    assert (made[2][2], made[4][2]) == (347, 13)
 
 
 def test_fp_zimage_is_the_rational_image_reduced():
@@ -1923,8 +2011,7 @@ def test_degree_tables_match_the_cached_actions(d):
     want = oracles.degree_tables(d)
     assert _ordered(tables) == _ordered(want)
     groups, trans, zrecords = tables
-    assert all(type(c) is int for t in trans.values() for src in t.values()
-               for c in src.values())
+    assert all(type(c) is int for srcs in trans.values() for _i, _u, c in srcs)
     assert all(type(c) is int for recs in zrecords.values()
                for _op, _drop, terms in recs for _m2, c in terms)
 
