@@ -23,29 +23,45 @@ int combinations of 50 generators x_p d_A, and each generator acts on D w
 once (l1_images); x_5 d45 is one of them.  The actions act_l0 and act_odd
 sum their terms into one dict in place with add_term.
 
-Almost every candidate lam has no singular vector, so the lifting runs first
-over F_p (p = SIEVE_PRIME = 2^30 - 35, plain ints) as a sieve.  fmodules
+The search lifts in one kind of field only, F_p in plain ints.  fmodules
 works over Q only, and every reduction of module data mod p is made here,
-by _mod_p, next to the sieve: the raising columns (_raising_columns) and
-the z-term coordinates (_zimage), each the rational data reduced mod p;
-only the stacked raising solver is factored over F_p, by RowReducer(p).
+by _mod_p: the raising columns (_raising_columns) and the z-term
+coordinates (_zimage), each the rational data reduced mod p; only the
+stacked raising solver is factored over F_p, by RowReducer(p).
 No basis vector is reduced: the module's "bases" store records for each
 weight space asked about whether its basis is p-integral (_integral_basis;
 denominators are at most 2), and _fp_basis raises UnluckyPrime from it.
 The rational raising columns come from the module's
 lowering record (TensorModule.act_entries): F(mu) is built by lowering, so
 [E_j, F_i] = delta_ij H_i gives them from the coordinates of the lowering
-images, with no ambient vector acted on.  The PBW side is shared: both
-passes read the one int table per degree of _degree_tables, and add_into
+images, with no ambient vector acted on.  The PBW side is shared: every
+lifting reads the one int table per degree of _degree_tables, and add_into
 reduces a coefficient mod p as it scales by it.  Each candidate's levels
 come from _level_plan(d, lam - mu), made once per degree and lam - mu and
 shared by every mu: nu = lam - w lies at depth
 sum(root_coefficients(w - (lam - mu))) below mu.  _lift lifts a candidate
-over either field into a record (_Lifting).  Only survivors mod p and the
-candidates p cannot decide, lifted again over Q, build the rational solver
-and z-term images; the Q lifting alone produces and verifies the vectors.
+mod p into a record (_Lifting).
 
-The sieve is sound while every stacked raising system A has full column rank
+Almost every candidate lam has no singular vector, so the first lifting,
+mod SIEVE_PRIME = 2^30 - 35, is a sieve.  _lift_singular lifts a survivor
+again mod the Mersenne primes of _LADDER, 2^61 - 1 to 2^1279 - 1, and
+recovers each coefficient of each kernel vector of its constraints from
+its residue a by rational reconstruction (_rational): the n/d = a with
+|n|, d <= isqrt(p // 2), of which there is at most one.  It keeps the
+vectors once two liftings in a row recover the same ones: one modulus
+alone can turn a coefficient beyond its bound into a wrong small fraction,
+and is_singular, acting on a wrong vector, would build weight spaces out
+of their order.  is_singular then re-verifies each vector over Q, and a
+failure raises ArithmeticError.  The vectors are exact: they are singular
+and independent over Q (the leading coefficients of the i-th are the i-th
+kernel vector, 1 at its own free key and 0 at the others), and reduction
+mod p cannot raise a rank, so their number, the kernel dimension mod p, is
+at least the dimension over Q, and they span the singular space.  Each is
+normalized, so a space of dimension 1 gets the one vector a lifting over Q
+would give, byte for byte.
+
+Every lifting mod p is sound while every stacked raising system A has full
+column rank
 mod p.  The left kernel of A mod p then has the dimension of the rational
 one, so it is the reduction of the rational left kernel, and the F_p solve
 combinations differ from the reduced rational ones only by left-kernel rows.
@@ -53,8 +69,8 @@ Such rows change the lifted components only by combinations of constraints
 already imposed, so the span of the constraints is the reduction of the
 rational span, and reduction mod p cannot raise a rank: a constraint rank mod
 p that reaches the number L of leading monomials proves the candidate dead
-over Q.  Where p cannot decide, UnluckyPrime sends the candidate to the Q
-pass (the int PBW coefficients raise nothing): p divides a denominator in
+over Q.  Where p cannot decide, UnluckyPrime sends the candidate to the next
+modulus (the int PBW coefficients raise nothing): p divides a denominator in
 the basis of a weight space whose raising columns are read, in one of their
 coordinates, or in their target's basis once a column is not 0 mod p
 (_raising_columns); or a stacked system's F_p rank falls short of the
@@ -62,16 +78,17 @@ dimension of its weight space.  With every column 0 mod p the target's
 basis is not needed: the argument asks only that A mod p be the reduction of
 a p-integral A.
 
-The sieve builds the lazy module through the same ensure_weight calls as the
-exact lifting, in the same order (each weight space, then its raising
-targets), so the lazy F-basis, whose indices certificates record, is
-numbered as without it, unless the constraint rank mod p falls short of the
-rank over Q: then the sieve may lift deeper than Q would, build more weight
-spaces and renumber the basis.  Results stay correct even then, but
-certificates may change.  This is seen at p = 2; at p = 2^30 - 35 and
-2^31 - 1, which meet no UnluckyPrime on the degree-2 box-2 and degree-4
-box-1 sweeps, each of the 837 candidates the sieve kills there dies after
-as many stacked solves as the exact lifting makes (a test pins them).
+A lifting mod p builds the lazy module through the same ensure_weight calls
+as the lifting over Q (tests/oracles.py keeps it as the reference), in the
+same order (each weight space, then its raising targets), so the lazy
+F-basis, whose indices certificates record, is numbered as over Q, unless
+the constraint rank mod p falls short of the rank over Q: then the sieve
+may lift deeper than Q would, build more weight spaces and renumber the
+basis.  Results stay correct even then, but certificates may change.  This
+is seen at p = 2; at p = 2^30 - 35 and 2^31 - 1, which meet no UnluckyPrime
+on the degree-2 box-2 and degree-4 box-1 sweeps, each of the 837 candidates
+the sieve kills there dies after as many stacked solves as the lifting over
+Q makes (a test pins them).
 
 The L_1 condition x_5 d45 . w = 0 gives z-term rows at the depth of the
 weight each term lands in: that of its monomial when the F part is not
@@ -85,8 +102,8 @@ candidate killed earlier never multiplies out the terms of the depths it
 does not reach.  A row belongs to a PBW monomial m2 and a coordinate in
 the weight space W its F part lands in: fidx for an untouched v_fidx, and
 the coordinates of x_5 d_t . v_fidx from the lowering record
-(TensorModule.lowering_coords) when W is usable, that is built and, over
-F_p, with a p-integral basis; otherwise the image is expanded in ambient
+(TensorModule.lowering_coords) when W is usable, that is built with a
+p-integral basis; otherwise the image is expanded in ambient
 tensor monomials, as every term once was.  All terms of m2 land in one W,
 fixed by lam, and an untouched term means W was solved or is the top line,
 so the rows of an m2 in a flush are all coordinates or all ambient.  The
@@ -103,7 +120,7 @@ does the reduced echelon form a surviving lifting ends with (unique for the
 order of its keys), whose kernel gives the vectors; and each row still sums
 its terms in the order of the records.  Only coordinates are
 cached, so no ambient image is read once its W is built.  Deferring
-changes no sieve verdict, because nothing deferred can raise UnluckyPrime:
+changes no verdict mod p, because nothing deferred can raise UnluckyPrime:
 the PBW coefficients are ints, and every v_fidx read was found p-integral
 when solver(nu) built the action mod p (at depth 0 it is the highest
 weight vector, a monomial with coefficient 1).  Nor does it build a weight
@@ -369,7 +386,7 @@ def l1_images(w: VermaElement, low: VermaElement):
 # ---------------------------------------------------------------------------
 # Singular vector search by leading-term lifting
 
-def _stacked_solver(mod: TensorModule, nu, *, p: int | None = None):
+def _stacked_solver(mod: TensorModule, nu, *, p: int):
     """Factor the stacked raising maps out of the weight space nu.
 
     Returns (solve_combs, zero_combs): solve_combs maps each basis index of
@@ -377,9 +394,9 @@ def _stacked_solver(mod: TensorModule, nu, *, p: int | None = None):
     keys (i, target_idx) recovering that coordinate of the unique solution of
     A v = b; zero_combs are the left-kernel combinations yielding consistency
     constraints.  Raising maps are jointly injective below the top weight, so
-    every coordinate is pinned.  With a modulus p the maps are factored over
-    F_p from the action mod p; a rank below the dimension of the space then
-    raises UnluckyPrime (p divides a denominator of the rational solver).
+    every coordinate is pinned.  The maps are factored over F_p from the
+    action mod p; a rank below the dimension of the space raises
+    UnluckyPrime (p divides a denominator of the rational solver).
     """
     nu = tuple(nu)
     cache = mod.cache("stack", p)
@@ -398,25 +415,20 @@ def _stacked_solver(mod: TensorModule, nu, *, p: int | None = None):
             for tidx, val in entries[col].items():
                 rows[(i, tidx)][col] = val
     red = RowReducer(p)
-    one = Q(1) if p is None else 1
     for rk, row in sorted(rows.items()):
-        red.insert(row, {rk: one})
+        red.insert(row, {rk: 1})
     if red.rank != len(cols):
-        error = ArithmeticError if p is None else UnluckyPrime
-        raise error(f"raising maps not injective on weight space {nu}")
+        raise UnluckyPrime(f"raising maps not injective on weight space {nu}")
     got = cache[nu] = ({pc: red.combs[pc] for pc in sorted(red.pivots)}, red.relations)
     return got
 
 
-def _raising_columns(mod: TensorModule, i: int, nu, p: int | None) -> dict:
-    """mod.act_entries(i, i + 1, nu), or with a modulus p those rational
-    columns reduced mod p, raising UnluckyPrime from _fp_basis(mod, nu, p)
-    for a non-empty nu, then from the reduction of the columns, then from
-    the target's _fp_basis once a column is not 0 mod p (see the module
-    docstring)."""
+def _raising_columns(mod: TensorModule, i: int, nu, p: int) -> dict:
+    """The rational columns mod.act_entries(i, i + 1, nu) reduced mod p,
+    raising UnluckyPrime from _fp_basis(mod, nu, p) for a non-empty nu, then
+    from the reduction of the columns, then from the target's _fp_basis once
+    a column is not 0 mod p (see the module docstring)."""
     cols = mod.act_entries(i, i + 1, nu)
-    if p is None:
-        return cols
     if cols:
         _fp_basis(mod, nu, p)
     cols = {idx: _mod_p(col, p) for idx, col in cols.items()}
@@ -478,7 +490,7 @@ def singular_vectors(mu, d: int, module: TensorModule | None = None):
 @lru_cache(maxsize=8)
 def _degree_tables(d: int) -> tuple:
     """The search's data on the degree-d PBW monomials, in ints, shared by
-    the sieve and the exact pass of every search of degree d (callers only
+    the liftings mod every prime of every search of degree d (callers only
     read it): (groups, trans, zrecords).
 
     groups maps each weight to its monomials in uminus.pbw_monomials order.
@@ -541,32 +553,43 @@ def _candidates(mu, groups) -> list:
 # The modulus of the search's F_p sieve: 2^30 - 35, the largest prime below
 # 2^30, so every residue and every divisor of a % is a one-digit CPython int.
 SIEVE_PRIME = 2**30 - 35
+# The moduli a candidate the sieve does not kill is lifted at next, in order:
+# the Mersenne primes 2^61 - 1, 2^127 - 1, 2^521 - 1 and 2^1279 - 1.
+_LADDER = tuple(2**k - 1 for k in (61, 127, 521, 1279))
 
 
-def _zimage(mod: TensorModule, op, fidx, *, p: int | None = None):
-    """x_5 d_t . v_fidx for op = (5, t), over Q or, with a modulus p,
-    reduced mod p: its coordinates in the target weight space
-    (TensorModule.lowering_coords) when that space is usable, and its
-    ambient image otherwise.  Usable means built over Q, and built with a
-    p-integral basis (_integral_basis) over F_p.  Only coordinates are
-    cached on the module per modulus, shared by every candidate lam of a
-    search, so an ambient image is never served once its target is built
-    (see the module docstring)."""
+def _rational(a: int, p: int):
+    """The fraction n/d with n = a d mod p and |n|, d <= B = isqrt(p // 2),
+    or None when there is none: rational reconstruction (Wang, Guy and
+    Davenport, SIGSAM Bull. 1982).  2 B^2 < p for odd p, so there is at most
+    one; if there is, the fraction closest to a/p with a denominator at most
+    B has denominator d, and n is a d minus p times its numerator."""
+    k = Q(a, p).limit_denominator(bound := math.isqrt(p // 2))
+    n = a * k.denominator - k.numerator * p
+    return Q(n, k.denominator) if abs(n) <= bound else None
+
+
+def _zimage(mod: TensorModule, op, fidx, *, p: int):
+    """x_5 d_t . v_fidx for op = (5, t), reduced mod p: its coordinates in
+    the target weight space (TensorModule.lowering_coords) when that space
+    is usable, that is built with a p-integral basis (_integral_basis), and
+    its ambient image otherwise.  Only coordinates are cached on the module
+    per modulus, shared by every candidate lam of a search, so an ambient
+    image is never served once its target is built (see the module
+    docstring)."""
     key = (op, fidx)
     cache = mod.cache("zterm", p)
     img = cache.get(key)
     if img is not None:
         return img
     target = sl5.wadd(mod.weights[fidx], fmodules.gen_shift(*op))
-    if target in mod.spaces and (p is None or _integral_basis(mod, target, p)):
-        img = mod.lowering_coords(*op, fidx)
-        img = cache[key] = img if p is None else _mod_p(img, p)
+    if target in mod.spaces and _integral_basis(mod, target, p):
+        img = cache[key] = _mod_p(mod.lowering_coords(*op, fidx), p)
         return img
-    img = glact_vector(*op, mod.vectors[fidx])
-    return img if p is None else _mod_p(img, p)
+    return _mod_p(glact_vector(*op, mod.vectors[fidx]), p)
 
 
-def _flush_z(entries, zimage, constraints: RowReducer, L: int, p: int | None) -> bool:
+def _flush_z(entries, zimage, constraints: RowReducer, L: int, p: int) -> bool:
     """Insert the z-term rows of one depth's records, entries = [(op,
     terms, comps)], into constraints; True as soon as their rank reaches L.
     A row is keyed (m2, k), k = fidx when op is None and each key of
@@ -608,7 +631,7 @@ class _Lifting:
     dead: bool
 
 
-def _combine(comb: dict, b: dict, p: int | None) -> dict:
+def _combine(comb: dict, b: dict, p: int) -> dict:
     """One component or constraint of a monomial: sum of cf * b[rk] over comb."""
     form: dict = {}
     for rk, cf in comb.items():
@@ -617,14 +640,14 @@ def _combine(comb: dict, b: dict, p: int | None) -> dict:
     return form
 
 
-def _lift(mod: TensorModule, plan: dict, tables: tuple, p: int | None) -> _Lifting:
-    """The lifting of the candidate with levels plan = _level_plan(d, lam -
-    mu) over Q (p None) or F_p, from the int tables = _degree_tables(d).
+def _lift(mod: TensorModule, plan: dict, tables: tuple, p: int) -> _Lifting:
+    """The lifting mod p of the candidate with levels plan = _level_plan(d,
+    lam - mu), from the int tables = _degree_tables(d).
     The right-hand side b of a monomial m reads its one tuple of sources
     trans[m].  Each depth's z-terms of x_5 d45 become rows only when it is
     flushed, one PBW monomial at a time (_flush_z; see the module
     docstring).  Dead at the first rank check that reaches the
-    number L of leading monomials; over F_p it may raise UnluckyPrime."""
+    number L of leading monomials; it may raise UnluckyPrime."""
     _groups, trans, zrecords = tables
     mu = mod.highest_weight
     leading = plan[0][0][1]
@@ -634,10 +657,9 @@ def _lift(mod: TensorModule, plan: dict, tables: tuple, p: int | None) -> _Lifti
     V: dict = {}
     zterms: dict = {}      # depth -> [(op, terms, comps)]
     solves = 0
-    one = Q(1) if p is None else 1
     hw = mod.ensure_weight(mu)[0]
     for ci, m in enumerate(leading):
-        V[m] = {hw: {ci: one}}
+        V[m] = {hw: {ci: 1}}
         for op, drop, terms in zrecords[m]:
             zterms.setdefault(drop, []).append((op, terms, V[m]))
     # every rank check returns at once, so rank < L at each flush; the
@@ -676,37 +698,42 @@ def _lift(mod: TensorModule, plan: dict, tables: tuple, p: int | None) -> _Lifti
 
 def _lift_singular(mod, d, lam, tables):
     """Basis of the degree-d singular vectors of weight lam in M(mu) by
-    leading-term lifting (_lift): mod SIEVE_PRIME first, as a sieve, and
-    over Q unless that lifting dies, also when the prime cannot decide
-    (UnluckyPrime; see the module docstring).  The vectors come from the
-    kernel of the Q lifting's constraints, each re-verified by the full
-    is_singular check."""
+    leading-term lifting (_lift) mod SIEVE_PRIME, read at call time, then
+    mod each prime of _LADDER in turn: [] at the first lifting that dies,
+    and the next modulus where one raises UnluckyPrime.  Otherwise each
+    coefficient of each vector of the kernel of the constraints is
+    recovered from its value mod p by _rational, and the vectors are
+    returned once two liftings in a row recover the same ones, each
+    normalized and re-verified by the full is_singular check; a ladder run
+    out raises ArithmeticError (see the module docstring)."""
     mu = mod.highest_weight
     plan = _level_plan(d, sl5.wsub(lam, mu))
-    if 0 not in plan:
-        return []
-    try:
-        if _lift(mod, plan, tables, SIEVE_PRIME).dead:
+    last = None
+    for p in (SIEVE_PRIME, *_LADDER):
+        try:
+            lifted = _lift(mod, plan, tables, p)
+        except UnluckyPrime:
+            continue
+        if lifted.dead:
             return []
-    except UnluckyPrime:
-        pass
-    lifted = _lift(mod, plan, tables, None)
-    if lifted.dead:
-        return []
-    vecs = []
-    for kv in lifted.constraints.kernel(list(range(len(plan[0][0][1])))):
-        terms: dict = {}
-        for m, comps in lifted.V.items():
-            for fidx, form in comps.items():
-                val = sum((cf * kv.get(ci, Q(0)) for ci, cf in form.items()), Q(0))
-                if val:
-                    terms[(m, fidx)] = val
-        w = VermaElement(mod, d, terms)
-        w = _normalize_singular(w)
+        got = []
+        for kv in lifted.constraints.kernel(range(len(plan[0][0][1]))):
+            terms: dict = {}
+            for m, comps in lifted.V.items():
+                for fidx, form in comps.items():
+                    if val := sum(cf * kv.get(ci, 0) for ci, cf in form.items()) % p:
+                        terms[(m, fidx)] = _rational(val, p)
+            got.append(terms)
+        if got == last:
+            break
+        last = None if any(None in terms.values() for terms in got) else got
+    else:
+        raise ArithmeticError(f"no two moduli recover the same vectors: mu={mu}, lam={lam}, d={d}")
+    vecs = [_normalize_singular(VermaElement(mod, d, terms)) for terms in got]
+    for w in vecs:
         if not is_singular(w):
             raise ArithmeticError(
                 f"lifted vector fails the singular check: mu={mu}, lam={lam}, d={d}")
-        vecs.append(w)
     return vecs
 
 

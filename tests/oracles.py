@@ -11,6 +11,7 @@ structural checks from the library.
 
 from fractions import Fraction as Q
 from itertools import combinations
+from weakref import WeakKeyDictionary
 
 
 def dense_rref(rows, ncols):
@@ -465,6 +466,98 @@ def fp_view(mod, p, solver, zimage):
         return fp(zimage(mod, op, fidx))
 
     return fp_solver, fp_zimage
+
+
+# the rational solvers and z-term coordinates of each module the exact
+# lifting below has read, kept as long as the module lives
+_RATIONAL = WeakKeyDictionary()
+
+
+def rational_solver(mod, nu):
+    """verma._stacked_solver over Q, as the search made it before it worked
+    mod p alone: the stacked raising columns mod.act_entries(i, i + 1, nu)
+    factored by RowReducer() with Fraction combinations, (solve_combs,
+    zero_combs) as verma lays them out; raises ArithmeticError where the
+    raising maps are not injective.  Made once per module and nu."""
+    from e510 import sl5
+    from e510.linalg import RowReducer
+
+    nu = tuple(nu)
+    cache = _RATIONAL.setdefault(mod, ({}, {}))[0]
+    if nu in cache:
+        return cache[nu]
+    cols = mod.ensure_weight(nu)
+    rows = {}
+    for i in range(1, 5):
+        target = sl5.wadd(nu, sl5.SIMPLE_ROOTS[i - 1])
+        for tidx in mod.ensure_weight(target):
+            rows[(i, tidx)] = {}
+        entries = mod.act_entries(i, i + 1, nu)
+        for col in cols:
+            for tidx, val in entries[col].items():
+                rows[(i, tidx)][col] = val
+    red = RowReducer()
+    for rk, row in sorted(rows.items()):
+        red.insert(row, {rk: Q(1)})
+    if red.rank != len(cols):
+        raise ArithmeticError(f"raising maps not injective on weight space {nu}")
+    got = cache[nu] = ({pc: red.combs[pc] for pc in sorted(red.pivots)}, red.relations)
+    return got
+
+
+def rational_zimage(mod, op, fidx):
+    """verma._zimage over Q: the coordinates of x_5 d_t . v_fidx in its
+    target weight space (mod.lowering_coords) once that space is built,
+    kept per module, and the ambient image (fmodules.glact_vector) before."""
+    from e510 import fmodules, sl5
+
+    cache = _RATIONAL.setdefault(mod, ({}, {}))[1]
+    if (op, fidx) in cache:
+        return cache[op, fidx]
+    if sl5.wadd(mod.weights[fidx], fmodules.gen_shift(*op)) in mod.spaces:
+        img = cache[op, fidx] = mod.lowering_coords(*op, fidx)
+        return img
+    return fmodules.glact_vector(*op, mod.vectors[fidx])
+
+
+def exact_lift(mod, plan, tables):
+    """The lifting of a candidate over Q, the reference for the liftings mod
+    p of the search: verma._lift itself with p None (add_into and RowReducer
+    then work over Q) and its solver and z-term images, while it runs, the
+    rational ones above."""
+    from e510 import verma
+
+    saved = verma._stacked_solver, verma._zimage
+    verma._stacked_solver = lambda mod, nu, *, p: rational_solver(mod, nu)
+    verma._zimage = lambda mod, op, fidx, *, p: rational_zimage(mod, op, fidx)
+    try:
+        return verma._lift(mod, plan, tables, None)
+    finally:
+        verma._stacked_solver, verma._zimage = saved
+
+
+def exact_lift_singular(mod, d, lam, tables):
+    """verma._lift_singular as the exact pass alone made it: the candidate
+    lifted over Q (exact_lift), each vector of the kernel of its
+    constraints evaluated in Fractions on the lifted components, normalized
+    and checked by verma.is_singular; [] for a candidate that dies."""
+    from e510 import sl5, verma
+
+    plan = verma._level_plan(d, sl5.wsub(lam, mod.highest_weight))
+    lifted = exact_lift(mod, plan, tables)
+    if lifted.dead:
+        return []
+    vecs = []
+    for kv in lifted.constraints.kernel(range(len(plan[0][0][1]))):
+        terms = {}
+        for m, comps in lifted.V.items():
+            for fidx, form in comps.items():
+                if val := sum((cf * kv.get(ci, Q(0)) for ci, cf in form.items()), Q(0)):
+                    terms[(m, fidx)] = val
+        w = verma._normalize_singular(verma.VermaElement(mod, d, terms))
+        assert verma.is_singular(w), (mod.highest_weight, lam, d)
+        vecs.append(w)
+    return vecs
 
 
 def flush_z(mod, entries, constraints, L, p=None):

@@ -279,10 +279,16 @@ def test_zterms_act_on_ambient_vectors_only_where_the_target_is_not_built():
     assert _referrers("lowering_coords") == {"fmodules.py:lowering_coords", "verma.py:_zimage"}
 
 
+# the functions of the search that take the modulus p of a lifting
+_SEARCH = ("_stacked_solver", "_raising_columns", "_zimage", "_flush_z", "_combine", "_lift")
+
+
 def test_the_lifting_is_one_module_level_function():
-    # _lift lifts a candidate over Q and F_p alike and returns a record: no
-    # closure, string verdict (_sieve) or pair of partials (_lifting_inputs)
-    # stands between it and its caller, and it alone flushes z-terms.
+    # _lift lifts a candidate mod a prime and returns a record: no closure,
+    # string verdict (_sieve) or pair of partials (_lifting_inputs) stands
+    # between it and its caller, and it alone flushes z-terms.  The search
+    # works mod primes alone: none of its functions has a default for p or
+    # tests it against None, and src/ never calls _lift with None.
     # _lift_singular keeps the signature perfbench/tracer.py patches, and
     # every _stacked_solver call passes p by keyword, since the tracer's
     # cache probe unpacks (mod, nu) from the positional arguments
@@ -299,6 +305,20 @@ def test_the_lifting_is_one_module_level_function():
              and getattr(node.func, "id", None) == "_stacked_solver"]
     assert calls and all(len(call.args) == 2 and [k.arg for k in call.keywords] == ["p"]
                          for call in calls)
+    for name in _SEARCH:
+        fn = _function("verma.py", name)
+        assert "p" in _signatures("verma.py", name)[0]
+        assert not fn.args.defaults and fn.args.kw_defaults in ([], [None]), name
+        against_none = [node for node in ast.walk(fn) if isinstance(node, ast.Compare)
+                        and {"p", None} <= {getattr(n, "id", getattr(n, "value", 0))
+                                            for n in [node.left, *node.comparators]}]
+        assert against_none == [], name
+    lifts = [node for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lift"]
+    assert lifts and not [call for call in lifts
+                          if any(isinstance(a, ast.Constant) and a.value is None
+                                 for a in call.args)]
 
 
 def test_names_the_benchmark_tracer_reads_are_kept():

@@ -1196,10 +1196,14 @@ def test_search_reverification_runs_under_optimize():
 
 
 def test_stacked_solver_inverts_raising_maps():
+    # mod SIEVE_PRIME, the solve combinations invert the stacked raising
+    # maps of each weight space below the top, and the zero combinations
+    # span their left kernel
+    p = V.SIEVE_PRIME
     mod = fm.TensorModule((1, 1, 0, 0)).build_full()
     top = mod.highest_weight
     for nu in sorted(set(mod.weights) - {top}):
-        solve_combs, zero_combs = V._stacked_solver(mod, nu)
+        solve_combs, zero_combs = V._stacked_solver(mod, nu, p=p)
         cols = mod.ensure_weight(nu)
         # stacked row (i, target index) of e_i = x_i d_{i+1} on the space nu
         entries = {i: mod.act_entries(i, i + 1, nu) for i in range(1, 5)}
@@ -1207,8 +1211,8 @@ def test_stacked_solver_inverts_raising_maps():
                     for i in range(1, 5))
 
         def apply(comb, col):
-            return sum((c * entries[i][col].get(tidx, 0)
-                        for (i, tidx), c in comb.items()), Q(0))
+            return sum(c * to_fp(entries[i][col].get(tidx, Q(0)), p)
+                       for (i, tidx), c in comb.items()) % p
 
         assert list(solve_combs) == sorted(cols)
         for pc, comb in solve_combs.items():
@@ -1217,7 +1221,7 @@ def test_stacked_solver_inverts_raising_maps():
         assert len(zero_combs) == nrows - len(cols)
         for comb in zero_combs:
             assert comb and all(apply(comb, col) == 0 for col in cols)
-        assert V._stacked_solver(mod, nu) is mod.cache("stack")[nu]
+        assert V._stacked_solver(mod, nu, p=p) is mod.cache("stack", p)[nu]
 
 
 def test_label_family_above_degree_three_is_exploratory():
@@ -1227,25 +1231,13 @@ def test_label_family_above_degree_three_is_exploratory():
 
 # -- the F_p sieve of the search ----------------------------------------------
 
-def _skip_sieve(monkeypatch):
-    """Make every lifting mod p raise UnluckyPrime, so that each candidate
-    is lifted over Q alone."""
-    real = V._lift
-
-    def lift(mod, plan, tables, p):
-        if p is not None:
-            raise UnluckyPrime("sieve skipped")
-        return real(mod, plan, tables, p)
-
-    monkeypatch.setattr(V, "_lift", lift)
-
-
 def _sweep_d2_hits(monkeypatch, prime=None):
     """(mu, lam, dim) of every degree-2 hit over the weights of box 2 with
-    entry sum <= 4; exact only (every candidate lifted over Q) when prime is
-    None, else sieved mod prime.  Checks every vector on the way."""
+    entry sum <= 4; exact only (every candidate lifted over Q alone, by
+    oracles.exact_lift_singular) when prime is None, else sieved mod prime.
+    Checks every vector on the way."""
     if prime is None:
-        _skip_sieve(monkeypatch)
+        monkeypatch.setattr(V, "_lift_singular", oracles.exact_lift_singular)
     else:
         monkeypatch.setattr(V, "SIEVE_PRIME", prime)
     hits = []
@@ -1275,7 +1267,7 @@ def test_sieve_at_tiny_primes_keeps_the_exact_hits(monkeypatch):
         monkeypatch.setattr(V, "_lift", counting)
         assert _sweep_d2_hits(monkeypatch, p) == exact, p
     # basis-vector halves (p = 2) and stacked raising systems that lose rank
-    # mod 3 send those candidates to the Q fallback
+    # mod 3 send those candidates to the next modulus
     assert {2, 3} <= set(unlucky)
 
 
@@ -1284,13 +1276,13 @@ SWEEPS = SWEEP_D2 + [(mu, 4) for mu in sl5.dominant_weights_in_box(1)]
 
 
 def _sieved(monkeypatch, current):
-    """Patch _lift to record the sieve's lifting of each candidate: returns
-    the list it appends (current[-1], record) to, the record None when the
-    prime cannot decide (UnluckyPrime)."""
+    """Patch _lift to record the sieve's lifting of each candidate, the one
+    mod SIEVE_PRIME: returns the list it appends (current[-1], record) to,
+    the record None when the prime cannot decide (UnluckyPrime)."""
     real, sieved = V._lift, []
 
     def lift(mod, plan, tables, p):
-        if p is None:
+        if p != V.SIEVE_PRIME:
             return real(mod, plan, tables, p)
         sieved.append((current[-1], None))
         got = real(mod, plan, tables, p)
@@ -1308,8 +1300,8 @@ def _verdict(record) -> str:
 def _sieve_run(monkeypatch, searches, oracle=False):
     """Run the searches; returns [((mu, d, lam), verdict)] of the sieve on
     every candidate with a leading term, and the hits as (mu, d, lam, vecs).
-    With oracle set the sieve reads oracles.fp_view (its F_p inputs
-    converted from the rational solver, basis and z-term images)."""
+    With oracle set every lifting reads oracles.fp_view (its F_p inputs
+    converted from the rational solver and z-term images of the oracles)."""
     real_lift = V._lift_singular
     current = []
 
@@ -1320,18 +1312,19 @@ def _sieve_run(monkeypatch, searches, oracle=False):
     monkeypatch.setattr(V, "_lift_singular", lift_singular)
     sieved = _sieved(monkeypatch, current)
     if oracle:
-        real_solver, real_zimage, views = V._stacked_solver, V._zimage, {}
+        views = {}
 
         def view(mod, p):
             if (mod, p) not in views:
-                views[mod, p] = oracles.fp_view(mod, p, real_solver, real_zimage)
+                views[mod, p] = oracles.fp_view(mod, p, oracles.rational_solver,
+                                                oracles.rational_zimage)
             return views[mod, p]
 
-        def solver(mod, nu, *, p=None):
-            return real_solver(mod, nu) if p is None else view(mod, p)[0](nu)
+        def solver(mod, nu, *, p):
+            return view(mod, p)[0](nu)
 
-        def zimage(mod, op, fidx, *, p=None):
-            return real_zimage(mod, op, fidx) if p is None else view(mod, p)[1](op, fidx)
+        def zimage(mod, op, fidx, *, p):
+            return view(mod, p)[1](op, fidx)
 
         monkeypatch.setattr(V, "_stacked_solver", solver)
         monkeypatch.setattr(V, "_zimage", zimage)
@@ -1385,6 +1378,56 @@ def test_sieve_prime_is_a_prime_below_2_to_the_30():
     assert all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
+def test_the_ladder_is_the_mersenne_primes_above_the_sieve_prime():
+    assert V._LADDER == (2**61 - 1, 2**127 - 1, 2**521 - 1, 2**1279 - 1)
+    # a Fermat test to three bases: a slip in an exponent would fail it
+    assert all(pow(a, q - 1, q) == 1 for q in V._LADDER for a in (2, 3, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((V.SIEVE_PRIME, 2**61 - 1, 7)), st.data())
+def test_rational_reconstruction_returns_only_the_fraction_in_bound(p, data):
+    # with B = isqrt(p // 2), every n/d with |n|, d <= B comes back exactly
+    # from its residue, and whatever comes back for any residue a is a
+    # fraction n/d = a mod p within both bounds
+    bound = math.isqrt(p // 2)
+    n, d = data.draw(st.integers(-bound, bound)), data.draw(st.integers(1, bound))
+    assert V._rational(n * pow(d, -1, p) % p, p) == Q(n, d)
+    a = data.draw(st.integers(0, p - 1))
+    got = V._rational(a, p)
+    if got is not None:
+        assert abs(got.numerator) <= bound and got.denominator <= bound
+        assert (got.numerator - a * got.denominator) % p == 0
+
+
+def test_a_coefficient_beyond_the_sieve_prime_bound_comes_from_the_ladder(monkeypatch):
+    # the one degree-2 hit of (0,0,1,30000) has a numerator of 89,997, above
+    # the bound isqrt((2^30 - 35) // 2) = 23,170 of SIEVE_PRIME: its vector
+    # is the one that 2^61 - 1 and 2^127 - 1 recover alike, that of the
+    # exact lifting over Q; with 2^61 - 1 the only modulus after the sieve
+    # prime, no two liftings agree and the search raises
+    mu, real, moduli = (0, 0, 1, 30000), V._lift, []
+
+    def lift(mod, plan, tables, p):
+        got = real(mod, plan, tables, p)
+        if not got.dead:
+            moduli.append(p)
+        return got
+
+    monkeypatch.setattr(V, "_lift", lift)
+    mod = fm.TensorModule(mu)
+    (lam, (w,)), = V.singular_vectors(mu, 2, module=mod)
+    assert lam == (1, 0, 0, 29999)
+    assert max(abs(c.numerator) for c in w.terms.values()) == 89997
+    assert math.isqrt(V.SIEVE_PRIME // 2) == 23170
+    assert moduli == [V.SIEVE_PRIME, 2**61 - 1, 2**127 - 1]
+    (exact,) = oracles.exact_lift_singular(mod, 2, lam, V._degree_tables(2))
+    assert list(w.terms.items()) == list(exact.terms.items())
+    monkeypatch.setattr(V, "_LADDER", (2**61 - 1,))
+    with pytest.raises(ArithmeticError, match="no two moduli recover the same vectors"):
+        V.singular_vectors(mu, 2)
+
+
 def test_sieve_verdicts_at_the_previous_prime_are_pinned(monkeypatch):
     # 2^31 - 1, the sieve prime before SIEVE_PRIME, gives the same ordered
     # verdicts on both sweeps
@@ -1404,8 +1447,9 @@ def test_sieve_verdicts_at_small_primes_are_pinned(monkeypatch, prime):
 def _death_counts(monkeypatch, searches):
     """[((mu, d, lam), sieve, exact)] for each candidate the sieve kills on
     the searches: the stacked solves of its lifting mod SIEVE_PRIME and of
-    the exact lifting of the same candidate, read from their _lift records;
-    the exact one is made on a throwaway module per mu so that the search's
+    the exact lifting of the same candidate over Q (oracles.exact_lift),
+    read from their _lift records; the exact one is made on a throwaway
+    module per mu so that the search's
     own module is built as usual.  The solves fix which weight spaces a
     lifting builds, in order."""
     current = []
@@ -1420,7 +1464,7 @@ def _death_counts(monkeypatch, searches):
             V._lift_singular(mod, d, lam, tables)
             if not sieved or _verdict(sieved[0][1]) != "dead":
                 continue
-            exact = V._lift(spare, V._level_plan(d, sl5.wsub(lam, mu)), tables, None)
+            exact = oracles.exact_lift(spare, V._level_plan(d, sl5.wsub(lam, mu)), tables)
             assert exact.dead
             counts.append(((mu, d, lam), sieved[0][1].solves, exact.solves))
     monkeypatch.undo()
@@ -1469,8 +1513,9 @@ def test_flush_verdicts_do_not_depend_on_the_order_of_its_rows(monkeypatch):
     # the rank after all of a flush's rows does not depend on their order,
     # so a lifting whose every flush takes its m2 groups in reverse order
     # keeps every sieve verdict and death count pinned for both sweeps, at
-    # SIEVE_PRIME and at p = 2, and the Q pass, whose kernel comes from the
-    # unique reduced echelon form, finds the same vectors
+    # SIEVE_PRIME and at p = 2, and the liftings of the survivors, whose
+    # kernels come from the unique reduced echelon form, recover the same
+    # vectors
     real, flushed = V._flush_z, collections.Counter()
 
     def reversed_flush(entries, zimage, constraints, L, p):
@@ -1493,13 +1538,13 @@ def test_flush_verdicts_do_not_depend_on_the_order_of_its_rows(monkeypatch):
     for prime in (V.SIEVE_PRIME, 2):
         counts = run(prime, _death_counts, SWEEPS)
         assert _verdict_digest([(c, sieved) for c, sieved, _ in counts]) == DEATH_PINS[prime]
-    assert flushed[V.SIEVE_PRIME, True] and flushed[2, True] and flushed[None, True]
+    assert flushed[V.SIEVE_PRIME, True] and flushed[2, True] and flushed[V._LADDER[0], True]
 
 
 def test_a_killing_flush_builds_no_row_of_a_later_monomial(monkeypatch):
     # _flush_z builds the rows of one m2 group and inserts them before it
-    # reads the records of the next: in every flush of both sweeps, sieve
-    # and Q pass, a flush that kills has read the records of exactly the
+    # reads the records of the next: in every flush of both sweeps, at
+    # every modulus, a flush that kills has read the records of exactly the
     # groups up to the first whose rows bring the rank to L (found by
     # flushing the groups one by one into a copy of the constraints), and
     # one that does not kill has read them all
@@ -1541,8 +1586,9 @@ def test_a_killing_flush_builds_no_row_of_a_later_monomial(monkeypatch):
 def test_sieve_builds_zterm_images_only_for_flushed_depths(monkeypatch):
     # a candidate's z-term images are made when the lifting flushes their
     # depth, so the sieve makes none for the depths of the candidates it
-    # kills before they get there; the Q pass lifts only survivors, which
-    # flush every depth.  The module caches an image's coordinates per
+    # kills before they get there; the next modulus, 2^61 - 1, lifts only
+    # survivors, which flush every depth.  The module caches an image's
+    # coordinates per
     # modulus; an image whose target space is not built yet is ambient,
     # made each time and never cached (those are the only tensor actions
     # the search's z-terms make).  A flush builds and inserts the rows of one
@@ -1561,7 +1607,7 @@ def test_sieve_builds_zterm_images_only_for_flushed_depths(monkeypatch):
         mod = fm.TensorModule(mu)
         V.singular_vectors(mu, d, module=mod)
         made[d][0] += len(mod.cache("zterm", V.SIEVE_PRIME))
-        made[d][1] += len(mod.cache("zterm"))
+        made[d][1] += len(mod.cache("zterm", V._LADDER[0]))
     assert made[2][0] <= 1048 and made[4][0] <= 268
     assert (made[2][1], made[4][1]) == (41, 1)
     assert (made[2][2], made[4][2]) == (347, 13)
@@ -1573,8 +1619,8 @@ def test_fp_zimage_is_the_rational_image_reduced():
     # image the sieve made is the record's coordinates reduced, the
     # coordinates of the ambient image reduced, and the coordinates over F_p
     # of the tensor action over F_p on the basis vector reduced mod p; made
-    # again with both caches emptied, it fills only its own cache, not the
-    # rational one, and builds no weight space
+    # again with its cache emptied, it fills only that cache, and builds no
+    # weight space; the search makes no z-term cache over Q
     p = V.SIEVE_PRIME
     made = 0
     for mu, d in SWEEP_D2:
@@ -1582,7 +1628,6 @@ def test_fp_zimage_is_the_rational_image_reduced():
         V.singular_vectors(mu, d, module=mod)
         images = dict(mod.cache("zterm", p))
         mod.cache("zterm", p).clear()
-        mod.cache("zterm").clear()
         spaces = list(mod.spaces)
         for (op, fidx), img in images.items():
             target = sl5.wadd(mod.weights[fidx], fm.gen_shift(*op))
@@ -1595,7 +1640,7 @@ def test_fp_zimage_is_the_rational_image_reduced():
             assert img == want == (oracles.coords(mod, target, image, p) if image else {})
             assert V._zimage(mod, op, fidx, p=p) == img
             made += 1
-        assert mod.cache("zterm") == {} and mod.cache("zterm", p) == images
+        assert ("zterm", None) not in mod._derived and mod.cache("zterm", p) == images
         assert list(mod.spaces) == spaces
     assert made >= 1000
 
@@ -1603,8 +1648,8 @@ def test_fp_zimage_is_the_rational_image_reduced():
 def test_fp_zimage_is_ambient_into_a_target_that_is_not_p_integral():
     # a built target whose basis has a denominator p is not usable over
     # F_p: the image is the ambient one reduced mod p, made each time and not
-    # cached, while over Q (and at a prime that divides no denominator) the
-    # same image is the target's coordinates, cached
+    # cached, while at a prime that divides no denominator the same image is
+    # the target's coordinates, cached
     mod = fm.build_irreducible((2, 0, 0, 1))
     cases = []
     for fidx, nu in enumerate(mod.weights):
@@ -1618,10 +1663,9 @@ def test_fp_zimage_is_ambient_into_a_target_that_is_not_p_integral():
         reduced = {k: v for k, c in mod.vectors[fidx].items() if (v := to_fp(c, 2))}
         assert V._zimage(mod, op, fidx, p=2) == oracles.glact_vector(*op, reduced, 2)
         assert (op, fidx) not in mod.cache("zterm", 2)
-        for p in (None, V.SIEVE_PRIME):
-            img = V._zimage(mod, op, fidx, p=p)
-            assert mod.cache("zterm", p)[op, fidx] is img
-            assert set(img) <= set(mod.spaces[target])
+        img = V._zimage(mod, op, fidx, p=V.SIEVE_PRIME)
+        assert mod.cache("zterm", V.SIEVE_PRIME)[op, fidx] is img
+        assert set(img) <= set(mod.spaces[target])
 
 
 def test_bases_store_is_a_p_integrality_memo():
@@ -1646,8 +1690,9 @@ def test_bases_store_is_a_p_integrality_memo():
 
 @pytest.mark.parametrize("prime", (V.SIEVE_PRIME, 2))
 def test_flushes_match_the_ambient_expansion(monkeypatch, prime):
-    # every flush of both sweeps, in the sieve at prime and in the Q pass of
-    # each candidate the sieve does not kill, gives the verdict and the
+    # every flush of both sweeps, in the sieve at prime and in the liftings
+    # at the later moduli of each candidate it does not kill, gives the
+    # verdict and the
     # constraint rank of expanding every z-term in ambient monomials
     # (oracles.flush_z) from the same constraints, and when it does not kill,
     # the same reduced echelon form, so the same row space
@@ -1673,7 +1718,7 @@ def test_flushes_match_the_ambient_expansion(monkeypatch, prime):
     monkeypatch.setattr(V, "_flush_z", flush)
     hits = [lam for mu, d in SWEEPS for lam, _vecs in V.singular_vectors(mu, d)]
     assert len(hits) == 8
-    assert seen[prime, True] and seen[prime, False] and seen[None, False]
+    assert seen[prime, True] and seen[prime, False] and seen[V._LADDER[0], False]
 
 
 _ORDER_WEIGHTS = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1),
@@ -1741,14 +1786,10 @@ def test_unlucky_prime_triggers():
 
 
 def test_a_division_by_zero_in_the_sieve_is_not_an_unlucky_prime(monkeypatch):
-    # only UnluckyPrime sends a candidate to the Q lifting: any other
-    # ZeroDivisionError on the F_p path is a fault, and it propagates
-    real = V._zimage
-
-    def zimage(mod, op, fidx, *, p=None):
-        if p is not None:
-            raise ZeroDivisionError("division by zero")
-        return real(mod, op, fidx, p=p)
+    # only UnluckyPrime sends a candidate to the next modulus: any other
+    # ZeroDivisionError in a lifting is a fault, and it propagates
+    def zimage(mod, op, fidx, *, p):
+        raise ZeroDivisionError("division by zero")
 
     monkeypatch.setattr(V, "_zimage", zimage)
     with pytest.raises(ZeroDivisionError) as raised:
@@ -1765,7 +1806,7 @@ def test_fp_solver_is_the_rational_solver_mod_p():
                 col: {k: v for k, c in img.items() if (v := to_fp(c, p))}
                 for col, img in mod.act_entries(r, s, nu).items()}
         solve_combs, zero_combs = V._stacked_solver(mod, nu, p=p)
-        q_solve, q_zero = V._stacked_solver(mod, nu)
+        q_solve, q_zero = oracles.rational_solver(mod, nu)
         assert list(solve_combs) == list(q_solve)
         # full column rank mod p: the left kernels have equal dimensions, and
         # the solve combinations differ from the reduced rational ones by a
@@ -1794,11 +1835,11 @@ def test_sieve_sends_only_survivors_to_the_exact_pass(monkeypatch):
     monkeypatch.setattr(V, "RowReducer", Recording)
     # the raising systems are cached now, so every RowReducer made is the
     # constraint system of one lifting: one mod p per candidate with a
-    # leading term, one over Q per survivor
+    # leading term, one mod 2^61 - 1 per survivor, and none over Q
     again = V.singular_vectors(mu, 2, module=mod)
     assert [(lam, V.verma_element_to_obj(w)) for lam, vs in again for w in vs] == \
         [(lam, V.verma_element_to_obj(w)) for lam, vs in first for w in vs]
-    assert moduli.count(None) == len(again) == 1
+    assert moduli.count(V._LADDER[0]) == len(again) == 1
     assert moduli.count(V.SIEVE_PRIME) == 5 == len(moduli) - 1
 
 
@@ -1855,8 +1896,8 @@ def test_pickled_module_drops_caches_and_keeps_certificates():
 
     rows = V.classify_mu((0, 0, 1, 1), 2)
     mod = rows[0].vectors[0].module
-    assert mod.cache("zterm") and mod.cache("stack") and \
-        any(p is not None and got for (_name, p), got in mod._derived.items())
+    assert mod.cache("zterm", V.SIEVE_PRIME) and mod.cache("stack", V.SIEVE_PRIME)
+    assert not {("zterm", None), ("stack", None)} & set(mod._derived)
     back = pickle.loads(pickle.dumps(rows))
     mod2 = back[0].vectors[0].module
     assert mod2._derived == {}
@@ -2017,12 +2058,13 @@ def test_degree_tables_match_the_cached_actions(d):
 
 
 def test_exact_pass_alone_finds_the_sieved_hits(monkeypatch):
-    # every candidate of the degree-2 sweep lifted over Q, with no F_p table
-    # read: the sieve changes neither the hits nor their vectors
+    # every candidate of the degree-2 sweep lifted over Q alone
+    # (oracles.exact_lift_singular), with no lifting mod a prime: the sieve
+    # and the reconstruction change neither the hits nor their vectors
     _, sieved = _sieve_run(monkeypatch, SWEEP_D2)
-    _skip_sieve(monkeypatch)
+    monkeypatch.setattr(V, "_lift_singular", oracles.exact_lift_singular)
     verdicts, exact = _sieve_run(monkeypatch, SWEEP_D2)
-    assert verdicts and {v for _, v in verdicts} == {"unlucky"}
+    assert verdicts == []
     assert _objs(exact) == _objs(sieved)
 
 
